@@ -13,7 +13,7 @@ from .mesh import (
     interpolate,
     interpolate_many,
 )
-from .sparse import SolveStats, SparseMatrix, from_triplets, solve
+from .sparse import SolveStats, SparseMatrix, solve
 from .analytic import (
     FormulationTime,
     GaussianIC,
@@ -33,17 +33,7 @@ from .analytic import (
     poincare_constant,
     steady_state,
 )
-from .assembly import (
-    OperatorBlocks,
-    OperatorSet,
-    SplitParams,
-    assemble_blocks,
-    assemble_heat_v,
-    assemble_lagrangian,
-    assemble_mass,
-    assemble_selfsimilar_K1,
-    operator_set,
-)
+from .assembly import OperatorBlocks, assemble_blocks, assemble_mass
 from .solvers import (
     RunConfig,
     SolverError,

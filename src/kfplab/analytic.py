@@ -114,11 +114,6 @@ def kernel_Lq_norm(t: float, q) -> float:
     return q ** (-1.0 / q) * pref ** ((q - 1.0) / q)
 
 
-def kernel_covariance(t: float) -> np.ndarray:
-    """Covariance matrix [[2t, t^2], [t^2, 2t^3/3]] of the unit-mass kernel."""
-    return np.array([[2.0 * t, t * t], [t * t, 2.0 * t ** 3 / 3.0]])
-
-
 def kernel_Lq_quadrature(t: float, q, n_nodes: int = 400) -> float:
     """||G_t||_q by tensor Gauss-Legendre over the +-8 sigma kernel box.
 

@@ -56,34 +56,41 @@ def _element_blocks(mesh: TriMesh):
     return {"mass": mass, "d_vv": d_vv, "d_zz": d_zz, "d_vz_sym": d_vz_sym, "b_adv": b_adv}
 
 
-def _interior_pattern(mesh: TriMesh):
-    """Triplet (i, j) layout over interior unknowns plus the keep-mask that
-    selects the element-matrix entries whose row and column both survive."""
+def _banded(mesh: TriMesh, kernels: dict, reduced: bool) -> dict:
+    """Scatter (n_el, 3, 3) element kernels into banded matrices.
+
+    On the uniform triangulation every node couples only to itself and its
+    neighbours at grid offsets +-1, +-w and +-(w + 1), with w the width of
+    the grid of unknowns. reduced=True keeps the interior unknowns only.
+    One bincount over the slot k * m + row sums each entry's element
+    contributions in element order.
+    """
     ele = mesh.elements
-    imap = mesh.interior_index
     rows = np.repeat(ele, 3, axis=1).reshape(-1, 3, 3)  # rows[e, i, j] = ele[e, i]
-    cols = np.transpose(rows, (0, 2, 1))
-    ri = imap[rows].ravel()
-    ci = imap[cols].ravel()
-    keep = (ri >= 0) & (ci >= 0)
-    m = mesh.interior_count
-    return sparse.TripletPattern(m, m, ri[keep], ci[keep]), keep
-
-
-def _full_pattern(mesh: TriMesh):
-    ele = mesh.elements
-    rows = np.repeat(ele, 3, axis=1).reshape(-1, 3, 3)
-    cols = np.transpose(rows, (0, 2, 1))
-    nn = mesh.node_count
-    return sparse.TripletPattern(nn, nn, rows.ravel(), cols.ravel())
+    rows, cols = rows.ravel(), np.transpose(rows, (0, 2, 1)).ravel()
+    keep = slice(None)
+    w, m = mesh.n + 1, mesh.node_count
+    if reduced:
+        rows, cols = mesh.interior_index[rows], mesh.interior_index[cols]
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols = rows[keep], cols[keep]
+        w, m = mesh.n - 1, mesh.interior_count
+    offsets = np.unique([0, 1, -1, w, -w, w + 1, -(w + 1)])  # not distinct for w <= 1
+    k = len(offsets)
+    slot = np.searchsorted(offsets, cols - rows) * m + rows
+    mats = {}
+    for name, arr in kernels.items():
+        data = np.bincount(slot, weights=arr.ravel()[keep], minlength=k * m)
+        mats[name] = sparse.SparseMatrix(offsets, data.reshape(k, m))
+    return mats
 
 
 @dataclass
 class OperatorBlocks:
     """Mesh-level matrices assembled once and recombined per time step.
 
-    All matrices live on the interior unknowns and share one CSR pattern, so
-    the time-dependent forms are cheap linear combinations:
+    All matrices live on the interior unknowns and share one band of
+    offsets, so the time-dependent forms are cheap linear combinations:
 
         lagrangian(t)     = d_vv + t^2 d_zz + t d_vz_sym
         selfsimilar(s,o1) = d_vv + A d_vz_sym + A^2 d_zz - b_adv - o1 * mass,
@@ -103,6 +110,18 @@ class OperatorBlocks:
         return sparse.combine([(1.0, self.d_vv), (t * t, self.d_zz), (t, self.d_vz_sym)])
 
     def selfsimilar(self, s: float, sigma1: float) -> sparse.SparseMatrix:
+        """Matrix of the coercive split operator's (negated) weak action:
+
+            a(u, w) = ((d_v + A d_z) u, (d_v + A d_z) w)
+                      - ((v/2) d_v u + (3 z/2) d_z u, w) - sigma1 (u, w)
+
+        The advection coefficient is assembled in this combined physical
+        form: the split operator's drift has 3z/(2A) in its second slot,
+        which is singular at s = 0, but the directional gradient multiplies
+        it back by A, so assembling the product is valid for all s >= 0 and
+        algebraically identical for s > 0. The theta scheme uses this matrix
+        directly as the implicit-side operator.
+        """
         if s < 0:
             raise ValueError("s must be nonnegative")
         if sigma1 > 1.0:
@@ -115,90 +134,12 @@ class OperatorBlocks:
 
 
 def assemble_blocks(mesh: TriMesh) -> OperatorBlocks:
-    """All interior-reduced building-block matrices on a shared pattern."""
-    blocks = _element_blocks(mesh)
-    pattern, keep = _interior_pattern(mesh)
-    mats = {name: pattern.assemble(arr.ravel()[keep]) for name, arr in blocks.items()}
+    """All interior-reduced building-block matrices over one band of offsets."""
+    mats = _banded(mesh, _element_blocks(mesh), reduced=True)
     return OperatorBlocks(mesh, mats["mass"], mats["d_vv"], mats["d_zz"],
                           mats["d_vz_sym"], mats["b_adv"])
 
 
 def assemble_mass(mesh: TriMesh, reduced: bool = True) -> sparse.SparseMatrix:
     """Consistent P1 mass matrix; reduced=False keeps boundary rows/columns."""
-    blocks = _element_blocks(mesh)
-    if reduced:
-        pattern, keep = _interior_pattern(mesh)
-        return pattern.assemble(blocks["mass"].ravel()[keep])
-    return _full_pattern(mesh).assemble(blocks["mass"].ravel())
-
-
-def assemble_lagrangian(mesh: TriMesh, t: float) -> sparse.SparseMatrix:
-    """Matrix of a_t(u, w) = (d_v u, d_v w) + t^2 (d_z u, d_z w)
-    + t [(d_v u, d_z w) + (d_z u, d_v w)] on the interior space."""
-    return assemble_blocks(mesh).lagrangian(t)
-
-
-def assemble_heat_v(mesh: TriMesh) -> sparse.SparseMatrix:
-    """The v-direction diffusion matrix, identical to assemble_lagrangian(mesh, 0)."""
-    return assemble_lagrangian(mesh, 0.0)
-
-
-def assemble_selfsimilar_K1(mesh: TriMesh, s: float, sigma1: float) -> sparse.SparseMatrix:
-    """Matrix of the coercive split operator's (negated) weak action:
-
-        a(u, w) = ((d_v + A d_z) u, (d_v + A d_z) w)
-                  - ((v/2) d_v u + (3 z/2) d_z u, w) - sigma1 (u, w)
-
-    with A = 1 - e^{-s}. The advection coefficient is assembled in this
-    combined physical form: the split operator's drift has 3z/(2A) in its
-    second slot, which is singular at s = 0, but the directional gradient
-    multiplies it back by A, so assembling the product is valid for all
-    s >= 0 and algebraically identical for s > 0. The theta scheme uses this
-    matrix directly as the implicit-side operator.
-    """
-    return assemble_blocks(mesh).selfsimilar(s, sigma1)
-
-
-@dataclass
-class OperatorSet:
-    """Mass matrix plus one formulation's spatial form frozen at a time.
-
-    Convenience bundle for callers that want a single (M, A) pair; the
-    solvers themselves recombine OperatorBlocks per step instead.
-    """
-
-    mass: sparse.SparseMatrix
-    spatial: sparse.SparseMatrix
-    time: float
-    form: str
-
-
-def operator_set(mesh: TriMesh, form: str, time: float, sigma1: float = 1.0) -> OperatorSet:
-    blocks = assemble_blocks(mesh)
-    if form == "original":
-        spatial = blocks.lagrangian(0.0)
-    elif form == "lagrangian":
-        spatial = blocks.lagrangian(time)
-    elif form == "selfsimilar":
-        spatial = blocks.selfsimilar(time, sigma1)
-    else:
-        raise ValueError(f"unknown formulation {form!r}")
-    return OperatorSet(blocks.mass, spatial, time, form)
-
-
-@dataclass(frozen=True)
-class SplitParams:
-    """Reaction split sigma1 + sigma2 = 2 with sigma1 <= 1, plus theta."""
-
-    sigma1: float = 1.0
-    theta: float = 0.5
-
-    def __post_init__(self):
-        if self.sigma1 > 1.0:
-            raise ValueError("sigma1 must satisfy sigma1 <= 1")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
-
-    @property
-    def sigma2(self) -> float:
-        return 2.0 - self.sigma1
+    return _banded(mesh, {"mass": _element_blocks(mesh)["mass"]}, reduced)["mass"]

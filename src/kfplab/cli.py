@@ -137,7 +137,8 @@ def _coerce(key: str, text: str):
 
 
 def parse_config(args) -> tuple[RunConfig, int]:
-    """Merge config file and flags (flags win) into a validated RunConfig.
+    """Merge config file and flags (flags win) into a RunConfig, which
+    validates the values.
 
     Defaults are the reference settings: n=128, dt=0.01, domain [-10,10]^2,
     theta=0.5, sigma1=1.0, horizon t=10. Returns (config, seed).
@@ -160,18 +161,6 @@ def parse_config(args) -> tuple[RunConfig, int]:
             merged[key] = _coerce(key, val) if isinstance(val, str) else val
     if isinstance(merged["domain"], str):
         merged["domain"] = _parse_domain(merged["domain"])
-
-    for key in ("dt", "t-end", "tol"):
-        if merged[key] <= 0:
-            raise ConfigError(f"{key}: must be positive, got {merged[key]}")
-    if not 0.0 <= merged["theta"] <= 1.0:
-        raise ConfigError(f"theta: must lie in [0, 1], got {merged['theta']}")
-    if merged["sigma1"] > 1.0:
-        raise ConfigError(f"sigma1: must satisfy sigma1 <= 1, got {merged['sigma1']}")
-    if merged["n"] < 1:
-        raise ConfigError(f"n: must be a positive integer, got {merged['n']}")
-    if merged["snapshot-stride"] < 0:
-        raise ConfigError(f"snapshot-stride: must be nonnegative, got {merged['snapshot-stride']}")
 
     config = RunConfig(
         form=merged["form"], domain=merged["domain"], n=merged["n"],

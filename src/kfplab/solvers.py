@@ -14,6 +14,7 @@ Field is an immutable snapshot.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -43,18 +44,28 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        """The one validation point for run inputs, from the CLI or the API."""
         if self.form not in FORMS:
             raise ValueError(f"unknown formulation {self.form!r}")
+        for name in ("dt", "horizon", "theta", "sigma1", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise ValueError(f"dt must be positive, got {self.dt}")
         if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+            raise ValueError(f"horizon must be positive, got {self.horizon}")
         if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
+            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
         if self.sigma1 > 1.0:
-            raise ValueError("sigma1 must satisfy sigma1 <= 1")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+            raise ValueError(f"sigma1 must satisfy sigma1 <= 1, got {self.sigma1}")
+        if self.tol <= 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.snapshot_stride < 0:
+            raise ValueError(f"snapshot_stride must be nonnegative, got {self.snapshot_stride}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
 
     @property
     def sigma2(self) -> float:

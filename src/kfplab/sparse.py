@@ -1,4 +1,4 @@
-"""Compressed sparse row matrices and a Jacobi-preconditioned BiCGStab solver.
+"""Banded (DIA) matrices and a Jacobi-preconditioned BiCGStab solver.
 
 The advection terms make the assembled systems nonsymmetric, hence a
 stabilized bi-conjugate-gradient method. The theta-scheme matrices are mass
@@ -22,134 +22,71 @@ class SolveStats:
 
 
 class SparseMatrix:
-    """CSR matrix. Column indices are strictly increasing within each row and
-    duplicates are summed at construction; explicit zeros are kept so matrices
-    assembled from the same triplet pattern share their index structure."""
+    """Square banded matrix in diagonal (DIA) storage.
 
-    def __init__(self, rows, cols, offsets, indices, values):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.offsets = offsets
-        self.indices = indices
-        self.values = values
-        # row index per stored entry, for the bincount matvec
-        self._entry_rows = np.repeat(np.arange(self.rows), np.diff(offsets))
+    offsets are strictly increasing and data has shape (len(offsets), m),
+    row-aligned: y[i] = sum_k data[k, i] * x[i + offsets[k]]. Slots whose
+    column i + offsets[k] falls outside the matrix are ignored.
+    """
+
+    def __init__(self, offsets, data):
+        self.offsets = tuple(int(o) for o in offsets)
+        self.data = np.asarray(data, dtype=float)
+        if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
+            raise ValueError("offsets must be strictly increasing")
+        if self.data.ndim != 2 or self.data.shape[0] != len(self.offsets):
+            raise ValueError(f"data shape {self.data.shape} does not match {len(self.offsets)} offsets")
+        self.rows = self.data.shape[1]
+
+    def _spans(self):
+        """(offset, diagonal, first row, end row) for the rows each diagonal reaches."""
+        m = self.rows
+        for off, d in zip(self.offsets, self.data):
+            lo, hi = max(0, -off), min(m, m - off)
+            if lo < hi:
+                yield off, d, lo, hi
 
     @property
     def nnz(self) -> int:
-        return len(self.values)
+        """Stored entries inside the matrix: the multiply-adds of one matvec."""
+        return sum(hi - lo for _, _, lo, hi in self._spans())
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.cols,):
-            raise ValueError(f"dimension mismatch: matrix is {self.rows}x{self.cols}, vector has length {len(x)}")
-        if self.nnz == 0:
-            return np.zeros(self.rows)
-        prod = self.values * x[self.indices]
-        return np.bincount(self._entry_rows, weights=prod, minlength=self.rows)
+        if x.shape != (self.rows,):
+            raise ValueError(f"dimension mismatch: matrix is {self.rows}x{self.rows}, vector has length {len(x)}")
+        # ascending offsets are ascending columns, so every row sums its
+        # entries in column order starting from zero
+        y = np.zeros(self.rows)
+        for off, d, lo, hi in self._spans():
+            y[lo:hi] += d[lo:hi] * x[lo + off:hi + off]
+        return y
 
     def __matmul__(self, x):
         return self.matvec(x)
 
     def diagonal(self) -> np.ndarray:
-        d = np.zeros(min(self.rows, self.cols))
-        on_diag = self._entry_rows == self.indices
-        np.add.at(d, self._entry_rows[on_diag], self.values[on_diag])
-        return d
-
-    def transpose(self) -> "SparseMatrix":
-        return from_triplets(self.cols, self.rows, self._entry_rows, self.indices, self.values, swap=True)
+        if 0 not in self.offsets:
+            return np.zeros(self.rows)
+        return self.data[self.offsets.index(0)].copy()
 
     def toarray(self) -> np.ndarray:
-        a = np.zeros((self.rows, self.cols))
-        a[self._entry_rows, self.indices] = 0.0
-        np.add.at(a, (self._entry_rows, self.indices), self.values)
+        a = np.zeros((self.rows, self.rows))
+        for off, d, lo, hi in self._spans():
+            i = np.arange(lo, hi)
+            a[i, i + off] = d[lo:hi]
         return a
-
-    def same_pattern(self, other: "SparseMatrix") -> bool:
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and np.array_equal(self.offsets, other.offsets)
-            and np.array_equal(self.indices, other.indices)
-        )
-
-    def scaled(self, c: float) -> "SparseMatrix":
-        return SparseMatrix(self.rows, self.cols, self.offsets, self.indices, c * self.values)
-
-
-def from_triplets(rows: int, cols: int, i, j, vals, swap: bool = False) -> SparseMatrix:
-    """CSR from COO triplets; out-of-range indices rejected, duplicates summed."""
-    i = np.asarray(i, dtype=np.int64).ravel()
-    j = np.asarray(j, dtype=np.int64).ravel()
-    vals = np.asarray(vals, dtype=float).ravel()
-    if not (len(i) == len(j) == len(vals)):
-        raise ValueError("triplet arrays must have equal length")
-    if swap:
-        i, j = j, i
-    if len(i) and (i.min() < 0 or i.max() >= rows or j.min() < 0 or j.max() >= cols):
-        raise IndexError("triplet index out of range")
-
-    if len(i) == 0:
-        offsets = np.zeros(rows + 1, dtype=np.int64)
-        return SparseMatrix(rows, cols, offsets, np.empty(0, dtype=np.int64), np.empty(0))
-
-    order = np.lexsort((j, i))
-    i, j, vals = i[order], j[order], vals[order]
-    first = np.ones(len(i), dtype=bool)
-    first[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
-    group = np.cumsum(first) - 1
-    summed = np.bincount(group, weights=vals)
-    ui = i[first]
-    uj = j[first]
-    offsets = np.zeros(rows + 1, dtype=np.int64)
-    np.add.at(offsets, ui + 1, 1)
-    offsets = np.cumsum(offsets)
-    return SparseMatrix(rows, cols, offsets, uj, summed)
-
-
-class TripletPattern:
-    """Shared (i, j) layout so several element kernels assemble into CSR
-    matrices with byte-identical index structure (required by combine)."""
-
-    def __init__(self, rows, cols, i, j):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.i = np.asarray(i, dtype=np.int64).ravel()
-        self.j = np.asarray(j, dtype=np.int64).ravel()
-        if len(self.i) and (self.i.min() < 0 or self.i.max() >= rows or self.j.min() < 0 or self.j.max() >= cols):
-            raise IndexError("triplet index out of range")
-        self._order = np.lexsort((self.j, self.i))
-        si, sj = self.i[self._order], self.j[self._order]
-        first = np.ones(len(si), dtype=bool)
-        if len(si):
-            first[1:] = (si[1:] != si[:-1]) | (sj[1:] != sj[:-1])
-        self._group = np.cumsum(first) - 1 if len(si) else first.astype(np.int64)
-        self._n_unique = int(self._group[-1]) + 1 if len(si) else 0
-        ui = si[first] if len(si) else si
-        uj = sj[first] if len(sj) else sj
-        offsets = np.zeros(rows + 1, dtype=np.int64)
-        np.add.at(offsets, ui + 1, 1)
-        self.offsets = np.cumsum(offsets)
-        self.indices = uj
-
-    def assemble(self, vals) -> SparseMatrix:
-        vals = np.asarray(vals, dtype=float).ravel()
-        if len(vals) != len(self.i):
-            raise ValueError("value array does not match pattern length")
-        summed = np.bincount(self._group, weights=vals[self._order], minlength=self._n_unique)
-        return SparseMatrix(self.rows, self.cols, self.offsets, self.indices, summed)
 
 
 def combine(terms) -> SparseMatrix:
-    """Linear combination sum(c * A) of matrices sharing one CSR pattern."""
+    """Linear combination sum(c * A) of matrices with the same offsets."""
     (c0, a0), *rest = terms
-    values = c0 * a0.values
+    data = c0 * a0.data
     for c, a in rest:
-        if not a.same_pattern(a0):
-            raise ValueError("combine requires matrices with an identical sparsity pattern")
-        values = values + c * a.values
-    return SparseMatrix(a0.rows, a0.cols, a0.offsets, a0.indices, values)
+        if (a.rows, a.offsets) != (a0.rows, a0.offsets):
+            raise ValueError("combine requires matrices with the same size and offsets")
+        data = data + c * a.data
+    return SparseMatrix(a0.offsets, data)
 
 
 def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
@@ -160,8 +97,6 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     A breakdown of the recurrence triggers one restart from the current
     iterate before giving up.
     """
-    if A.rows != A.cols:
-        raise ValueError("solve requires a square matrix")
     if tol <= 0:
         raise ValueError("tol must be positive")
     b = np.asarray(b, dtype=float)
@@ -241,7 +176,3 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     final = np.linalg.norm(b - A.matvec(x))
     return x, SolveStats(iters, final / norm_b, bool(final <= target))
 
-
-def identity(n: int) -> SparseMatrix:
-    idx = np.arange(n)
-    return from_triplets(n, n, idx, idx, np.ones(n))

@@ -4,17 +4,9 @@ import numpy as np
 import pytest
 
 from kfplab import sparse
-from kfplab.assembly import (
-    SplitParams,
-    operator_set,
-    _element_blocks,
-    assemble_blocks,
-    assemble_heat_v,
-    assemble_lagrangian,
-    assemble_mass,
-    assemble_selfsimilar_K1,
-)
+from kfplab.assembly import _element_blocks, assemble_blocks, assemble_mass
 from kfplab.mesh import RectDomain, build_structured_mesh
+from kfplab.solvers import RunConfig
 
 UNIT = RectDomain(0.0, 1.0, 0.0, 1.0)
 
@@ -28,6 +20,36 @@ def directional_sq_norm(blocks, a, x):
     """||(d_v + a d_z) u||^2 via the quadratic form of the diffusion blocks."""
     D = sparse.combine([(1.0, blocks.d_vv), (a, blocks.d_vz_sym), (a * a, blocks.d_zz)])
     return float(x @ D.matvec(x))
+
+
+def dense_reference(mesh, kernel, reduced):
+    """Element kernels scattered straight into an (m, m) array, element by
+    element in order, independently of the banded storage."""
+    ele = mesh.elements
+    rows = np.repeat(ele, 3, axis=1).reshape(-1, 3, 3)
+    cols = np.transpose(rows, (0, 2, 1))
+    if not reduced:
+        a = np.zeros((mesh.node_count, mesh.node_count))
+        np.add.at(a, (rows.ravel(), cols.ravel()), kernel.ravel())
+        return a
+    ri = mesh.interior_index[rows].ravel()
+    ci = mesh.interior_index[cols].ravel()
+    keep = (ri >= 0) & (ci >= 0)
+    a = np.zeros((mesh.interior_count, mesh.interior_count))
+    np.add.at(a, (ri[keep], ci[keep]), kernel.ravel()[keep])
+    return a
+
+
+def test_assembly_matches_dense_reference():
+    for n in (2, 3, 7):
+        mesh = build_structured_mesh(RectDomain(-1.0, 2.0, 0.5, 3.0), n)
+        kernels = _element_blocks(mesh)
+        blocks = assemble_blocks(mesh)
+        for name, kernel in kernels.items():
+            assert np.array_equal(getattr(blocks, name).toarray(),
+                                  dense_reference(mesh, kernel, reduced=True)), (n, name)
+        full = assemble_mass(mesh, reduced=False)
+        assert np.array_equal(full.toarray(), dense_reference(mesh, kernels["mass"], reduced=False)), n
 
 
 def test_element_mass_matrix_closed_form():
@@ -61,15 +83,16 @@ def test_mass_positive_definite_on_interior():
 
 def test_heat_v_equals_lagrangian_at_zero():
     mesh = build_structured_mesh(RectDomain.square(2.0), 7)
-    A0 = assemble_lagrangian(mesh, 0.0)
-    Ah = assemble_heat_v(mesh)
-    assert Ah.same_pattern(A0)
-    assert np.array_equal(Ah.values, A0.values)
+    blocks = assemble_blocks(mesh)
+    A0 = blocks.lagrangian(0.0)
+    Ah = blocks.d_vv
+    assert Ah.offsets == A0.offsets
+    assert np.array_equal(Ah.data, A0.data)
 
 
 def test_heat_v_positive_semidefinite():
     mesh = build_structured_mesh(UNIT, 8)
-    A = assemble_heat_v(mesh)
+    A = assemble_blocks(mesh).lagrangian(0.0)
     for x in random_interior(mesh, seed=3, count=10):
         assert x @ A.matvec(x) >= 0.0
 
@@ -80,14 +103,14 @@ def test_heat_v_sine_energy():
     vals = np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
     vals[mesh.boundary] = 0.0
     x = vals[mesh.interior]
-    q = x @ assemble_heat_v(mesh).matvec(x)
+    q = x @ assemble_blocks(mesh).lagrangian(0.0).matvec(x)
     assert abs(q - np.pi ** 2 / 4) / (np.pi ** 2 / 4) < 0.02
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0, 3.7])
 def test_lagrangian_symmetric(t):
     mesh = build_structured_mesh(RectDomain.square(2.0), 6)
-    A = assemble_lagrangian(mesh, t)
+    A = assemble_blocks(mesh).lagrangian(t)
     assert np.max(np.abs(A.toarray() - A.toarray().T)) == 0.0
 
 
@@ -113,7 +136,7 @@ def test_selfsimilar_at_s0_drops_mixed_terms():
     blocks = assemble_blocks(mesh)
     A = blocks.selfsimilar(0.0, 0.5)
     manual = sparse.combine([(1.0, blocks.d_vv), (-1.0, blocks.b_adv), (-0.5, blocks.mass)])
-    assert np.max(np.abs(A.values - manual.values)) == 0.0
+    assert np.max(np.abs(A.data - manual.data)) == 0.0
 
 
 @pytest.mark.parametrize("s", [0.0, 0.5, 2.0])
@@ -144,7 +167,7 @@ def test_selfsimilar_sigma1_one_is_pure_square():
 def test_selfsimilar_rejects_sigma1_above_one():
     mesh = build_structured_mesh(UNIT, 4)
     with pytest.raises(ValueError):
-        assemble_selfsimilar_K1(mesh, 1.0, 1.0 + 1e-9)
+        assemble_blocks(mesh).selfsimilar(1.0, 1.0 + 1e-9)
 
 
 def test_coercivity_threshold():
@@ -170,9 +193,9 @@ def test_advection_skew_identity():
     # x^T (B + B^T) x = -2 x^T M x on zero-boundary fields
     mesh = build_structured_mesh(RectDomain.square(4.0), 9)
     blocks = assemble_blocks(mesh)
-    Bt = blocks.b_adv.transpose()
+    Bt = blocks.b_adv.toarray().T
     for x in random_interior(mesh, seed=31, count=10):
-        lhs = float(x @ blocks.b_adv.matvec(x) + x @ Bt.matvec(x))
+        lhs = float(x @ blocks.b_adv.matvec(x) + x @ (Bt @ x))
         rhs = -2.0 * float(x @ blocks.mass.matvec(x))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
@@ -191,28 +214,17 @@ def test_bandwidth_of_assembled_matrices():
     blocks = assemble_blocks(mesh)
     span = 2 * (mesh.n + 1) + 2
     for mat in (blocks.mass, blocks.d_vv, blocks.b_adv):
-        rows = np.repeat(np.arange(mat.rows), np.diff(mat.offsets))
-        assert np.max(np.abs(rows - mat.indices)) <= span
+        assert max(abs(off) for off in mat.offsets) <= span
 
 
 def test_split_params():
-    p = SplitParams(sigma1=0.5)
+    # the reaction split sigma1 + sigma2 = 2 and theta belong to RunConfig;
+    # the assembled implicit operator guards sigma1 <= 1 on its own
+    p = RunConfig(sigma1=0.5)
     assert p.sigma2 == 1.5
     with pytest.raises(ValueError):
-        SplitParams(sigma1=1.5)
+        RunConfig(sigma1=1.5)
     with pytest.raises(ValueError):
-        SplitParams(theta=1.5)
-
-
-def test_operator_set_bundles():
-    mesh = build_structured_mesh(RectDomain.square(2.0), 6)
-    for form, time in (("original", 0.0), ("lagrangian", 1.5), ("selfsimilar", 0.8)):
-        ops = operator_set(mesh, form, time)
-        assert ops.form == form and ops.time == time
-        assert ops.mass.rows == mesh.interior_count
-        assert ops.spatial.rows == mesh.interior_count
-    blocks = assemble_blocks(mesh)
-    assert np.array_equal(operator_set(mesh, "lagrangian", 1.5).spatial.values,
-                          blocks.lagrangian(1.5).values)
+        RunConfig(theta=1.5)
     with pytest.raises(ValueError):
-        operator_set(mesh, "bogus", 0.0)
+        assemble_blocks(build_structured_mesh(UNIT, 3)).selfsimilar(0.5, 1.5)

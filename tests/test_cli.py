@@ -1,6 +1,7 @@
 import os
 
 import numpy as np
+import pytest
 
 from kfplab import cli
 from kfplab.cli import main, parse_config, read_config_file, write_config_file
@@ -39,6 +40,14 @@ def test_sigma1_above_one_is_config_error():
 def test_theta_out_of_range_is_config_error():
     rc = main(["run", "--theta", "1.2"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--dt", "nan"), ("--t-end", "inf"), ("--sigma1", "nan"), ("--tol", "nan")])
+def test_nonfinite_input_is_config_error(tmp_path, capsys, flag, value):
+    rc = main(["run", "--form", "lagrangian", "--n", "4", "--out", str(tmp_path), flag, value])
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_malformed_number_is_config_error(capsys):

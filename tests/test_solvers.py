@@ -176,6 +176,12 @@ def test_runconfig_validation():
         RunConfig(theta=1.2)
     with pytest.raises(ValueError):
         RunConfig(sigma1=1.01)
+    for bad in (dict(dt=math.nan), dict(horizon=math.inf), dict(theta=math.nan),
+                dict(sigma1=math.nan), dict(sigma1=-math.inf), dict(tol=math.nan),
+                dict(tol=0.0), dict(max_iter=0), dict(snapshot_stride=-1),
+                dict(n=0), dict(n=4.0)):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
     assert RunConfig(sigma1=0.25).sigma2 == 1.75
 
 

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from kfplab import sparse
+from kfplab.assembly import _banded, assemble_blocks
+from kfplab.mesh import RectDomain, build_structured_mesh
 
 
 def dense_of(triplets, shape):
@@ -11,47 +13,73 @@ def dense_of(triplets, shape):
     return a
 
 
+def dia_of(dense):
+    """DIA matrix holding every diagonal of a square dense array."""
+    m = len(dense)
+    offsets = np.arange(-(m - 1), m)
+    data = np.zeros((len(offsets), m))
+    for k, off in enumerate(offsets):
+        i = np.arange(max(0, -off), min(m, m - off))
+        data[k, i] = dense[i, i + off]
+    return sparse.SparseMatrix(offsets, data)
+
+
+def identity(m):
+    return sparse.SparseMatrix((0,), np.ones((1, m)))
+
+
+def test_constructor_rejects_malformed_input():
+    with pytest.raises(ValueError):
+        sparse.SparseMatrix((0, 0), np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        sparse.SparseMatrix((1, -1), np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        sparse.SparseMatrix((-1, 0, 1), np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        sparse.SparseMatrix((0,), np.zeros(3))
+
+
 def test_duplicates_are_summed():
-    A = sparse.from_triplets(1, 1, [0, 0], [0, 0], [1.0, 2.0])
-    assert A.nnz == 1
-    assert A.toarray()[0, 0] == 3.0
+    # every element adds 9 contributions; repeated (row, col) pairs must land
+    # in one slot, so the diagonal counts the elements around each node
+    mesh = build_structured_mesh(RectDomain.square(1.0), 5)
+    n_el = len(mesh.elements)
+    A = _banded(mesh, {"ones": np.ones((n_el, 3, 3))}, reduced=False)["ones"]
+    assert A.toarray().sum() == 9.0 * n_el
+    assert np.array_equal(A.diagonal(), np.bincount(mesh.elements.ravel(), minlength=mesh.node_count))
 
 
 def test_empty_matrix_matvec_is_zero():
-    A = sparse.from_triplets(4, 3, [], [], [])
-    out = A.matvec(np.ones(3))
+    A = sparse.SparseMatrix((), np.zeros((0, 4)))
+    out = A.matvec(np.ones(4))
     assert out.shape == (4,)
     assert np.all(out == 0.0)
 
 
 def test_identity_triplets():
-    A = sparse.identity(5)
+    A = identity(5)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(5)
     assert np.allclose(A.matvec(x), x, atol=1e-15)
 
 
-def test_out_of_range_index_rejected():
-    with pytest.raises(IndexError):
-        sparse.from_triplets(2, 2, [0, 2], [0, 0], [1.0, 1.0])
-    with pytest.raises(IndexError):
-        sparse.from_triplets(2, 2, [0], [-1], [1.0])
-
-
 def test_csr_invariants():
-    rng = np.random.default_rng(5)
-    i = rng.integers(0, 10, 200)
-    j = rng.integers(0, 8, 200)
-    v = rng.standard_normal(200)
-    A = sparse.from_triplets(10, 8, i, j, v)
-    assert np.all(np.diff(A.offsets) >= 0)
-    for r in range(10):
-        cols = A.indices[A.offsets[r]:A.offsets[r + 1]]
-        assert np.all(np.diff(cols) > 0)  # strictly increasing, no duplicates
+    # storage invariants of the banded format: offsets strictly increasing
+    # (no duplicates, also for n = 2 where the seven grid offsets coincide),
+    # data row-aligned as (len(offsets), m), and slots outside the matrix zero
+    for n in (2, 3, 12):
+        mesh = build_structured_mesh(RectDomain.square(1.0), n)
+        blocks = assemble_blocks(mesh)
+        for A in (blocks.mass, blocks.d_vv, blocks.d_zz, blocks.d_vz_sym, blocks.b_adv):
+            assert np.all(np.diff(A.offsets) > 0)
+            assert A.data.shape == (len(A.offsets), mesh.interior_count)
+            for off, d in zip(A.offsets, A.data):
+                i = np.arange(A.rows)
+                assert np.all(d[(i + off < 0) | (i + off >= A.rows)] == 0.0), (n, off)
 
 
 def test_matvec_dimension_mismatch():
-    A = sparse.identity(3)
+    A = identity(3)
     with pytest.raises(ValueError):
         A.matvec(np.ones(4))
 
@@ -60,8 +88,8 @@ def test_matvec_against_dense_reference():
     rng = np.random.default_rng(1)
     trip = [(int(i), int(j), float(v)) for i, j, v in
             zip(rng.integers(0, 20, 120), rng.integers(0, 20, 120), rng.standard_normal(120))]
-    A = sparse.from_triplets(20, 20, *zip(*trip))
     D = dense_of(trip, (20, 20))
+    A = dia_of(D)
     x = rng.standard_normal(20)
     assert np.max(np.abs(A.matvec(x) - D @ x)) < 1e-13
 
@@ -69,7 +97,7 @@ def test_matvec_against_dense_reference():
 def test_matvec_linearity():
     rng = np.random.default_rng(2)
     trip = list(zip(rng.integers(0, 15, 80), rng.integers(0, 15, 80), rng.standard_normal(80)))
-    A = sparse.from_triplets(15, 15, *zip(*trip))
+    A = dia_of(dense_of(trip, (15, 15)))
     x, y = rng.standard_normal(15), rng.standard_normal(15)
     a, b = 1.7, -0.4
     lhs = A.matvec(a * x + b * y)
@@ -78,7 +106,7 @@ def test_matvec_linearity():
 
 
 def test_solve_identity():
-    A = sparse.identity(6)
+    A = identity(6)
     b = np.arange(6.0)
     x, stats = sparse.solve(A, b)
     assert stats.converged
@@ -87,14 +115,14 @@ def test_solve_identity():
 
 
 def test_solve_2x2_by_hand():
-    A = sparse.from_triplets(2, 2, [0, 0, 1, 1], [0, 1, 0, 1], [2.0, 1.0, 1.0, 3.0])
+    A = sparse.SparseMatrix((-1, 0, 1), [[0.0, 1.0], [2.0, 3.0], [1.0, 0.0]])  # [[2, 1], [1, 3]]
     x, stats = sparse.solve(A, np.array([3.0, 4.0]))
     assert stats.converged
     assert np.allclose(x, [1.0, 1.0], atol=1e-9)
 
 
 def test_solve_zero_rhs_immediate():
-    A = sparse.identity(4)
+    A = identity(4)
     x, stats = sparse.solve(A, np.zeros(4))
     assert stats.converged and stats.iterations == 0
     assert np.all(x == 0.0)
@@ -105,8 +133,7 @@ def test_solve_diagonally_dominant_vs_dense_elimination():
     n = 50
     D = rng.standard_normal((n, n)) * 0.5
     D += np.diag(np.abs(D).sum(axis=1) + 1.0)
-    i, j = np.nonzero(D)
-    A = sparse.from_triplets(n, n, i, j, D[i, j])
+    A = dia_of(D)
     b = rng.standard_normal(n)
     x, stats = sparse.solve(A, b, tol=1e-12)
     assert stats.converged
@@ -119,8 +146,7 @@ def test_solve_left_inverse_of_matvec():
     n = 30
     D = rng.standard_normal((n, n)) * 0.3
     D += np.diag(np.abs(D).sum(axis=1) + 1.0)
-    i, j = np.nonzero(D)
-    A = sparse.from_triplets(n, n, i, j, D[i, j])
+    A = dia_of(D)
     x_true = rng.standard_normal(n)
     x, stats = sparse.solve(A, A.matvec(x_true), tol=1e-12)
     assert stats.converged
@@ -132,45 +158,39 @@ def test_solve_reports_nonconvergence():
     n = 40
     D = rng.standard_normal((n, n)) * 0.5
     D += np.diag(np.abs(D).sum(axis=1) + 1.0)
-    i, j = np.nonzero(D)
-    A = sparse.from_triplets(n, n, i, j, D[i, j])
+    A = dia_of(D)
     x, stats = sparse.solve(A, rng.standard_normal(n), tol=1e-14, max_iter=1)
     assert not stats.converged
     assert stats.residual > 1e-14
 
 
 def test_solve_validates_inputs():
-    A = sparse.from_triplets(2, 3, [0], [0], [1.0])
     with pytest.raises(ValueError):
-        sparse.solve(A, np.zeros(2))
+        sparse.solve(identity(2), np.zeros(3))
     with pytest.raises(ValueError):
-        sparse.solve(sparse.identity(2), np.zeros(2), tol=0.0)
+        sparse.solve(identity(2), np.zeros(2), tol=0.0)
 
 
 def test_combine_requires_matching_pattern():
-    A = sparse.identity(3)
-    B = sparse.from_triplets(3, 3, [0], [1], [1.0])
+    A = identity(3)
+    B = sparse.SparseMatrix((1,), np.ones((1, 3)))
     with pytest.raises(ValueError):
         sparse.combine([(1.0, A), (1.0, B)])
+    with pytest.raises(ValueError):
+        sparse.combine([(1.0, A), (1.0, identity(4))])
 
 
 def test_combine_and_pattern_assembly():
-    pat = sparse.TripletPattern(3, 3, [0, 1, 2, 0], [0, 1, 2, 0], )
-    A = pat.assemble([1.0, 2.0, 3.0, 1.0])
-    B = pat.assemble([0.5, 0.5, 0.5, 0.5])
+    A = sparse.SparseMatrix((0,), [[2.0, 2.0, 3.0]])
+    B = sparse.SparseMatrix((0,), [[1.0, 0.5, 0.5]])
     C = sparse.combine([(2.0, A), (-1.0, B)])
     assert np.allclose(C.toarray(), np.diag([3.0, 3.5, 5.5]))
-
-
-def test_transpose():
-    A = sparse.from_triplets(2, 3, [0, 1, 1], [2, 0, 1], [1.0, 2.0, 3.0])
-    assert np.array_equal(A.transpose().toarray(), A.toarray().T)
 
 
 def test_solve_breakdown_restart_reports_failure():
     # skew-symmetric system: the BiCGStab recurrence breaks down immediately
     # (r* . A p = 0); the solver restarts once, then reports honestly
-    A = sparse.from_triplets(2, 2, [0, 1], [1, 0], [1.0, -1.0])
+    A = sparse.SparseMatrix((-1, 1), [[0.0, -1.0], [1.0, 0.0]])  # [[0, 1], [-1, 0]]
     x, stats = sparse.solve(A, np.array([1.0, 0.0]), tol=1e-12, max_iter=50)
     assert not stats.converged
     assert np.all(np.isfinite(x))

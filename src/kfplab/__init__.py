@@ -38,7 +38,6 @@ from .solvers import (
     RunConfig,
     SolverError,
     Trajectory,
-    exact_splitting_unit_check,
     project_initial,
     run,
     run_lagrangian,

@@ -107,10 +107,14 @@ def fit_power_law(h: np.ndarray, errors: np.ndarray) -> FitResult:
         raise ValueError("power-law fit requires at least 3 points")
     if np.any(errors <= 0) or np.any(h <= 0):
         raise ValueError("power-law fit requires positive values")
-    lx, ly = np.log(h), np.log(errors)
-    A = np.column_stack([np.ones_like(lx), lx])
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    resid = float(np.linalg.norm(ly - A @ coef))
+    return _line_fit(np.log(h), np.log(errors))
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> FitResult:
+    """Least squares y = log C + p x."""
+    A = np.column_stack([np.ones_like(x), x])
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = float(np.linalg.norm(y - A @ coef))
     return FitResult(math.exp(coef[0]), float(coef[1]), resid)
 
 
@@ -124,7 +128,10 @@ def pairwise_orders(h: np.ndarray, errors: np.ndarray) -> np.ndarray:
 def decay_fit(times: np.ndarray, norms: np.ndarray, window=None,
               kind: str = "power") -> FitResult:
     """Fit N(t) = C t^p (kind='power') or N(t) = C e^{p t} (kind='exponential')
-    over the points inside the window; nonpositive norms are rejected."""
+    over the points inside the window; nonpositive norms are rejected, and so
+    are nonpositive times for the power law."""
+    if kind not in ("power", "exponential"):
+        raise ValueError("kind must be 'power' or 'exponential'")
     times = np.asarray(times, dtype=float)
     norms = np.asarray(norms, dtype=float)
     if window is not None:
@@ -135,14 +142,9 @@ def decay_fit(times: np.ndarray, norms: np.ndarray, window=None,
         raise ValueError("decay fit requires at least 3 points in the window")
     if np.any(norms <= 0):
         raise ValueError("decay fit requires positive norm values")
-    y = np.log(norms)
-    x = np.log(times) if kind == "power" else times
-    if kind not in ("power", "exponential"):
-        raise ValueError("kind must be 'power' or 'exponential'")
-    A = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = float(np.linalg.norm(y - A @ coef))
-    return FitResult(math.exp(coef[0]), float(coef[1]), resid)
+    if kind == "power":
+        return fit_power_law(times, norms)
+    return _line_fit(times, np.log(norms))
 
 
 def convergence_study(base: RunConfig, h_levels, s_end: float | None = None,

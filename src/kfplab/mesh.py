@@ -27,6 +27,8 @@ class RectDomain:
     z_max: float
 
     def __post_init__(self):
+        if not np.isfinite([self.v_min, self.v_max, self.z_min, self.z_max]).all():
+            raise ValueError(f"domain bounds must be finite, got {self}")
         if not (self.v_min < self.v_max and self.z_min < self.z_max):
             raise ValueError("degenerate domain: need v_min < v_max and z_min < z_max")
 

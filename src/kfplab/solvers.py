@@ -232,37 +232,3 @@ def run(config: RunConfig, f0=None) -> Trajectory:
     return {"original": run_original, "lagrangian": run_lagrangian,
             "selfsimilar": run_selfsimilar}[config.form](config, f0)
 
-
-# ---------------------------------------------------------------------------
-# splitting commutation check
-# ---------------------------------------------------------------------------
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring of a Taylor series."""
-    a = np.asarray(a, dtype=float)
-    norm = np.linalg.norm(a, ord=np.inf)
-    squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0 else 0
-    b = a / (2.0 ** squarings)
-    out = np.eye(len(a))
-    term = np.eye(len(a))
-    for k in range(1, 30):
-        term = term @ b / k
-        out = out + term
-        if np.linalg.norm(term, ord=np.inf) < 1e-20 * max(np.linalg.norm(out, ord=np.inf), 1.0):
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
-def exact_splitting_unit_check(dim: int, dt: float, sigma2: float, seed: int = 0) -> float:
-    """Relative gap || expm(dt (K + s2 I)) - e^{s2 dt} expm(dt K) || / || expm(dt K) ||
-    for a random dense K; scalar multiples of the identity commute with
-    everything, so the contract is a gap below 1e-12."""
-    if dim > 20:
-        raise ValueError("dim must be at most 20")
-    rng = np.random.default_rng(seed)
-    k = rng.standard_normal((dim, dim))
-    lhs = expm(dt * (k + sigma2 * np.eye(dim)))
-    rhs = math.exp(sigma2 * dt) * expm(dt * k)
-    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(expm(dt * k)))

@@ -193,6 +193,8 @@ def test_decay_fit_rejects_nonpositive_norms():
         decay_fit(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         decay_fit(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0]), kind="bogus")
+    with pytest.raises(ValueError, match="positive"):  # every Trajectory starts at t = 0
+        decay_fit(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.25]), kind="power")
 
 
 def test_decay_fit_window_selection():

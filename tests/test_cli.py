@@ -1,3 +1,4 @@
+import math
 import os
 
 import numpy as np
@@ -43,11 +44,37 @@ def test_theta_out_of_range_is_config_error():
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--dt", "nan"), ("--t-end", "inf"), ("--sigma1", "nan"), ("--tol", "nan")])
+    ("--dt", "nan"), ("--t-end", "inf"), ("--sigma1", "nan"), ("--tol", "nan"),
+    ("--domain", "-10,inf,-10,10")])
 def test_nonfinite_input_is_config_error(tmp_path, capsys, flag, value):
-    rc = main(["run", "--form", "lagrangian", "--n", "4", "--out", str(tmp_path), flag, value])
+    # flag=value, because a value may start with "-"
+    rc = main(["run", "--form", "lagrangian", "--n", "4", "--out", str(tmp_path), f"{flag}={value}"])
     assert rc == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "convergence --levels 4,2,1 --s-end nan",
+    "convergence --levels 4,2,1 --s-end -1",
+    "convergence --levels 4,2,1 --s-end 1000",
+    "convergence --levels 4,2,abc --s-end 0.2",
+    "convergence --levels 4,2 --s-end 0.2",
+    "convergence --levels 4,2,0 --s-end 0.2",
+    "poincare-check --n 4 --trials 0",
+    "poincare-check --n 4 --trials x",
+    "poincare-check --n 4 --trials 5 --t-grid 0,-1",
+    "nested-domains --n 8 --scales 4,x",
+    "nested-domains --n 8 --scales 4,nan",
+    "nested-domains --n 8 --scales 0,4",
+    "run --n 4 --config {tmp}/missing.cfg",
+])
+def test_invalid_command_flag_exits_2_before_running(tmp_path, capsys, argv):
+    rc = main(argv.format(tmp=tmp_path).split() + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_number_is_config_error(capsys):
@@ -62,6 +89,11 @@ def test_unknown_config_key_named(tmp_path, capsys):
     rc = main(["run", "--config", str(path)])
     assert rc == 2
     assert "frobnicate" in capsys.readouterr().err
+
+
+def test_s_end_overrides_t_end():
+    config, _ = parse_config(Args(t_end="3", s_end="1.5"))
+    assert config.horizon == math.expm1(1.5)
 
 
 def test_flag_overrides_config_file(tmp_path):

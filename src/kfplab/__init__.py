@@ -10,7 +10,6 @@ from .mesh import (
     TriMesh,
     build_structured_mesh,
     element_quadrature,
-    interpolate,
     interpolate_many,
 )
 from .sparse import SolveStats, SparseMatrix, solve
@@ -53,7 +52,6 @@ from .analysis import (
     l2_error,
     linf_error,
     nested_domain_study,
-    norm_timeseries,
     pairwise_orders,
     percent_diff,
     poincare_check,

@@ -13,7 +13,7 @@ import numpy as np
 from . import analytic
 from .assembly import assemble_blocks
 from .mesh import Field, RectDomain, TriMesh, interpolate_many, midpoint_quadrature
-from .solvers import RunConfig, Trajectory, run_selfsimilar
+from .solvers import RunConfig, run_selfsimilar
 
 
 @dataclass
@@ -76,13 +76,6 @@ def percent_diff(field: Field, reference) -> Field:
     ref = np.asarray(reference(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
     vals = np.abs(field.values - ref) / norm * 100.0
     return Field(mesh, vals, time=field.time, form=field.form)
-
-
-def norm_timeseries(trajectory: Trajectory):
-    """(times, l2, linf) arrays recorded along the run."""
-    if len(trajectory.times) == 0:
-        raise ValueError("empty trajectory")
-    return trajectory.times, trajectory.l2, trajectory.linf
 
 
 def envelope_check(times: np.ndarray, linf: np.ndarray, l1_norm: float,

@@ -114,7 +114,10 @@ def kernel_Lq_norm(t: float, q) -> float:
     return q ** (-1.0 / q) * pref ** ((q - 1.0) / q)
 
 
-def kernel_Lq_quadrature(t: float, q, n_nodes: int = 400) -> float:
+KERNEL_QUAD_NODES = 400  # Gauss-Legendre nodes per axis
+
+
+def kernel_Lq_quadrature(t: float, q) -> float:
     """||G_t||_q by tensor Gauss-Legendre over the +-8 sigma kernel box.
 
     Independent of the closed form above; the sup norm is sampled on a fine
@@ -130,7 +133,7 @@ def kernel_Lq_quadrature(t: float, q, n_nodes: int = 400) -> float:
     q = float(q)
     sv = 8.0 * math.sqrt(2.0 * t)
     sz = 8.0 * math.sqrt(2.0 * t ** 3 / 3.0)
-    val = _tensor_gauss(lambda v, z: kernel_G(t, v, z) ** q, (-sv, sv, -sz, sz), n_nodes)
+    val = _tensor_gauss(lambda v, z: kernel_G(t, v, z) ** q, (-sv, sv, -sz, sz), KERNEL_QUAD_NODES)
     return float(val ** (1.0 / q))
 
 
@@ -289,6 +292,12 @@ def domain_condition(domain: RectDomain) -> bool:
 # convolution oracle
 # ---------------------------------------------------------------------------
 
+ORACLE_ABS_TOL = 1e-9  # two successive Gauss grids must agree to this
+ORACLE_START_NODES = 32  # nodes per axis of the first grid; each refinement doubles it
+ORACLE_MAX_NODES = 4096  # the refinement gives up past this
+SUP_GRID = 33  # oracle_sup_norm samples SUP_GRID x SUP_GRID points
+
+
 def _tensor_gauss(f, box, m):
     a, b, c, d = box
     xg, wg = leggauss(m)
@@ -300,10 +309,9 @@ def _tensor_gauss(f, box, m):
     return float(np.einsum("i,j,ij->", wx, wy, f(V, Z)))
 
 
-def convolution_oracle(f0: GaussianSum, t: float, points, *, abs_tol: float = 1e-9,
-                       start_nodes: int = 32, max_nodes: int = 4096) -> np.ndarray:
+def convolution_oracle(f0: GaussianSum, t: float, points) -> np.ndarray:
     """Reference solution values f(t, v, x) by quadrature of the kernel
-    convolution, refined until two successive Gauss grids agree to abs_tol.
+    convolution, refined until successive Gauss grids agree to ORACLE_ABS_TOL.
 
     The integration box covers +-8 standard deviations of the kernel along
     each axis, intersected with the effective support of the shifted initial
@@ -327,13 +335,13 @@ def convolution_oracle(f0: GaussianSum, t: float, points, *, abs_tol: float = 1e
             continue
         box = (lo_v, hi_v, lo_z, hi_z)
         integrand = lambda nu, ze: kernel_G(t, nu, ze) * f0(v - nu, z - ze)
-        prev = _tensor_gauss(integrand, box, start_nodes)
-        m = start_nodes
+        prev = _tensor_gauss(integrand, box, ORACLE_START_NODES)
+        m = ORACLE_START_NODES
         converged = False
-        while m < max_nodes:
+        while m < ORACLE_MAX_NODES:
             m *= 2
             cur = _tensor_gauss(integrand, box, m)
-            if abs(cur - prev) < abs_tol:
+            if abs(cur - prev) < ORACLE_ABS_TOL:
                 converged = True
                 prev = cur
                 break
@@ -344,19 +352,15 @@ def convolution_oracle(f0: GaussianSum, t: float, points, *, abs_tol: float = 1e
     return out
 
 
-def oracle_sup_norm(f0: GaussianSum, t: float, half_width: float | None = None,
-                    grid: int = 33) -> float:
+def oracle_sup_norm(f0: GaussianSum, t: float) -> float:
     """Sampled sup of |f(t)| over a centered grid sized to the solution spread."""
-    if half_width is None:
-        sigma_v = math.sqrt(2.0 * t + 0.5)
-        sigma_x = math.sqrt(2.0 * t ** 3 / 3.0 + t ** 2 / 2.0 + 0.5)
-        vlo, vhi, xlo, xhi = f0.support_box(k=1.0)
-        half_v = 2.0 * sigma_v + max(abs(vlo), abs(vhi))
-        half_x = 2.0 * sigma_x + max(abs(xlo), abs(xhi))
-    else:
-        half_v = half_x = half_width
-    vs = np.linspace(-half_v, half_v, grid)
-    xs = np.linspace(-half_x, half_x, grid)
+    sigma_v = math.sqrt(2.0 * t + 0.5)
+    sigma_x = math.sqrt(2.0 * t ** 3 / 3.0 + t ** 2 / 2.0 + 0.5)
+    vlo, vhi, xlo, xhi = f0.support_box(k=1.0)
+    half_v = 2.0 * sigma_v + max(abs(vlo), abs(vhi))
+    half_x = 2.0 * sigma_x + max(abs(xlo), abs(xhi))
+    vs = np.linspace(-half_v, half_v, SUP_GRID)
+    xs = np.linspace(-half_x, half_x, SUP_GRID)
     V, X = np.meshgrid(vs, xs, indexing="ij")
     pts = np.column_stack([V.ravel(), X.ravel()])
     return float(np.abs(convolution_oracle(f0, t, pts)).max())

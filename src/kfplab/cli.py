@@ -52,6 +52,14 @@ def _numbers(positive: bool, least: int = 1):
     return convert
 
 
+def _s_end(text: str) -> float:
+    """A rescaled horizon s, converted to the t-horizon expm1(s)."""
+    s = float(text)
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"need a finite s > 0, got {text!r}")
+    return math.expm1(s)
+
+
 def _count(text: str) -> int:
     if int(text) < 1:
         raise ValueError(f"need an integer >= 1, got {text!r}")
@@ -77,7 +85,7 @@ KEYS = {
     "seed": (int, None, None, {}),
     "levels": (_numbers(True, least=3), None, "convergence",
                {"required": True, "help": "comma-separated h values"}),
-    "s-end": (lambda text: math.expm1(float(text)), "horizon", "convergence",
+    "s-end": (_s_end, "horizon", "convergence",
               {"help": "rescaled horizon (overrides --t-end)"}),
     "trials": (_count, None, "poincare-check", {"default": "1000"}),
     "t-grid": (_numbers(False), None, "poincare-check", {"default": "0,0.25,0.5,0.75,1,2,3,4,5"}),

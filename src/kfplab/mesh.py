@@ -216,8 +216,3 @@ def interpolate_many(field: Field, points: np.ndarray) -> np.ndarray:
     out = np.where(eta <= xi, low, up)
     out[~inside] = 0.0
     return out
-
-
-def interpolate(field: Field, point) -> float:
-    """Scalar convenience wrapper around interpolate_many."""
-    return float(interpolate_many(field, np.asarray(point, dtype=float)[None, :])[0])

@@ -107,33 +107,45 @@ class _Recorder:
     def __init__(self, config: RunConfig, mass: sparse.SparseMatrix, first: Field):
         self.stride = config.snapshot_stride
         self.mass = mass
-        self.snapshots = [(0.0, first)]
-        self.times = [0.0]
-        self.l2 = [self._l2(first)]
-        self.linf = [float(np.abs(first.values).max())]
+        self.first = first
+        self.snapshots, self.times, self.l2, self.linf = [], [], [], []
+        self.record(0, 0, 0.0, first.interior_values())  # t = 0 is always a snapshot
 
-    def _l2(self, f: Field) -> float:
-        x = f.interior_values()
-        return math.sqrt(max(x @ self.mass.matvec(x), 0.0))
-
-    def record(self, step: int, n_steps: int, time: float, f: Field):
+    def record(self, step: int, n_steps: int, time: float, x: np.ndarray):
+        """Norms of the interior vector x, and a Field at snapshot steps. The
+        boundary is pinned to 0, so the interior holds the L-inf norm;
+        initial=0.0 covers a mesh with no interior."""
         self.times.append(time)
-        self.l2.append(self._l2(f))
-        self.linf.append(float(np.abs(f.values).max()))
+        self.l2.append(math.sqrt(max(x @ self.mass.matvec(x), 0.0)))
+        self.linf.append(float(np.abs(x).max(initial=0.0)))
         if step == n_steps or (self.stride > 0 and step % self.stride == 0):
-            self.snapshots.append((time, f))
+            self.snapshots.append((time, self.first.with_interior(x, time)))
 
-    def done(self, form: str) -> Trajectory:
-        return Trajectory(form, self.snapshots, np.array(self.times),
+    def done(self) -> Trajectory:
+        return Trajectory(self.first.form, self.snapshots, np.array(self.times),
                           np.array(self.l2), np.array(self.linf))
 
 
-def _theta_step(mass, a_implicit, a_explicit, x, dt, theta, config):
-    """One theta-scheme step: (M + dt th A_i) x_new = (M - dt (1-th) A_e) x."""
-    lhs = sparse.combine([(1.0, mass), (dt * theta, a_implicit)])
-    rhs_mat = sparse.combine([(1.0, mass), (-dt * (1.0 - theta), a_explicit)])
-    rhs = rhs_mat.matvec(x)
-    x_new, stats = sparse.solve(lhs, rhs, tol=config.tol, max_iter=config.max_iter, x0=x)
+def _start(config: RunConfig, f0, form: str):
+    """Form check, mesh, operator blocks, projected initial state and recorder."""
+    if config.form != form:
+        raise ValueError(f"config.form must be {form!r}")
+    mesh = build_structured_mesh(config.domain, config.n)
+    blocks = assemble_blocks(mesh)
+    state = project_initial(mesh, analytic.gaussian_ic if f0 is None else f0, form=form)
+    return state, blocks, _Recorder(config, blocks.mass, state)
+
+
+def _theta_sides(mass, a, dt, theta):
+    """The theta scheme's two sides for operator A: (M + dt th A, M - dt (1-th) A)."""
+    return (sparse.combine([(1.0, mass), (dt * theta, a)]),
+            sparse.combine([(1.0, mass), (-dt * (1.0 - theta), a)]))
+
+
+def _theta_step(lhs, rhs_mat, x, config):
+    """Solve lhs x_new = rhs_mat x; the one place that sees each solve's stats."""
+    x_new, stats = sparse.solve(lhs, rhs_mat.matvec(x), tol=config.tol,
+                                max_iter=config.max_iter, x0=x)
     if not stats.converged:
         raise SolverError(
             f"linear solve failed: {stats.iterations} iterations, relative residual {stats.residual:.3e}")
@@ -142,53 +154,32 @@ def _theta_step(mass, a_implicit, a_explicit, x, dt, theta, config):
 
 def run_original(config: RunConfig, f0=None) -> Trajectory:
     """Heat/transport splitting for the original form."""
-    if config.form != "original":
-        raise ValueError("config.form must be 'original'")
-    mesh = build_structured_mesh(config.domain, config.n)
-    blocks = assemble_blocks(mesh)
-    a_v = blocks.d_vv
-    f0 = analytic.gaussian_ic if f0 is None else f0
-    state = project_initial(mesh, f0, form="original")
-    rec = _Recorder(config, blocks.mass, state)
-
-    nodes = mesh.nodes
+    state, blocks, rec = _start(config, f0, "original")
+    mesh = state.mesh
+    # both are constant: the theta sides of the v-direction heat operator, and
+    # the feet (v, x + v dt) of the exact characteristics
+    lhs, rhs_mat = _theta_sides(blocks.mass, blocks.d_vv, config.dt, config.theta)
+    feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * config.dt])
     n_steps = _n_steps(config.horizon, config.dt)
     x = state.interior_values()
     for step in range(1, n_steps + 1):
         t_new = step * config.dt
-        # diffusion half: theta scheme for the v-direction heat operator
-        x = _theta_step(blocks.mass, a_v, a_v, x, config.dt, config.theta, config)
-        half = state.with_interior(x, t_new)
-        # transport half: exact characteristics, foot at (v, x + v dt)
-        feet = np.column_stack([nodes[:, 0], nodes[:, 1] + nodes[:, 0] * config.dt])
-        vals = interpolate_many(half, feet)
-        vals[mesh.boundary] = 0.0
-        state = Field(mesh, vals, time=t_new, form="original")
-        x = state.interior_values()
-        rec.record(step, n_steps, t_new, state)
-    return rec.done("original")
+        x = _theta_step(lhs, rhs_mat, x, config)
+        x = interpolate_many(state.with_interior(x, t_new), feet)[mesh.interior]
+        rec.record(step, n_steps, t_new, x)
+    return rec.done()
 
 
 def run_lagrangian(config: RunConfig, f0=None) -> Trajectory:
     """Theta scheme for the sheared form, midpoint-frozen coefficients."""
-    if config.form != "lagrangian":
-        raise ValueError("config.form must be 'lagrangian'")
-    mesh = build_structured_mesh(config.domain, config.n)
-    blocks = assemble_blocks(mesh)
-    f0 = analytic.gaussian_ic if f0 is None else f0
-    state = project_initial(mesh, f0, form="lagrangian")
-    rec = _Recorder(config, blocks.mass, state)
-
+    state, blocks, rec = _start(config, f0, "lagrangian")
     n_steps = _n_steps(config.horizon, config.dt)
     x = state.interior_values()
     for step in range(1, n_steps + 1):
-        t_old = (step - 1) * config.dt
-        t_new = step * config.dt
-        a_mid = blocks.lagrangian(t_old + 0.5 * config.dt)
-        x = _theta_step(blocks.mass, a_mid, a_mid, x, config.dt, config.theta, config)
-        state = state.with_interior(x, t_new)
-        rec.record(step, n_steps, t_new, state)
-    return rec.done("lagrangian")
+        a_mid = blocks.lagrangian((step - 1) * config.dt + 0.5 * config.dt)
+        x = _theta_step(*_theta_sides(blocks.mass, a_mid, config.dt, config.theta), x, config)
+        rec.record(step, n_steps, step * config.dt, x)
+    return rec.done()
 
 
 def run_selfsimilar(config: RunConfig, f0=None) -> Trajectory:
@@ -198,37 +189,29 @@ def run_selfsimilar(config: RunConfig, f0=None) -> Trajectory:
     with A the negated weak action of the coercive operator, then apply the
     closed-form reaction update g^{n+1} = e^{sigma2 ds} g*.
     """
-    if config.form != "selfsimilar":
-        raise ValueError("config.form must be 'selfsimilar'")
+    state, blocks, rec = _start(config, f0, "selfsimilar")
     if not analytic.domain_condition(config.domain):
         warnings.warn(
             "domain violates the size condition for the rescaled form; "
             "the truncated solution will decay to zero instead of reaching the steady profile",
             RuntimeWarning, stacklevel=2)
-    mesh = build_structured_mesh(config.domain, config.n)
-    blocks = assemble_blocks(mesh)
-    f0 = analytic.gaussian_ic if f0 is None else f0
-    state = project_initial(mesh, f0, form="selfsimilar")
-    rec = _Recorder(config, blocks.mass, state)
-
-    s_end = math.log1p(config.horizon)
     ds = config.dt
-    n_steps = _n_steps(s_end, ds)
+    n_steps = _n_steps(math.log1p(config.horizon), ds)
     growth = math.exp(config.sigma2 * ds)
     x = state.interior_values()
-    a_old = blocks.selfsimilar(0.0, config.sigma1)
+    # the explicit side of A(s_n) carries over from the previous step
+    a_0 = blocks.selfsimilar(0.0, config.sigma1)
+    explicit = _theta_sides(blocks.mass, a_0, ds, config.theta)[1]
     for step in range(1, n_steps + 1):
         s_new = step * ds
-        a_new = blocks.selfsimilar(s_new, config.sigma1)
-        x = _theta_step(blocks.mass, a_new, a_old, x, ds, config.theta, config)
-        x = growth * x
-        a_old = a_new
-        state = state.with_interior(x, s_new)
-        rec.record(step, n_steps, s_new, state)
-    return rec.done("selfsimilar")
+        lhs, next_explicit = _theta_sides(blocks.mass, blocks.selfsimilar(s_new, config.sigma1),
+                                          ds, config.theta)
+        x = growth * _theta_step(lhs, explicit, x, config)
+        explicit = next_explicit
+        rec.record(step, n_steps, s_new, x)
+    return rec.done()
 
 
 def run(config: RunConfig, f0=None) -> Trajectory:
     return {"original": run_original, "lagrangian": run_lagrangian,
             "selfsimilar": run_selfsimilar}[config.form](config, f0)
-

@@ -62,9 +62,6 @@ class SparseMatrix:
             y[lo:hi] += d[lo:hi] * x[lo + off:hi + off]
         return y
 
-    def __matmul__(self, x):
-        return self.matvec(x)
-
     def diagonal(self) -> np.ndarray:
         if 0 not in self.offsets:
             return np.zeros(self.rows)
@@ -96,6 +93,11 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     Returns (x, SolveStats); convergence means ||A x - b||_2 <= tol * ||b||_2.
     A breakdown of the recurrence triggers one restart from the current
     iterate before giving up.
+
+    The iteration runs on b / 2^k and x0 / 2^k, with 2^k the power of two just
+    above max|b|, and x is scaled back by 2^k. Scaling by a power of two is
+    exact, so x and the stats do not depend on the scale of b, and the norms
+    and the breakdown tests against the smallest normal float stay in range.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -103,6 +105,8 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     if b.shape != (A.rows,):
         raise ValueError("right-hand side has wrong length")
 
+    k = int(np.frexp(np.abs(b).max(initial=0.0))[1])
+    b = np.ldexp(b, -k)
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros(A.rows), SolveStats(0, 0.0, True)
@@ -111,24 +115,21 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     inv_diag = np.where(np.abs(diag) > 0, 1.0 / np.where(diag == 0, 1.0, diag), 1.0)
     target = tol * norm_b
 
-    x = np.zeros(A.rows) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(A.rows) if x0 is None else np.ldexp(np.asarray(x0, dtype=float), -k)
     r = b - A.matvec(x)
     normr = np.linalg.norm(r)
     if normr <= target:
-        return x, SolveStats(0, normr / norm_b, True)
+        return np.ldexp(x, k), SolveStats(0, normr / norm_b, True)
 
-    restarted = False
     r_star = r.copy()
     p = r.copy()
     rho = float(r_star @ r)
     iters = 0
     tiny = np.finfo(float).tiny
+    restarted = breakdown = False
 
     while iters < max_iter:
-        mp = inv_diag * p
-        amp = A.matvec(mp)
-        denom = float(r_star @ amp)
-        if abs(denom) < tiny or abs(rho) < tiny:
+        if breakdown:
             if restarted:
                 break
             restarted = True
@@ -136,43 +137,36 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
             r_star = r.copy()
             p = r.copy()
             rho = float(r_star @ r)
+        mp = inv_diag * p
+        amp = A.matvec(mp)
+        denom = float(r_star @ amp)
+        breakdown = abs(denom) < tiny or abs(rho) < tiny
+        if breakdown:
             continue
         alpha = rho / denom
         s = r - alpha * amp
         ms = inv_diag * s
         ams = A.matvec(ms)
         ams_sq = float(ams @ ams)
-        if ams_sq < tiny:
+        if ams_sq < tiny:  # s vanished: x + alpha M p is the last iterate
             x = x + alpha * mp
             iters += 1
-            normr = np.linalg.norm(b - A.matvec(x))
-            if normr <= target:
-                return x, SolveStats(iters, normr / norm_b, True)
-            continue
+            break
         omega = float(ams @ s) / ams_sq
         x = x + alpha * mp + omega * ms
         r = s - omega * ams
         iters += 1
-        normr = np.linalg.norm(r)
-        if normr <= target:
+        if np.linalg.norm(r) <= target:
             true_res = np.linalg.norm(b - A.matvec(x))
             if true_res <= target:
-                return x, SolveStats(iters, true_res / norm_b, True)
-            normr = true_res
-        rho_new = float(r_star @ r)
-        if abs(omega) < tiny:
-            if restarted:
-                break
-            restarted = True
-            r = b - A.matvec(x)
-            r_star = r.copy()
-            p = r.copy()
-            rho = float(r_star @ r)
+                return np.ldexp(x, k), SolveStats(iters, true_res / norm_b, True)
+        breakdown = abs(omega) < tiny
+        if breakdown:
             continue
+        rho_new = float(r_star @ r)
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
         p = r + beta * (p - omega * amp)
 
     final = np.linalg.norm(b - A.matvec(x))
-    return x, SolveStats(iters, final / norm_b, bool(final <= target))
-
+    return np.ldexp(x, k), SolveStats(iters, final / norm_b, bool(final <= target))

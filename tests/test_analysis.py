@@ -11,7 +11,6 @@ from kfplab.analysis import (
     fit_power_law,
     l2_error,
     nested_domain_study,
-    norm_timeseries,
     pairwise_orders,
     percent_diff,
     poincare_check,
@@ -210,7 +209,7 @@ def test_decay_fit_window_selection():
 def test_norm_timeseries_zero_trajectory():
     cfg = RunConfig(form="original", n=6, dt=0.1, horizon=0.3)
     traj = run(cfg, lambda v, x: np.zeros(np.broadcast(np.asarray(v), np.asarray(x)).shape))
-    times, l2, linf = norm_timeseries(traj)
+    times, l2, linf = traj.times, traj.l2, traj.linf
     assert np.all(l2 == 0.0) and np.all(linf == 0.0)
     assert len(times) == len(l2) == len(linf)
 

@@ -83,6 +83,14 @@ def test_malformed_number_is_config_error(capsys):
     assert "dt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+def test_invalid_s_end_names_the_flag(value, capsys):
+    rc = main(["convergence", "--levels", "4,2,1", f"--s-end={value}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "s-end" in err and "horizon" not in err
+
+
 def test_unknown_config_key_named(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("frobnicate = 3\n")

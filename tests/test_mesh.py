@@ -6,7 +6,6 @@ from kfplab.mesh import (
     RectDomain,
     build_structured_mesh,
     element_quadrature,
-    interpolate,
     interpolate_many,
 )
 
@@ -85,15 +84,15 @@ def test_interpolate_at_nodes_returns_stored_values():
 def test_interpolate_outside_domain_is_zero():
     m = build_structured_mesh(UNIT, 4)
     f = Field(m, np.ones(m.node_count))
-    assert interpolate(f, (1.5, 0.5)) == 0.0
-    assert interpolate(f, (0.5, -0.1)) == 0.0
+    assert interpolate_many(f, [[1.5, 0.5]])[0] == 0.0
+    assert interpolate_many(f, [[0.5, -0.1]])[0] == 0.0
 
 
 def test_boundary_roundoff_treated_as_inside():
     m = build_structured_mesh(UNIT, 4)
     f = Field(m, m.nodes[:, 0])
     eps = 1e-13 * m.h
-    assert interpolate(f, (1.0 + eps, 0.5)) == pytest.approx(1.0, abs=1e-10)
+    assert interpolate_many(f, [[1.0 + eps, 0.5]])[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_quadrature_reference_triangle_monomials():

@@ -60,15 +60,19 @@ def test_zero_initial_state_stays_zero(form):
     assert np.all(traj.final.values == 0.0)
 
 
-@pytest.mark.parametrize("form", ["original", "lagrangian", "selfsimilar"])
-def test_run_linearity(form):
-    alpha = 2.5
+# the 2^-600 cases keep every solver quantity far below the smallest normal
+# float unless the solve rescales its right-hand side
+@pytest.mark.parametrize("form,alpha", [
+    pytest.param(form, alpha, id=form + suffix)
+    for alpha, suffix in ((2.5, ""), (2.0 ** -600, "-2^-600"))
+    for form in ("original", "lagrangian", "selfsimilar")])
+def test_run_linearity(form, alpha):
     cfg = RunConfig(form=form, n=12, dt=0.02, horizon=0.4, snapshot_stride=5)
     a = run(cfg, analytic.gaussian_ic)
     b = run(cfg, analytic.gaussian_ic.scaled(alpha))
     for (_, fa), (_, fb) in zip(a.snapshots, b.snapshots):
         denom = np.abs(alpha * fa.values).max()
-        assert np.abs(fb.values - alpha * fa.values).max() <= 1e-10 * max(denom, 1.0)
+        assert np.abs(fb.values - alpha * fa.values).max() <= 1e-10 * denom
 
 
 def test_trajectory_structure():
@@ -128,6 +132,28 @@ def test_lagrangian_one_step_matches_manual():
     rhs = sparse.combine([(1.0, blocks.mass), (-cfg.dt * (1 - cfg.theta), a_mid)]).matvec(x)
     y, _ = sparse.solve(lhs, rhs, tol=cfg.tol, x0=x)
     assert np.max(np.abs(traj.final.interior_values() - y)) < 1e-12
+
+
+def test_selfsimilar_two_steps_match_manual():
+    # step k solves with the implicit side of A(k ds) and the explicit side of
+    # A((k-1) ds), then applies the reaction factor e^{sigma2 ds}
+    cfg = RunConfig(form="selfsimilar", n=10, dt=0.05, horizon=math.expm1(0.1),
+                    theta=0.75, sigma1=0.5)
+    traj = run_selfsimilar(cfg)
+    assert len(traj.times) == 3
+    mesh = traj.final.mesh
+    blocks = assemble_blocks(mesh)
+    x = project_initial(mesh, analytic.gaussian_ic).interior_values()
+    ds = cfg.dt
+    for k in (1, 2):
+        a_new = blocks.selfsimilar(k * ds, cfg.sigma1)
+        a_old = blocks.selfsimilar((k - 1) * ds, cfg.sigma1)
+        lhs = sparse.combine([(1.0, blocks.mass), (ds * cfg.theta, a_new)])
+        rhs = sparse.combine([(1.0, blocks.mass), (-ds * (1 - cfg.theta), a_old)]).matvec(x)
+        y, stats = sparse.solve(lhs, rhs, tol=cfg.tol, x0=x)
+        assert stats.converged
+        x = math.exp(cfg.sigma2 * ds) * y
+    assert np.max(np.abs(traj.final.interior_values() - x)) < 1e-12
 
 
 def test_selfsimilar_reaction_update_is_exact_exponential():

@@ -128,17 +128,32 @@ def test_solve_zero_rhs_immediate():
     assert np.all(x == 0.0)
 
 
-def test_solve_diagonally_dominant_vs_dense_elimination():
+def dominant_system():
+    """Seeded 50x50 diagonally dominant dense matrix and right-hand side."""
     rng = np.random.default_rng(42)
     n = 50
     D = rng.standard_normal((n, n)) * 0.5
     D += np.diag(np.abs(D).sum(axis=1) + 1.0)
-    A = dia_of(D)
-    b = rng.standard_normal(n)
-    x, stats = sparse.solve(A, b, tol=1e-12)
+    return D, rng.standard_normal(n)
+
+
+def test_solve_diagonally_dominant_vs_dense_elimination():
+    D, b = dominant_system()
+    x, stats = sparse.solve(dia_of(D), b, tol=1e-12)
     assert stats.converged
     oracle = np.linalg.solve(D, b)  # dense elimination reference
     assert np.max(np.abs(x - oracle)) < 1e-8
+
+
+@pytest.mark.parametrize("e", [-900, -500, 500, 900])
+def test_solve_is_scale_invariant(e):
+    # scaling b by 2^e scales every iterate exactly, so x scales bit for bit
+    D, b = dominant_system()
+    A = dia_of(D)
+    ref, ref_stats = sparse.solve(A, b, tol=1e-12)
+    x, stats = sparse.solve(A, np.ldexp(b, e), tol=1e-12)
+    assert stats.converged and stats.iterations == ref_stats.iterations
+    assert np.array_equal(x, np.ldexp(ref, e))
 
 
 def test_solve_left_inverse_of_matvec():

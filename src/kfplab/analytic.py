@@ -18,6 +18,7 @@ adding covariances; the closed forms below were derived that way and are
 cross-validated against the quadrature oracle in the test suite.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -133,7 +134,8 @@ def kernel_Lq_quadrature(t: float, q) -> float:
     q = float(q)
     sv = 8.0 * math.sqrt(2.0 * t)
     sz = 8.0 * math.sqrt(2.0 * t ** 3 / 3.0)
-    val = _tensor_gauss(lambda v, z: kernel_G(t, v, z) ** q, (-sv, sv, -sz, sz), KERNEL_QUAD_NODES)
+    box = tuple(np.array([c]) for c in (-sv, sv, -sz, sz))
+    val = _tensor_gauss(lambda v, z: kernel_G(t, v, z) ** q, box, KERNEL_QUAD_NODES)[0]
     return float(val ** (1.0 / q))
 
 
@@ -296,17 +298,42 @@ ORACLE_ABS_TOL = 1e-9  # two successive Gauss grids must agree to this
 ORACLE_START_NODES = 32  # nodes per axis of the first grid; each refinement doubles it
 ORACLE_MAX_NODES = 4096  # the refinement gives up past this
 SUP_GRID = 33  # oracle_sup_norm samples SUP_GRID x SUP_GRID points
+TENSOR_CHUNK = 2 ** 18  # most (box, node, node) entries one integrand call sees
 
 
-def _tensor_gauss(f, box, m):
-    a, b, c, d = box
-    xg, wg = leggauss(m)
-    xs = 0.5 * (b - a) * xg + 0.5 * (a + b)
-    wx = 0.5 * (b - a) * wg
-    ys = 0.5 * (d - c) * xg + 0.5 * (c + d)
-    wy = 0.5 * (d - c) * wg
-    V, Z = np.meshgrid(xs, ys, indexing="ij")
-    return float(np.einsum("i,j,ij->", wx, wy, f(V, Z)))
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(m):
+    """Gauss-Legendre nodes and weights of order m on [-1, 1], computed on
+    first use and shared read-only by every later caller."""
+    nodes, weights = leggauss(m)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _tensor_gauss(f, box, m, *params):
+    """Integrals of f over P boxes by the m x m tensor Gauss-Legendre rule.
+
+    box is four arrays (lo_v, hi_v, lo_z, hi_z) of shape (P,), and params
+    are more per-box arrays of shape (P,). For a chunk of k boxes, f receives
+    the nodes as arrays of shapes (k, m, 1) and (k, 1, m) and the params as
+    (k, 1, 1), and returns the (k, m, m) integrand values. A chunk holds at
+    most TENSOR_CHUNK values, or one box when m * m is larger. Each box's
+    sum is the same einsum as for that box alone, so the result does not
+    depend on P or on the chunking.
+    """
+    nodes, weights = _gauss_rule(m)
+    lo_v, hi_v, lo_z, hi_z = (np.asarray(b, dtype=float)[:, None] for b in box)
+    half_v, half_z = 0.5 * (hi_v - lo_v), 0.5 * (hi_z - lo_z)
+    nv, wv = half_v * nodes + 0.5 * (lo_v + hi_v), half_v * weights
+    nz, wz = half_z * nodes + 0.5 * (lo_z + hi_z), half_z * weights
+    params = [np.asarray(p, dtype=float)[:, None, None] for p in params]
+    out = np.empty(len(nv))
+    k = max(1, TENSOR_CHUNK // (m * m))
+    for lo in range(0, len(out), k):
+        c = slice(lo, lo + k)
+        vals = f(nv[c, :, None], nz[c, None, :], *(p[c] for p in params))
+        out[c] = np.einsum("pi,pj,pij->p", wv[c], wz[c], vals)
+    return out
 
 
 def convolution_oracle(f0: GaussianSum, t: float, points) -> np.ndarray:
@@ -315,7 +342,9 @@ def convolution_oracle(f0: GaussianSum, t: float, points) -> np.ndarray:
 
     The integration box covers +-8 standard deviations of the kernel along
     each axis, intersected with the effective support of the shifted initial
-    data (outside the intersection the integrand is below exp(-64)).
+    data (outside the intersection the integrand is below exp(-64)). All
+    points are integrated together, and only those whose last two grids
+    still differ go on to the next grid.
     """
     if t <= 0:
         raise ValueError("the oracle is defined for t > 0")
@@ -323,32 +352,31 @@ def convolution_oracle(f0: GaussianSum, t: float, points) -> np.ndarray:
     sv = 8.0 * math.sqrt(2.0 * t)
     sz = 8.0 * math.sqrt(2.0 * t ** 3 / 3.0)
     vlo0, vhi0, xlo0, xhi0 = f0.support_box()
-    out = np.empty(len(pts))
-    for k, (v, x) in enumerate(pts):
-        z = x + v * t
-        lo_v = max(-sv, v - vhi0)
-        hi_v = min(sv, v - vlo0)
-        lo_z = max(-sz, z - xhi0)
-        hi_z = min(sz, z - xlo0)
-        if lo_v >= hi_v or lo_z >= hi_z:
-            out[k] = 0.0
-            continue
-        box = (lo_v, hi_v, lo_z, hi_z)
-        integrand = lambda nu, ze: kernel_G(t, nu, ze) * f0(v - nu, z - ze)
-        prev = _tensor_gauss(integrand, box, ORACLE_START_NODES)
-        m = ORACLE_START_NODES
-        converged = False
-        while m < ORACLE_MAX_NODES:
-            m *= 2
-            cur = _tensor_gauss(integrand, box, m)
-            if abs(cur - prev) < ORACLE_ABS_TOL:
-                converged = True
-                prev = cur
-                break
-            prev = cur
-        if not converged:
-            raise QuadratureError(f"oracle quadrature did not stabilize at t={t}, point=({v}, {x})")
-        out[k] = prev
+    v, x = pts[:, 0], pts[:, 1]
+    z = x + v * t
+    box = (np.maximum(-sv, v - vhi0), np.minimum(sv, v - vlo0),
+           np.maximum(-sz, z - xhi0), np.minimum(sz, z - xlo0))
+    out = np.zeros(len(pts))  # an empty box integrates to 0
+
+    def integrand(nu, ze, v, z):
+        return kernel_G(t, nu, ze) * f0(v - nu, z - ze)
+
+    def grid(live, m):
+        return _tensor_gauss(integrand, [b[live] for b in box], m, v[live], z[live])
+
+    # a NaN bound leaves its point live, so it fails to stabilize, not reads 0
+    live = np.flatnonzero(~((box[0] >= box[1]) | (box[2] >= box[3])))
+    m = ORACLE_START_NODES
+    prev = grid(live, m)
+    while live.size and m < ORACLE_MAX_NODES:
+        m *= 2
+        cur = grid(live, m)
+        done = np.abs(cur - prev) < ORACLE_ABS_TOL
+        out[live[done]] = cur[done]
+        live, prev = live[~done], cur[~done]
+    if live.size:
+        k = live[0]
+        raise QuadratureError(f"oracle quadrature did not stabilize at t={t}, point=({pts[k, 0]}, {pts[k, 1]})")
     return out
 
 

@@ -114,10 +114,15 @@ class _Recorder:
     def record(self, step: int, n_steps: int, time: float, x: np.ndarray):
         """Norms of the interior vector x, and a Field at snapshot steps. The
         boundary is pinned to 0, so the interior holds the L-inf norm;
-        initial=0.0 covers a mesh with no interior."""
+        initial=0.0 covers a mesh with no interior. The L2 norm is taken of
+        x scaled by a power of two near 1/linf, which is exact and keeps
+        x M x clear of overflow and underflow at any scale of x."""
+        linf = float(np.abs(x).max(initial=0.0))
+        k = math.frexp(linf)[1]
+        y = np.ldexp(x, -k)
         self.times.append(time)
-        self.l2.append(math.sqrt(max(x @ self.mass.matvec(x), 0.0)))
-        self.linf.append(float(np.abs(x).max(initial=0.0)))
+        self.l2.append(math.ldexp(math.sqrt(max(y @ self.mass.matvec(y), 0.0)), k))
+        self.linf.append(linf)
         if step == n_steps or (self.stride > 0 and step % self.stride == 0):
             self.snapshots.append((time, self.first.with_interior(x, time)))
 
@@ -136,10 +141,19 @@ def _start(config: RunConfig, f0, form: str):
     return state, blocks, _Recorder(config, blocks.mass, state)
 
 
+def _implicit_side(mass, a, dt, theta):
+    """The theta scheme's implicit side for operator A: M + dt th A."""
+    return sparse.combine([(1.0, mass), (dt * theta, a)])
+
+
+def _explicit_side(mass, a, dt, theta):
+    """The theta scheme's explicit side for operator A: M - dt (1-th) A."""
+    return sparse.combine([(1.0, mass), (-dt * (1.0 - theta), a)])
+
+
 def _theta_sides(mass, a, dt, theta):
-    """The theta scheme's two sides for operator A: (M + dt th A, M - dt (1-th) A)."""
-    return (sparse.combine([(1.0, mass), (dt * theta, a)]),
-            sparse.combine([(1.0, mass), (-dt * (1.0 - theta), a)]))
+    """Both sides, for a form that builds them from the same operator."""
+    return _implicit_side(mass, a, dt, theta), _explicit_side(mass, a, dt, theta)
 
 
 def _theta_step(lhs, rhs_mat, x, config):
@@ -199,15 +213,15 @@ def run_selfsimilar(config: RunConfig, f0=None) -> Trajectory:
     n_steps = _n_steps(math.log1p(config.horizon), ds)
     growth = math.exp(config.sigma2 * ds)
     x = state.interior_values()
-    # the explicit side of A(s_n) carries over from the previous step
-    a_0 = blocks.selfsimilar(0.0, config.sigma1)
-    explicit = _theta_sides(blocks.mass, a_0, ds, config.theta)[1]
+    # the explicit side of A(s_n) carries over from the previous step; the
+    # last step's is never used, so it is not built
+    explicit = _explicit_side(blocks.mass, blocks.selfsimilar(0.0, config.sigma1), ds, config.theta)
     for step in range(1, n_steps + 1):
         s_new = step * ds
-        lhs, next_explicit = _theta_sides(blocks.mass, blocks.selfsimilar(s_new, config.sigma1),
-                                          ds, config.theta)
-        x = growth * _theta_step(lhs, explicit, x, config)
-        explicit = next_explicit
+        a_new = blocks.selfsimilar(s_new, config.sigma1)
+        x = growth * _theta_step(_implicit_side(blocks.mass, a_new, ds, config.theta), explicit, x, config)
+        if step < n_steps:
+            explicit = _explicit_side(blocks.mass, a_new, ds, config.theta)
         rec.record(step, n_steps, s_new, x)
     return rec.done()
 

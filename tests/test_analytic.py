@@ -303,6 +303,70 @@ def test_oracle_rejects_nonpositive_time():
         convolution_oracle(gaussian_ic, 0.0, [[0.0, 0.0]])
 
 
+def _oracle_point_by_point(f0, t, points):
+    """The oracle one point at a time, with a fresh Gauss-Legendre rule per
+    grid: the reference the batched oracle must match bit for bit. Also
+    returns the nodes per axis each point's last grid used (0: empty box)."""
+    from numpy.polynomial.legendre import leggauss
+
+    def tensor_gauss(f, box, m):
+        a, b, c, d = box
+        xg, wg = leggauss(m)
+        V, Z = np.meshgrid(0.5 * (b - a) * xg + 0.5 * (a + b),
+                           0.5 * (d - c) * xg + 0.5 * (c + d), indexing="ij")
+        return float(np.einsum("i,j,ij->", 0.5 * (b - a) * wg, 0.5 * (d - c) * wg, f(V, Z)))
+
+    sv = 8.0 * math.sqrt(2.0 * t)
+    sz = 8.0 * math.sqrt(2.0 * t ** 3 / 3.0)
+    vlo0, vhi0, xlo0, xhi0 = f0.support_box()
+    vals, nodes = [], []
+    for v, x in points:
+        z = x + v * t
+        box = (max(-sv, v - vhi0), min(sv, v - vlo0), max(-sz, z - xhi0), min(sz, z - xlo0))
+        if box[0] >= box[1] or box[2] >= box[3]:
+            vals.append(0.0)
+            nodes.append(0)
+            continue
+        integrand = lambda nu, ze: kernel_G(t, nu, ze) * f0(v - nu, z - ze)
+        m = analytic.ORACLE_START_NODES
+        prev = tensor_gauss(integrand, box, m)
+        while True:
+            m *= 2
+            cur = tensor_gauss(integrand, box, m)
+            if abs(cur - prev) < analytic.ORACLE_ABS_TOL:
+                break
+            prev = cur
+        vals.append(cur)
+        nodes.append(m)
+    return np.array(vals), np.array(nodes)
+
+
+def test_oracle_batched_matches_point_by_point():
+    # every 4th point of criterion 3's 33 x 33 grid at t = 20, and three
+    # points whose integration box is empty
+    t = 20.0
+    half_v = 2.0 * math.sqrt(2.0 * t + 0.5) + 1.0
+    half_x = 2.0 * math.sqrt(2.0 * t ** 3 / 3.0 + t ** 2 / 2.0 + 0.5) + 1.0
+    V, X = np.meshgrid(np.linspace(-half_v, half_v, 33), np.linspace(-half_x, half_x, 33), indexing="ij")
+    far = [[1e3, 0.0], [-1e3, 0.0], [0.0, 1e5]]
+    pts = np.vstack([np.column_stack([V.ravel(), X.ravel()])[::4], far])
+    want, nodes = _oracle_point_by_point(gaussian_ic, t, pts)
+    assert np.count_nonzero(nodes == 0) == len(far) and not want[nodes == 0].any()
+    assert (nodes == 128).any()
+    first = analytic.ORACLE_START_NODES
+    assert np.count_nonzero(nodes) > analytic.TENSOR_CHUNK // (first * first)
+    assert np.array_equal(convolution_oracle(gaussian_ic, t, pts), want)
+
+
+def test_oracle_names_the_first_point_that_does_not_stabilize(monkeypatch):
+    # at t = 20 the second and fifth points need 128 nodes per axis, the
+    # first and third 64, and the fourth has an empty box
+    monkeypatch.setattr(analytic, "ORACLE_MAX_NODES", 64)
+    pts = [[5.0, 0.0], [0.0, 0.0], [8.0, -100.0], [1e3, 0.0], [1.0, 0.0]]
+    with pytest.raises(analytic.QuadratureError, match=r"t=20\.0, point=\(0\.0, 0\.0\)"):
+        convolution_oracle(gaussian_ic, 20.0, pts)
+
+
 def test_gaussian_ic_constants():
     assert gaussian_ic.mass() == pytest.approx(math.pi, rel=1e-14)
     assert gaussian_ic(0.0, 0.0) == 1.0

@@ -1,11 +1,16 @@
-"""Nothing runs the demos, so check that every name they import from kfplab
-still exists."""
+"""Check that every name the demos import from kfplab still exists, and run
+demo 01, the one that exercises the convolution oracle, end to end."""
 
 import ast
 import importlib
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+SRC = DEMOS.parent / "src"
 
 
 def test_demo_imports_exist():
@@ -19,3 +24,16 @@ def test_demo_imports_exist():
                 missing += [f"{path.name}: {node.module}.{alias.name}"
                             for alias in node.names if not hasattr(module, alias.name)]
     assert not missing
+
+
+def test_demo_01_runs_and_oracle_fit_matches_closed_form():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(DEMOS / "01_kernel_and_decay.py")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    fit = re.search(r"^fitted exponent over \[2, 20\]: (\S+) +"
+                    r"\(closed-form sup norm on the same points: (\S+)\)$", proc.stdout, re.M)
+    assert fit, proc.stdout
+    oracle, closed = map(float, fit.groups())
+    assert oracle == closed == -1.8786

@@ -60,11 +60,12 @@ def test_zero_initial_state_stays_zero(form):
     assert np.all(traj.final.values == 0.0)
 
 
-# the 2^-600 cases keep every solver quantity far below the smallest normal
-# float unless the solve rescales its right-hand side
+# the 2^-600 and 2^600 cases take the solver's inner products, and x M x in
+# the recorded L2 norm, out of the float range unless the solve and the
+# recorder rescale by a power of two
 @pytest.mark.parametrize("form,alpha", [
     pytest.param(form, alpha, id=form + suffix)
-    for alpha, suffix in ((2.5, ""), (2.0 ** -600, "-2^-600"))
+    for alpha, suffix in ((2.5, ""), (2.0 ** -600, "-2^-600"), (2.0 ** 600, "-2^600"))
     for form in ("original", "lagrangian", "selfsimilar")])
 def test_run_linearity(form, alpha):
     cfg = RunConfig(form=form, n=12, dt=0.02, horizon=0.4, snapshot_stride=5)
@@ -73,6 +74,9 @@ def test_run_linearity(form, alpha):
     for (_, fa), (_, fb) in zip(a.snapshots, b.snapshots):
         denom = np.abs(alpha * fa.values).max()
         assert np.abs(fb.values - alpha * fa.values).max() <= 1e-10 * denom
+    for got, unscaled in ((b.l2, a.l2), (b.linf, a.linf)):
+        want = alpha * unscaled
+        assert np.abs(got - want).max() <= 1e-10 * want.max()
 
 
 def test_trajectory_structure():

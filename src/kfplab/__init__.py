@@ -3,19 +3,9 @@ original, Lagrangian and self-similar formulations: closed-form ground truth,
 P1 finite elements, operator-splitting integrators and the study harnesses
 that cross-validate them."""
 
-from .mesh import (
-    FORMS,
-    Field,
-    RectDomain,
-    TriMesh,
-    build_structured_mesh,
-    element_quadrature,
-    interpolate_many,
-)
+from .mesh import Field, RectDomain, TriMesh, build_structured_mesh, interpolate_many
 from .sparse import SolveStats, SparseMatrix, solve
 from .analytic import (
-    FormulationTime,
-    GaussianIC,
     GaussianSum,
     QuadratureError,
     convolution_oracle,
@@ -34,6 +24,7 @@ from .analytic import (
 )
 from .assembly import OperatorBlocks, assemble_blocks, assemble_mass
 from .solvers import (
+    FORMS,
     RunConfig,
     SolverError,
     Trajectory,

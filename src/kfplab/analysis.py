@@ -35,7 +35,7 @@ class ErrorReport:
     order: np.ndarray  # pairwise, length len(h) - 1
 
 
-def l2_error(field: Field, reference, time: float | None = None) -> float:
+def l2_error(field: Field, reference) -> float:
     """L2 distance between the P1 field and a reference, 3-midpoint rule.
 
     The reference is evaluated at the quadrature points; if it takes a time
@@ -75,19 +75,22 @@ def percent_diff(field: Field, reference) -> Field:
         raise ValueError("reference norm is zero; percent difference undefined")
     ref = np.asarray(reference(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
     vals = np.abs(field.values - ref) / norm * 100.0
-    return Field(mesh, vals, time=field.time, form=field.form)
+    return Field(mesh, vals, time=field.time)
+
+
+ENVELOPE_SLACK = 1.05  # multiplicative slack on the analytic envelope
 
 
 def envelope_check(times: np.ndarray, linf: np.ndarray, l1_norm: float,
-                   linf_norm: float, slack: float = 1.05) -> bool:
-    """True iff the recorded sup norms stay below the analytic envelope
-    (with multiplicative slack) at every recorded s > 0."""
+                   linf_norm: float) -> bool:
+    """True iff the recorded sup norms stay below the analytic envelope,
+    times ENVELOPE_SLACK, at every recorded s > 0."""
     times = np.asarray(times, dtype=float)
     linf = np.asarray(linf, dtype=float)
     for s, val in zip(times, linf):
         if s <= 0:
             continue
-        if val > slack * analytic.linf_envelope(s, l1_norm, linf_norm):
+        if val > ENVELOPE_SLACK * analytic.linf_envelope(s, l1_norm, linf_norm):
             return False
     return True
 
@@ -140,25 +143,20 @@ def decay_fit(times: np.ndarray, norms: np.ndarray, window=None,
     return _line_fit(times, np.log(norms))
 
 
-def convergence_study(base: RunConfig, h_levels, s_end: float | None = None,
-                      f0=None):
-    """Self-similar runs over a ladder of mesh sizes, errors against the
-    closed-form solution at the final rescaled time.
-
-    h maps to n = round(side / h). The horizon defaults to the config's
-    (in t-units); pass s_end to target a rescaled horizon directly.
+def convergence_study(base: RunConfig, h_levels):
+    """Self-similar runs over a ladder of mesh sizes to the config's horizon
+    (in t-units), errors against the closed-form solution at the final
+    rescaled time. h maps to n = round(side / h).
     Returns (ErrorReport, FitResult).
     """
     h_levels = np.asarray(h_levels, dtype=float)
     if len(h_levels) < 3:
         raise ValueError("a convergence study needs at least 3 levels")
-    horizon = math.expm1(s_end) if s_end is not None else base.horizon
     l2s, linfs = [], []
     final_s = None
     for h in h_levels:
         n = max(1, round(base.domain.side_v / h))
-        config = replace(base, form="selfsimilar", n=n, horizon=horizon)
-        traj = run_selfsimilar(config, f0)
+        traj = run_selfsimilar(replace(base, form="selfsimilar", n=n))
         final_s = traj.final.time
         ref = lambda a, b: analytic.exact_selfsimilar(final_s, a, b)
         l2s.append(l2_error(traj.final, ref))
@@ -192,7 +190,7 @@ def poincare_check(mesh: TriMesh, t: float, trials: int, seed: int = 1234) -> fl
 
 
 def nested_domain_study(base: RunConfig, scales, inner: RectDomain | None = None,
-                        inner_grid: int = 200, f0=None):
+                        inner_grid: int = 200):
     """Self-similar runs on growing domains scale * [-1, 1]^2, compared on a
     fixed inner region at the final time.
 
@@ -229,7 +227,7 @@ def nested_domain_study(base: RunConfig, scales, inner: RectDomain | None = None
         config = replace(base, form="selfsimilar", domain=domain, n=n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            traj = run_selfsimilar(config, f0)
+            traj = run_selfsimilar(config)
         samples.append(interpolate_many(traj.final, pts))
 
     diffs = [math.sqrt(float(np.sum((a - b) ** 2)) * cell_area)

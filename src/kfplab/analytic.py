@@ -20,7 +20,6 @@ cross-validated against the quadrature oracle in the test suite.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -48,6 +47,8 @@ class GaussianSum:
 
     def __init__(self, terms):
         self.terms = [tuple(map(float, t)) for t in terms]
+        if not np.isfinite(self.terms).all():
+            raise ValueError("Gaussian terms must be finite")
         for amp, cv, cx, av, ax in self.terms:
             if av <= 0 or ax <= 0:
                 raise ValueError("Gaussian decay rates must be positive")
@@ -75,17 +76,8 @@ class GaussianSum:
         return GaussianSum([(c * a, cv, cx, av, ax) for a, cv, cx, av, ax in self.terms])
 
 
-class GaussianIC(GaussianSum):
-    """The reference initial state exp(-v^2 - x^2): mass pi, sup norm 1."""
-
-    l1_norm = math.pi
-    linf_norm = 1.0
-
-    def __init__(self):
-        super().__init__([(1.0, 0.0, 0.0, 1.0, 1.0)])
-
-
-gaussian_ic = GaussianIC()
+# the reference initial state exp(-v^2 - x^2): mass pi, sup norm 1
+gaussian_ic = GaussianSum([(1.0, 0.0, 0.0, 1.0, 1.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -220,26 +212,6 @@ def linf_envelope(s: float, l1_norm: float, linf_norm: float) -> float:
 # time and variable maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FormulationTime:
-    """Physical time t and rescaled time s = log(1 + t), kept in exact sync."""
-
-    t: float
-    s: float
-
-    @staticmethod
-    def from_t(t: float) -> "FormulationTime":
-        if t < 0:
-            raise ValueError("t must be nonnegative")
-        return FormulationTime(t, math.log1p(t))
-
-    @staticmethod
-    def from_s(s: float) -> "FormulationTime":
-        if s < 0:
-            raise ValueError("s must be nonnegative")
-        return FormulationTime(math.expm1(s), s)
-
-
 def map_variables(direction: str, time: float, point):
     """Coordinate maps between the three frames.
 
@@ -247,6 +219,7 @@ def map_variables(direction: str, time: float, point):
     keep time and carry factor 1; the self-similar maps exchange t and s and
     carry the amplitude e^{2s} (multiply a Lagrangian-frame value by the
     factor to obtain the self-similar-frame value, divide for the inverse).
+    The rescaled time is s = log(1 + t), so t = expm1(s); both are >= 0.
     """
     a, b = (np.asarray(c, dtype=float) for c in point)
     if direction == "to_lagrangian":
@@ -254,13 +227,14 @@ def map_variables(direction: str, time: float, point):
     if direction == "from_lagrangian":
         return time, (a, b - time * a), 1.0
     if direction == "to_selfsimilar":
-        ft = FormulationTime.from_t(time)
-        amp = math.exp(2.0 * ft.s)
-        return ft.s, (a * math.exp(-0.5 * ft.s), b * math.exp(-1.5 * ft.s)), amp
+        if time < 0:
+            raise ValueError("t must be nonnegative")
+        s = math.log1p(time)
+        return s, (a * math.exp(-0.5 * s), b * math.exp(-1.5 * s)), math.exp(2.0 * s)
     if direction == "from_selfsimilar":
-        ft = FormulationTime.from_s(time)
-        amp = math.exp(2.0 * ft.s)
-        return ft.t, (a * math.exp(0.5 * ft.s), b * math.exp(1.5 * ft.s)), amp
+        if time < 0:
+            raise ValueError("s must be nonnegative")
+        return math.expm1(time), (a * math.exp(0.5 * time), b * math.exp(1.5 * time)), math.exp(2.0 * time)
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -346,9 +320,11 @@ def convolution_oracle(f0: GaussianSum, t: float, points) -> np.ndarray:
     points are integrated together, and only those whose last two grids
     still differ go on to the next grid.
     """
-    if t <= 0:
-        raise ValueError("the oracle is defined for t > 0")
+    if not 0 < t < math.inf:
+        raise ValueError(f"the oracle is defined for finite t > 0, got {t}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not np.isfinite(pts).all():
+        raise ValueError("oracle points must be finite")
     sv = 8.0 * math.sqrt(2.0 * t)
     sz = 8.0 * math.sqrt(2.0 * t ** 3 / 3.0)
     vlo0, vhi0, xlo0, xhi0 = f0.support_box()
@@ -364,8 +340,7 @@ def convolution_oracle(f0: GaussianSum, t: float, points) -> np.ndarray:
     def grid(live, m):
         return _tensor_gauss(integrand, [b[live] for b in box], m, v[live], z[live])
 
-    # a NaN bound leaves its point live, so it fails to stabilize, not reads 0
-    live = np.flatnonzero(~((box[0] >= box[1]) | (box[2] >= box[3])))
+    live = np.flatnonzero((box[0] < box[1]) & (box[2] < box[3]))
     m = ORACLE_START_NODES
     prev = grid(live, m)
     while live.size and m < ORACLE_MAX_NODES:

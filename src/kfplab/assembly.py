@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sparse
-from .mesh import TriMesh
+from .mesh import TriMesh, midpoint_quadrature
 
 
 def _element_blocks(mesh: TriMesh):
@@ -27,7 +27,6 @@ def _element_blocks(mesh: TriMesh):
     ((v/2) d_v u + (3 z / 2) d_z u, w) with u the column index.
     """
     grads, areas = mesh.element_gradients()
-    coords = mesh.element_coords()
 
     base = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0
     mass = areas[:, None, None] * base[None, :, :]
@@ -42,13 +41,10 @@ def _element_blocks(mesh: TriMesh):
 
     # int_T coord * phi_i by the midpoint rule: midpoint q joins vertices q
     # and q+1, where phi_i equals 1/2; it vanishes at the opposite midpoint.
-    mids = 0.5 * (coords + np.roll(coords, -1, axis=1))
-    phi_at_mid = np.zeros((3, 3))  # [i, q]
-    for i in range(3):
-        for q in range(3):
-            phi_at_mid[i, q] = 0.5 if i in (q, (q + 1) % 3) else 0.0
-    int_v_phi = np.einsum("eq,iq,e->ei", mids[:, :, 0], phi_at_mid, areas / 3.0)
-    int_z_phi = np.einsum("eq,iq,e->ei", mids[:, :, 1], phi_at_mid, areas / 3.0)
+    mids, weights = midpoint_quadrature(mesh)
+    phi_at_mid = 0.5 * (np.eye(3) + np.roll(np.eye(3), 1, axis=0))  # [i, q]
+    int_v_phi = np.einsum("eq,iq,e->ei", mids[:, :, 0], phi_at_mid, weights)
+    int_z_phi = np.einsum("eq,iq,e->ei", mids[:, :, 1], phi_at_mid, weights)
 
     # b_adv[i, j] = (1/2) g_j^v * int(v phi_i) + (3/2) g_j^z * int(z phi_i)
     b_adv = 0.5 * int_v_phi[:, :, None] * gv[:, None, :] + 1.5 * int_z_phi[:, :, None] * gz[:, None, :]

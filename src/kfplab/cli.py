@@ -15,8 +15,8 @@ import sys
 import warnings
 
 from . import analytic, analysis, solvers
-from .mesh import FORMS, RectDomain, build_structured_mesh
-from .solvers import RunConfig
+from .mesh import RectDomain, build_structured_mesh
+from .solvers import FORMS, RunConfig
 
 
 def _fmt(x: float) -> str:
@@ -121,20 +121,6 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"unknown config key {key!r}")
             out[key] = value.strip()
     return out
-
-
-def _text(value) -> str:
-    if isinstance(value, RectDomain):
-        return ",".join(map(_fmt, dataclasses.astuple(value)))
-    return _fmt(value) if isinstance(value, float) else str(value)
-
-
-def write_config_file(config: RunConfig, path: str, seed: int | None = None) -> None:
-    lines = [f"{key} = {_text(getattr(config, field))}"
-             for key, (_, field, command, _) in KEYS.items() if field and command is None]
-    if seed is not None:
-        lines.append(f"seed = {seed}")
-    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,11 +5,9 @@ assembly and error numbers are fully deterministic. Meshes are immutable
 after construction and all operations here are pure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-FORMS = ("original", "lagrangian", "selfsimilar")
 
 
 @dataclass(frozen=True)
@@ -18,7 +16,7 @@ class RectDomain:
 
     The first axis is the velocity-like variable, the second is the
     position-like variable (x, z or the rescaled one, depending on the
-    formulation in play).
+    variables in use).
     """
 
     v_min: float
@@ -39,10 +37,6 @@ class RectDomain:
     @property
     def side_z(self) -> float:
         return self.z_max - self.z_min
-
-    @property
-    def area(self) -> float:
-        return self.side_v * self.side_z
 
     @staticmethod
     def square(half_width: float) -> "RectDomain":
@@ -96,10 +90,6 @@ class TriMesh:
         return (self.n + 1) ** 2
 
     @property
-    def element_count(self) -> int:
-        return 2 * self.n ** 2
-
-    @property
     def interior_count(self) -> int:
         return (self.n - 1) ** 2
 
@@ -129,19 +119,16 @@ class TriMesh:
 
 @dataclass
 class Field:
-    """Nodal coefficients of a P1 function on a mesh, tagged with time and form."""
+    """Nodal coefficients of a P1 function on a mesh, tagged with its time."""
 
     mesh: TriMesh
     values: np.ndarray
     time: float = 0.0
-    form: str = "original"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.mesh.node_count,):
             raise ValueError("field length does not match mesh node count")
-        if self.form not in FORMS:
-            raise ValueError(f"unknown formulation {self.form!r}")
 
     def interior_values(self) -> np.ndarray:
         return self.values[self.mesh.interior]
@@ -149,7 +136,7 @@ class Field:
     def with_interior(self, interior: np.ndarray, time: float) -> "Field":
         vals = np.zeros(self.mesh.node_count)
         vals[self.mesh.interior] = interior
-        return Field(self.mesh, vals, time=time, form=self.form)
+        return Field(self.mesh, vals, time=time)
 
 
 def build_structured_mesh(domain: RectDomain, n: int) -> TriMesh:
@@ -157,24 +144,10 @@ def build_structured_mesh(domain: RectDomain, n: int) -> TriMesh:
     return TriMesh(domain, n)
 
 
-def element_quadrature(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge-midpoint rule on one triangle, exact for total degree <= 2.
-
-    coords is (3, 2); returns (points (3, 2), weights (3,)), each weight |T|/3.
-    """
-    coords = np.asarray(coords, dtype=float)
-    d1 = coords[1] - coords[0]
-    d2 = coords[2] - coords[0]
-    area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
-    if area <= 0.0:
-        raise ValueError("degenerate or negatively oriented element")
-    pts = 0.5 * (coords + np.roll(coords, -1, axis=0))
-    w = np.full(3, area / 3.0)
-    return pts, w
-
-
 def midpoint_quadrature(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """All element midpoints (n_el, 3, 2) and weights (n_el,) = |T|/3 at once."""
+    """The edge-midpoint rule, exact for total degree <= 2: midpoint q of
+    element e joins its vertices q and q + 1. Returns the points (n_el, 3, 2)
+    and the weights (n_el,) = |T|/3."""
     p = mesh.element_coords()
     pts = 0.5 * (p + np.roll(p, -1, axis=1))
     w = mesh.element_areas() / 3.0

@@ -15,6 +15,7 @@ Field is an immutable snapshot.
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,7 +23,9 @@ import numpy as np
 
 from . import analytic, sparse
 from .assembly import assemble_blocks
-from .mesh import FORMS, Field, RectDomain, TriMesh, build_structured_mesh, interpolate_many
+from .mesh import Field, RectDomain, TriMesh, build_structured_mesh, interpolate_many
+
+FORMS = ("original", "lagrangian", "selfsimilar")
 
 
 class SolverError(RuntimeError):
@@ -66,6 +69,11 @@ class RunConfig:
             raise ValueError(f"snapshot_stride must be nonnegative, got {self.snapshot_stride}")
         if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ValueError(f"horizon / dt must be finite, got {self.horizon} / {self.dt}")
+        if self.form == "selfsimilar" and self.sigma2 * self.dt > math.log(sys.float_info.max):
+            raise ValueError(f"the growth factor exp(sigma2 * dt) overflows: "
+                             f"sigma2 = {self.sigma2}, dt = {self.dt}")
 
     @property
     def sigma2(self) -> float:
@@ -86,17 +94,13 @@ class Trajectory:
     def final(self) -> Field:
         return self.snapshots[-1][1]
 
-    @property
-    def initial(self) -> Field:
-        return self.snapshots[0][1]
 
-
-def project_initial(mesh: TriMesh, f0, form: str = "original") -> Field:
+def project_initial(mesh: TriMesh, f0) -> Field:
     """Nodal interpolation of the initial state with the boundary pinned to 0."""
     vals = np.asarray(f0(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
     vals = vals.copy()
     vals[mesh.boundary] = 0.0
-    return Field(mesh, vals, time=0.0, form=form)
+    return Field(mesh, vals, time=0.0)
 
 
 def _n_steps(total: float, dt: float) -> int:
@@ -105,6 +109,7 @@ def _n_steps(total: float, dt: float) -> int:
 
 class _Recorder:
     def __init__(self, config: RunConfig, mass: sparse.SparseMatrix, first: Field):
+        self.form = config.form
         self.stride = config.snapshot_stride
         self.mass = mass
         self.first = first
@@ -127,7 +132,7 @@ class _Recorder:
             self.snapshots.append((time, self.first.with_interior(x, time)))
 
     def done(self) -> Trajectory:
-        return Trajectory(self.first.form, self.snapshots, np.array(self.times),
+        return Trajectory(self.form, self.snapshots, np.array(self.times),
                           np.array(self.l2), np.array(self.linf))
 
 
@@ -137,7 +142,7 @@ def _start(config: RunConfig, f0, form: str):
         raise ValueError(f"config.form must be {form!r}")
     mesh = build_structured_mesh(config.domain, config.n)
     blocks = assemble_blocks(mesh)
-    state = project_initial(mesh, analytic.gaussian_ic if f0 is None else f0, form=form)
+    state = project_initial(mesh, analytic.gaussian_ic if f0 is None else f0)
     return state, blocks, _Recorder(config, blocks.mass, state)
 
 

@@ -72,8 +72,8 @@ def long_run():
 
 @pytest.fixture(scope="session")
 def table2_study():
-    base = RunConfig(form="selfsimilar", dt=0.01)
-    return convergence_study(base, [1.0, 0.5, 0.25, 0.125], s_end=10.0)
+    base = RunConfig(form="selfsimilar", dt=0.01, horizon=math.expm1(10.0))
+    return convergence_study(base, [1.0, 0.5, 0.25, 0.125])
 
 
 # -------------------------------------------------------------- criteria 1-3
@@ -200,7 +200,7 @@ def test_criterion_08_nonmonotone_sup_norm(table1_runs):
     times, linf = traj.times, traj.linf
     interior_max = float(linf[1:-1].max())
     non_monotone = interior_max > linf[0] and interior_max > linf[-1]
-    env_ok = envelope_check(times, linf, math.pi, 1.0, slack=1.05)
+    env_ok = envelope_check(times, linf, math.pi, 1.0)
     report(8, non_monotone and env_ok,
            f"sup norm: start {linf[0]:.3f}, interior max {interior_max:.3f} at "
            f"s={times[np.argmax(linf)]:.2f}, end {linf[-1]:.3f}; envelope ok: {env_ok}")

@@ -5,7 +5,6 @@ import pytest
 
 from kfplab import analytic
 from kfplab.analytic import (
-    FormulationTime,
     GaussianSum,
     convolution_oracle,
     domain_condition,
@@ -206,6 +205,9 @@ def test_maps_identity_at_time_zero():
     assert (v, z) == (1.3, -0.4) and amp == 1.0
     s, (vt, zt), amp = map_variables("to_selfsimilar", 0.0, (1.3, -0.4))
     assert s == 0.0 and vt == 1.3 and zt == -0.4 and amp == 1.0
+    for direction in ("to_selfsimilar", "from_selfsimilar"):
+        with pytest.raises(ValueError):
+            map_variables(direction, -1e-12, (1.3, -0.4))
 
 
 def test_maps_round_trip():
@@ -230,10 +232,11 @@ def test_map_amplitude_at_t1():
 
 
 def test_formulation_time_round_trip():
+    origin = (0.0, 0.0)
     for t in (0.0, 1e-9, 0.3, 10.0, 22025.465794806718):
-        ft = FormulationTime.from_t(t)
-        assert FormulationTime.from_s(ft.s).t == pytest.approx(t, rel=1e-15, abs=1e-300)
-    assert FormulationTime.from_s(math.log(2.0)).t == pytest.approx(1.0, rel=1e-15)
+        s = map_variables("to_selfsimilar", t, origin)[0]
+        assert map_variables("from_selfsimilar", s, origin)[0] == pytest.approx(t, rel=1e-15, abs=1e-300)
+    assert map_variables("from_selfsimilar", math.log(2.0), origin)[0] == pytest.approx(1.0, rel=1e-15)
 
 
 # ------------------------------------------------------ truncation constants
@@ -303,6 +306,24 @@ def test_oracle_rejects_nonpositive_time():
         convolution_oracle(gaussian_ic, 0.0, [[0.0, 0.0]])
 
 
+@pytest.mark.parametrize("t, point", [
+    (math.nan, [0.0, 0.0]), (math.inf, [0.0, 0.0]),
+    (2.0, [math.nan, 0.0]), (2.0, [0.0, math.inf]), (2.0, [-math.inf, 1.0])])
+def test_oracle_rejects_nonfinite_input_up_front(monkeypatch, t, point):
+    # no kernel evaluation happens: the check comes before any quadrature
+    monkeypatch.setattr(analytic, "kernel_G", None)
+    with pytest.raises(ValueError):
+        convolution_oracle(gaussian_ic, t, [[0.0, 0.0], point])
+
+
+@pytest.mark.parametrize("term", [
+    (1.0, 0.0, 0.0, math.nan, 1.0), (1.0, 0.0, 0.0, 1.0, math.inf),
+    (math.nan, 0.0, 0.0, 1.0, 1.0), (1.0, math.inf, 0.0, 1.0, 1.0)])
+def test_gaussian_sum_rejects_nonfinite_terms(term):
+    with pytest.raises(ValueError):
+        GaussianSum([(1.0, 0.0, 0.0, 1.0, 1.0), term])
+
+
 def _oracle_point_by_point(f0, t, points):
     """The oracle one point at a time, with a fresh Gauss-Legendre rule per
     grid: the reference the batched oracle must match bit for bit. Also
@@ -370,4 +391,3 @@ def test_oracle_names_the_first_point_that_does_not_stabilize(monkeypatch):
 def test_gaussian_ic_constants():
     assert gaussian_ic.mass() == pytest.approx(math.pi, rel=1e-14)
     assert gaussian_ic(0.0, 0.0) == 1.0
-    assert gaussian_ic.l1_norm == math.pi and gaussian_ic.linf_norm == 1.0

@@ -57,7 +57,7 @@ def test_element_mass_matrix_closed_form():
     blocks = _element_blocks(mesh)
     area = 0.5
     want = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-    for e in range(mesh.element_count):
+    for e in range(len(mesh.elements)):
         assert np.allclose(blocks["mass"][e], want, atol=1e-15)
 
 
@@ -65,7 +65,7 @@ def test_full_mass_integrates_one():
     mesh = build_structured_mesh(RectDomain(-3.0, 1.0, 2.0, 7.0), 6)
     M = assemble_mass(mesh, reduced=False)
     ones = np.ones(mesh.node_count)
-    assert ones @ M.matvec(ones) == pytest.approx(mesh.domain.area, rel=1e-13)
+    assert ones @ M.matvec(ones) == pytest.approx(mesh.domain.side_v * mesh.domain.side_z, rel=1e-13)
 
 
 def test_mass_symmetric_exactly():

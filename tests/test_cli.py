@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kfplab import cli
-from kfplab.cli import main, parse_config, read_config_file, write_config_file
+from kfplab.cli import main, parse_config, read_config_file
 from kfplab.mesh import RectDomain
 from kfplab.solvers import RunConfig, run
 
@@ -67,6 +67,9 @@ def test_nonfinite_input_is_config_error(tmp_path, capsys, flag, value):
     "nested-domains --n 8 --scales 4,nan",
     "nested-domains --n 8 --scales 0,4",
     "run --n 4 --config {tmp}/missing.cfg",
+    "run --form lagrangian --n 4 --dt 1e-320 --t-end 10",
+    "run --form selfsimilar --n 4 --sigma1=-1e6",
+    "run --form selfsimilar --n 4 --dt 1e300 --t-end 1",
 ])
 def test_invalid_command_flag_exits_2_before_running(tmp_path, capsys, argv):
     rc = main(argv.format(tmp=tmp_path).split() + ["--out", str(tmp_path / "out")])
@@ -124,7 +127,9 @@ def test_config_round_trip(tmp_path):
                        n=24, dt=0.004, horizon=2.5, theta=0.75, sigma1=0.5,
                        tol=1e-9, snapshot_stride=7, out_dir="some/dir")
     path = tmp_path / "round.cfg"
-    write_config_file(config, str(path), seed=42)
+    path.write_text("form = original\ndomain = -3,4,-1,2\nn = 24\ndt = 0.004\nt-end = 2.5\n"
+                    "theta = 0.75\nsigma1 = 0.5\ntol = 1e-9\nsnapshot-stride = 7\n"
+                    "out = some/dir\nseed = 42\n")
     parsed, seed = parse_config(Args(config=str(path)))
     assert parsed == config
     assert seed == 42

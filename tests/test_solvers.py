@@ -83,7 +83,7 @@ def test_trajectory_structure():
     cfg = RunConfig(form="selfsimilar", n=8, dt=0.05, horizon=1.0, snapshot_stride=3)
     traj = run(cfg)
     assert traj.snapshots[0][0] == 0.0
-    assert traj.initial.time == 0.0
+    assert traj.snapshots[0][1].time == 0.0
     times = [t for t, _ in traj.snapshots]
     assert all(a < b for a, b in zip(times, times[1:]))
     assert np.all(np.diff(traj.times) > 0)
@@ -207,7 +207,12 @@ def test_runconfig_validation():
     for bad in (dict(dt=math.nan), dict(horizon=math.inf), dict(theta=math.nan),
                 dict(sigma1=math.nan), dict(sigma1=-math.inf), dict(tol=math.nan),
                 dict(tol=0.0), dict(max_iter=0), dict(snapshot_stride=-1),
-                dict(n=0), dict(n=4.0)):
+                dict(n=0), dict(n=4.0),
+                # horizon / dt overflows, and so does the self-similar growth
+                # factor exp(sigma2 * dt)
+                dict(form="lagrangian", dt=1e-320, horizon=10.0),
+                dict(form="selfsimilar", sigma1=-1e6),
+                dict(form="selfsimilar", dt=1e300, horizon=1.0)):
         with pytest.raises(ValueError):
             RunConfig(**bad)
     assert RunConfig(sigma1=0.25).sigma2 == 1.75

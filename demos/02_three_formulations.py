@@ -11,7 +11,7 @@ harness reproduces the reference error table; run the CLI for that:
 import time
 
 from kfplab import analytic
-from kfplab.analysis import l2_error, percent_diff
+from kfplab.analysis import final_errors, percent_diff
 from kfplab.solvers import RunConfig, run
 
 N = 48
@@ -21,10 +21,8 @@ for form in ("original", "lagrangian", "selfsimilar"):
     cfg = RunConfig(form=form, n=N, dt=0.02, horizon=10.0)
     t0 = time.time()
     traj = run(cfg)
-    final = traj.final
-    ref = lambda a, b: analytic.exact_solution(form, final.time, (a, b))
-    errors[form] = l2_error(final, ref)
-    print(f"  {form:12s} {len(traj.times) - 1:4d} steps to time {final.time:7.4f}   "
+    errors[form] = final_errors(traj)[0]
+    print(f"  {form:12s} {len(traj.times) - 1:4d} steps to time {traj.final.time:7.4f}   "
           f"L2 error {errors[form]:.5f}   ({time.time() - t0:.1f} s)")
 
 print("\nthe self-similar run marches in s = log(1 + t): 10 time units cost "

@@ -21,7 +21,7 @@ times, l2, linf = traj.times, traj.l2, traj.linf
 
 print("=== norm series (every s = 1) ===")
 print(f"{'s':>5} {'L2':>10} {'sup':>10} {'envelope':>10} {'dist to steady':>15}")
-snap = {round(t, 6): f for t, f in traj.snapshots}
+snap = {round(f.time, 6): f for f in traj.snapshots}
 for s in np.arange(0.0, 6.01, 1.0):
     i = np.argmin(np.abs(times - s))
     env = f"{analytic.linf_envelope(times[i], math.pi, 1.0):10.4f}" if times[i] > 0 else " " * 9 + "-"

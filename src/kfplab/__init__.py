@@ -40,6 +40,7 @@ from .analysis import (
     convergence_study,
     decay_fit,
     envelope_check,
+    final_errors,
     l2_error,
     linf_error,
     nested_domain_study,

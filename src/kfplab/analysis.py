@@ -12,7 +12,7 @@ import numpy as np
 
 from . import analytic
 from .assembly import assemble_blocks
-from .mesh import Field, RectDomain, TriMesh, interpolate_many, midpoint_quadrature
+from .mesh import Field, RectDomain, TriMesh, edge_midpoints, interpolate_many, midpoint_quadrature
 from .solvers import RunConfig, run_selfsimilar
 
 
@@ -44,8 +44,7 @@ def l2_error(field: Field, reference) -> float:
     """
     mesh = field.mesh
     pts, w = midpoint_quadrature(mesh)
-    u = field.values[mesh.elements]
-    u_mid = 0.5 * (u + np.roll(u, -1, axis=1))
+    u_mid = edge_midpoints(field.values[mesh.elements])
     ref = reference(pts[:, :, 0], pts[:, :, 1])
     return math.sqrt(float(np.sum(w[:, None] * (u_mid - ref) ** 2)))
 
@@ -59,10 +58,16 @@ def linf_error(field: Field, reference) -> float:
     return float(np.abs(field.values - ref).max())
 
 
+def final_errors(trajectory) -> tuple[float, float]:
+    """L2 and L-inf errors of a run's final field against the closed form of
+    its formulation at the final time."""
+    final = trajectory.final
+    ref = lambda a, b: analytic.exact_solution(trajectory.config.form, final.time, (a, b))
+    return l2_error(final, ref), linf_error(final, ref)
+
+
 def reference_l2_norm(mesh: TriMesh, reference) -> float:
-    pts, w = midpoint_quadrature(mesh)
-    ref = reference(pts[:, :, 0], pts[:, :, 1])
-    return math.sqrt(float(np.sum(w[:, None] * np.asarray(ref) ** 2)))
+    return l2_error(Field(mesh, np.zeros(mesh.node_count)), reference)
 
 
 def percent_diff(field: Field, reference) -> Field:
@@ -152,18 +157,12 @@ def convergence_study(base: RunConfig, h_levels):
     h_levels = np.asarray(h_levels, dtype=float)
     if len(h_levels) < 3:
         raise ValueError("a convergence study needs at least 3 levels")
-    l2s, linfs = [], []
-    final_s = None
+    errors = []
     for h in h_levels:
-        n = max(1, round(base.domain.side_v / h))
-        traj = run_selfsimilar(replace(base, form="selfsimilar", n=n))
-        final_s = traj.final.time
-        ref = lambda a, b: analytic.exact_selfsimilar(final_s, a, b)
-        l2s.append(l2_error(traj.final, ref))
-        linfs.append(linf_error(traj.final, ref))
-    l2s = np.array(l2s)
-    linfs = np.array(linfs)
-    report = ErrorReport(h_levels, base.dt, final_s, l2s, linfs,
+        traj = run_selfsimilar(replace(base, form="selfsimilar", n=max(1, round(base.domain.side_v / h))))
+        errors.append(final_errors(traj))
+    l2s, linfs = np.array(errors).T
+    report = ErrorReport(h_levels, base.dt, traj.final.time, l2s, linfs,
                          pairwise_orders(h_levels, l2s))
     return report, fit_power_law(h_levels, l2s)
 

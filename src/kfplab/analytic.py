@@ -84,10 +84,15 @@ gaussian_ic = GaussianSum([(1.0, 0.0, 0.0, 1.0, 1.0)])
 # kernel and its norms
 # ---------------------------------------------------------------------------
 
+def _check_kernel_time(t: float) -> None:
+    """The kernel's time must be finite and positive, and so must 4 t^3."""
+    if not (math.isfinite(t) and t > 0 and math.isfinite(4.0 * t * t * t)):
+        raise ValueError(f"the kernel is defined for finite t > 0 with finite 4 t^3, got {t}")
+
+
 def kernel_G(t: float, v, z):
     """Fundamental solution G_t(v, z) in the sheared frame, t > 0."""
-    if t <= 0:
-        raise ValueError("kernel is defined for t > 0 only")
+    _check_kernel_time(t)
     v = np.asarray(v, dtype=float)
     z = np.asarray(z, dtype=float)
     pref = SQRT3 / (2.0 * math.pi * t * t)
@@ -96,8 +101,7 @@ def kernel_G(t: float, v, z):
 
 def kernel_Lq_norm(t: float, q) -> float:
     """||G_t||_{L^q}: q^{-1/q} (sqrt(3)/(2 pi t^2))^{(q-1)/q}, sup norm at q=inf."""
-    if t <= 0:
-        raise ValueError("kernel norms are defined for t > 0 only")
+    _check_kernel_time(t)
     pref = SQRT3 / (2.0 * math.pi * t * t)
     if q == math.inf or q == "inf":
         return pref
@@ -116,6 +120,7 @@ def kernel_Lq_quadrature(t: float, q) -> float:
     Independent of the closed form above; the sup norm is sampled on a fine
     grid around the origin instead of integrated.
     """
+    _check_kernel_time(t)
     if q == math.inf or q == "inf":
         sv = math.sqrt(2.0 * t)
         sz = math.sqrt(2.0 * t ** 3 / 3.0)
@@ -124,6 +129,8 @@ def kernel_Lq_quadrature(t: float, q) -> float:
         V, Z = np.meshgrid(g1, g2, indexing="ij")
         return float(kernel_G(t, V, Z).max())
     q = float(q)
+    if q < 1:
+        raise ValueError("q must satisfy q >= 1")
     sv = 8.0 * math.sqrt(2.0 * t)
     sz = 8.0 * math.sqrt(2.0 * t ** 3 / 3.0)
     box = tuple(np.array([c]) for c in (-sv, sv, -sz, sz))
@@ -320,8 +327,7 @@ def convolution_oracle(f0: GaussianSum, t: float, points) -> np.ndarray:
     points are integrated together, and only those whose last two grids
     still differ go on to the next grid.
     """
-    if not 0 < t < math.inf:
-        raise ValueError(f"the oracle is defined for finite t > 0, got {t}")
+    _check_kernel_time(t)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.isfinite(pts).all():
         raise ValueError("oracle points must be finite")
@@ -357,6 +363,7 @@ def convolution_oracle(f0: GaussianSum, t: float, points) -> np.ndarray:
 
 def oracle_sup_norm(f0: GaussianSum, t: float) -> float:
     """Sampled sup of |f(t)| over a centered grid sized to the solution spread."""
+    _check_kernel_time(t)
     sigma_v = math.sqrt(2.0 * t + 0.5)
     sigma_x = math.sqrt(2.0 * t ** 3 / 3.0 + t ** 2 / 2.0 + 0.5)
     vlo, vhi, xlo, xhi = f0.support_box(k=1.0)

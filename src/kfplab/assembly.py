@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sparse
-from .mesh import TriMesh, midpoint_quadrature
+from .mesh import TriMesh, edge_midpoints, midpoint_quadrature
 
 
 def _element_blocks(mesh: TriMesh):
@@ -39,10 +39,10 @@ def _element_blocks(mesh: TriMesh):
     d_vz = a * gv[:, :, None] * gz[:, None, :]  # rows derive in v, cols in z
     d_vz_sym = d_vz + np.transpose(d_vz, (0, 2, 1))
 
-    # int_T coord * phi_i by the midpoint rule: midpoint q joins vertices q
-    # and q+1, where phi_i equals 1/2; it vanishes at the opposite midpoint.
+    # int_T coord * phi_i by the midpoint rule: phi_i is 1/2 at the two
+    # midpoints of the edges at vertex i and vanishes at the third.
     mids, weights = midpoint_quadrature(mesh)
-    phi_at_mid = 0.5 * (np.eye(3) + np.roll(np.eye(3), 1, axis=0))  # [i, q]
+    phi_at_mid = edge_midpoints(np.eye(3))  # [i, q]
     int_v_phi = np.einsum("eq,iq,e->ei", mids[:, :, 0], phi_at_mid, weights)
     int_z_phi = np.einsum("eq,iq,e->ei", mids[:, :, 1], phi_at_mid, weights)
 

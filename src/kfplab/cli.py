@@ -154,20 +154,17 @@ def parse_config(args) -> tuple[RunConfig, int]:
 # output writers
 # ---------------------------------------------------------------------------
 
+def _csv_row(cells) -> str:
+    """Strings as they are, None as an empty cell, numbers through _fmt."""
+    return ",".join(c if isinstance(c, str) else "" if c is None else _fmt(c) for c in cells)
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    _atomic_write(path, "\n".join([header, *map(_csv_row, rows)]) + "\n")
+
+
 def write_norms_csv(trajectory, path: str) -> None:
-    lines = ["time,l2,linf"]
-    for t, a, b in zip(trajectory.times, trajectory.l2, trajectory.linf):
-        lines.append(f"{_fmt(t)},{_fmt(a)},{_fmt(b)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def write_errors_csv(rows, path: str) -> None:
-    """rows: iterable of (h, dt, time, l2_error, linf_error, order-or-None)."""
-    lines = ["h,dt,time,l2_error,linf_error,order"]
-    for h, dt, t, e2, einf, order in rows:
-        tail = "" if order is None else _fmt(order)
-        lines.append(f"{_fmt(h)},{_fmt(dt)},{_fmt(t)},{_fmt(e2)},{_fmt(einf)},{tail}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_csv(path, "time,l2,linf", zip(trajectory.times, trajectory.l2, trajectory.linf))
 
 
 def write_grid_snapshot(field, path: str) -> None:
@@ -182,31 +179,19 @@ def write_grid_snapshot(field, path: str) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _final_errors(trajectory) -> tuple:
-    """(h, time, L2 error, Linf error) of the final field against the closed form."""
-    final = trajectory.final
-    ref = lambda a, b: analytic.exact_solution(trajectory.form, final.time, (a, b))
-    return final.mesh.h, final.time, analysis.l2_error(final, ref), analysis.linf_error(final, ref)
+ERRORS_HEADER = "h,dt,time,l2_error,linf_error,order"
 
 
-def emit_run_outputs(trajectory, config: RunConfig, directory: str) -> list:
-    """norms.csv, errors.csv vs the closed-form solution, optional snapshots."""
-    written = []
-    path = os.path.join(directory, "norms.csv")
-    write_norms_csv(trajectory, path)
-    written.append(path)
-
-    h, time, e2, einf = _final_errors(trajectory)
-    path = os.path.join(directory, "errors.csv")
-    write_errors_csv([(h, config.dt, time, e2, einf, None)], path)
-    written.append(path)
-
+def emit_run_outputs(trajectory) -> None:
+    """norms.csv, errors.csv vs the closed-form solution and, with a snapshot
+    stride, the snapshots, all in the run's out_dir."""
+    config, final = trajectory.config, trajectory.final
+    write_norms_csv(trajectory, os.path.join(config.out_dir, "norms.csv"))
+    _write_csv(os.path.join(config.out_dir, "errors.csv"), ERRORS_HEADER,
+               [(final.mesh.h, config.dt, final.time, *analysis.final_errors(trajectory), None)])
     if config.snapshot_stride > 0:
-        for k, (_, field) in enumerate(trajectory.snapshots):
-            path = os.path.join(directory, f"field_{k:06d}.grid")
-            write_grid_snapshot(field, path)
-            written.append(path)
-    return written
+        for k, field in enumerate(trajectory.snapshots):
+            write_grid_snapshot(field, os.path.join(config.out_dir, f"field_{k:06d}.grid"))
 
 
 def _write_report(config: RunConfig, lines: list, ok: bool) -> int:
@@ -222,7 +207,7 @@ def _write_report(config: RunConfig, lines: list, ok: bool) -> int:
 
 def _cmd_run(config, seed) -> int:
     traj = solvers.run(config)
-    emit_run_outputs(traj, config, config.out_dir)
+    emit_run_outputs(traj)
     print(f"{config.form}: {len(traj.times) - 1} steps to time {_fmt(traj.final.time)}, "
           f"outputs in {config.out_dir}")
     return 0
@@ -236,23 +221,20 @@ def _cmd_norms(config, seed) -> int:
 
 
 def _cmd_compare(config, seed) -> int:
-    lines = ["form,h,dt,time,l2_error,linf_error"]
+    rows = []
     for form in FORMS:
-        h, time, e2, einf = _final_errors(
-            solvers.run(dataclasses.replace(config, form=form, snapshot_stride=0)))
-        lines.append(f"{form},{_fmt(h)},{_fmt(config.dt)},{_fmt(time)},{_fmt(e2)},{_fmt(einf)}")
-        print(lines[-1])
-    _atomic_write(os.path.join(config.out_dir, "errors.csv"), "\n".join(lines) + "\n")
+        traj = solvers.run(dataclasses.replace(config, form=form, snapshot_stride=0))
+        rows.append((form, traj.final.mesh.h, config.dt, traj.final.time, *analysis.final_errors(traj)))
+        print(_csv_row(rows[-1]))
+    _write_csv(os.path.join(config.out_dir, "errors.csv"), "form,h,dt,time,l2_error,linf_error", rows)
     return 0
 
 
 def _cmd_convergence(config, seed, levels) -> int:
     report, fit = analysis.convergence_study(config, levels)
-    rows = []
-    for i, h in enumerate(report.h):
-        order = None if i == 0 else report.order[i - 1]
-        rows.append((h, report.dt, report.time, report.l2_error[i], report.linf_error[i], order))
-    write_errors_csv(rows, os.path.join(config.out_dir, "errors.csv"))
+    rows = [(h, report.dt, report.time, e2, einf, order) for h, e2, einf, order
+            in zip(report.h, report.l2_error, report.linf_error, [None, *report.order])]
+    _write_csv(os.path.join(config.out_dir, "errors.csv"), ERRORS_HEADER, rows)
     return _write_report(config, [
         f"power-law fit: E(h) = {_fmt(fit.coefficient)} * h^{_fmt(fit.exponent)}",
         f"log-log residual: {_fmt(fit.residual)}"], True)
@@ -324,8 +306,8 @@ def main(argv=None) -> int:
         return 2
     try:
         return COMMANDS[args.command][0](config, seed, **flags)
-    except (solvers.SolverError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (solvers.SolverError, OSError, MemoryError) as exc:
+        print("error:", str(exc) or type(exc).__name__, file=sys.stderr)
         return 3
 
 

@@ -25,8 +25,8 @@ class RectDomain:
     z_max: float
 
     def __post_init__(self):
-        if not np.isfinite([self.v_min, self.v_max, self.z_min, self.z_max]).all():
-            raise ValueError(f"domain bounds must be finite, got {self}")
+        if not np.isfinite([self.v_min, self.v_max, self.z_min, self.z_max, self.side_v, self.side_z]).all():
+            raise ValueError(f"domain bounds and sides must be finite, got {self}")
         if not (self.v_min < self.v_max and self.z_min < self.z_max):
             raise ValueError("degenerate domain: need v_min < v_max and z_min < z_max")
 
@@ -144,14 +144,16 @@ def build_structured_mesh(domain: RectDomain, n: int) -> TriMesh:
     return TriMesh(domain, n)
 
 
+def edge_midpoints(per_vertex: np.ndarray) -> np.ndarray:
+    """Values at the edge midpoints from values at the vertices (axis 1):
+    midpoint q of an element joins its vertices q and q + 1."""
+    return 0.5 * (per_vertex + np.roll(per_vertex, -1, axis=1))
+
+
 def midpoint_quadrature(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """The edge-midpoint rule, exact for total degree <= 2: midpoint q of
-    element e joins its vertices q and q + 1. Returns the points (n_el, 3, 2)
-    and the weights (n_el,) = |T|/3."""
-    p = mesh.element_coords()
-    pts = 0.5 * (p + np.roll(p, -1, axis=1))
-    w = mesh.element_areas() / 3.0
-    return pts, w
+    """The edge-midpoint rule, exact for total degree <= 2. Returns the
+    points (n_el, 3, 2) and the weights (n_el,) = |T|/3."""
+    return edge_midpoints(mesh.element_coords()), mesh.element_areas() / 3.0
 
 
 def interpolate_many(field: Field, points: np.ndarray) -> np.ndarray:

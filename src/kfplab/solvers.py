@@ -38,7 +38,7 @@ class RunConfig:
     domain: RectDomain = field(default_factory=lambda: RectDomain.square(10.0))
     n: int = 128
     dt: float = 0.01
-    horizon: float = 10.0  # always in t-units; converted to s internally
+    horizon: float = 10.0  # always in t-units; see steps
     theta: float = 0.5
     sigma1: float = 1.0
     tol: float = sparse.DEFAULT_TOL
@@ -69,8 +69,9 @@ class RunConfig:
             raise ValueError(f"snapshot_stride must be nonnegative, got {self.snapshot_stride}")
         if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not math.isfinite(self.horizon / self.dt):
-            raise ValueError(f"horizon / dt must be finite, got {self.horizon} / {self.dt}")
+        if not self._span() < 2 ** 53:  # past 2^53, step * dt repeats times
+            raise ValueError(f"the horizon is {self._span():.3g} steps of dt, "
+                             f"more than 2**53: horizon = {self.horizon}, dt = {self.dt}")
         if self.form == "selfsimilar" and self.sigma2 * self.dt > math.log(sys.float_info.max):
             raise ValueError(f"the growth factor exp(sigma2 * dt) overflows: "
                              f"sigma2 = {self.sigma2}, dt = {self.dt}")
@@ -79,20 +80,30 @@ class RunConfig:
     def sigma2(self) -> float:
         return 2.0 - self.sigma1
 
+    def _span(self) -> float:
+        """The horizon in steps of dt, measured in the form's own time: the
+        self-similar form marches in s = log(1 + t)."""
+        return (math.log1p(self.horizon) if self.form == "selfsimilar" else self.horizon) / self.dt
+
+    @property
+    def steps(self) -> int:
+        """Whole steps of dt to the horizon, rounded up: a run may end past it."""
+        return max(1, math.ceil(self._span() - 1e-9))
+
 
 @dataclass
 class Trajectory:
-    """Snapshots plus the per-step norm record of one run."""
+    """The record of one run: its config, its snapshots and its per-step norms."""
 
-    form: str
-    snapshots: list  # [(time, Field)]
+    config: RunConfig
+    snapshots: list  # [Field], in time order; the last is the final state
     times: np.ndarray
     l2: np.ndarray
     linf: np.ndarray
 
     @property
     def final(self) -> Field:
-        return self.snapshots[-1][1]
+        return self.snapshots[-1]
 
 
 def project_initial(mesh: TriMesh, f0) -> Field:
@@ -103,20 +114,15 @@ def project_initial(mesh: TriMesh, f0) -> Field:
     return Field(mesh, vals, time=0.0)
 
 
-def _n_steps(total: float, dt: float) -> int:
-    return max(1, int(math.ceil(total / dt - 1e-9)))
-
-
 class _Recorder:
     def __init__(self, config: RunConfig, mass: sparse.SparseMatrix, first: Field):
-        self.form = config.form
-        self.stride = config.snapshot_stride
+        self.config = config
         self.mass = mass
         self.first = first
         self.snapshots, self.times, self.l2, self.linf = [], [], [], []
-        self.record(0, 0, 0.0, first.interior_values())  # t = 0 is always a snapshot
+        self.record(0, 0.0, first.interior_values())
 
-    def record(self, step: int, n_steps: int, time: float, x: np.ndarray):
+    def record(self, step: int, time: float, x: np.ndarray):
         """Norms of the interior vector x, and a Field at snapshot steps. The
         boundary is pinned to 0, so the interior holds the L-inf norm;
         initial=0.0 covers a mesh with no interior. The L2 norm is taken of
@@ -128,11 +134,12 @@ class _Recorder:
         self.times.append(time)
         self.l2.append(math.ldexp(math.sqrt(max(y @ self.mass.matvec(y), 0.0)), k))
         self.linf.append(linf)
-        if step == n_steps or (self.stride > 0 and step % self.stride == 0):
-            self.snapshots.append((time, self.first.with_interior(x, time)))
+        stride = self.config.snapshot_stride
+        if step in (0, self.config.steps) or (stride > 0 and step % stride == 0):
+            self.snapshots.append(self.first.with_interior(x, time))
 
     def done(self) -> Trajectory:
-        return Trajectory(self.form, self.snapshots, np.array(self.times),
+        return Trajectory(self.config, self.snapshots, np.array(self.times),
                           np.array(self.l2), np.array(self.linf))
 
 
@@ -146,19 +153,14 @@ def _start(config: RunConfig, f0, form: str):
     return state, blocks, _Recorder(config, blocks.mass, state)
 
 
-def _implicit_side(mass, a, dt, theta):
+def _implicit_side(mass, a, config):
     """The theta scheme's implicit side for operator A: M + dt th A."""
-    return sparse.combine([(1.0, mass), (dt * theta, a)])
+    return sparse.combine([(1.0, mass), (config.dt * config.theta, a)])
 
 
-def _explicit_side(mass, a, dt, theta):
+def _explicit_side(mass, a, config):
     """The theta scheme's explicit side for operator A: M - dt (1-th) A."""
-    return sparse.combine([(1.0, mass), (-dt * (1.0 - theta), a)])
-
-
-def _theta_sides(mass, a, dt, theta):
-    """Both sides, for a form that builds them from the same operator."""
-    return _implicit_side(mass, a, dt, theta), _explicit_side(mass, a, dt, theta)
+    return sparse.combine([(1.0, mass), (-config.dt * (1.0 - config.theta), a)])
 
 
 def _theta_step(lhs, rhs_mat, x, config):
@@ -177,27 +179,27 @@ def run_original(config: RunConfig, f0=None) -> Trajectory:
     mesh = state.mesh
     # both are constant: the theta sides of the v-direction heat operator, and
     # the feet (v, x + v dt) of the exact characteristics
-    lhs, rhs_mat = _theta_sides(blocks.mass, blocks.d_vv, config.dt, config.theta)
+    lhs = _implicit_side(blocks.mass, blocks.d_vv, config)
+    rhs_mat = _explicit_side(blocks.mass, blocks.d_vv, config)
     feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * config.dt])
-    n_steps = _n_steps(config.horizon, config.dt)
     x = state.interior_values()
-    for step in range(1, n_steps + 1):
+    for step in range(1, config.steps + 1):
         t_new = step * config.dt
         x = _theta_step(lhs, rhs_mat, x, config)
         x = interpolate_many(state.with_interior(x, t_new), feet)[mesh.interior]
-        rec.record(step, n_steps, t_new, x)
+        rec.record(step, t_new, x)
     return rec.done()
 
 
 def run_lagrangian(config: RunConfig, f0=None) -> Trajectory:
     """Theta scheme for the sheared form, midpoint-frozen coefficients."""
     state, blocks, rec = _start(config, f0, "lagrangian")
-    n_steps = _n_steps(config.horizon, config.dt)
     x = state.interior_values()
-    for step in range(1, n_steps + 1):
+    for step in range(1, config.steps + 1):
         a_mid = blocks.lagrangian((step - 1) * config.dt + 0.5 * config.dt)
-        x = _theta_step(*_theta_sides(blocks.mass, a_mid, config.dt, config.theta), x, config)
-        rec.record(step, n_steps, step * config.dt, x)
+        x = _theta_step(_implicit_side(blocks.mass, a_mid, config),
+                        _explicit_side(blocks.mass, a_mid, config), x, config)
+        rec.record(step, step * config.dt, x)
     return rec.done()
 
 
@@ -214,20 +216,18 @@ def run_selfsimilar(config: RunConfig, f0=None) -> Trajectory:
             "domain violates the size condition for the rescaled form; "
             "the truncated solution will decay to zero instead of reaching the steady profile",
             RuntimeWarning, stacklevel=2)
-    ds = config.dt
-    n_steps = _n_steps(math.log1p(config.horizon), ds)
-    growth = math.exp(config.sigma2 * ds)
+    growth = math.exp(config.sigma2 * config.dt)
     x = state.interior_values()
     # the explicit side of A(s_n) carries over from the previous step; the
     # last step's is never used, so it is not built
-    explicit = _explicit_side(blocks.mass, blocks.selfsimilar(0.0, config.sigma1), ds, config.theta)
-    for step in range(1, n_steps + 1):
-        s_new = step * ds
+    explicit = _explicit_side(blocks.mass, blocks.selfsimilar(0.0, config.sigma1), config)
+    for step in range(1, config.steps + 1):
+        s_new = step * config.dt
         a_new = blocks.selfsimilar(s_new, config.sigma1)
-        x = growth * _theta_step(_implicit_side(blocks.mass, a_new, ds, config.theta), explicit, x, config)
-        if step < n_steps:
-            explicit = _explicit_side(blocks.mass, a_new, ds, config.theta)
-        rec.record(step, n_steps, s_new, x)
+        x = growth * _theta_step(_implicit_side(blocks.mass, a_new, config), explicit, x, config)
+        if step < config.steps:
+            explicit = _explicit_side(blocks.mass, a_new, config)
+        rec.record(step, s_new, x)
     return rec.done()
 
 

@@ -184,8 +184,8 @@ def test_criterion_07_steady_state_l2_distance(long_run):
 
 def test_criterion_07_steady_state_distance_monotone(table1_runs):
     traj = table1_runs["selfsimilar"][0]
-    window = [(s, f) for s, f in traj.snapshots if 1.5 <= s <= 2.4 + 1e-12]
-    dists = [l2_error(f, analytic.steady_state) for _, f in window]
+    window = [f for f in traj.snapshots if 1.5 <= f.time <= 2.4 + 1e-12]
+    dists = [l2_error(f, analytic.steady_state) for f in window]
     ok = all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
     report(7, ok, f"distance to steady state non-increasing over s in [1.5, 2.4]: "
                   f"{dists[0]:.4f} -> {dists[-1]:.4f}")

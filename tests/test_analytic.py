@@ -60,6 +60,23 @@ def test_kernel_lq_norm_values():
     assert want == pytest.approx(0.3712576, abs=1e-6)
     with pytest.raises(ValueError):
         kernel_Lq_norm(1.0, 0.5)
+    with pytest.raises(ValueError):
+        kernel_Lq_quadrature(1.0, 0.5)
+
+
+# one rule for every function of the kernel time; 4 t^3 overflows at
+# t = 4e102 and t = 1e200
+@pytest.mark.parametrize("fn", [
+    lambda t: kernel_G(t, 0.0, 0.0), lambda t: kernel_Lq_norm(t, 2),
+    lambda t: kernel_Lq_quadrature(t, 2), lambda t: kernel_Lq_quadrature(t, math.inf),
+    lambda t: convolution_oracle(gaussian_ic, t, [[0.0, 0.0]]),
+    lambda t: analytic.oracle_sup_norm(gaussian_ic, t)],
+    ids=["kernel_G", "kernel_Lq_norm", "kernel_Lq_quadrature", "kernel_Lq_quadrature-inf",
+         "convolution_oracle", "oracle_sup_norm"])
+@pytest.mark.parametrize("t", [1e200, 4e102, math.nan, math.inf, 0.0, -1.0])
+def test_kernel_time_rule(fn, t):
+    with pytest.raises(ValueError):
+        fn(t)
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from kfplab import cli
+from kfplab import cli, solvers
 from kfplab.cli import main, parse_config, read_config_file
 from kfplab.mesh import RectDomain
 from kfplab.solvers import RunConfig, run
@@ -70,6 +70,8 @@ def test_nonfinite_input_is_config_error(tmp_path, capsys, flag, value):
     "run --form lagrangian --n 4 --dt 1e-320 --t-end 10",
     "run --form selfsimilar --n 4 --sigma1=-1e6",
     "run --form selfsimilar --n 4 --dt 1e300 --t-end 1",
+    "run --form original --n 4 --dt 1e-300 --t-end 10",
+    "run --domain=-1e308,1e308,-1,1 --n 4 --t-end 0.1",
 ])
 def test_invalid_command_flag_exits_2_before_running(tmp_path, capsys, argv):
     rc = main(argv.format(tmp=tmp_path).split() + ["--out", str(tmp_path / "out")])
@@ -78,6 +80,18 @@ def test_invalid_command_flag_exits_2_before_running(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # the allocation itself is never made: the mesh builder raises in its place
+    def no_memory(domain, n):
+        raise MemoryError
+    monkeypatch.setattr(solvers, "build_structured_mesh", no_memory)
+    rc = main(["run", "--n", "100000000000", "--t-end", "0.1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == ["error: MemoryError"]
 
 
 def test_malformed_number_is_config_error(capsys):

@@ -51,6 +51,12 @@ def test_rejects_degenerate_domain():
         RectDomain(1.0, 1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bounds", [(-1e308, 1e308, -1.0, 1.0), (0.0, 1.0, -1e308, 1e308)])
+def test_rejects_domain_whose_side_overflows(bounds):
+    with pytest.raises(ValueError):
+        RectDomain(*bounds)
+
+
 def test_node_membership_counts():
     m = build_structured_mesh(UNIT, 4)
     counts = np.bincount(m.elements.ravel(), minlength=m.node_count)

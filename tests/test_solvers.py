@@ -71,7 +71,7 @@ def test_run_linearity(form, alpha):
     cfg = RunConfig(form=form, n=12, dt=0.02, horizon=0.4, snapshot_stride=5)
     a = run(cfg, analytic.gaussian_ic)
     b = run(cfg, analytic.gaussian_ic.scaled(alpha))
-    for (_, fa), (_, fb) in zip(a.snapshots, b.snapshots):
+    for fa, fb in zip(a.snapshots, b.snapshots):
         denom = np.abs(alpha * fa.values).max()
         assert np.abs(fb.values - alpha * fa.values).max() <= 1e-10 * denom
     for got, unscaled in ((b.l2, a.l2), (b.linf, a.linf)):
@@ -82,11 +82,11 @@ def test_run_linearity(form, alpha):
 def test_trajectory_structure():
     cfg = RunConfig(form="selfsimilar", n=8, dt=0.05, horizon=1.0, snapshot_stride=3)
     traj = run(cfg)
-    assert traj.snapshots[0][0] == 0.0
-    assert traj.snapshots[0][1].time == 0.0
-    times = [t for t, _ in traj.snapshots]
+    assert traj.snapshots[0].time == 0.0
+    times = [f.time for f in traj.snapshots]
     assert all(a < b for a, b in zip(times, times[1:]))
     assert np.all(np.diff(traj.times) > 0)
+    assert traj.config is cfg and len(traj.times) == traj.config.steps + 1
     # s-horizon conversion: horizon t=1 -> s_end = log 2, ceil to the grid
     assert traj.times[-1] == pytest.approx(math.ceil(math.log(2.0) / 0.05) * 0.05)
 
@@ -208,9 +208,10 @@ def test_runconfig_validation():
                 dict(sigma1=math.nan), dict(sigma1=-math.inf), dict(tol=math.nan),
                 dict(tol=0.0), dict(max_iter=0), dict(snapshot_stride=-1),
                 dict(n=0), dict(n=4.0),
-                # horizon / dt overflows, and so does the self-similar growth
-                # factor exp(sigma2 * dt)
+                # horizon / dt overflows, or passes 2^53 steps, and the
+                # self-similar growth factor exp(sigma2 * dt) overflows
                 dict(form="lagrangian", dt=1e-320, horizon=10.0),
+                dict(form="original", dt=1e-300, horizon=10.0),
                 dict(form="selfsimilar", sigma1=-1e6),
                 dict(form="selfsimilar", dt=1e300, horizon=1.0)):
         with pytest.raises(ValueError):

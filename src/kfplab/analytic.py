@@ -85,9 +85,11 @@ gaussian_ic = GaussianSum([(1.0, 0.0, 0.0, 1.0, 1.0)])
 # ---------------------------------------------------------------------------
 
 def _check_kernel_time(t: float) -> None:
-    """The kernel's time must be finite and positive, and so must 4 t^3."""
-    if not (math.isfinite(t) and t > 0 and math.isfinite(4.0 * t * t * t)):
-        raise ValueError(f"the kernel is defined for finite t > 0 with finite 4 t^3, got {t}")
+    """The kernel's time must be finite and positive, and 4 t^3 must be finite
+    and must not underflow to 0: the kernel divides by 4.0 * t ** 3. The
+    product 4 t t t is tested for overflow first, since t ** 3 raises there."""
+    if not (math.isfinite(t) and t > 0 and math.isfinite(4.0 * t * t * t) and 4.0 * t ** 3 > 0):
+        raise ValueError(f"the kernel is defined for finite t > 0 with 4 t^3 finite and nonzero, got {t}")
 
 
 def kernel_G(t: float, v, z):
@@ -106,7 +108,7 @@ def kernel_Lq_norm(t: float, q) -> float:
     if q == math.inf or q == "inf":
         return pref
     q = float(q)
-    if q < 1:
+    if not q >= 1:  # NaN fails too
         raise ValueError("q must satisfy q >= 1")
     return q ** (-1.0 / q) * pref ** ((q - 1.0) / q)
 
@@ -129,7 +131,7 @@ def kernel_Lq_quadrature(t: float, q) -> float:
         V, Z = np.meshgrid(g1, g2, indexing="ij")
         return float(kernel_G(t, V, Z).max())
     q = float(q)
-    if q < 1:
+    if not q >= 1:  # NaN fails too
         raise ValueError("q must satisfy q >= 1")
     sv = 8.0 * math.sqrt(2.0 * t)
     sz = 8.0 * math.sqrt(2.0 * t ** 3 / 3.0)

@@ -3,7 +3,8 @@
 * run_original: split stepping, a theta-scheme solve of the v-diffusion
   followed by an exact characteristic (semi-Lagrangian) transport update.
 * run_lagrangian: a theta scheme for the time-dependent sheared form, with
-  the bilinear form frozen at the midpoint of each step.
+  the bilinear form frozen at the midpoint of each step. Its solves use the
+  z-line preconditioner; the other two forms use Jacobi.
 * run_selfsimilar: the exact two-operator split of the rescaled equation, a
   theta-scheme solve for the coercive part followed by the closed-form
   exponential reaction update. The two split operators commute, so the
@@ -163,10 +164,11 @@ def _explicit_side(mass, a, config):
     return sparse.combine([(1.0, mass), (-config.dt * (1.0 - config.theta), a)])
 
 
-def _theta_step(lhs, rhs_mat, x, config):
-    """Solve lhs x_new = rhs_mat x; the one place that sees each solve's stats."""
+def _theta_step(lhs, precond, rhs_mat, x, config):
+    """Solve lhs x_new = rhs_mat x with precond, a preconditioner built from
+    lhs, or None for Jacobi; the one place that sees each solve's stats."""
     x_new, stats = sparse.solve(lhs, rhs_mat.matvec(x), tol=config.tol,
-                                max_iter=config.max_iter, x0=x)
+                                max_iter=config.max_iter, x0=x, precond=precond)
     if not stats.converged:
         raise SolverError(
             f"linear solve failed: {stats.iterations} iterations, relative residual {stats.residual:.3e}")
@@ -177,27 +179,36 @@ def run_original(config: RunConfig, f0=None) -> Trajectory:
     """Heat/transport splitting for the original form."""
     state, blocks, rec = _start(config, f0, "original")
     mesh = state.mesh
-    # both are constant: the theta sides of the v-direction heat operator, and
-    # the feet (v, x + v dt) of the exact characteristics
+    # all are constant: the theta sides of the v-direction heat operator with
+    # the implicit side's preconditioner, and the feet (v, x + v dt) of the
+    # exact characteristics
     lhs = _implicit_side(blocks.mass, blocks.d_vv, config)
+    precond = sparse.jacobi(lhs)
     rhs_mat = _explicit_side(blocks.mass, blocks.d_vv, config)
     feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * config.dt])
     x = state.interior_values()
     for step in range(1, config.steps + 1):
         t_new = step * config.dt
-        x = _theta_step(lhs, rhs_mat, x, config)
+        x = _theta_step(lhs, precond, rhs_mat, x, config)
         x = interpolate_many(state.with_interior(x, t_new), feet)[mesh.interior]
         rec.record(step, t_new, x)
     return rec.done()
 
 
 def run_lagrangian(config: RunConfig, f0=None) -> Trajectory:
-    """Theta scheme for the sheared form, midpoint-frozen coefficients."""
+    """Theta scheme for the sheared form, midpoint-frozen coefficients.
+
+    At large t the operator (d_v + t d_z)^2 couples each unknown mostly to
+    its z-neighbours, at offsets +-w in the interior numbering, so each
+    step's solve is preconditioned with the exact inverse along z-lines.
+    """
     state, blocks, rec = _start(config, f0, "lagrangian")
+    w = state.mesh.n - 1
     x = state.interior_values()
     for step in range(1, config.steps + 1):
         a_mid = blocks.lagrangian((step - 1) * config.dt + 0.5 * config.dt)
-        x = _theta_step(_implicit_side(blocks.mass, a_mid, config),
+        lhs = _implicit_side(blocks.mass, a_mid, config)
+        x = _theta_step(lhs, sparse.line_jacobi(lhs, w),
                         _explicit_side(blocks.mass, a_mid, config), x, config)
         rec.record(step, step * config.dt, x)
     return rec.done()
@@ -224,7 +235,7 @@ def run_selfsimilar(config: RunConfig, f0=None) -> Trajectory:
     for step in range(1, config.steps + 1):
         s_new = step * config.dt
         a_new = blocks.selfsimilar(s_new, config.sigma1)
-        x = growth * _theta_step(_implicit_side(blocks.mass, a_new, config), explicit, x, config)
+        x = growth * _theta_step(_implicit_side(blocks.mass, a_new, config), None, explicit, x, config)
         if step < config.steps:
             explicit = _explicit_side(blocks.mass, a_new, config)
         rec.record(step, s_new, x)

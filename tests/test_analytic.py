@@ -58,14 +58,15 @@ def test_kernel_lq_norm_values():
     want = 2 ** -0.5 * (SQRT3 / (2 * math.pi)) ** 0.5
     assert kernel_Lq_norm(1.0, 2) == pytest.approx(want, rel=1e-12)
     assert want == pytest.approx(0.3712576, abs=1e-6)
-    with pytest.raises(ValueError):
-        kernel_Lq_norm(1.0, 0.5)
-    with pytest.raises(ValueError):
-        kernel_Lq_quadrature(1.0, 0.5)
+    for q in (0.5, math.nan):
+        with pytest.raises(ValueError):
+            kernel_Lq_norm(1.0, q)
+        with pytest.raises(ValueError):
+            kernel_Lq_quadrature(1.0, q)
 
 
 # one rule for every function of the kernel time; 4 t^3 overflows at
-# t = 4e102 and t = 1e200
+# t = 4e102 and t = 1e200, and underflows to 0 at t = 1e-110
 @pytest.mark.parametrize("fn", [
     lambda t: kernel_G(t, 0.0, 0.0), lambda t: kernel_Lq_norm(t, 2),
     lambda t: kernel_Lq_quadrature(t, 2), lambda t: kernel_Lq_quadrature(t, math.inf),
@@ -73,7 +74,7 @@ def test_kernel_lq_norm_values():
     lambda t: analytic.oracle_sup_norm(gaussian_ic, t)],
     ids=["kernel_G", "kernel_Lq_norm", "kernel_Lq_quadrature", "kernel_Lq_quadrature-inf",
          "convolution_oracle", "oracle_sup_norm"])
-@pytest.mark.parametrize("t", [1e200, 4e102, math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("t", [1e200, 4e102, 1e-110, math.nan, math.inf, 0.0, -1.0])
 def test_kernel_time_rule(fn, t):
     with pytest.raises(ValueError):
         fn(t)

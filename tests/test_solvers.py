@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from kfplab.solvers import (
 )
 
 BIG = RectDomain.square(10.0)
+YARDSTICK_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "yardstick.py")
 
 
 def zero_ic(v, x):
@@ -126,6 +129,8 @@ def test_original_one_step_matches_manual():
 
 
 def test_lagrangian_one_step_matches_manual():
+    # one step = theta solve with the midpoint operator, preconditioned along
+    # z-lines (offsets +-w, w = n - 1)
     cfg = RunConfig(form="lagrangian", n=10, dt=0.05, horizon=0.05)
     traj = run_lagrangian(cfg)
     mesh = traj.final.mesh
@@ -134,8 +139,45 @@ def test_lagrangian_one_step_matches_manual():
     a_mid = blocks.lagrangian(0.5 * cfg.dt)
     lhs = sparse.combine([(1.0, blocks.mass), (cfg.dt * cfg.theta, a_mid)])
     rhs = sparse.combine([(1.0, blocks.mass), (-cfg.dt * (1 - cfg.theta), a_mid)]).matvec(x)
-    y, _ = sparse.solve(lhs, rhs, tol=cfg.tol, x0=x)
+    y, _ = sparse.solve(lhs, rhs, tol=cfg.tol, x0=x, precond=sparse.line_jacobi(lhs, mesh.n - 1))
     assert np.max(np.abs(traj.final.interior_values() - y)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lagrangian_small_meshes_match_dense_steps(n):
+    # n = 1 has no interior unknown, n = 2 one and n = 3 a 2 x 2 grid: z-lines
+    # of length 0, 1 and 2
+    cfg = RunConfig(form="lagrangian", n=n, dt=0.1, horizon=0.3)
+    traj = run_lagrangian(cfg)
+    assert len(traj.times) == 4
+    blocks = assemble_blocks(traj.final.mesh)
+    x = project_initial(traj.final.mesh, analytic.gaussian_ic).interior_values()
+    for step in range(3):
+        a_mid = blocks.lagrangian((step + 0.5) * cfg.dt)
+        lhs = sparse.combine([(1.0, blocks.mass), (cfg.dt * cfg.theta, a_mid)]).toarray()
+        rhs = sparse.combine([(1.0, blocks.mass), (-cfg.dt * (1 - cfg.theta), a_mid)]).matvec(x)
+        x = np.linalg.solve(lhs, rhs) if len(x) else x
+    got = traj.final.interior_values()
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - x), initial=0.0) <= 1e-10 * np.max(np.abs(x), initial=1.0)
+
+
+def _load_yardstick():
+    spec = importlib.util.spec_from_file_location("yardstick", YARDSTICK_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_lagrangian_line_path_within_yardstick():
+    # the z-line path at tol 1e-10 must lie no farther from the same run at
+    # tol 1e-12 than the Jacobi path at tol 1e-10: per entry in the norm
+    # series and the final L2 error, relative to its largest value in the
+    # final field, whose entries reach down to 0 at the boundary
+    table = _load_yardstick().yardstick(n=32, dt=0.1, t_end=10.0)
+    lines, jacobi = table["z-lines"], table["Jacobi"]
+    for col, kind in (("l2", 0), ("linf", 0), ("final field", 1), ("L2 error", 0)):
+        assert lines[col][kind] <= jacobi[col][kind], col
 
 
 def test_selfsimilar_two_steps_match_manual():

@@ -209,3 +209,47 @@ def test_solve_breakdown_restart_reports_failure():
     x, stats = sparse.solve(A, np.array([1.0, 0.0]), tol=1e-12, max_iter=50)
     assert not stats.converged
     assert np.all(np.isfinite(x))
+
+
+def lagrangian_lhs(n, t, dt=0.1):
+    """The sheared form's implicit side M + dt/2 A(t) on the 10-square."""
+    blocks = assemble_blocks(build_structured_mesh(RectDomain.square(10.0), n))
+    return sparse.combine([(1.0, blocks.mass), (0.5 * dt, blocks.lagrangian(t))])
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0, 10.0])
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_line_jacobi_is_the_inverse_of_the_line_part(n, t):
+    # the z-lines are the entries at offsets 0 and +-w, w = n - 1
+    A, w = lagrangian_lhs(n, t), n - 1
+    dense = A.toarray()
+    i, j = np.indices(dense.shape)
+    tri = np.where(np.isin(j - i, (0, w, -w)), dense, 0.0)
+    r = np.random.default_rng(n).standard_normal(A.rows)
+    want = np.linalg.solve(tri, r)
+    got = sparse.line_jacobi(A, w)(r)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_line_jacobi_without_lines_is_jacobi(n):
+    # w = 0 has no unknowns and w = 1 one, so no line coupling
+    A = lagrangian_lhs(n, 1.0)
+    r = np.ones(A.rows)
+    assert np.array_equal(sparse.line_jacobi(A, n - 1)(r), sparse.jacobi(A)(r))
+
+
+def test_line_jacobi_needs_a_square_grid():
+    with pytest.raises(ValueError):
+        sparse.line_jacobi(identity(6), 2)
+
+
+def test_solve_with_line_jacobi_vs_dense_elimination():
+    A = lagrangian_lhs(12, 10.0)
+    b = np.random.default_rng(5).standard_normal(A.rows)
+    x, stats = sparse.solve(A, b, tol=1e-12, precond=sparse.line_jacobi(A, 11))
+    assert stats.converged
+    _, jacobi_stats = sparse.solve(A, b, tol=1e-12)
+    assert stats.iterations < jacobi_stats.iterations
+    want = np.linalg.solve(A.toarray(), b)
+    assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))

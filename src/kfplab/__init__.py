@@ -22,7 +22,7 @@ from .analytic import (
     poincare_constant,
     steady_state,
 )
-from .assembly import OperatorBlocks, assemble_blocks, assemble_mass
+from .assembly import OperatorBlocks, assemble_blocks
 from .solvers import (
     FORMS,
     RunConfig,

@@ -148,23 +148,33 @@ def decay_fit(times: np.ndarray, norms: np.ndarray, window=None,
     return _line_fit(times, np.log(norms))
 
 
+def ladder_sizes(domain: RectDomain, h_levels) -> list:
+    """Mesh sizes n = round(side / h) of a refinement ladder: at least three
+    levels, each on its own mesh."""
+    sizes = [max(1, round(domain.side_v / h)) for h in h_levels]
+    if len(sizes) < 3:
+        raise ValueError("a convergence study needs at least 3 levels")
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"the levels give the meshes n = {sizes}: a ladder needs a new mesh at each level")
+    return sizes
+
+
 def convergence_study(base: RunConfig, h_levels):
     """Self-similar runs over a ladder of mesh sizes to the config's horizon
     (in t-units), errors against the closed-form solution at the final
-    rescaled time. h maps to n = round(side / h).
+    rescaled time. h maps to n = round(side / h) (see ladder_sizes); the
+    report, its orders and the fit use the h of the mesh each level ran on.
     Returns (ErrorReport, FitResult).
     """
-    h_levels = np.asarray(h_levels, dtype=float)
-    if len(h_levels) < 3:
-        raise ValueError("a convergence study needs at least 3 levels")
-    errors = []
-    for h in h_levels:
-        traj = run_selfsimilar(replace(base, form="selfsimilar", n=max(1, round(base.domain.side_v / h))))
+    h, errors = [], []
+    for n in ladder_sizes(base.domain, h_levels):
+        traj = run_selfsimilar(replace(base, form="selfsimilar", n=n))
+        h.append(traj.final.mesh.h)
         errors.append(final_errors(traj))
+    h = np.array(h)
     l2s, linfs = np.array(errors).T
-    report = ErrorReport(h_levels, base.dt, traj.final.time, l2s, linfs,
-                         pairwise_orders(h_levels, l2s))
-    return report, fit_power_law(h_levels, l2s)
+    report = ErrorReport(h, base.dt, traj.final.time, l2s, linfs, pairwise_orders(h, l2s))
+    return report, fit_power_law(h, l2s)
 
 
 def poincare_check(mesh: TriMesh, t: float, trials: int, seed: int = 1234) -> float:
@@ -188,10 +198,14 @@ def poincare_check(mesh: TriMesh, t: float, trials: int, seed: int = 1234) -> fl
     return worst
 
 
-def nested_domain_study(base: RunConfig, scales, inner: RectDomain | None = None,
-                        inner_grid: int = 200):
-    """Self-similar runs on growing domains scale * [-1, 1]^2, compared on a
-    fixed inner region at the final time.
+NESTED_INNER = RectDomain.square(2.0)  # the region the nested-domain study compares on
+NESTED_GRID = 200  # cells per side of its comparison grid
+
+
+def nested_domain_study(base: RunConfig, scales):
+    """Self-similar runs on growing domains scale * [-1, 1]^2, compared on
+    NESTED_INNER at the final time, by the midpoint rule on a NESTED_GRID x
+    NESTED_GRID grid of cells.
 
     Mesh size h is kept constant across scales (the largest scale uses
     base.n); pick base.n so every 2 * scale / h is an integer, otherwise the
@@ -202,11 +216,10 @@ def nested_domain_study(base: RunConfig, scales, inner: RectDomain | None = None
     violation flags).
     """
     scales = sorted(float(s) for s in scales)
-    inner = inner or RectDomain.square(2.0)
     h = 2.0 * max(scales) / base.n
 
-    gv = np.linspace(inner.v_min, inner.v_max, inner_grid + 1)
-    gz = np.linspace(inner.z_min, inner.z_max, inner_grid + 1)
+    gv = np.linspace(NESTED_INNER.v_min, NESTED_INNER.v_max, NESTED_GRID + 1)
+    gz = np.linspace(NESTED_INNER.z_min, NESTED_INNER.z_max, NESTED_GRID + 1)
     mv = 0.5 * (gv[1:] + gv[:-1])
     mz = 0.5 * (gz[1:] + gz[:-1])
     V, Z = np.meshgrid(mv, mz, indexing="ij")

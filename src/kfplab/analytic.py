@@ -41,8 +41,8 @@ class GaussianSum:
     """Finite sum of axis-aligned Gaussians a * exp(-av (v-cv)^2 - ax (x-cx)^2).
 
     This is the only family of initial data the convolution oracle accepts;
-    it is closed under the superposition tests and has a known mass and a
-    trivially computable effective support box.
+    it is closed under the superposition tests and has a trivially
+    computable effective support box.
     """
 
     def __init__(self, terms):
@@ -60,9 +60,6 @@ class GaussianSum:
         for amp, cv, cx, av, ax in self.terms:
             out = out + amp * np.exp(-av * (v - cv) ** 2 - ax * (x - cx) ** 2)
         return out
-
-    def mass(self) -> float:
-        return sum(amp * math.pi / math.sqrt(av * ax) for amp, cv, cx, av, ax in self.terms)
 
     def support_box(self, k: float = 8.0):
         """Box outside which every term has decayed below exp(-k^2)."""
@@ -98,7 +95,11 @@ def kernel_G(t: float, v, z):
     v = np.asarray(v, dtype=float)
     z = np.asarray(z, dtype=float)
     pref = SQRT3 / (2.0 * math.pi * t * t)
-    return pref * np.exp(-(3.0 * z ** 2 + (2.0 * t * v - 3.0 * z) ** 2) / (4.0 * t ** 3))
+    quadratic = 3.0 * z ** 2 + (2.0 * t * v - 3.0 * z) ** 2
+    # at tiny t the quotient may overflow to inf, and exp(-inf) is the exact limit 0
+    with np.errstate(over="ignore"):
+        exponent = -quadratic / (4.0 * t ** 3)
+    return pref * np.exp(exponent)
 
 
 def kernel_Lq_norm(t: float, q) -> float:

@@ -52,25 +52,21 @@ def _element_blocks(mesh: TriMesh):
     return {"mass": mass, "d_vv": d_vv, "d_zz": d_zz, "d_vz_sym": d_vz_sym, "b_adv": b_adv}
 
 
-def _banded(mesh: TriMesh, kernels: dict, reduced: bool) -> dict:
-    """Scatter (n_el, 3, 3) element kernels into banded matrices.
+def _banded(mesh: TriMesh, kernels: dict) -> dict:
+    """Scatter (n_el, 3, 3) element kernels into banded matrices on the
+    interior unknowns.
 
     On the uniform triangulation every node couples only to itself and its
-    neighbours at grid offsets +-1, +-w and +-(w + 1), with w the width of
-    the grid of unknowns. reduced=True keeps the interior unknowns only.
-    One bincount over the slot k * m + row sums each entry's element
-    contributions in element order.
+    neighbours at grid offsets +-1, +-w and +-(w + 1), with w = n - 1 the
+    width of the grid of interior unknowns. One bincount over the slot
+    k * m + row sums each entry's element contributions in element order.
     """
-    ele = mesh.elements
-    rows = np.repeat(ele, 3, axis=1).reshape(-1, 3, 3)  # rows[e, i, j] = ele[e, i]
+    rows = np.repeat(mesh.elements, 3, axis=1).reshape(-1, 3, 3)  # rows[e, i, j] = elements[e, i]
     rows, cols = rows.ravel(), np.transpose(rows, (0, 2, 1)).ravel()
-    keep = slice(None)
-    w, m = mesh.n + 1, mesh.node_count
-    if reduced:
-        rows, cols = mesh.interior_index[rows], mesh.interior_index[cols]
-        keep = (rows >= 0) & (cols >= 0)
-        rows, cols = rows[keep], cols[keep]
-        w, m = mesh.n - 1, mesh.interior_count
+    rows, cols = mesh.interior_index[rows], mesh.interior_index[cols]
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[keep], cols[keep]
+    w, m = mesh.n - 1, mesh.interior_count
     offsets = np.unique([0, 1, -1, w, -w, w + 1, -(w + 1)])  # not distinct for w <= 1
     k = len(offsets)
     slot = np.searchsorted(offsets, cols - rows) * m + rows
@@ -93,7 +89,6 @@ class OperatorBlocks:
                             A = 1 - e^{-s}
     """
 
-    mesh: TriMesh
     mass: sparse.SparseMatrix
     d_vv: sparse.SparseMatrix
     d_zz: sparse.SparseMatrix
@@ -131,11 +126,4 @@ class OperatorBlocks:
 
 def assemble_blocks(mesh: TriMesh) -> OperatorBlocks:
     """All interior-reduced building-block matrices over one band of offsets."""
-    mats = _banded(mesh, _element_blocks(mesh), reduced=True)
-    return OperatorBlocks(mesh, mats["mass"], mats["d_vv"], mats["d_zz"],
-                          mats["d_vz_sym"], mats["b_adv"])
-
-
-def assemble_mass(mesh: TriMesh, reduced: bool = True) -> sparse.SparseMatrix:
-    """Consistent P1 mass matrix; reduced=False keeps boundary rows/columns."""
-    return _banded(mesh, {"mass": _element_blocks(mesh)["mass"]}, reduced)["mass"]
+    return OperatorBlocks(**_banded(mesh, _element_blocks(mesh)))

@@ -301,6 +301,8 @@ def main(argv=None) -> int:
         flags = {_dest(key): _convert(key, getattr(args, _dest(key)))
                  for key, (_, field, command, _) in KEYS.items()
                  if command == args.command and field is None}
+        if args.command == "convergence":  # a ladder that repeats a mesh fails before any run
+            analysis.ladder_sizes(config.domain, flags["levels"])
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

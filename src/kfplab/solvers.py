@@ -43,7 +43,6 @@ class RunConfig:
     theta: float = 0.5
     sigma1: float = 1.0
     tol: float = sparse.DEFAULT_TOL
-    max_iter: int = sparse.DEFAULT_MAX_ITER
     snapshot_stride: int = 0
     out_dir: str = "out"
 
@@ -64,8 +63,6 @@ class RunConfig:
             raise ValueError(f"sigma1 must satisfy sigma1 <= 1, got {self.sigma1}")
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.snapshot_stride < 0:
             raise ValueError(f"snapshot_stride must be nonnegative, got {self.snapshot_stride}")
         if not isinstance(self.n, numbers.Integral) or self.n < 1:
@@ -167,8 +164,7 @@ def _explicit_side(mass, a, config):
 def _theta_step(lhs, precond, rhs_mat, x, config):
     """Solve lhs x_new = rhs_mat x with precond, a preconditioner built from
     lhs, or None for Jacobi; the one place that sees each solve's stats."""
-    x_new, stats = sparse.solve(lhs, rhs_mat.matvec(x), tol=config.tol,
-                                max_iter=config.max_iter, x0=x, precond=precond)
+    x_new, stats = sparse.solve(lhs, rhs_mat.matvec(x), tol=config.tol, x0=x, precond=precond)
     if not stats.converged:
         raise SolverError(
             f"linear solve failed: {stats.iterations} iterations, relative residual {stats.residual:.3e}")
@@ -203,12 +199,11 @@ def run_lagrangian(config: RunConfig, f0=None) -> Trajectory:
     step's solve is preconditioned with the exact inverse along z-lines.
     """
     state, blocks, rec = _start(config, f0, "lagrangian")
-    w = state.mesh.n - 1
     x = state.interior_values()
     for step in range(1, config.steps + 1):
         a_mid = blocks.lagrangian((step - 1) * config.dt + 0.5 * config.dt)
         lhs = _implicit_side(blocks.mass, a_mid, config)
-        x = _theta_step(lhs, sparse.line_jacobi(lhs, w),
+        x = _theta_step(lhs, sparse.line_jacobi(lhs),
                         _explicit_side(blocks.mass, a_mid, config), x, config)
         rec.record(step, step * config.dt, x)
     return rec.done()

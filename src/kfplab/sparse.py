@@ -8,13 +8,15 @@ r -> M^-1 r built once per matrix:
 * jacobi: the inverse of the main diagonal. It serves matrices whose
   couplings stay mass dominated, as in the original and self-similar forms.
 * line_jacobi: the exact inverse of the tridiagonal part at offsets 0 and +-w,
-  the lines along the second grid axis. The sheared form's operator
-  (d_v + t d_z)^2 puts nearly all of its coupling there at large t, where
-  diagonal preconditioning needs several times as many iterations.
+  the lines along the second axis of a w x w grid of unknowns. The sheared
+  form's operator (d_v + t d_z)^2 puts nearly all of its coupling there at
+  large t, where diagonal preconditioning needs several times as many
+  iterations.
 
 Matrices are immutable after construction; matvec and solve are pure.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +104,7 @@ def jacobi(A: SparseMatrix):
     return lambda r: inv_diag * r
 
 
-def line_jacobi(A: SparseMatrix, w: int):
+def line_jacobi(A: SparseMatrix):
     """Block Jacobi over lines of stride w: r -> T^-1 r on every line.
 
     A has w * w rows, numbered i = a * w + c on a w x w grid, and the line c
@@ -114,8 +116,9 @@ def line_jacobi(A: SparseMatrix, w: int):
     a preconditioner, only not the exact line inverse. With w <= 1 there is
     one unknown or none, no line coupling, and this is jacobi(A).
     """
+    w = math.isqrt(A.rows)
     if A.rows != w * w:
-        raise ValueError(f"a matrix of {A.rows} rows is not a {w} x {w} grid of lines")
+        raise ValueError(f"a matrix of {A.rows} rows is not a square grid of lines")
     if w <= 1:
         return jacobi(A)
     tri = np.diag(A.diagonal()[::w])
@@ -130,16 +133,19 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     """Right-preconditioned BiCGStab for A x = b.
 
     precond is a preconditioner built from A, such as jacobi(A) or
-    line_jacobi(A, w); jacobi(A) is the default.
+    line_jacobi(A); jacobi(A) is the default.
 
     Returns (x, SolveStats); convergence means ||A x - b||_2 <= tol * ||b||_2.
-    A breakdown of the recurrence triggers one restart from the current
-    iterate before giving up.
+    The recurrence breaks down when r* turns orthogonal to r or to A M p, to
+    within rounding: |r* . r| or |r* . A M p| at most eps times the product
+    of the two norms (van der Vorst 1992). Each breakdown restarts it from
+    the current iterate; a pass that breaks down before its first step
+    counts as an iteration, so every solve ends within max_iter.
 
     The iteration runs on b / 2^k and x0 / 2^k, with 2^k the power of two just
     above max|b|, and x is scaled back by 2^k. Scaling by a power of two is
     exact, so x and the stats do not depend on the scale of b, and the norms
-    and the breakdown tests against the smallest normal float stay in range.
+    and the tests against the smallest normal float stay in range.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -156,59 +162,46 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     if precond is None:
         precond = jacobi(A)
     target = tol * norm_b
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
 
     x = np.zeros(A.rows) if x0 is None else np.ldexp(np.asarray(x0, dtype=float), -k)
-    r = b - A.matvec(x)
-    normr = np.linalg.norm(r)
-    if normr <= target:
-        return np.ldexp(x, k), SolveStats(0, normr / norm_b, True)
-
-    r_star = r.copy()
-    p = r.copy()
-    rho = float(r_star @ r)
     iters = 0
-    tiny = np.finfo(float).tiny
-    restarted = breakdown = False
-
-    while iters < max_iter:
-        if breakdown:
-            if restarted:
+    while True:  # each pass starts the recurrence from the current iterate
+        r = b - A.matvec(x)
+        normr = np.linalg.norm(r)
+        if normr <= target or iters >= max_iter:
+            return np.ldexp(x, k), SolveStats(iters, normr / norm_b, bool(normr <= target))
+        r_star = r.copy()
+        p = r.copy()
+        rho, norm_star = float(r_star @ r), normr
+        while iters < max_iter:
+            mp = precond(p)
+            amp = A.matvec(mp)
+            denom = float(r_star @ amp)
+            if (abs(rho) <= eps * norm_star * normr
+                    or abs(denom) <= eps * norm_star * np.linalg.norm(amp)):
+                iters += 1  # breakdown: the restart counts as an iteration
                 break
-            restarted = True
-            r = b - A.matvec(x)
-            r_star = r.copy()
-            p = r.copy()
-            rho = float(r_star @ r)
-        mp = precond(p)
-        amp = A.matvec(mp)
-        denom = float(r_star @ amp)
-        breakdown = abs(denom) < tiny or abs(rho) < tiny
-        if breakdown:
-            continue
-        alpha = rho / denom
-        s = r - alpha * amp
-        ms = precond(s)
-        ams = A.matvec(ms)
-        ams_sq = float(ams @ ams)
-        if ams_sq < tiny:  # s vanished: x + alpha M p is the last iterate
-            x = x + alpha * mp
+            alpha = rho / denom
+            s = r - alpha * amp
+            ms = precond(s)
+            ams = A.matvec(ms)
+            ams_sq = float(ams @ ams)
             iters += 1
-            break
-        omega = float(ams @ s) / ams_sq
-        x = x + alpha * mp + omega * ms
-        r = s - omega * ams
-        iters += 1
-        if np.linalg.norm(r) <= target:
-            true_res = np.linalg.norm(b - A.matvec(x))
-            if true_res <= target:
-                return np.ldexp(x, k), SolveStats(iters, true_res / norm_b, True)
-        breakdown = abs(omega) < tiny
-        if breakdown:
-            continue
-        rho_new = float(r_star @ r)
-        beta = (rho_new / rho) * (alpha / omega)
-        rho = rho_new
-        p = r + beta * (p - omega * amp)
-
-    final = np.linalg.norm(b - A.matvec(x))
-    return np.ldexp(x, k), SolveStats(iters, final / norm_b, bool(final <= target))
+            if ams_sq < tiny:  # s vanished: x + alpha M p is the next iterate
+                x = x + alpha * mp
+                break
+            omega = float(ams @ s) / ams_sq
+            x = x + alpha * mp + omega * ms
+            r = s - omega * ams
+            normr = np.linalg.norm(r)
+            if normr <= target:
+                true_res = np.linalg.norm(b - A.matvec(x))
+                if true_res <= target:
+                    return np.ldexp(x, k), SolveStats(iters, true_res / norm_b, True)
+            if abs(omega) < tiny:  # breakdown: restart
+                break
+            rho_new = float(r_star @ r)
+            beta = (rho_new / rho) * (alpha / omega)
+            rho = rho_new
+            p = r + beta * (p - omega * amp)

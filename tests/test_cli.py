@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -19,6 +20,12 @@ class Args:
                         out=None, config=None, seed=None)
         defaults.update(kw)
         self.__dict__.update(defaults)
+
+
+def test_every_run_config_field_has_a_key():
+    # a field no key sets is a setting only the Python API can reach
+    set_by_keys = {field for _, field, _, _ in cli.KEYS.values() if field}
+    assert set_by_keys == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_defaults_are_reference_settings():
@@ -60,6 +67,8 @@ def test_nonfinite_input_is_config_error(tmp_path, capsys, flag, value):
     "convergence --levels 4,2,abc --s-end 0.2",
     "convergence --levels 4,2 --s-end 0.2",
     "convergence --levels 4,2,0 --s-end 0.2",
+    "convergence --levels 100,50,25 --s-end 0.2",  # every level rounds to n = 1
+    "convergence --levels 1,1,1 --s-end 0.2",
     "poincare-check --n 4 --trials 0",
     "poincare-check --n 4 --trials x",
     "poincare-check --n 4 --trials 5 --t-grid 0,-1",
@@ -254,3 +263,15 @@ def test_convergence_command(tmp_path):
     assert len(lines) == 4
     assert lines[1].endswith(",")  # first level has no pairwise order
     assert "power-law fit" in (out / "report.txt").read_text()
+
+
+def test_convergence_reports_the_mesh_it_ran_on(tmp_path):
+    # h = 0.7, 0.3, 0.13 on a side of 20 run on n = 29, 67 and 154, whose h
+    # the table, the orders and the fit use; n = 67 and 154 at dt = 0.1 also
+    # need the solver's relative breakdown test
+    out = tmp_path / "conv"
+    rc = main(["convergence", "--levels", "0.7,0.3,0.13", "--s-end", "0.2", "--dt", "0.1",
+               "--out", str(out)])
+    assert rc == 0
+    rows = [line.split(",") for line in (out / "errors.csv").read_text().splitlines()[1:]]
+    assert [float(row[0]) for row in rows] == [20 / 29, 20 / 67, 20 / 154]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kfplab import analytic, sparse
-from kfplab.analysis import l2_error
+from kfplab.analysis import final_errors, l2_error
 from kfplab.assembly import assemble_blocks
 from kfplab.mesh import RectDomain, build_structured_mesh
 from kfplab.solvers import (
@@ -103,9 +103,17 @@ def test_form_mismatch_rejected():
 
 
 def test_solver_failure_aborts_run():
-    cfg = RunConfig(form="lagrangian", n=16, dt=0.01, horizon=0.1, tol=1e-15, max_iter=1)
+    cfg = RunConfig(form="lagrangian", n=16, dt=0.01, horizon=0.1, tol=1e-300)
     with pytest.raises(SolverError):
         run_lagrangian(cfg)
+
+
+def test_selfsimilar_solve_survives_lost_biorthogonality():
+    # at dt = 0.1 this solve loses r* . r to rounding within 20 iterations;
+    # an absolute breakdown test missed it and BiCGStab diverged to 1e27
+    traj = run_selfsimilar(RunConfig(form="selfsimilar", n=67, dt=0.1, horizon=0.2214))
+    assert len(traj.times) == 3
+    assert final_errors(traj)[0] < traj.final.mesh.h ** 2  # 0.043 < 0.089
 
 
 def test_original_one_step_matches_manual():
@@ -130,7 +138,7 @@ def test_original_one_step_matches_manual():
 
 def test_lagrangian_one_step_matches_manual():
     # one step = theta solve with the midpoint operator, preconditioned along
-    # z-lines (offsets +-w, w = n - 1)
+    # z-lines (offsets +-w, w = n - 1 = isqrt of the interior count)
     cfg = RunConfig(form="lagrangian", n=10, dt=0.05, horizon=0.05)
     traj = run_lagrangian(cfg)
     mesh = traj.final.mesh
@@ -139,7 +147,7 @@ def test_lagrangian_one_step_matches_manual():
     a_mid = blocks.lagrangian(0.5 * cfg.dt)
     lhs = sparse.combine([(1.0, blocks.mass), (cfg.dt * cfg.theta, a_mid)])
     rhs = sparse.combine([(1.0, blocks.mass), (-cfg.dt * (1 - cfg.theta), a_mid)]).matvec(x)
-    y, _ = sparse.solve(lhs, rhs, tol=cfg.tol, x0=x, precond=sparse.line_jacobi(lhs, mesh.n - 1))
+    y, _ = sparse.solve(lhs, rhs, tol=cfg.tol, x0=x, precond=sparse.line_jacobi(lhs))
     assert np.max(np.abs(traj.final.interior_values() - y)) < 1e-12
 
 
@@ -248,7 +256,7 @@ def test_runconfig_validation():
         RunConfig(sigma1=1.01)
     for bad in (dict(dt=math.nan), dict(horizon=math.inf), dict(theta=math.nan),
                 dict(sigma1=math.nan), dict(sigma1=-math.inf), dict(tol=math.nan),
-                dict(tol=0.0), dict(max_iter=0), dict(snapshot_stride=-1),
+                dict(tol=0.0), dict(snapshot_stride=-1),
                 dict(n=0), dict(n=4.0),
                 # horizon / dt overflows, or passes 2^53 steps, and the
                 # self-similar growth factor exp(sigma2 * dt) overflows

@@ -18,7 +18,6 @@ from .analytic import (
     kernel_G,
     kernel_Lq_norm,
     linf_envelope,
-    map_variables,
     poincare_constant,
     steady_state,
 )

@@ -219,36 +219,6 @@ def linf_envelope(s: float, l1_norm: float, linf_norm: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# time and variable maps
-# ---------------------------------------------------------------------------
-
-def map_variables(direction: str, time: float, point):
-    """Coordinate maps between the three frames.
-
-    Returns (mapped_time, mapped_point, amplitude_factor). The shear maps
-    keep time and carry factor 1; the self-similar maps exchange t and s and
-    carry the amplitude e^{2s} (multiply a Lagrangian-frame value by the
-    factor to obtain the self-similar-frame value, divide for the inverse).
-    The rescaled time is s = log(1 + t), so t = expm1(s); both are >= 0.
-    """
-    a, b = (np.asarray(c, dtype=float) for c in point)
-    if direction == "to_lagrangian":
-        return time, (a, b + time * a), 1.0
-    if direction == "from_lagrangian":
-        return time, (a, b - time * a), 1.0
-    if direction == "to_selfsimilar":
-        if time < 0:
-            raise ValueError("t must be nonnegative")
-        s = math.log1p(time)
-        return s, (a * math.exp(-0.5 * s), b * math.exp(-1.5 * s)), math.exp(2.0 * s)
-    if direction == "from_selfsimilar":
-        if time < 0:
-            raise ValueError("s must be nonnegative")
-        return math.expm1(time), (a * math.exp(0.5 * time), b * math.exp(1.5 * time)), math.exp(2.0 * time)
-    raise ValueError(f"unknown direction {direction!r}")
-
-
-# ---------------------------------------------------------------------------
 # truncated-domain constants
 # ---------------------------------------------------------------------------
 

@@ -2,7 +2,9 @@
 
 Every grid cell is split along the lower-left to upper-right diagonal, so
 assembly and error numbers are fully deterministic. Meshes are immutable
-after construction and all operations here are pure.
+after construction and all operations here are pure. A Location holds
+points placed on a mesh, so that fixed points are located once and any
+field on the mesh is interpolated there by three gathers.
 """
 
 from dataclasses import dataclass
@@ -156,14 +158,27 @@ def midpoint_quadrature(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     return edge_midpoints(mesh.element_coords()), mesh.element_areas() / 3.0
 
 
-def interpolate_many(field: Field, points: np.ndarray) -> np.ndarray:
-    """P1 values at arbitrary points, 0 outside the domain (Dirichlet extension).
+@dataclass(frozen=True)
+class Location:
+    """Points placed on a mesh once, for P1 interpolation of any field on it.
 
-    Point location is pure cell-index arithmetic on the uniform grid followed
-    by the two-triangle test; points within 1e-12 * h of the boundary count as
-    inside.
+    Per point: the node ids (a, b, c) of the triangle holding it and their
+    P1 weights, and whether it lies outside the domain. a is the cell's
+    lower-left node; b, c are its lower-right and upper-right nodes in the
+    lower triangle and its upper-right and upper-left nodes in the upper one.
     """
-    mesh = field.mesh
+
+    mesh: TriMesh
+    nodes: tuple  # (a, b, c), int arrays of shape (N,)
+    weights: tuple  # (wa, wb, wc), float arrays of shape (N,)
+    outside: np.ndarray  # bool, shape (N,)
+
+
+def locate(mesh: TriMesh, points: np.ndarray) -> Location:
+    """Place (N, 2) points on the mesh: cell-index arithmetic on the uniform
+    grid followed by the two-triangle test. Points within 1e-12 * h of the
+    boundary count as inside; a point with a non-finite coordinate counts as
+    outside."""
     dom = mesh.domain
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = mesh.n
@@ -173,21 +188,36 @@ def interpolate_many(field: Field, points: np.ndarray) -> np.ndarray:
     pad = tol / min(mesh.hv, mesh.hz)
     inside = (gx >= -pad) & (gx <= n + pad) & (gy >= -pad) & (gy <= n + pad)
 
-    gx = np.clip(gx, 0.0, n)
-    gy = np.clip(gy, 0.0, n)
+    # outside points go to cell 0, which keeps NaN out of the integer cast
+    gx = np.clip(np.where(inside, gx, 0.0), 0.0, n)
+    gy = np.clip(np.where(inside, gy, 0.0), 0.0, n)
     i = np.minimum(gx.astype(np.int64), n - 1)
     j = np.minimum(gy.astype(np.int64), n - 1)
     xi = gx - i
     eta = gy - j
 
     nv = n + 1
-    u = field.values
     ll = j * nv + i
-    lr = ll + 1
     ul = ll + nv
     ur = ul + 1
-    low = u[ll] * (1.0 - xi) + u[lr] * (xi - eta) + u[ur] * eta
-    up = u[ll] * (1.0 - eta) + u[ur] * xi + u[ul] * (eta - xi)
-    out = np.where(eta <= xi, low, up)
-    out[~inside] = 0.0
+    lower = eta <= xi
+    nodes = (ll, np.where(lower, ll + 1, ur), np.where(lower, ur, ul))
+    weights = (np.where(lower, 1.0 - xi, 1.0 - eta), np.where(lower, xi - eta, xi),
+               np.where(lower, eta, eta - xi))
+    return Location(mesh, nodes, weights, ~inside)
+
+
+def interpolate_many(field: Field, points: "np.ndarray | Location") -> np.ndarray:
+    """P1 values at arbitrary points, 0 outside the domain (Dirichlet extension).
+
+    points is an (N, 2) array, located here, or a Location on the field's
+    mesh, which lets a caller locate fixed points once for many fields.
+    """
+    loc = points if isinstance(points, Location) else locate(field.mesh, points)
+    if loc.mesh is not field.mesh:
+        raise ValueError("the points were located on another mesh")
+    u = field.values
+    (a, b, c), (wa, wb, wc) = loc.nodes, loc.weights
+    out = u[a] * wa + u[b] * wb + u[c] * wc
+    out[loc.outside] = 0.0
     return out

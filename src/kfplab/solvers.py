@@ -24,7 +24,7 @@ import numpy as np
 
 from . import analytic, sparse
 from .assembly import assemble_blocks
-from .mesh import Field, RectDomain, TriMesh, build_structured_mesh, interpolate_many
+from .mesh import Field, RectDomain, TriMesh, build_structured_mesh, interpolate_many, locate
 
 FORMS = ("original", "lagrangian", "selfsimilar")
 
@@ -177,16 +177,17 @@ def run_original(config: RunConfig, f0=None) -> Trajectory:
     mesh = state.mesh
     # all are constant: the theta sides of the v-direction heat operator with
     # the implicit side's preconditioner, and the feet (v, x + v dt) of the
-    # exact characteristics
+    # exact characteristics through the interior nodes, located once
     lhs = _implicit_side(blocks.mass, blocks.d_vv, config)
     precond = sparse.jacobi(lhs)
     rhs_mat = _explicit_side(blocks.mass, blocks.d_vv, config)
     feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * config.dt])
+    at_feet = locate(mesh, feet[mesh.interior])
     x = state.interior_values()
     for step in range(1, config.steps + 1):
         t_new = step * config.dt
         x = _theta_step(lhs, precond, rhs_mat, x, config)
-        x = interpolate_many(state.with_interior(x, t_new), feet)[mesh.interior]
+        x = interpolate_many(state.with_interior(x, t_new), at_feet)
         rec.record(step, t_new, x)
     return rec.done()
 

@@ -37,7 +37,9 @@ class SparseMatrix:
 
     offsets are strictly increasing and data has shape (len(offsets), m),
     row-aligned: y[i] = sum_k data[k, i] * x[i + offsets[k]]. Slots whose
-    column i + offsets[k] falls outside the matrix are ignored.
+    column i + offsets[k] falls outside the matrix are ignored. The matrix
+    is immutable, so the span of rows each diagonal reaches is fixed at
+    construction.
     """
 
     def __init__(self, offsets, data):
@@ -47,20 +49,19 @@ class SparseMatrix:
             raise ValueError("offsets must be strictly increasing")
         if self.data.ndim != 2 or self.data.shape[0] != len(self.offsets):
             raise ValueError(f"data shape {self.data.shape} does not match {len(self.offsets)} offsets")
-        self.rows = self.data.shape[1]
-
-    def _spans(self):
-        """(offset, diagonal, first row, end row) for the rows each diagonal reaches."""
-        m = self.rows
+        self.rows = m = self.data.shape[1]
+        # (diagonal in rows lo..hi, lo, hi, lo + off, hi + off) per diagonal
+        # that reaches the matrix, in ascending offset order
+        self._spans = []
         for off, d in zip(self.offsets, self.data):
             lo, hi = max(0, -off), min(m, m - off)
             if lo < hi:
-                yield off, d, lo, hi
+                self._spans.append((d[lo:hi], lo, hi, lo + off, hi + off))
 
     @property
     def nnz(self) -> int:
         """Stored entries inside the matrix: the multiply-adds of one matvec."""
-        return sum(hi - lo for _, _, lo, hi in self._spans())
+        return sum(hi - lo for _, lo, hi, _, _ in self._spans)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -69,21 +70,14 @@ class SparseMatrix:
         # ascending offsets are ascending columns, so every row sums its
         # entries in column order starting from zero
         y = np.zeros(self.rows)
-        for off, d, lo, hi in self._spans():
-            y[lo:hi] += d[lo:hi] * x[lo + off:hi + off]
+        for d, lo, hi, x_lo, x_hi in self._spans:
+            y[lo:hi] += d * x[x_lo:x_hi]
         return y
 
     def diagonal(self) -> np.ndarray:
         if 0 not in self.offsets:
             return np.zeros(self.rows)
         return self.data[self.offsets.index(0)].copy()
-
-    def toarray(self) -> np.ndarray:
-        a = np.zeros((self.rows, self.rows))
-        for off, d, lo, hi in self._spans():
-            i = np.arange(lo, hi)
-            a[i, i + off] = d[lo:hi]
-        return a
 
 
 def combine(terms) -> SparseMatrix:
@@ -128,6 +122,11 @@ def line_jacobi(A: SparseMatrix):
     return lambda r: (t_inv @ r.reshape(w, w)).ravel()
 
 
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a vector, as np.linalg.norm takes it, without its dispatch."""
+    return math.sqrt(v @ v)
+
+
 def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER, x0: np.ndarray | None = None, precond=None):
     """Right-preconditioned BiCGStab for A x = b.
@@ -155,7 +154,7 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
 
     k = int(np.frexp(np.abs(b).max(initial=0.0))[1])
     b = np.ldexp(b, -k)
-    norm_b = np.linalg.norm(b)
+    norm_b = _norm(b)
     if norm_b == 0.0:
         return np.zeros(A.rows), SolveStats(0, 0.0, True)
 
@@ -168,7 +167,7 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     iters = 0
     while True:  # each pass starts the recurrence from the current iterate
         r = b - A.matvec(x)
-        normr = np.linalg.norm(r)
+        normr = _norm(r)
         if normr <= target or iters >= max_iter:
             return np.ldexp(x, k), SolveStats(iters, normr / norm_b, bool(normr <= target))
         r_star = r.copy()
@@ -179,7 +178,7 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
             amp = A.matvec(mp)
             denom = float(r_star @ amp)
             if (abs(rho) <= eps * norm_star * normr
-                    or abs(denom) <= eps * norm_star * np.linalg.norm(amp)):
+                    or abs(denom) <= eps * norm_star * _norm(amp)):
                 iters += 1  # breakdown: the restart counts as an iteration
                 break
             alpha = rho / denom
@@ -194,9 +193,9 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
             omega = float(ams @ s) / ams_sq
             x = x + alpha * mp + omega * ms
             r = s - omega * ams
-            normr = np.linalg.norm(r)
+            normr = _norm(r)
             if normr <= target:
-                true_res = np.linalg.norm(b - A.matvec(x))
+                true_res = _norm(b - A.matvec(x))
                 if true_res <= target:
                     return np.ldexp(x, k), SolveStats(iters, true_res / norm_b, True)
             if abs(omega) < tiny:  # breakdown: restart

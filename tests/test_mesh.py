@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from kfplab.mesh import (
     RectDomain,
     build_structured_mesh,
     interpolate_many,
+    locate,
     midpoint_quadrature,
 )
 
@@ -100,6 +103,76 @@ def test_boundary_roundoff_treated_as_inside():
     f = Field(m, m.nodes[:, 0])
     eps = 1e-13 * m.h
     assert interpolate_many(f, [[1.0 + eps, 0.5]])[0] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_interpolate_non_finite_points_are_outside_without_warning():
+    # as under python -W error, a warning would raise
+    m = build_structured_mesh(UNIT, 4)
+    f = Field(m, np.ones(m.node_count))
+    nan, inf = float("nan"), float("inf")
+    pts = [[nan, 0.5], [0.5, nan], [nan, nan], [inf, 0.5], [-inf, -inf], [nan, inf], [0.5, 0.5]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = interpolate_many(f, pts)
+    assert got.tobytes() == np.array([0.0] * 6 + [1.0]).tobytes()
+
+
+def _interpolate_both_triangles(field, points):
+    """The P1 interpolant evaluated directly: both triangle formulas of each
+    point's cell, then the one of the triangle holding it, 0 outside."""
+    mesh, dom = field.mesh, field.mesh.domain
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = mesh.n
+    gx = (pts[:, 0] - dom.v_min) / mesh.hv
+    gy = (pts[:, 1] - dom.z_min) / mesh.hz
+    pad = 1e-12 * mesh.h / min(mesh.hv, mesh.hz)
+    inside = (gx >= -pad) & (gx <= n + pad) & (gy >= -pad) & (gy <= n + pad)
+    gx, gy = np.clip(gx, 0.0, n), np.clip(gy, 0.0, n)
+    i = np.minimum(gx.astype(np.int64), n - 1)
+    j = np.minimum(gy.astype(np.int64), n - 1)
+    xi, eta = gx - i, gy - j
+    u = field.values
+    ll = j * (n + 1) + i
+    lr, ul = ll + 1, ll + n + 1
+    ur = ul + 1
+    low = u[ll] * (1.0 - xi) + u[lr] * (xi - eta) + u[ur] * eta
+    up = u[ll] * (1.0 - eta) + u[ur] * xi + u[ul] * (eta - xi)
+    out = np.where(eta <= xi, low, up)
+    out[~inside] = 0.0
+    return out
+
+
+def test_located_interpolation_is_bit_identical_to_the_direct_formula():
+    dom = RectDomain(-3.0, 2.0, 0.5, 4.0)
+    m = build_structured_mesh(dom, 9)
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal(m.node_count)
+    values[rng.random(m.node_count) < 0.3] = -0.0  # zero weights then give signed zeros
+    f = Field(m, values)
+    grid_v = dom.v_min + m.hv * np.arange(m.n + 1)
+    grid_z = dom.z_min + m.hz * np.arange(m.n + 1)
+    t = rng.uniform(0.0, 1.0, 200)
+    near = 1e-12 * m.h * np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+    pts = np.concatenate([
+        np.column_stack([rng.uniform(-4.0, 3.0, 400), rng.uniform(-0.5, 5.0, 400)]),  # inside and out
+        np.column_stack([rng.choice(grid_v, 200), rng.uniform(0.5, 4.0, 200)]),  # on v-edges
+        np.column_stack([rng.uniform(-3.0, 2.0, 200), rng.choice(grid_z, 200)]),  # on z-edges
+        np.column_stack([rng.choice(grid_v[:-1], 200) + t * m.hv,
+                         rng.choice(grid_z[:-1], 200) + t * m.hz]),  # on cell diagonals
+        np.array([[v + d, z] for v in (dom.v_min, dom.v_max) for d in near for z in (0.5, 2.0, 4.0)]),
+        np.array([[v, z + d] for z in (dom.z_min, dom.z_max) for d in near for v in (-3.0, 0.0, 2.0)]),
+        m.nodes,
+    ])
+    want = _interpolate_both_triangles(f, pts).tobytes()
+    assert interpolate_many(f, pts).tobytes() == want
+    assert interpolate_many(f, locate(m, pts)).tobytes() == want
+
+
+def test_location_serves_only_its_own_mesh():
+    loc = locate(build_structured_mesh(UNIT, 4), [[0.5, 0.5]])
+    other = build_structured_mesh(UNIT, 4)
+    with pytest.raises(ValueError):
+        interpolate_many(Field(other, np.ones(other.node_count)), loc)
 
 
 def test_quadrature_reference_triangle_monomials():

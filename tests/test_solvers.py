@@ -8,7 +8,7 @@ import pytest
 from kfplab import analytic, sparse
 from kfplab.analysis import final_errors, l2_error
 from kfplab.assembly import assemble_blocks
-from kfplab.mesh import RectDomain, build_structured_mesh
+from kfplab.mesh import RectDomain, build_structured_mesh, interpolate_many
 from kfplab.solvers import (
     RunConfig,
     SolverError,
@@ -129,11 +129,38 @@ def test_original_one_step_matches_manual():
     y, stats = sparse.solve(lhs, rhs, tol=cfg.tol, x0=x)
     assert stats.converged
     half = f0.with_interior(y, cfg.dt)
-    from kfplab.mesh import interpolate_many
     feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * cfg.dt])
     want = interpolate_many(half, feet)
     want[mesh.boundary] = 0.0
     assert np.max(np.abs(traj.final.values - want)) < 1e-12
+
+
+def test_original_is_bit_identical_to_interpolating_at_every_foot():
+    # run_original locates the feet of the interior nodes once; interpolating
+    # at the feet of all nodes on every step and keeping the interior values
+    # gives the same bits, and so do the norms the recorder takes of them
+    cfg = RunConfig(form="original", n=16, dt=0.05, horizon=1.0)
+    assert cfg.steps == 20
+    traj = run_original(cfg)
+    mesh = traj.final.mesh
+    blocks = assemble_blocks(mesh)
+    state = project_initial(mesh, analytic.gaussian_ic)
+    lhs = sparse.combine([(1.0, blocks.mass), (cfg.dt * cfg.theta, blocks.d_vv)])
+    rhs_mat = sparse.combine([(1.0, blocks.mass), (-cfg.dt * (1.0 - cfg.theta), blocks.d_vv)])
+    feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * cfg.dt])
+    x = state.interior_values()
+    l2, linf = [], []
+    for step in range(1, cfg.steps + 1):
+        x, stats = sparse.solve(lhs, rhs_mat.matvec(x), tol=cfg.tol, x0=x, precond=sparse.jacobi(lhs))
+        assert stats.converged
+        x = interpolate_many(state.with_interior(x, step * cfg.dt), feet)[mesh.interior]
+        linf.append(float(np.abs(x).max(initial=0.0)))
+        k = math.frexp(linf[-1])[1]
+        y = np.ldexp(x, -k)
+        l2.append(math.ldexp(math.sqrt(max(y @ blocks.mass.matvec(y), 0.0)), k))
+    assert traj.final.interior_values().tobytes() == x.tobytes()
+    assert traj.l2[1:].tobytes() == np.array(l2).tobytes()
+    assert traj.linf[1:].tobytes() == np.array(linf).tobytes()
 
 
 def test_lagrangian_one_step_matches_manual():
@@ -152,7 +179,7 @@ def test_lagrangian_one_step_matches_manual():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_lagrangian_small_meshes_match_dense_steps(n):
+def test_lagrangian_small_meshes_match_dense_steps(n, to_dense):
     # n = 1 has no interior unknown, n = 2 one and n = 3 a 2 x 2 grid: z-lines
     # of length 0, 1 and 2
     cfg = RunConfig(form="lagrangian", n=n, dt=0.1, horizon=0.3)
@@ -162,7 +189,7 @@ def test_lagrangian_small_meshes_match_dense_steps(n):
     x = project_initial(traj.final.mesh, analytic.gaussian_ic).interior_values()
     for step in range(3):
         a_mid = blocks.lagrangian((step + 0.5) * cfg.dt)
-        lhs = sparse.combine([(1.0, blocks.mass), (cfg.dt * cfg.theta, a_mid)]).toarray()
+        lhs = to_dense(sparse.combine([(1.0, blocks.mass), (cfg.dt * cfg.theta, a_mid)]))
         rhs = sparse.combine([(1.0, blocks.mass), (-cfg.dt * (1 - cfg.theta), a_mid)]).matvec(x)
         x = np.linalg.solve(lhs, rhs) if len(x) else x
     got = traj.final.interior_values()

@@ -39,7 +39,7 @@ def test_constructor_rejects_malformed_input():
         sparse.SparseMatrix((0,), np.zeros(3))
 
 
-def test_duplicates_are_summed():
+def test_duplicates_are_summed(to_dense):
     # an element with k interior vertices adds k^2 contributions to the
     # interior band; repeated (row, col) pairs must land in one slot, so the
     # diagonal counts the elements around each interior node
@@ -47,7 +47,7 @@ def test_duplicates_are_summed():
     n_el = len(mesh.elements)
     A = _banded(mesh, {"ones": np.ones((n_el, 3, 3))})["ones"]
     inner = mesh.interior_index[mesh.elements] >= 0
-    assert A.toarray().sum() == float(np.sum(inner.sum(axis=1) ** 2))
+    assert to_dense(A).sum() == float(np.sum(inner.sum(axis=1) ** 2))
     per_node = np.bincount(mesh.elements.ravel(), minlength=mesh.node_count)
     assert np.array_equal(A.diagonal(), per_node[mesh.interior])
 
@@ -95,6 +95,29 @@ def test_matvec_against_dense_reference():
     A = dia_of(D)
     x = rng.standard_normal(20)
     assert np.max(np.abs(A.matvec(x) - D @ x)) < 1e-13
+
+
+def _matvec_by_rows(A, x):
+    """y[i] summed entry by entry in ascending offset order from 0.0."""
+    y = np.zeros(A.rows)
+    for i in range(A.rows):
+        acc = 0.0
+        for off, d in zip(A.offsets, A.data):
+            if 0 <= i + off < A.rows:
+                acc += d[i] * x[i + off]
+        y[i] = acc
+    return y
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])  # at n = 2 the grid offsets collapse
+def test_matvec_is_bit_identical_to_a_row_loop(n):
+    blocks = assemble_blocks(build_structured_mesh(RectDomain(-1.0, 2.0, 0.5, 3.0), n))
+    rng = np.random.default_rng(n)
+    for A in (blocks.mass, blocks.d_vv, blocks.d_zz, blocks.d_vz_sym, blocks.b_adv):
+        x = rng.standard_normal(A.rows)
+        x[rng.random(A.rows) < 0.3] = -0.0
+        assert A.matvec(x).tobytes() == _matvec_by_rows(A, x).tobytes()
+        assert A.nnz == sum(0 <= i + off < A.rows for off in A.offsets for i in range(A.rows))
 
 
 def test_matvec_linearity():
@@ -198,11 +221,11 @@ def test_combine_requires_matching_pattern():
         sparse.combine([(1.0, A), (1.0, identity(4))])
 
 
-def test_combine_and_pattern_assembly():
+def test_combine_and_pattern_assembly(to_dense):
     A = sparse.SparseMatrix((0,), [[2.0, 2.0, 3.0]])
     B = sparse.SparseMatrix((0,), [[1.0, 0.5, 0.5]])
     C = sparse.combine([(2.0, A), (-1.0, B)])
-    assert np.allclose(C.toarray(), np.diag([3.0, 3.5, 5.5]))
+    assert np.allclose(to_dense(C), np.diag([3.0, 3.5, 5.5]))
 
 
 def test_solve_breakdown_restart_reports_failure():
@@ -224,10 +247,10 @@ def lagrangian_lhs(n, t, dt=0.1):
 
 @pytest.mark.parametrize("t", [0.0, 1.0, 10.0])
 @pytest.mark.parametrize("n", [3, 5, 12])
-def test_line_jacobi_is_the_inverse_of_the_line_part(n, t):
+def test_line_jacobi_is_the_inverse_of_the_line_part(n, t, to_dense):
     # the z-lines are the entries at offsets 0 and +-w, w = n - 1
     A, w = lagrangian_lhs(n, t), n - 1
-    dense = A.toarray()
+    dense = to_dense(A)
     i, j = np.indices(dense.shape)
     tri = np.where(np.isin(j - i, (0, w, -w)), dense, 0.0)
     r = np.random.default_rng(n).standard_normal(A.rows)
@@ -249,12 +272,12 @@ def test_line_jacobi_needs_a_square_grid():
         sparse.line_jacobi(identity(6))
 
 
-def test_solve_with_line_jacobi_vs_dense_elimination():
+def test_solve_with_line_jacobi_vs_dense_elimination(to_dense):
     A = lagrangian_lhs(12, 10.0)
     b = np.random.default_rng(5).standard_normal(A.rows)
     x, stats = sparse.solve(A, b, tol=1e-12, precond=sparse.line_jacobi(A))
     assert stats.converged
     _, jacobi_stats = sparse.solve(A, b, tol=1e-12)
     assert stats.iterations < jacobi_stats.iterations
-    want = np.linalg.solve(A.toarray(), b)
+    want = np.linalg.solve(to_dense(A), b)
     assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))

@@ -148,27 +148,27 @@ def decay_fit(times: np.ndarray, norms: np.ndarray, window=None,
     return _line_fit(times, np.log(norms))
 
 
-def ladder_sizes(domain: RectDomain, h_levels) -> list:
-    """Mesh sizes n = round(side / h) of a refinement ladder: at least three
-    levels, each on its own mesh."""
-    sizes = [max(1, round(domain.side_v / h)) for h in h_levels]
+def ladder_configs(base: RunConfig, h_levels) -> list:
+    """The self-similar run of each level of a refinement ladder, on the mesh
+    size n = round(side / h): at least three levels, each on its own mesh."""
+    sizes = [max(1, round(base.domain.side_v / h)) for h in h_levels]
     if len(sizes) < 3:
         raise ValueError("a convergence study needs at least 3 levels")
     if len(set(sizes)) < len(sizes):
         raise ValueError(f"the levels give the meshes n = {sizes}: a ladder needs a new mesh at each level")
-    return sizes
+    return [replace(base, form="selfsimilar", n=n) for n in sizes]
 
 
 def convergence_study(base: RunConfig, h_levels):
     """Self-similar runs over a ladder of mesh sizes to the config's horizon
     (in t-units), errors against the closed-form solution at the final
-    rescaled time. h maps to n = round(side / h) (see ladder_sizes); the
+    rescaled time. h maps to n = round(side / h) (see ladder_configs); the
     report, its orders and the fit use the h of the mesh each level ran on.
     Returns (ErrorReport, FitResult).
     """
     h, errors = [], []
-    for n in ladder_sizes(base.domain, h_levels):
-        traj = run_selfsimilar(replace(base, form="selfsimilar", n=n))
+    for config in ladder_configs(base, h_levels):
+        traj = run_selfsimilar(config)
         h.append(traj.final.mesh.h)
         errors.append(final_errors(traj))
     h = np.array(h)
@@ -180,7 +180,8 @@ def convergence_study(base: RunConfig, h_levels):
 def poincare_check(mesh: TriMesh, t: float, trials: int, seed: int = 1234) -> float:
     """Worst ratio ||g|| / (coef * ||d_v g + t d_z g||) over random
     zero-boundary P1 fields, by exact element quadrature. The directional
-    Poincare inequality says this never exceeds 1."""
+    Poincare inequality says this never exceeds 1. NaN when a quadratic form
+    overflows, as t^2 does past about 1.3e154."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     blocks = assemble_blocks(mesh)
@@ -192,6 +193,8 @@ def poincare_check(mesh: TriMesh, t: float, trials: int, seed: int = 1234) -> fl
         x = rng.uniform(-1.0, 1.0, mesh.interior_count)
         num = float(x @ blocks.mass.matvec(x))
         den = float(x @ a_t.matvec(x))
+        if not math.isfinite(den):
+            return math.nan  # an overflowed quadratic form measures nothing
         if den <= 0.0:
             continue  # directional derivative vanishes -> g vanishes
         worst = max(worst, math.sqrt(num / den) / coef)
@@ -202,21 +205,28 @@ NESTED_INNER = RectDomain.square(2.0)  # the region the nested-domain study comp
 NESTED_GRID = 200  # cells per side of its comparison grid
 
 
+def nested_configs(base: RunConfig, scales) -> list:
+    """The self-similar run of each scale, on scale * [-1, 1]^2 at one mesh
+    size h: the largest scale uses base.n."""
+    h = 2.0 * max(scales) / base.n
+    return [replace(base, form="selfsimilar", domain=RectDomain.square(scale),
+                    n=max(1, round(2.0 * scale / h))) for scale in scales]
+
+
 def nested_domain_study(base: RunConfig, scales):
     """Self-similar runs on growing domains scale * [-1, 1]^2, compared on
     NESTED_INNER at the final time, by the midpoint rule on a NESTED_GRID x
     NESTED_GRID grid of cells.
 
-    Mesh size h is kept constant across scales (the largest scale uses
-    base.n); pick base.n so every 2 * scale / h is an integer, otherwise the
-    per-scale rounding perturbs h and the discretization mismatch drowns the
+    Mesh size h is kept constant across scales (see nested_configs); pick
+    base.n so every 2 * scale / h is an integer, otherwise the per-scale
+    rounding perturbs h and the discretization mismatch drowns the
     truncation signal being measured. Scales whose domain violates the size
     condition are flagged and excluded from the monotonicity contract.
     Returns (scales_used, discrepancies between consecutive scales,
     violation flags).
     """
     scales = sorted(float(s) for s in scales)
-    h = 2.0 * max(scales) / base.n
 
     gv = np.linspace(NESTED_INNER.v_min, NESTED_INNER.v_max, NESTED_GRID + 1)
     gz = np.linspace(NESTED_INNER.z_min, NESTED_INNER.z_max, NESTED_GRID + 1)
@@ -228,15 +238,12 @@ def nested_domain_study(base: RunConfig, scales):
 
     flags = []
     samples = []
-    for scale in scales:
-        domain = RectDomain.square(scale)
-        violates = not analytic.domain_condition(domain)
+    for scale, config in zip(scales, nested_configs(base, scales)):
+        violates = not analytic.domain_condition(config.domain)
         flags.append(violates)
         if violates:
             warnings.warn(f"scale {scale} violates the domain size condition; "
                           "excluded from the monotonicity contract", RuntimeWarning, stacklevel=2)
-        n = max(1, round(2.0 * scale / h))
-        config = replace(base, form="selfsimilar", domain=domain, n=n)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             traj = run_selfsimilar(config)

@@ -60,10 +60,13 @@ def _s_end(text: str) -> float:
     return math.expm1(s)
 
 
-def _count(text: str) -> int:
-    if int(text) < 1:
-        raise ValueError(f"need an integer >= 1, got {text!r}")
-    return int(text)
+def _integer(least: int):
+    """Converter for an integer >= least."""
+    def convert(text: str) -> int:
+        if int(text) < least:
+            raise ValueError(f"need an integer >= {least}, got {text!r}")
+        return int(text)
+    return convert
 
 
 # Every key, declared once: (converter, RunConfig field it sets or None,
@@ -82,12 +85,12 @@ KEYS = {
     "tol": (float, "tol", None, {}),
     "snapshot-stride": (int, "snapshot_stride", None, {}),
     "out": (str, "out_dir", None, {}),
-    "seed": (int, None, None, {}),
+    "seed": (_integer(0), None, None, {}),
     "levels": (_numbers(True, least=3), None, "convergence",
                {"required": True, "help": "comma-separated h values"}),
     "s-end": (_s_end, "horizon", "convergence",
               {"help": "rescaled horizon (overrides --t-end)"}),
-    "trials": (_count, None, "poincare-check", {"default": "1000"}),
+    "trials": (_integer(1), None, "poincare-check", {"default": "1000"}),
     "t-grid": (_numbers(False), None, "poincare-check", {"default": "0,0.25,0.5,0.75,1,2,3,4,5"}),
     "scales": (_numbers(True), None, "nested-domains", {"default": "4,6,8,10"}),
 }
@@ -301,9 +304,12 @@ def main(argv=None) -> int:
         flags = {_dest(key): _convert(key, getattr(args, _dest(key)))
                  for key, (_, field, command, _) in KEYS.items()
                  if command == args.command and field is None}
-        if args.command == "convergence":  # a ladder that repeats a mesh fails before any run
-            analysis.ladder_sizes(config.domain, flags["levels"])
-    except (ValueError, OSError) as exc:
+        # every run of a study is checked before the first one starts
+        if args.command == "convergence":
+            analysis.ladder_configs(config, flags["levels"])
+        if args.command == "nested-domains":
+            analysis.nested_configs(config, flags["scales"])
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

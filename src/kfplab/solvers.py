@@ -10,8 +10,10 @@
   exponential reaction update. The two split operators commute, so the
   splitting itself introduces no error.
 
-A single run is sequential; distinct runs are independent and each produced
-Field is an immutable snapshot.
+Each form supplies only the sides of its theta step and its split update to
+one time loop, _march, which takes the steps and records the run. A single
+run is sequential; distinct runs are independent and each produced Field is
+an immutable snapshot.
 """
 
 import math
@@ -67,6 +69,9 @@ class RunConfig:
             raise ValueError(f"snapshot_stride must be nonnegative, got {self.snapshot_stride}")
         if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if 144 * self.n ** 2 > np.iinfo(np.intp).max:  # bytes of the (2 n^2, 3, 3) element kernels
+            raise ValueError(f"n must be at most {math.isqrt(np.iinfo(np.intp).max // 144)}: "
+                             "a larger mesh's arrays exceed numpy's size limit")
         if not self._span() < 2 ** 53:  # past 2^53, step * dt repeats times
             raise ValueError(f"the horizon is {self._span():.3g} steps of dt, "
                              f"more than 2**53: horizon = {self.horizon}, dt = {self.dt}")
@@ -112,43 +117,13 @@ def project_initial(mesh: TriMesh, f0) -> Field:
     return Field(mesh, vals, time=0.0)
 
 
-class _Recorder:
-    def __init__(self, config: RunConfig, mass: sparse.SparseMatrix, first: Field):
-        self.config = config
-        self.mass = mass
-        self.first = first
-        self.snapshots, self.times, self.l2, self.linf = [], [], [], []
-        self.record(0, 0.0, first.interior_values())
-
-    def record(self, step: int, time: float, x: np.ndarray):
-        """Norms of the interior vector x, and a Field at snapshot steps. The
-        boundary is pinned to 0, so the interior holds the L-inf norm;
-        initial=0.0 covers a mesh with no interior. The L2 norm is taken of
-        x scaled by a power of two near 1/linf, which is exact and keeps
-        x M x clear of overflow and underflow at any scale of x."""
-        linf = float(np.abs(x).max(initial=0.0))
-        k = math.frexp(linf)[1]
-        y = np.ldexp(x, -k)
-        self.times.append(time)
-        self.l2.append(math.ldexp(math.sqrt(max(y @ self.mass.matvec(y), 0.0)), k))
-        self.linf.append(linf)
-        stride = self.config.snapshot_stride
-        if step in (0, self.config.steps) or (stride > 0 and step % stride == 0):
-            self.snapshots.append(self.first.with_interior(x, time))
-
-    def done(self) -> Trajectory:
-        return Trajectory(self.config, self.snapshots, np.array(self.times),
-                          np.array(self.l2), np.array(self.linf))
-
-
 def _start(config: RunConfig, f0, form: str):
-    """Form check, mesh, operator blocks, projected initial state and recorder."""
+    """Form check, mesh, operator blocks and the projected initial state."""
     if config.form != form:
         raise ValueError(f"config.form must be {form!r}")
     mesh = build_structured_mesh(config.domain, config.n)
     blocks = assemble_blocks(mesh)
-    state = project_initial(mesh, analytic.gaussian_ic if f0 is None else f0)
-    return state, blocks, _Recorder(config, blocks.mass, state)
+    return project_initial(mesh, analytic.gaussian_ic if f0 is None else f0), blocks
 
 
 def _implicit_side(mass, a, config):
@@ -171,25 +146,48 @@ def _theta_step(lhs, precond, rhs_mat, x, config):
     return x_new
 
 
+def _march(config: RunConfig, first: Field, mass, sides, update=lambda k, y: y) -> Trajectory:
+    """The one time loop of every form. Step k = 1 .. config.steps is the
+    theta step with sides(k) = (lhs, precond, rhs_mat), followed by the
+    form's split update(k, y) of the solve's result y.
+
+    Records the norms of the interior vector x at every time k dt, and a
+    Field at step 0, the last step and every snapshot_stride-th step. The
+    boundary is pinned to 0, so the interior holds the L-inf norm;
+    initial=0.0 covers a mesh with no interior. The L2 norm is taken of x
+    scaled by a power of two near 1/linf, which is exact and keeps x M x
+    clear of overflow and underflow at any scale of x.
+    """
+    stride = config.snapshot_stride
+    snapshots, times, l2, linf = [], [], [], []
+    x = first.interior_values()
+    for k in range(config.steps + 1):
+        if k > 0:
+            x = update(k, _theta_step(*sides(k), x, config))
+        time = k * config.dt
+        times.append(time)
+        linf.append(float(np.abs(x).max(initial=0.0)))
+        e = math.frexp(linf[-1])[1]
+        y = np.ldexp(x, -e)
+        l2.append(math.ldexp(math.sqrt(max(y @ mass.matvec(y), 0.0)), e))
+        if k in (0, config.steps) or (stride > 0 and k % stride == 0):
+            snapshots.append(first.with_interior(x, time))
+    return Trajectory(config, snapshots, np.array(times), np.array(l2), np.array(linf))
+
+
 def run_original(config: RunConfig, f0=None) -> Trajectory:
     """Heat/transport splitting for the original form."""
-    state, blocks, rec = _start(config, f0, "original")
+    state, blocks = _start(config, f0, "original")
     mesh = state.mesh
     # all are constant: the theta sides of the v-direction heat operator with
     # the implicit side's preconditioner, and the feet (v, x + v dt) of the
     # exact characteristics through the interior nodes, located once
     lhs = _implicit_side(blocks.mass, blocks.d_vv, config)
-    precond = sparse.jacobi(lhs)
-    rhs_mat = _explicit_side(blocks.mass, blocks.d_vv, config)
+    sides = (lhs, sparse.jacobi(lhs), _explicit_side(blocks.mass, blocks.d_vv, config))
     feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * config.dt])
     at_feet = locate(mesh, feet[mesh.interior])
-    x = state.interior_values()
-    for step in range(1, config.steps + 1):
-        t_new = step * config.dt
-        x = _theta_step(lhs, precond, rhs_mat, x, config)
-        x = interpolate_many(state.with_interior(x, t_new), at_feet)
-        rec.record(step, t_new, x)
-    return rec.done()
+    return _march(config, state, blocks.mass, lambda k: sides,
+                  lambda k, y: interpolate_many(state.with_interior(y, k * config.dt), at_feet))
 
 
 def run_lagrangian(config: RunConfig, f0=None) -> Trajectory:
@@ -199,15 +197,13 @@ def run_lagrangian(config: RunConfig, f0=None) -> Trajectory:
     its z-neighbours, at offsets +-w in the interior numbering, so each
     step's solve is preconditioned with the exact inverse along z-lines.
     """
-    state, blocks, rec = _start(config, f0, "lagrangian")
-    x = state.interior_values()
-    for step in range(1, config.steps + 1):
-        a_mid = blocks.lagrangian((step - 1) * config.dt + 0.5 * config.dt)
+    state, blocks = _start(config, f0, "lagrangian")
+
+    def sides(k):
+        a_mid = blocks.lagrangian((k - 1) * config.dt + 0.5 * config.dt)
         lhs = _implicit_side(blocks.mass, a_mid, config)
-        x = _theta_step(lhs, sparse.line_jacobi(lhs),
-                        _explicit_side(blocks.mass, a_mid, config), x, config)
-        rec.record(step, step * config.dt, x)
-    return rec.done()
+        return lhs, sparse.line_jacobi(lhs), _explicit_side(blocks.mass, a_mid, config)
+    return _march(config, state, blocks.mass, sides)
 
 
 def run_selfsimilar(config: RunConfig, f0=None) -> Trajectory:
@@ -217,25 +213,23 @@ def run_selfsimilar(config: RunConfig, f0=None) -> Trajectory:
     with A the negated weak action of the coercive operator, then apply the
     closed-form reaction update g^{n+1} = e^{sigma2 ds} g*.
     """
-    state, blocks, rec = _start(config, f0, "selfsimilar")
+    state, blocks = _start(config, f0, "selfsimilar")
     if not analytic.domain_condition(config.domain):
         warnings.warn(
             "domain violates the size condition for the rescaled form; "
             "the truncated solution will decay to zero instead of reaching the steady profile",
             RuntimeWarning, stacklevel=2)
     growth = math.exp(config.sigma2 * config.dt)
-    x = state.interior_values()
-    # the explicit side of A(s_n) carries over from the previous step; the
-    # last step's is never used, so it is not built
-    explicit = _explicit_side(blocks.mass, blocks.selfsimilar(0.0, config.sigma1), config)
-    for step in range(1, config.steps + 1):
-        s_new = step * config.dt
-        a_new = blocks.selfsimilar(s_new, config.sigma1)
-        x = growth * _theta_step(_implicit_side(blocks.mass, a_new, config), None, explicit, x, config)
-        if step < config.steps:
-            explicit = _explicit_side(blocks.mass, a_new, config)
-        rec.record(step, s_new, x)
-    return rec.done()
+    a_prev = blocks.selfsimilar(0.0, config.sigma1)
+
+    def sides(k):
+        # A(s_{k-1}) carries over from the previous step; its explicit side
+        # is built before A(s_k) replaces it
+        nonlocal a_prev
+        explicit = _explicit_side(blocks.mass, a_prev, config)
+        a_prev = blocks.selfsimilar(k * config.dt, config.sigma1)
+        return _implicit_side(blocks.mass, a_prev, config), None, explicit
+    return _march(config, state, blocks.mass, sides, lambda k, y: growth * y)
 
 
 def run(config: RunConfig, f0=None) -> Trajectory:

@@ -13,6 +13,7 @@ import os
 import pytest
 
 from kfplab import solvers
+from kfplab.assembly import OperatorBlocks
 
 TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -41,22 +42,31 @@ def test_step_clock_keys_on_last_argument():
     assert list(inspect.signature(solvers._theta_step).parameters)[-1] == "config"
 
 
-def test_original_calls_the_traced_names_once_per_step(monkeypatch):
-    # the tracer times the transport through solvers.interpolate_many and the
-    # step clock wraps solvers._theta_step; a run that bypassed either binding
-    # would drop out of the benchmark's numbers
+@pytest.mark.parametrize("form", solvers.FORMS)
+def test_every_form_calls_the_traced_names_as_the_benchmark_expects(form, monkeypatch):
+    # the tracer wraps these names at their module or class binding, and the
+    # step clock wraps solvers._theta_step; the benchmark's self-test expects
+    # each layer's calls on a form's workload, so a run that bypassed a
+    # binding or changed a count would drop out of its numbers
     calls = collections.Counter()
 
-    def counted(name):
-        inner = getattr(solvers, name)
+    def count_calls(owner, name):
+        inner = getattr(owner, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return inner(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("interpolate_many", "_theta_step"):
-        monkeypatch.setattr(solvers, name, counted(name))
-    config = solvers.RunConfig(form="original", n=6, dt=0.1, horizon=0.5)
+    for name in ("interpolate_many", "_theta_step", f"run_{form}"):
+        count_calls(solvers, name)
+    for name in ("lagrangian", "selfsimilar"):
+        count_calls(OperatorBlocks, name)
+    config = solvers.RunConfig(form=form, n=6, dt=0.1, horizon=0.5)
     solvers.run(config)
-    assert calls == {"interpolate_many": config.steps, "_theta_step": config.steps}
+    steps = config.steps
+    want = {"_theta_step": steps, f"run_{form}": 1,
+            "interpolate_many": steps if form == "original" else 0,
+            "lagrangian": steps if form == "lagrangian" else 0,
+            "selfsimilar": steps + 1 if form == "selfsimilar" else 0}
+    assert {name: calls[name] for name in want} == want

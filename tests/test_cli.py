@@ -81,6 +81,12 @@ def test_nonfinite_input_is_config_error(tmp_path, capsys, flag, value):
     "run --form selfsimilar --n 4 --dt 1e300 --t-end 1",
     "run --form original --n 4 --dt 1e-300 --t-end 10",
     "run --domain=-1e308,1e308,-1,1 --n 4 --t-end 0.1",
+    "poincare-check --n 4 --trials 3 --seed -1",
+    "compare --n 4 --seed -5",
+    "run --n 100000000000000000000",  # the mesh's arrays exceed numpy's size limit
+    "convergence --levels 1e-300,1,2",  # the finest level's mesh does too
+    "convergence --levels 5e-324,1,2",  # its n overflows
+    "nested-domains --scales 1e308 --n 4",  # the scale's domain has infinite sides
 ])
 def test_invalid_command_flag_exits_2_before_running(tmp_path, capsys, argv):
     rc = main(argv.format(tmp=tmp_path).split() + ["--out", str(tmp_path / "out")])
@@ -96,7 +102,7 @@ def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
     def no_memory(domain, n):
         raise MemoryError
     monkeypatch.setattr(solvers, "build_structured_mesh", no_memory)
-    rc = main(["run", "--n", "100000000000", "--t-end", "0.1", "--out", str(tmp_path / "out")])
+    rc = main(["run", "--n", str(10 ** 8), "--t-end", "0.1", "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 3
     assert "Traceback" not in err
@@ -244,6 +250,15 @@ def test_poincare_check_command(tmp_path):
                "--t-grid", "0,1", "--out", str(out), "--seed", "7"])
     assert rc == 0
     assert "PASS" in (out / "report.txt").read_text()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_poincare_check_fails_when_the_form_overflows(tmp_path, capsys):
+    # t^2 overflows at t = 1e308: a ratio of nothing must not pass
+    rc = main(["poincare-check", "--n", "4", "--trials", "2", "--t-grid", "0,1e308",
+               "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "t=1e+308: worst ratio nan FAIL"
 
 
 def test_nested_domains_command(tmp_path):

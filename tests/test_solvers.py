@@ -135,32 +135,78 @@ def test_original_one_step_matches_manual():
     assert np.max(np.abs(traj.final.values - want)) < 1e-12
 
 
-def test_original_is_bit_identical_to_interpolating_at_every_foot():
-    # run_original locates the feet of the interior nodes once; interpolating
-    # at the feet of all nodes on every step and keeping the interior values
-    # gives the same bits, and so do the norms the recorder takes of them
-    cfg = RunConfig(form="original", n=16, dt=0.05, horizon=1.0)
-    assert cfg.steps == 20
-    traj = run_original(cfg)
-    mesh = traj.final.mesh
+def _per_form_loop(cfg):
+    """Each form's step loop and norm recorder written out on its own, as
+    they stood before the forms shared one loop. The original form
+    interpolates at the feet of all nodes on every step and keeps the
+    interior values; the self-similar form builds the next step's explicit
+    side at the end of each step. Returns (times, l2, linf, snapshots)."""
+    mesh = build_structured_mesh(cfg.domain, cfg.n)
     blocks = assemble_blocks(mesh)
-    state = project_initial(mesh, analytic.gaussian_ic)
-    lhs = sparse.combine([(1.0, blocks.mass), (cfg.dt * cfg.theta, blocks.d_vv)])
-    rhs_mat = sparse.combine([(1.0, blocks.mass), (-cfg.dt * (1.0 - cfg.theta), blocks.d_vv)])
-    feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * cfg.dt])
-    x = state.interior_values()
-    l2, linf = [], []
-    for step in range(1, cfg.steps + 1):
-        x, stats = sparse.solve(lhs, rhs_mat.matvec(x), tol=cfg.tol, x0=x, precond=sparse.jacobi(lhs))
-        assert stats.converged
-        x = interpolate_many(state.with_interior(x, step * cfg.dt), feet)[mesh.interior]
+    first = project_initial(mesh, analytic.gaussian_ic)
+    mass = blocks.mass
+    times, l2, linf, snapshots = [], [], [], []
+
+    def record(step, time, x):
         linf.append(float(np.abs(x).max(initial=0.0)))
         k = math.frexp(linf[-1])[1]
         y = np.ldexp(x, -k)
-        l2.append(math.ldexp(math.sqrt(max(y @ blocks.mass.matvec(y), 0.0)), k))
-    assert traj.final.interior_values().tobytes() == x.tobytes()
-    assert traj.l2[1:].tobytes() == np.array(l2).tobytes()
-    assert traj.linf[1:].tobytes() == np.array(linf).tobytes()
+        times.append(time)
+        l2.append(math.ldexp(math.sqrt(max(y @ mass.matvec(y), 0.0)), k))
+        if step in (0, cfg.steps) or step % cfg.snapshot_stride == 0:
+            snapshots.append(first.with_interior(x, time))
+
+    def sides(a):
+        return (sparse.combine([(1.0, mass), (cfg.dt * cfg.theta, a)]),
+                sparse.combine([(1.0, mass), (-cfg.dt * (1.0 - cfg.theta), a)]))
+
+    def step_solve(lhs, precond, rhs_mat, x):
+        x_new, stats = sparse.solve(lhs, rhs_mat.matvec(x), tol=cfg.tol, x0=x, precond=precond)
+        assert stats.converged
+        return x_new
+
+    x = first.interior_values()
+    record(0, 0.0, x)
+    if cfg.form == "original":
+        lhs, rhs_mat = sides(blocks.d_vv)
+        feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * cfg.dt])
+        for step in range(1, cfg.steps + 1):
+            x = step_solve(lhs, sparse.jacobi(lhs), rhs_mat, x)
+            x = interpolate_many(first.with_interior(x, step * cfg.dt), feet)[mesh.interior]
+            record(step, step * cfg.dt, x)
+    elif cfg.form == "lagrangian":
+        for step in range(1, cfg.steps + 1):
+            lhs, rhs_mat = sides(blocks.lagrangian((step - 1) * cfg.dt + 0.5 * cfg.dt))
+            x = step_solve(lhs, sparse.line_jacobi(lhs), rhs_mat, x)
+            record(step, step * cfg.dt, x)
+    else:
+        growth = math.exp(cfg.sigma2 * cfg.dt)
+        explicit = sides(blocks.selfsimilar(0.0, cfg.sigma1))[1]
+        for step in range(1, cfg.steps + 1):
+            lhs, next_explicit = sides(blocks.selfsimilar(step * cfg.dt, cfg.sigma1))
+            x = growth * step_solve(lhs, None, explicit, x)
+            explicit = next_explicit
+            record(step, step * cfg.dt, x)
+    return times, l2, linf, snapshots
+
+
+@pytest.mark.parametrize("form", ["original", "lagrangian", "selfsimilar"])
+def test_every_form_records_the_bits_of_its_own_loop(form):
+    # the one time loop gives each form's norms and snapshots bit for bit;
+    # the original form's feet are located once, and interpolating at the
+    # feet of all nodes on every step gives the same bits
+    horizon = math.expm1(1.0) if form == "selfsimilar" else 1.0
+    cfg = RunConfig(form=form, n=16, dt=0.05, horizon=horizon, snapshot_stride=7)
+    assert cfg.steps == 20
+    traj = run(cfg)
+    times, l2, linf, snapshots = _per_form_loop(cfg)
+    assert traj.times.tobytes() == np.array(times).tobytes()
+    assert traj.l2.tobytes() == np.array(l2).tobytes()
+    assert traj.linf.tobytes() == np.array(linf).tobytes()
+    assert [f.time for f in traj.snapshots] == [f.time for f in snapshots] == [
+        k * cfg.dt for k in (0, 7, 14, 20)]
+    for got, want in zip(traj.snapshots, snapshots):
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_lagrangian_one_step_matches_manual():

@@ -31,6 +31,8 @@ import time
 COMMANDS = {
     "run-lagrangian": "run --form lagrangian --n 128 --dt 0.1 --t-end 10",
     "run-original": "run --form original --n 128 --dt 0.01 --t-end 5",
+    "run-original-snapshots": "run --form original --n 24 --dt 0.05 --t-end 1 --snapshot-stride 7",
+    "run-lagrangian-snapshots": "run --form lagrangian --n 24 --dt 0.05 --t-end 1 --snapshot-stride 7",
     "run-selfsimilar": "run --form selfsimilar --n 128 --dt 0.01 --t-end 10 --snapshot-stride 60",
     "run-original-theta": "run --form original --n 24 --theta 0.75",
     "run-selfsimilar-sigma1": "run --form selfsimilar --n 24 --theta 1 --sigma1 0.5",

@@ -331,6 +331,8 @@ def test_runconfig_validation():
                 dict(sigma1=math.nan), dict(sigma1=-math.inf), dict(tol=math.nan),
                 dict(tol=0.0), dict(snapshot_stride=-1),
                 dict(n=0), dict(n=4.0),
+                # the mesh's (2 n^2, 3, 3) element kernels pass numpy's size limit
+                dict(n=253_083_375), dict(n=10 ** 20),
                 # horizon / dt overflows, or passes 2^53 steps, and the
                 # self-similar growth factor exp(sigma2 * dt) overflows
                 dict(form="lagrangian", dt=1e-320, horizon=10.0),
@@ -340,6 +342,7 @@ def test_runconfig_validation():
         with pytest.raises(ValueError):
             RunConfig(**bad)
     assert RunConfig(sigma1=0.25).sigma2 == 1.75
+    assert RunConfig(n=253_083_374).n == 253_083_374
 
 
 def test_exact_splitting_random_systems():

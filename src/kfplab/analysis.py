@@ -90,14 +90,8 @@ def envelope_check(times: np.ndarray, linf: np.ndarray, l1_norm: float,
                    linf_norm: float) -> bool:
     """True iff the recorded sup norms stay below the analytic envelope,
     times ENVELOPE_SLACK, at every recorded s > 0."""
-    times = np.asarray(times, dtype=float)
-    linf = np.asarray(linf, dtype=float)
-    for s, val in zip(times, linf):
-        if s <= 0:
-            continue
-        if val > ENVELOPE_SLACK * analytic.linf_envelope(s, l1_norm, linf_norm):
-            return False
-    return True
+    return not any(val > ENVELOPE_SLACK * analytic.linf_envelope(s, l1_norm, linf_norm)
+                   for s, val in zip(np.asarray(times, dtype=float), np.asarray(linf, dtype=float)) if s > 0)
 
 
 def fit_power_law(h: np.ndarray, errors: np.ndarray) -> FitResult:
@@ -150,13 +144,20 @@ def decay_fit(times: np.ndarray, norms: np.ndarray, window=None,
 
 def ladder_configs(base: RunConfig, h_levels) -> list:
     """The self-similar run of each level of a refinement ladder, on the mesh
-    size n = round(side / h): at least three levels, each on its own mesh."""
-    sizes = [max(1, round(base.domain.side_v / h)) for h in h_levels]
-    if len(sizes) < 3:
+    size n = round(side / h): at least three levels, each on its own mesh;
+    the error of an invalid level names it."""
+    if len(h_levels) < 3:
         raise ValueError("a convergence study needs at least 3 levels")
+    configs = []
+    for h, n in ((h, base.domain.side_v / h) for h in h_levels):  # n = inf at the tiniest h
+        try:
+            configs.append(replace(base, form="selfsimilar", n=max(1, round(n)) if math.isfinite(n) else n))
+        except ValueError as exc:
+            raise ValueError(f"level {h!r}: {exc}") from None
+    sizes = [config.n for config in configs]
     if len(set(sizes)) < len(sizes):
         raise ValueError(f"the levels give the meshes n = {sizes}: a ladder needs a new mesh at each level")
-    return [replace(base, form="selfsimilar", n=n) for n in sizes]
+    return configs
 
 
 def convergence_study(base: RunConfig, h_levels):
@@ -185,7 +186,7 @@ def poincare_check(mesh: TriMesh, t: float, trials: int, seed: int = 1234) -> fl
     if trials < 1:
         raise ValueError("trials must be >= 1")
     blocks = assemble_blocks(mesh)
-    a_t = blocks.lagrangian(t)  # its quadratic form is ||d_v g + t d_z g||^2
+    a_t = blocks.matrix(blocks.lagrangian(t))  # its quadratic form is ||d_v g + t d_z g||^2
     coef = analytic.poincare_coefficient(mesh.domain, t)
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -188,14 +188,10 @@ def exact_selfsimilar(s, vt, zt):
 
 def exact_solution(form: str, time, point):
     """Dispatch on the formulation tag; point is (a, b) or arrays thereof."""
-    a, b = point
-    if form == "original":
-        return exact_original(time, a, b)
-    if form == "lagrangian":
-        return exact_lagrangian(time, a, b)
-    if form == "selfsimilar":
-        return exact_selfsimilar(time, a, b)
-    raise ValueError(f"unknown formulation {form!r}")
+    exact = {"original": exact_original, "lagrangian": exact_lagrangian, "selfsimilar": exact_selfsimilar}
+    if form not in exact:
+        raise ValueError(f"unknown formulation {form!r}")
+    return exact[form](time, *point)
 
 
 def steady_state(vt, zt):

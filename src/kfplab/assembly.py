@@ -11,7 +11,6 @@ unknowns; boundary rows and columns are dropped, never penalized.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,14 +51,16 @@ def _element_blocks(mesh: TriMesh):
     return {"mass": mass, "d_vv": d_vv, "d_zz": d_zz, "d_vz_sym": d_vz_sym, "b_adv": b_adv}
 
 
-def _banded(mesh: TriMesh, kernels: dict) -> dict:
+def _banded(mesh: TriMesh, kernels) -> tuple:
     """Scatter (n_el, 3, 3) element kernels into banded matrices on the
-    interior unknowns.
+    interior unknowns, all over one band of offsets.
 
     On the uniform triangulation every node couples only to itself and its
     neighbours at grid offsets +-1, +-w and +-(w + 1), with w = n - 1 the
-    width of the grid of interior unknowns. One bincount over the slot
-    k * m + row sums each entry's element contributions in element order.
+    width of the grid of interior unknowns. One unbuffered add over the slot
+    k * m + row sums each entry's element contributions in element order,
+    straight into the array of all bands. Returns (offsets, stack): stack[b]
+    is the (k, m) DIA data of kernels[b].
     """
     rows = np.repeat(mesh.elements, 3, axis=1).reshape(-1, 3, 3)  # rows[e, i, j] = elements[e, i]
     rows, cols = rows.ravel(), np.transpose(rows, (0, 2, 1)).ravel()
@@ -68,40 +69,46 @@ def _banded(mesh: TriMesh, kernels: dict) -> dict:
     rows, cols = rows[keep], cols[keep]
     w, m = mesh.n - 1, mesh.interior_count
     offsets = np.unique([0, 1, -1, w, -w, w + 1, -(w + 1)])  # not distinct for w <= 1
-    k = len(offsets)
     slot = np.searchsorted(offsets, cols - rows) * m + rows
-    mats = {}
-    for name, arr in kernels.items():
-        data = np.bincount(slot, weights=arr.ravel()[keep], minlength=k * m)
-        mats[name] = sparse.SparseMatrix(offsets, data.reshape(k, m))
-    return mats
+    del rows, cols  # the slots replace them; freed, they leave room for the bands
+    stack = np.zeros((len(kernels), len(offsets), m))
+    for band, arr in zip(stack, kernels):
+        np.add.at(band.ravel(), slot, arr.ravel()[keep])
+    return tuple(int(o) for o in offsets), stack
 
 
-@dataclass
+MASS, D_VV = np.eye(5)[:2]  # the coefficient vectors of the mass and of d_vv
+
+
 class OperatorBlocks:
     """Mesh-level matrices assembled once and recombined per time step.
 
-    All matrices live on the interior unknowns and share one band of
-    offsets, so the time-dependent forms are cheap linear combinations:
+    The five blocks live in one (5, k, m) array, stack, over one band of
+    offsets; mass, d_vv, d_zz, d_vz_sym and b_adv are SparseMatrix views of
+    its rows, in that order. An operator is a vector c of coefficients over
+    the blocks, and matrix(c) builds it in one contraction of c with the
+    stack, so the time-dependent forms cost one pass per matrix:
 
         lagrangian(t)     = d_vv + t^2 d_zz + t d_vz_sym
         selfsimilar(s,o1) = d_vv + A d_vz_sym + A^2 d_zz - b_adv - o1 * mass,
                             A = 1 - e^{-s}
     """
 
-    mass: sparse.SparseMatrix
-    d_vv: sparse.SparseMatrix
-    d_zz: sparse.SparseMatrix
-    d_vz_sym: sparse.SparseMatrix
-    b_adv: sparse.SparseMatrix
+    def __init__(self, offsets, stack):
+        self.offsets, self.stack = offsets, stack
+        self.mass, self.d_vv, self.d_zz, self.d_vz_sym, self.b_adv = (sparse.SparseMatrix(offsets, b) for b in stack)
 
-    def lagrangian(self, t: float) -> sparse.SparseMatrix:
+    def matrix(self, coeffs) -> sparse.SparseMatrix:
+        """The operator sum_b coeffs[b] * block b."""
+        return sparse.combine(coeffs, self.stack, self.offsets)
+
+    def lagrangian(self, t: float) -> np.ndarray:
         if t < 0:
             raise ValueError("t must be nonnegative")
-        return sparse.combine([(1.0, self.d_vv), (t * t, self.d_zz), (t, self.d_vz_sym)])
+        return np.array([0.0, 1.0, t * t, t, 0.0])
 
-    def selfsimilar(self, s: float, sigma1: float) -> sparse.SparseMatrix:
-        """Matrix of the coercive split operator's (negated) weak action:
+    def selfsimilar(self, s: float, sigma1: float) -> np.ndarray:
+        """Coefficients of the coercive split operator's (negated) weak action:
 
             a(u, w) = ((d_v + A d_z) u, (d_v + A d_z) w)
                       - ((v/2) d_v u + (3 z/2) d_z u, w) - sigma1 (u, w)
@@ -110,20 +117,17 @@ class OperatorBlocks:
         form: the split operator's drift has 3z/(2A) in its second slot,
         which is singular at s = 0, but the directional gradient multiplies
         it back by A, so assembling the product is valid for all s >= 0 and
-        algebraically identical for s > 0. The theta scheme uses this matrix
-        directly as the implicit-side operator.
+        algebraically identical for s > 0. The theta scheme uses this
+        operator directly as the implicit-side operator.
         """
         if s < 0:
             raise ValueError("s must be nonnegative")
         if sigma1 > 1.0:
             raise ValueError("sigma1 must satisfy sigma1 <= 1 (coercivity of the implicit part)")
         a = 1.0 - math.exp(-s)
-        return sparse.combine([
-            (1.0, self.d_vv), (a, self.d_vz_sym), (a * a, self.d_zz),
-            (-1.0, self.b_adv), (-sigma1, self.mass),
-        ])
+        return np.array([-sigma1, 1.0, a * a, a, -1.0])
 
 
 def assemble_blocks(mesh: TriMesh) -> OperatorBlocks:
     """All interior-reduced building-block matrices over one band of offsets."""
-    return OperatorBlocks(**_banded(mesh, _element_blocks(mesh)))
+    return OperatorBlocks(*_banded(mesh, list(_element_blocks(mesh).values())))

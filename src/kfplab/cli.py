@@ -69,31 +69,33 @@ def _integer(least: int):
     return convert
 
 
-# Every key, declared once: (converter, RunConfig field it sets or None,
-# command taking the flag, extra argparse settings). A key without a command
-# is a flag of every command and a config-file key. Later keys override
-# earlier ones that set the same field, so --s-end wins over --t-end;
-# RunConfig supplies the defaults and validates the fields.
+# Every key, declared once: (converter, RunConfig field it sets or None, the
+# commands that read it, extra argparse settings); another command given it
+# fails. Later keys override earlier ones that set the same field, so --s-end
+# wins over --t-end; RunConfig supplies the defaults and validates the fields.
+_SOLVE = ("run", "norms", "compare", "convergence", "nested-domains")  # commands that run the solver
 KEYS = {
-    "form": (str, "form", None, {"choices": FORMS}),
-    "n": (int, "n", None, {}),
-    "dt": (float, "dt", None, {}),
-    "t-end": (float, "horizon", None, {}),
-    "domain": (_domain, "domain", None, {}),
-    "theta": (float, "theta", None, {}),
-    "sigma1": (float, "sigma1", None, {}),
-    "tol": (float, "tol", None, {}),
-    "snapshot-stride": (int, "snapshot_stride", None, {}),
-    "out": (str, "out_dir", None, {}),
-    "seed": (_integer(0), None, None, {}),
-    "levels": (_numbers(True, least=3), None, "convergence",
+    "form": (str, "form", ("run", "norms"), {"choices": FORMS}),
+    "n": (int, "n", ("run", "norms", "compare", "poincare-check", "nested-domains"), {}),
+    "dt": (float, "dt", _SOLVE, {}),
+    "t-end": (float, "horizon", _SOLVE, {}),
+    "domain": (_domain, "domain", ("run", "norms", "compare", "convergence", "poincare-check"), {}),
+    "theta": (float, "theta", _SOLVE, {}),
+    "sigma1": (float, "sigma1", _SOLVE, {}),
+    "tol": (float, "tol", _SOLVE, {}),
+    "snapshot-stride": (int, "snapshot_stride", ("run",), {}),
+    "out": (str, "out_dir", (*_SOLVE, "kernel-check", "poincare-check"), {}),
+    "seed": (_integer(0), None, ("poincare-check",), {}),
+    "levels": (_numbers(True, least=3), None, ("convergence",),
                {"required": True, "help": "comma-separated h values"}),
-    "s-end": (_s_end, "horizon", "convergence",
+    "s-end": (_s_end, "horizon", ("convergence",),
               {"help": "rescaled horizon (overrides --t-end)"}),
-    "trials": (_integer(1), None, "poincare-check", {"default": "1000"}),
-    "t-grid": (_numbers(False), None, "poincare-check", {"default": "0,0.25,0.5,0.75,1,2,3,4,5"}),
-    "scales": (_numbers(True), None, "nested-domains", {"default": "4,6,8,10"}),
+    "trials": (_integer(1), None, ("poincare-check",), {"default": "1000"}),
+    "t-grid": (_numbers(False), None, ("poincare-check",), {"default": "0,0.25,0.5,0.75,1,2,3,4,5"}),
+    "scales": (_numbers(True), None, ("nested-domains",), {"default": "4,6,8,10"}),
 }
+# the keys parse_config reads and a config file may hold, in KEYS order
+SETTINGS = tuple(key for key, (_, field, _, _) in KEYS.items() if field or key == "seed")
 
 
 def _dest(key: str) -> str:
@@ -120,7 +122,7 @@ def read_config_file(path: str) -> dict:
                 raise ValueError(f"config line {lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in KEYS or KEYS[key][2] is not None:
+            if key not in SETTINGS:
                 raise ValueError(f"unknown config key {key!r}")
             out[key] = value.strip()
     return out
@@ -132,8 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config")
-        for key, (_, _, command, settings) in KEYS.items():
-            if command in (None, name):
+        for key, (_, _, commands, settings) in KEYS.items():
+            if name in commands:
                 p.add_argument("--" + key, dest=_dest(key), **settings)
     return parser
 
@@ -141,13 +143,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_config(args) -> tuple[RunConfig, int]:
     """Merge config file and flags (flags win) into a RunConfig, which
     supplies the defaults (the reference settings) and validates the values.
-    Reads every key that sets a field, plus the seed. Returns (config, seed).
+    Reads the SETTINGS keys; a config file key that args.command does not
+    read is an error. Returns (config, seed).
     """
     given = read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, (_, field, command, _) in KEYS.items():
-        flag = getattr(args, _dest(key), None)
-        if flag is not None and (field or command is None):
-            given[key] = flag
+    command = getattr(args, "command", None)
+    ignored = [key for key in given if command and command not in KEYS[key][2]]
+    if ignored:
+        raise ValueError(f"{command} does not read the config keys {', '.join(ignored)}")
+    given.update({key: getattr(args, _dest(key)) for key in SETTINGS
+                  if getattr(args, _dest(key), None) is not None})
     values = {key: _convert(key, text) for key, text in given.items()}
     seed = values.pop("seed", 0)
     return RunConfig(**{KEYS[key][1]: value for key, value in values.items()}), seed
@@ -176,10 +181,7 @@ def write_grid_snapshot(field, path: str) -> None:
     nv = mesh.n + 1
     header = f"# {nv} {nv} {_fmt(d.v_min)} {_fmt(d.v_max)} {_fmt(d.z_min)} {_fmt(d.z_max)} {_fmt(field.time)}"
     grid = field.values.reshape(nv, nv)  # row iz, column iv
-    lines = [header]
-    for row in grid:
-        lines.append(" ".join(_fmt(x) for x in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, "\n".join([header, *(" ".join(_fmt(x) for x in row) for row in grid)]) + "\n")
 
 
 ERRORS_HEADER = "h,dt,time,l2_error,linf_error,order"
@@ -275,9 +277,7 @@ def _cmd_nested_domains(config, seed, scales) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         used, diffs, flags = analysis.nested_domain_study(config, scales)
-    lines = []
-    for w in caught:
-        lines.append(f"warning: {w.message}")
+    lines = [f"warning: {w.message}" for w in caught]
     for (a, b), d in zip(zip(used[:-1], used[1:]), diffs):
         lines.append(f"scales {_fmt(a)} vs {_fmt(b)}: L2 discrepancy {_fmt(d)}")
     valid = [d for d, fa, fb in zip(diffs, flags[:-1], flags[1:]) if not (fa or fb)]
@@ -298,17 +298,19 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, ignored = _build_parser().parse_known_args(argv)
     try:
+        if ignored:
+            raise ValueError(f"{args.command} does not read {' '.join(ignored)}")
         config, seed = parse_config(args)
         flags = {_dest(key): _convert(key, getattr(args, _dest(key)))
-                 for key, (_, field, command, _) in KEYS.items()
-                 if command == args.command and field is None}
-        # every run of a study is checked before the first one starts
-        if args.command == "convergence":
-            analysis.ladder_configs(config, flags["levels"])
-        if args.command == "nested-domains":
-            analysis.nested_configs(config, flags["scales"])
+                 for key in KEYS if key not in SETTINGS and args.command in KEYS[key][2]}
+        studies = {"levels": analysis.ladder_configs, "scales": analysis.nested_configs}
+        for key in studies.keys() & flags.keys():  # every run of a study is checked up front
+            try:
+                studies[key](config, flags[key])
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"--{key}: {exc}") from None
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

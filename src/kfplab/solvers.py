@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic, sparse
-from .assembly import assemble_blocks
+from .assembly import D_VV, MASS, assemble_blocks
 from .mesh import Field, RectDomain, TriMesh, build_structured_mesh, interpolate_many, locate
 
 FORMS = ("original", "lagrangian", "selfsimilar")
@@ -126,14 +126,14 @@ def _start(config: RunConfig, f0, form: str):
     return project_initial(mesh, analytic.gaussian_ic if f0 is None else f0), blocks
 
 
-def _implicit_side(mass, a, config):
-    """The theta scheme's implicit side for operator A: M + dt th A."""
-    return sparse.combine([(1.0, mass), (config.dt * config.theta, a)])
+def _implicit_side(blocks, c, config):
+    """The theta scheme's implicit side M + dt th A, A with coefficients c."""
+    return blocks.matrix(MASS + config.dt * config.theta * c)
 
 
-def _explicit_side(mass, a, config):
-    """The theta scheme's explicit side for operator A: M - dt (1-th) A."""
-    return sparse.combine([(1.0, mass), (-config.dt * (1.0 - config.theta), a)])
+def _explicit_side(blocks, c, config):
+    """The theta scheme's explicit side M - dt (1-th) A, in one contraction."""
+    return blocks.matrix(MASS - config.dt * (1.0 - config.theta) * c)
 
 
 def _theta_step(lhs, precond, rhs_mat, x, config):
@@ -182,8 +182,8 @@ def run_original(config: RunConfig, f0=None) -> Trajectory:
     # all are constant: the theta sides of the v-direction heat operator with
     # the implicit side's preconditioner, and the feet (v, x + v dt) of the
     # exact characteristics through the interior nodes, located once
-    lhs = _implicit_side(blocks.mass, blocks.d_vv, config)
-    sides = (lhs, sparse.jacobi(lhs), _explicit_side(blocks.mass, blocks.d_vv, config))
+    lhs = _implicit_side(blocks, D_VV, config)
+    sides = (lhs, sparse.jacobi(lhs), _explicit_side(blocks, D_VV, config))
     feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * config.dt])
     at_feet = locate(mesh, feet[mesh.interior])
     return _march(config, state, blocks.mass, lambda k: sides,
@@ -201,8 +201,8 @@ def run_lagrangian(config: RunConfig, f0=None) -> Trajectory:
 
     def sides(k):
         a_mid = blocks.lagrangian((k - 1) * config.dt + 0.5 * config.dt)
-        lhs = _implicit_side(blocks.mass, a_mid, config)
-        return lhs, sparse.line_jacobi(lhs), _explicit_side(blocks.mass, a_mid, config)
+        lhs = _implicit_side(blocks, a_mid, config)
+        return lhs, sparse.line_jacobi(lhs), _explicit_side(blocks, a_mid, config)
     return _march(config, state, blocks.mass, sides)
 
 
@@ -226,9 +226,9 @@ def run_selfsimilar(config: RunConfig, f0=None) -> Trajectory:
         # A(s_{k-1}) carries over from the previous step; its explicit side
         # is built before A(s_k) replaces it
         nonlocal a_prev
-        explicit = _explicit_side(blocks.mass, a_prev, config)
+        explicit = _explicit_side(blocks, a_prev, config)
         a_prev = blocks.selfsimilar(k * config.dt, config.sigma1)
-        return _implicit_side(blocks.mass, a_prev, config), None, explicit
+        return _implicit_side(blocks, a_prev, config), None, explicit
     return _march(config, state, blocks.mass, sides, lambda k, y: growth * y)
 
 

@@ -1,5 +1,5 @@
-"""Banded (DIA) matrices, a preconditioned BiCGStab solver and its two
-preconditioners.
+"""Banded (DIA) matrices, their linear combination in one contraction, a
+preconditioned BiCGStab solver and its two preconditioners.
 
 The advection terms make the assembled systems nonsymmetric, hence a
 stabilized bi-conjugate-gradient method. A preconditioner is a function
@@ -80,15 +80,12 @@ class SparseMatrix:
         return self.data[self.offsets.index(0)].copy()
 
 
-def combine(terms) -> SparseMatrix:
-    """Linear combination sum(c * A) of matrices with the same offsets."""
-    (c0, a0), *rest = terms
-    data = c0 * a0.data
-    for c, a in rest:
-        if (a.rows, a.offsets) != (a0.rows, a0.offsets):
-            raise ValueError("combine requires matrices with the same size and offsets")
-        data = data + c * a.data
-    return SparseMatrix(a0.offsets, data)
+def combine(coeffs, stack: np.ndarray, offsets) -> SparseMatrix:
+    """The linear combination sum_b coeffs[b] * stack[b] of the DIA data of
+    matrices over one band of offsets, stack of shape (blocks, k, m), as one
+    contraction: a single matrix-vector product over the whole array."""
+    data = np.asarray(coeffs, dtype=float) @ stack.reshape(len(stack), -1)
+    return SparseMatrix(offsets, data.reshape(stack.shape[1:]))
 
 
 def jacobi(A: SparseMatrix):

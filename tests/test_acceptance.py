@@ -35,7 +35,6 @@ from kfplab.analysis import (
 )
 from kfplab.assembly import assemble_blocks
 from kfplab.mesh import RectDomain, build_structured_mesh
-from kfplab.sparse import combine
 from kfplab.solvers import RunConfig, run
 
 SQRT3 = math.sqrt(3.0)
@@ -278,9 +277,8 @@ def test_criterion_11_discrete_energy_identities():
         m_sq = float(x @ blocks.mass.matvec(x))
         for s, sigma1 in ((0.0, 0.3), (0.5, 1.0), (2.0, -0.5)):
             a = 1.0 - math.exp(-s)
-            dir_sq = float(x @ combine([(1.0, blocks.d_vv), (a, blocks.d_vz_sym),
-                                        (a * a, blocks.d_zz)]).matvec(x))
-            lhs = float(x @ blocks.selfsimilar(s, sigma1).matvec(x))
+            dir_sq = float(x @ blocks.matrix([0.0, 1.0, a * a, a, 0.0]).matvec(x))
+            lhs = float(x @ blocks.matrix(blocks.selfsimilar(s, sigma1)).matvec(x))
             rhs = dir_sq + (1.0 - sigma1) * m_sq
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
         for t in (0.0, 1.0, 3.7):
@@ -290,7 +288,7 @@ def test_criterion_11_discrete_energy_identities():
             gv = np.einsum("ei,ei->e", ue, grads[:, :, 0])
             gz = np.einsum("ei,ei->e", ue, grads[:, :, 1])
             direct = float(np.sum(areas * (gv + t * gz) ** 2))
-            got = float(x @ blocks.lagrangian(t).matvec(x))
+            got = float(x @ blocks.matrix(blocks.lagrangian(t)).matvec(x))
             worst = max(worst, abs(got - direct) / max(direct, 1e-300))
     report(11, worst <= 1e-12, f"energy identities on 20 random fields, worst rel {worst:.3e}")
     assert worst <= 1e-12

@@ -237,7 +237,7 @@ def test_poincare_single_hat_function():
     from kfplab.assembly import assemble_blocks
     blocks = assemble_blocks(mesh)
     x = np.ones(1)
-    want = math.sqrt((x @ blocks.mass.matvec(x)) / (x @ blocks.lagrangian(0.0).matvec(x)))
+    want = math.sqrt((x @ blocks.mass.matvec(x)) / (x @ blocks.matrix(blocks.lagrangian(0.0)).matvec(x)))
     want /= analytic.poincare_coefficient(mesh.domain, 0.0)
     assert worst == pytest.approx(want, rel=1e-12)
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from kfplab import sparse
 from kfplab.assembly import _element_blocks, assemble_blocks
 from kfplab.mesh import RectDomain, build_structured_mesh
 from kfplab.solvers import RunConfig
@@ -18,7 +17,7 @@ def random_interior(mesh, seed=0, count=1):
 
 def directional_sq_norm(blocks, a, x):
     """||(d_v + a d_z) u||^2 via the quadratic form of the diffusion blocks."""
-    D = sparse.combine([(1.0, blocks.d_vv), (a, blocks.d_vz_sym), (a * a, blocks.d_zz)])
+    D = blocks.matrix([0.0, 1.0, a * a, a, 0.0])
     return float(x @ D.matvec(x))
 
 
@@ -80,7 +79,7 @@ def test_mass_positive_definite_on_interior():
 def test_heat_v_equals_lagrangian_at_zero():
     mesh = build_structured_mesh(RectDomain.square(2.0), 7)
     blocks = assemble_blocks(mesh)
-    A0 = blocks.lagrangian(0.0)
+    A0 = blocks.matrix(blocks.lagrangian(0.0))
     Ah = blocks.d_vv
     assert Ah.offsets == A0.offsets
     assert np.array_equal(Ah.data, A0.data)
@@ -88,7 +87,8 @@ def test_heat_v_equals_lagrangian_at_zero():
 
 def test_heat_v_positive_semidefinite():
     mesh = build_structured_mesh(UNIT, 8)
-    A = assemble_blocks(mesh).lagrangian(0.0)
+    blocks = assemble_blocks(mesh)
+    A = blocks.matrix(blocks.lagrangian(0.0))
     for x in random_interior(mesh, seed=3, count=10):
         assert x @ A.matvec(x) >= 0.0
 
@@ -99,14 +99,16 @@ def test_heat_v_sine_energy():
     vals = np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
     vals[mesh.boundary] = 0.0
     x = vals[mesh.interior]
-    q = x @ assemble_blocks(mesh).lagrangian(0.0).matvec(x)
+    blocks = assemble_blocks(mesh)
+    q = x @ blocks.matrix(blocks.lagrangian(0.0)).matvec(x)
     assert abs(q - np.pi ** 2 / 4) / (np.pi ** 2 / 4) < 0.02
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0, 3.7])
 def test_lagrangian_symmetric(t, to_dense):
     mesh = build_structured_mesh(RectDomain.square(2.0), 6)
-    A = assemble_blocks(mesh).lagrangian(t)
+    blocks = assemble_blocks(mesh)
+    A = blocks.matrix(blocks.lagrangian(t))
     assert np.max(np.abs(to_dense(A) - to_dense(A).T)) == 0.0
 
 
@@ -115,7 +117,7 @@ def test_lagrangian_perfect_square_identity():
     blocks = assemble_blocks(mesh)
     grads, areas = mesh.element_gradients()
     for t in (0.0, 0.6, 2.5):
-        A = blocks.lagrangian(t)
+        A = blocks.matrix(blocks.lagrangian(t))
         for x in random_interior(mesh, seed=int(10 * t) + 1, count=20):
             # elementwise quadrature of the squared directional gradient
             vals = np.zeros(mesh.node_count)
@@ -130,8 +132,9 @@ def test_lagrangian_perfect_square_identity():
 def test_selfsimilar_at_s0_drops_mixed_terms():
     mesh = build_structured_mesh(RectDomain.square(2.0), 6)
     blocks = assemble_blocks(mesh)
-    A = blocks.selfsimilar(0.0, 0.5)
-    manual = sparse.combine([(1.0, blocks.d_vv), (-1.0, blocks.b_adv), (-0.5, blocks.mass)])
+    A = blocks.matrix(blocks.selfsimilar(0.0, 0.5))
+    assert list(blocks.selfsimilar(0.0, 0.5)) == [-0.5, 1.0, 0.0, 0.0, -1.0]
+    manual = blocks.matrix([-0.5, 1.0, 0.0, 0.0, -1.0])  # d_vv - b_adv - 0.5 mass
     assert np.max(np.abs(A.data - manual.data)) == 0.0
 
 
@@ -140,7 +143,7 @@ def test_selfsimilar_energy_identity(s):
     mesh = build_structured_mesh(RectDomain.square(2.0), 8)
     blocks = assemble_blocks(mesh)
     sigma1 = 0.25
-    A = blocks.selfsimilar(s, sigma1)
+    A = blocks.matrix(blocks.selfsimilar(s, sigma1))
     M = blocks.mass
     a = 1.0 - math.exp(-s)
     for x in random_interior(mesh, seed=17, count=20):
@@ -154,7 +157,7 @@ def test_selfsimilar_sigma1_one_is_pure_square():
     blocks = assemble_blocks(mesh)
     s = 1.3
     a = 1.0 - math.exp(-s)
-    A = blocks.selfsimilar(s, 1.0)
+    A = blocks.matrix(blocks.selfsimilar(s, 1.0))
     for x in random_interior(mesh, seed=23, count=20):
         assert float(x @ A.matvec(x)) == pytest.approx(
             directional_sq_norm(blocks, a, x), rel=1e-12, abs=1e-14)
@@ -176,12 +179,12 @@ def test_coercivity_threshold():
     eps = 1e-6
     for x in random_interior(mesh, seed=29, count=5):
         m_norm = float(x @ blocks.mass.matvec(x))
-        base = float(x @ blocks.selfsimilar(s, 1.0).matvec(x))
+        base = float(x @ blocks.matrix(blocks.selfsimilar(s, 1.0)).matvec(x))
         # sigma1 = 1 + eps corresponds to subtracting eps * M from the form
         above = base - eps * m_norm
         assert above - directional_sq_norm(blocks, a, x) < 0.0
         for sigma1 in (1.0, 0.5, 0.0, -1.0):
-            val = float(x @ blocks.selfsimilar(s, sigma1).matvec(x))
+            val = float(x @ blocks.matrix(blocks.selfsimilar(s, sigma1)).matvec(x))
             assert val - directional_sq_norm(blocks, a, x) >= -1e-13 * m_norm
 
 

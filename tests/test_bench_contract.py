@@ -1,7 +1,8 @@
 """The names the benchmark's tracer and step clock bind to in kfplab exist.
 
-`perfbench/tracer.py` is loaded by path and only read: installing its
-wrappers would patch kfplab for the rest of the test session.
+`perfbench/tracer.py` and `perfbench/workloads.py` are loaded by path and
+only read: installing the tracer's wrappers would patch kfplab for the rest
+of the test session.
 """
 
 import collections
@@ -12,20 +13,22 @@ import os
 
 import pytest
 
-from kfplab import solvers
+from kfplab import cli, solvers
 from kfplab.assembly import OperatorBlocks
 
-TRACER_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TARGETS = _load_tracer().TARGETS
+TARGETS = _load("tracer").TARGETS
+CLI_LINES = {f"{name}-{kind}": (kind, wl[kind]) for name, wl in _load("workloads").WORKLOADS.items()
+             if wl["kind"] == "cli" for kind in ("argv", "tiny")}
 
 
 @pytest.mark.parametrize("modname,attr", [(m, a) for _, m, a in TARGETS],
@@ -70,3 +73,16 @@ def test_every_form_calls_the_traced_names_as_the_benchmark_expects(form, monkey
             "lagrangian": steps if form == "lagrangian" else 0,
             "selfsimilar": steps + 1 if form == "selfsimilar" else 0}
     assert {name: calls[name] for name in want} == want
+
+
+@pytest.mark.parametrize("name", list(CLI_LINES))
+def test_every_benchmark_command_line_is_read_whole(name, tmp_path):
+    # the command reads every flag of the workload's line, with the --out the
+    # benchmark adds; the small self-test lines also run to exit 0
+    kind, line = CLI_LINES[name]
+    argv = line + ["--out", str(tmp_path)]
+    args, ignored = cli._build_parser().parse_known_args(argv)
+    assert ignored == []
+    cli.parse_config(args)
+    if kind == "tiny":
+        assert cli.main(argv) == 0

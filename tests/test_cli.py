@@ -87,6 +87,14 @@ def test_nonfinite_input_is_config_error(tmp_path, capsys, flag, value):
     "convergence --levels 1e-300,1,2",  # the finest level's mesh does too
     "convergence --levels 5e-324,1,2",  # its n overflows
     "nested-domains --scales 1e308 --n 4",  # the scale's domain has infinite sides
+    # flags the command does not read: the ladder sets n and the form and
+    # writes no snapshots, kernel-check reads no run setting, and compare
+    # runs every form
+    "convergence --levels 4,2,1 --s-end 0.2 --n 64 --form lagrangian --snapshot-stride 1",
+    "kernel-check --theta 0.2 --n 7",
+    "compare --form lagrangian",
+    "norms --form original --n 4 --snapshot-stride 2",
+    "run --n 4 --seed 3",
 ])
 def test_invalid_command_flag_exits_2_before_running(tmp_path, capsys, argv):
     rc = main(argv.format(tmp=tmp_path).split() + ["--out", str(tmp_path / "out")])
@@ -95,6 +103,42 @@ def test_invalid_command_flag_exits_2_before_running(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    ("convergence --levels 4,2,1 --n=64 --form lagrangian", "--n=64 --form lagrangian"),
+    ("kernel-check --theta 0.2 --n 7", "--theta 0.2 --n 7"),
+    ("compare --form lagrangian --n 4", "--form lagrangian"),
+])
+def test_a_flag_the_command_does_not_read_is_named(tmp_path, capsys, argv, named):
+    rc = main(argv.split() + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {argv.split()[0]} does not read {named}\n"
+
+
+def test_a_config_key_the_command_does_not_read_is_named(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("dt = 0.02\nn = 16\n")
+    assert main(["kernel-check", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: kernel-check does not read the config keys dt, n\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_key_names_commands_that_exist():
+    for key, (_, _, commands, _) in cli.KEYS.items():
+        assert commands and set(commands) <= set(cli.COMMANDS), key
+    assert set(cli.KEYS["out"][2]) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("levels, level", [("5e-324,1,2", "5e-324"), ("1e-300,1,2", "1e-300")])
+def test_ladder_level_error_names_the_flag_and_the_level(tmp_path, capsys, levels, level):
+    # 20 / 5e-324 overflows to inf, and 20 / 1e-300 passes the largest n
+    rc = main(["convergence", "--levels", levels, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error: --levels: level {level}: ")
+    assert "cannot convert" not in err
 
 
 def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):

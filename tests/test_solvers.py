@@ -7,7 +7,7 @@ import pytest
 
 from kfplab import analytic, sparse
 from kfplab.analysis import final_errors, l2_error
-from kfplab.assembly import assemble_blocks
+from kfplab.assembly import D_VV, MASS, assemble_blocks
 from kfplab.mesh import RectDomain, build_structured_mesh, interpolate_many
 from kfplab.solvers import (
     RunConfig,
@@ -124,8 +124,8 @@ def test_original_one_step_matches_manual():
     blocks = assemble_blocks(mesh)
     f0 = project_initial(mesh, analytic.gaussian_ic)
     x = f0.interior_values()
-    lhs = sparse.combine([(1.0, blocks.mass), (cfg.dt * cfg.theta, blocks.d_vv)])
-    rhs = sparse.combine([(1.0, blocks.mass), (-cfg.dt * (1 - cfg.theta), blocks.d_vv)]).matvec(x)
+    lhs = blocks.matrix(MASS + cfg.dt * cfg.theta * D_VV)
+    rhs = blocks.matrix(MASS - cfg.dt * (1 - cfg.theta) * D_VV).matvec(x)
     y, stats = sparse.solve(lhs, rhs, tol=cfg.tol, x0=x)
     assert stats.converged
     half = f0.with_interior(y, cfg.dt)
@@ -137,7 +137,8 @@ def test_original_one_step_matches_manual():
 
 def _per_form_loop(cfg):
     """Each form's step loop and norm recorder written out on its own, as
-    they stood before the forms shared one loop. The original form
+    they stood before the forms shared one loop, each side built in one
+    contraction over the five blocks. The original form
     interpolates at the feet of all nodes on every step and keeps the
     interior values; the self-similar form builds the next step's explicit
     side at the end of each step. Returns (times, l2, linf, snapshots)."""
@@ -156,9 +157,9 @@ def _per_form_loop(cfg):
         if step in (0, cfg.steps) or step % cfg.snapshot_stride == 0:
             snapshots.append(first.with_interior(x, time))
 
-    def sides(a):
-        return (sparse.combine([(1.0, mass), (cfg.dt * cfg.theta, a)]),
-                sparse.combine([(1.0, mass), (-cfg.dt * (1.0 - cfg.theta), a)]))
+    def sides(c):
+        return (blocks.matrix(MASS + cfg.dt * cfg.theta * c),
+                blocks.matrix(MASS - cfg.dt * (1.0 - cfg.theta) * c))
 
     def step_solve(lhs, precond, rhs_mat, x):
         x_new, stats = sparse.solve(lhs, rhs_mat.matvec(x), tol=cfg.tol, x0=x, precond=precond)
@@ -168,7 +169,7 @@ def _per_form_loop(cfg):
     x = first.interior_values()
     record(0, 0.0, x)
     if cfg.form == "original":
-        lhs, rhs_mat = sides(blocks.d_vv)
+        lhs, rhs_mat = sides(D_VV)
         feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * cfg.dt])
         for step in range(1, cfg.steps + 1):
             x = step_solve(lhs, sparse.jacobi(lhs), rhs_mat, x)
@@ -218,8 +219,8 @@ def test_lagrangian_one_step_matches_manual():
     blocks = assemble_blocks(mesh)
     x = project_initial(mesh, analytic.gaussian_ic).interior_values()
     a_mid = blocks.lagrangian(0.5 * cfg.dt)
-    lhs = sparse.combine([(1.0, blocks.mass), (cfg.dt * cfg.theta, a_mid)])
-    rhs = sparse.combine([(1.0, blocks.mass), (-cfg.dt * (1 - cfg.theta), a_mid)]).matvec(x)
+    lhs = blocks.matrix(MASS + cfg.dt * cfg.theta * a_mid)
+    rhs = blocks.matrix(MASS - cfg.dt * (1 - cfg.theta) * a_mid).matvec(x)
     y, _ = sparse.solve(lhs, rhs, tol=cfg.tol, x0=x, precond=sparse.line_jacobi(lhs))
     assert np.max(np.abs(traj.final.interior_values() - y)) < 1e-12
 
@@ -235,8 +236,8 @@ def test_lagrangian_small_meshes_match_dense_steps(n, to_dense):
     x = project_initial(traj.final.mesh, analytic.gaussian_ic).interior_values()
     for step in range(3):
         a_mid = blocks.lagrangian((step + 0.5) * cfg.dt)
-        lhs = to_dense(sparse.combine([(1.0, blocks.mass), (cfg.dt * cfg.theta, a_mid)]))
-        rhs = sparse.combine([(1.0, blocks.mass), (-cfg.dt * (1 - cfg.theta), a_mid)]).matvec(x)
+        lhs = to_dense(blocks.matrix(MASS + cfg.dt * cfg.theta * a_mid))
+        rhs = blocks.matrix(MASS - cfg.dt * (1 - cfg.theta) * a_mid).matvec(x)
         x = np.linalg.solve(lhs, rhs) if len(x) else x
     got = traj.final.interior_values()
     assert got.shape == x.shape
@@ -250,15 +251,59 @@ def _load_yardstick():
     return module
 
 
-def test_lagrangian_line_path_within_yardstick():
+# Each path's (per entry, scale) distance from its tol-1e-12 run in the
+# columns l2, linf, final field and L2 error, measured, rounded up to three
+# digits, when A(s) and each theta side were separate sums of matrices, before
+# every side became one contraction over the five blocks.
+YARDSTICK_BEFORE_CONTRACTION = {
+    ("lagrangian n=32", "z-lines"): ((1.62e-11, 9.05e-12), (2.87e-10, 1.35e-10), (2.2e-06, 3.04e-10),
+                                     (8.52e-15, 8.52e-15)),
+    ("lagrangian n=32", "Jacobi"): ((1.25e-10, 3.86e-11), (9.25e-10, 5.73e-11), (5.22e-05, 2.13e-09),
+                                    (2.55e-13, 2.55e-13)),
+    ("original n=32", "Jacobi"): ((1.2e-08, 2.04e-09), (9.77e-09, 4.26e-10), (1.86, 9.77e-09),
+                                  (1.95e-08, 1.95e-08)),
+    ("selfsimilar n=32", "Jacobi"): ((5.52e-09, 4.75e-09), (3.05e-09, 2.21e-09), (0.0306, 3.68e-09),
+                                     (2.98e-09, 2.98e-09)),
+    ("Table 2 n=20", "Jacobi"): ((2e-08, 2e-08), (1.89e-08, 1.89e-08), (0.000541, 1.89e-08),
+                                 (4.14e-08, 4.14e-08)),
+    ("Table 2 n=40", "Jacobi"): ((1.14e-07, 9.07e-08), (1.02e-07, 6.37e-08), (180, 1.02e-07),
+                                 (1.82e-07, 1.82e-07)),
+}
+# A path's distance is set by where its solves stop below tol = 1e-10: the
+# median solve of these runs stops at 0.29-0.52 tol, so a path whose every
+# solve stopped at tol itself would lie at most about 1 / 0.29 = 3.4 times
+# farther. Rounding-level changes to the matrices move these distances far
+# less: random perturbations of a few ulps gave ratios 0.67-1.02.
+YARDSTICK_FACTOR = 4.0
+
+
+@pytest.fixture(scope="module")
+def yardstick_tables():
+    """Case name -> the yardstick table of tools/yardstick.py's CASES (~8 s)."""
+    ys = _load_yardstick()
+    return {name: ys.yardstick(n, dt, t_end, form) for name, (form, n, dt, t_end) in ys.CASES.items()}
+
+
+def test_lagrangian_line_path_within_yardstick(yardstick_tables):
     # the z-line path at tol 1e-10 must lie no farther from the same run at
     # tol 1e-12 than the Jacobi path at tol 1e-10: per entry in the norm
     # series and the final L2 error, relative to its largest value in the
     # final field, whose entries reach down to 0 at the boundary
-    table = _load_yardstick().yardstick(n=32, dt=0.1, t_end=10.0)
+    table = yardstick_tables["lagrangian n=32"]
     lines, jacobi = table["z-lines"], table["Jacobi"]
     for col, kind in (("l2", 0), ("linf", 0), ("final field", 1), ("L2 error", 0)):
         assert lines[col][kind] <= jacobi[col][kind], col
+
+
+@pytest.mark.parametrize("case, path", list(YARDSTICK_BEFORE_CONTRACTION))
+def test_every_path_within_its_yardstick_bound(yardstick_tables, case, path):
+    # every column, per entry and by scale, within YARDSTICK_FACTOR times its
+    # distance before the contraction
+    got = yardstick_tables[case][path]
+    before = YARDSTICK_BEFORE_CONTRACTION[case, path]
+    for (col, distance), bound in zip(got.items(), before):
+        for kind in (0, 1):
+            assert distance[kind] <= YARDSTICK_FACTOR * bound[kind], (col, kind, distance, bound)
 
 
 def test_selfsimilar_two_steps_match_manual():
@@ -275,8 +320,8 @@ def test_selfsimilar_two_steps_match_manual():
     for k in (1, 2):
         a_new = blocks.selfsimilar(k * ds, cfg.sigma1)
         a_old = blocks.selfsimilar((k - 1) * ds, cfg.sigma1)
-        lhs = sparse.combine([(1.0, blocks.mass), (ds * cfg.theta, a_new)])
-        rhs = sparse.combine([(1.0, blocks.mass), (-ds * (1 - cfg.theta), a_old)]).matvec(x)
+        lhs = blocks.matrix(MASS + ds * cfg.theta * a_new)
+        rhs = blocks.matrix(MASS - ds * (1 - cfg.theta) * a_old).matvec(x)
         y, stats = sparse.solve(lhs, rhs, tol=cfg.tol, x0=x)
         assert stats.converged
         x = math.exp(cfg.sigma2 * ds) * y

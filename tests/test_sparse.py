@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kfplab import sparse
-from kfplab.assembly import _banded, assemble_blocks
+from kfplab.assembly import MASS, _banded, assemble_blocks
 from kfplab.mesh import RectDomain, build_structured_mesh
 
 
@@ -45,7 +45,8 @@ def test_duplicates_are_summed(to_dense):
     # diagonal counts the elements around each interior node
     mesh = build_structured_mesh(RectDomain.square(1.0), 5)
     n_el = len(mesh.elements)
-    A = _banded(mesh, {"ones": np.ones((n_el, 3, 3))})["ones"]
+    offsets, stack = _banded(mesh, [np.ones((n_el, 3, 3))])
+    A = sparse.SparseMatrix(offsets, stack[0])
     inner = mesh.interior_index[mesh.elements] >= 0
     assert to_dense(A).sum() == float(np.sum(inner.sum(axis=1) ** 2))
     per_node = np.bincount(mesh.elements.ravel(), minlength=mesh.node_count)
@@ -212,20 +213,42 @@ def test_solve_validates_inputs():
         sparse.solve(identity(2), np.zeros(2), tol=0.0)
 
 
-def test_combine_requires_matching_pattern():
-    A = identity(3)
-    B = sparse.SparseMatrix((1,), np.ones((1, 3)))
+def test_combine_requires_one_coefficient_per_block():
+    # one array holds one band, so only the count of blocks can mismatch
+    stack = np.ones((2, 1, 3))
     with pytest.raises(ValueError):
-        sparse.combine([(1.0, A), (1.0, B)])
+        sparse.combine([1.0], stack, (0,))
     with pytest.raises(ValueError):
-        sparse.combine([(1.0, A), (1.0, identity(4))])
+        sparse.combine([1.0, 1.0, 1.0], stack, (0,))
 
 
 def test_combine_and_pattern_assembly(to_dense):
     A = sparse.SparseMatrix((0,), [[2.0, 2.0, 3.0]])
     B = sparse.SparseMatrix((0,), [[1.0, 0.5, 0.5]])
-    C = sparse.combine([(2.0, A), (-1.0, B)])
+    C = sparse.combine([2.0, -1.0], np.array([A.data, B.data]), (0,))
     assert np.allclose(to_dense(C), np.diag([3.0, 3.5, 5.5]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])  # at n = 2 the grid offsets collapse
+def test_contraction_is_the_term_by_term_sum_of_the_blocks(n):
+    # each entry is a sum of five products; any order of it, with or without
+    # fused multiply-adds, lies within gamma_5 ~ 5 eps of sum |c_b a_b|, so
+    # two orders differ by at most 10 eps of it
+    blocks = assemble_blocks(build_structured_mesh(RectDomain(-1.0, 2.0, 0.5, 3.0), n))
+    names = ("mass", "d_vv", "d_zz", "d_vz_sym", "b_adv")  # the order of the rows of the stack
+    parts = [getattr(blocks, name) for name in names]
+    for name, part, band in zip(names, parts, blocks.stack):
+        assert np.shares_memory(part.data, blocks.stack), name
+        assert part.data.base is not None and np.array_equal(part.data, band)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        c = rng.standard_normal(5) * 10.0 ** rng.integers(-3, 4, 5)
+        got = blocks.matrix(c)
+        terms = [cb * part.data for cb, part in zip(c, parts)]
+        want = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
+        bound = 10 * np.finfo(float).eps * sum(np.abs(t) for t in terms)
+        assert got.offsets == blocks.offsets
+        assert np.all(np.abs(got.data - want) <= bound)
 
 
 def test_solve_breakdown_restart_reports_failure():
@@ -242,7 +265,7 @@ def test_solve_breakdown_restart_reports_failure():
 def lagrangian_lhs(n, t, dt=0.1):
     """The sheared form's implicit side M + dt/2 A(t) on the 10-square."""
     blocks = assemble_blocks(build_structured_mesh(RectDomain.square(10.0), n))
-    return sparse.combine([(1.0, blocks.mass), (0.5 * dt, blocks.lagrangian(t))])
+    return blocks.matrix(MASS + 0.5 * dt * blocks.lagrangian(t))
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0, 10.0])

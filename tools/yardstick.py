@@ -1,25 +1,27 @@
-"""How far the sheared (Lagrangian) form's outputs lie from a tightly converged
-run, with its z-line preconditioner and with Jacobi.
+"""How far each form's outputs lie from a tightly converged run of the same
+problem.
 
-    python tools/yardstick.py [--n 128] [--dt 0.1] [--t-end 10]
+    python tools/yardstick.py [--form lagrangian] [--n 128] [--dt 0.1] [--t-end 10]
+    python tools/yardstick.py --cases
 
-Three runs of the same problem: the reference, solved to tol = 1e-12 with
-the z-line preconditioner, and the z-line and Jacobi paths at the default
-tol = 1e-10. For each path the table gives its distance from the reference
-in the norm series (norms.csv), the final field and the final L2 error
-against the closed form (errors.csv):
+The reference run solves every step to tol = 1e-12; each path runs at the
+default tol = 1e-10. The sheared (Lagrangian) form has two paths, its z-line
+preconditioner and Jacobi; the original and self-similar forms have one,
+Jacobi. For each path the table gives its distance from the reference in the
+norm series (norms.csv), the final field and the final L2 error against the
+closed form (errors.csv):
 
 * per entry: max |a - b| / |b| over the entries;
 * scale: max |a - b| / max |b|, relative to the largest value of the column.
 
-A changed solver path is acceptable when it lies no farther from the
-reference than the Jacobi path, column by column: per entry in the norm
-series and the L2 error, by scale in the final field, whose entries reach 0
-at the boundary. Takes about 8 s at n = 128 on two cores.
+`--cases` prints the table of every case in CASES: each form at n = 32 and
+the two coarsest Table-2 levels (n = 20 and 40, s = 10). Each takes under
+three seconds on two cores; `--n 128` with the defaults takes about 8 s.
 """
 
 import argparse
 import contextlib
+import math
 import pathlib
 import sys
 
@@ -28,10 +30,18 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from kfplab import analysis, sparse  # noqa: E402
-from kfplab.solvers import RunConfig, run_lagrangian  # noqa: E402
+from kfplab.solvers import RunConfig, run  # noqa: E402
 
 REFERENCE_TOL = 1e-12
 COLUMNS = ("l2", "linf", "final field", "L2 error")
+# name -> (form, n, dt, t_end)
+CASES = {
+    "lagrangian n=32": ("lagrangian", 32, 0.1, 10.0),
+    "original n=32": ("original", 32, 0.01, 5.0),
+    "selfsimilar n=32": ("selfsimilar", 32, 0.01, 10.0),
+    "Table 2 n=20": ("selfsimilar", 20, 0.01, math.expm1(10.0)),
+    "Table 2 n=40": ("selfsimilar", 40, 0.01, math.expm1(10.0)),
+}
 
 
 @contextlib.contextmanager
@@ -45,9 +55,16 @@ def jacobi_path():
         sparse.line_jacobi = line_jacobi
 
 
+def paths(form: str) -> dict:
+    """Path name -> context in which a run of the form takes that path."""
+    if form == "lagrangian":
+        return {"z-lines": contextlib.nullcontext, "Jacobi": jacobi_path}
+    return {"Jacobi": contextlib.nullcontext}
+
+
 def outputs(config: RunConfig) -> dict:
     """The columns of one run: norm series, final field and final L2 error."""
-    traj = run_lagrangian(config)
+    traj = run(config)
     return {"l2": traj.l2, "linf": traj.linf, "final field": traj.final.values,
             "L2 error": np.array([analysis.final_errors(traj)[0]])}
 
@@ -66,28 +83,38 @@ def distances(got: dict, ref: dict) -> dict:
     return out
 
 
-def yardstick(n: int, dt: float, t_end: float) -> dict:
+def yardstick(n: int, dt: float, t_end: float, form: str = "lagrangian") -> dict:
     """Path name -> distances from the reference run."""
-    base = dict(form="lagrangian", n=n, dt=dt, horizon=t_end)
+    base = dict(form=form, n=n, dt=dt, horizon=t_end)
     ref = outputs(RunConfig(**base, tol=REFERENCE_TOL))
-    lines = outputs(RunConfig(**base))
-    with jacobi_path():
-        jac = outputs(RunConfig(**base))
-    return {"z-lines": distances(lines, ref), "Jacobi": distances(jac, ref)}
+    table = {}
+    for name, context in paths(form).items():
+        with context():
+            table[name] = distances(outputs(RunConfig(**base)), ref)
+    return table
+
+
+def _print_table(title: str, table: dict) -> None:
+    print(f"{title}, distance from tol={REFERENCE_TOL:g} (per entry / scale)")
+    print(f"{'path (tol 1e-10)':<18}" + "".join(f"{c:>22}" for c in COLUMNS))
+    for path, row in table.items():
+        print(f"{path:<18}" + "".join(f"{f'{a:.2e} / {b:.2e}':>22}" for a, b in row.values()))
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--form", default="lagrangian", choices=("original", "lagrangian", "selfsimilar"))
     parser.add_argument("--n", type=int, default=128)
     parser.add_argument("--dt", type=float, default=0.1)
     parser.add_argument("--t-end", type=float, default=10.0)
+    parser.add_argument("--cases", action="store_true", help="every case in CASES")
     args = parser.parse_args(argv)
-    table = yardstick(args.n, args.dt, args.t_end)
-    print(f"lagrangian n={args.n} dt={args.dt} t={args.t_end}, distance from tol={REFERENCE_TOL:g}"
-          " (per entry / scale)")
-    print(f"{'path (tol 1e-10)':<18}" + "".join(f"{c:>22}" for c in COLUMNS))
-    for path, row in table.items():
-        print(f"{path:<18}" + "".join(f"{f'{a:.2e} / {b:.2e}':>22}" for a, b in row.values()))
+    if args.cases:
+        for name, (form, n, dt, t_end) in CASES.items():
+            _print_table(f"{name}: {form} dt={dt} t={t_end:.6g}", yardstick(n, dt, t_end, form))
+        return 0
+    _print_table(f"{args.form} n={args.n} dt={args.dt} t={args.t_end}",
+                 yardstick(args.n, args.dt, args.t_end, args.form))
     return 0
 
 

@@ -11,9 +11,10 @@
   splitting itself introduces no error.
 
 Each form supplies only the sides of its theta step and its split update to
-one time loop, _march, which takes the steps and records the run. A single
-run is sequential; distinct runs are independent and each produced Field is
-an immutable snapshot.
+one time loop, _march, which takes the steps and records the run, starting
+each solve from the extrapolated solve increments of the last three steps. A
+single run is sequential; distinct runs are independent and each produced
+Field is an immutable snapshot.
 """
 
 import math
@@ -29,6 +30,8 @@ from .assembly import D_VV, MASS, assemble_blocks
 from .mesh import Field, RectDomain, TriMesh, build_structured_mesh, interpolate_many, locate
 
 FORMS = ("original", "lagrangian", "selfsimilar")
+# backward-difference weights of the newest 0, 1, 2 or 3 solve increments
+EXTRAPOLATION = ((), (1.0,), (2.0, -1.0), (3.0, -3.0, 1.0))
 
 
 class SolverError(RuntimeError):
@@ -103,6 +106,7 @@ class Trajectory:
     times: np.ndarray
     l2: np.ndarray
     linf: np.ndarray
+    iterations: np.ndarray  # BiCGStab iterations of each step's solve, 0 at step 0
 
     @property
     def final(self) -> Field:
@@ -136,20 +140,24 @@ def _explicit_side(blocks, c, config):
     return blocks.matrix(MASS - config.dt * (1.0 - config.theta) * c)
 
 
-def _theta_step(lhs, precond, rhs_mat, x, config):
-    """Solve lhs x_new = rhs_mat x with precond, a preconditioner built from
-    lhs, or None for Jacobi; the one place that sees each solve's stats."""
-    x_new, stats = sparse.solve(lhs, rhs_mat.matvec(x), tol=config.tol, x0=x, precond=precond)
+def _theta_step(lhs, precond, rhs_mat, x, guess, config):
+    """Solve lhs x_new = rhs_mat x from guess with precond, a preconditioner
+    built from lhs, or None for Jacobi; returns (x_new, SolveStats)."""
+    x_new, stats = sparse.solve(lhs, rhs_mat.matvec(x), tol=config.tol, x0=guess, precond=precond)
     if not stats.converged:
         raise SolverError(
             f"linear solve failed: {stats.iterations} iterations, relative residual {stats.residual:.3e}")
-    return x_new
+    return x_new, stats
 
 
 def _march(config: RunConfig, first: Field, mass, sides, update=lambda k, y: y) -> Trajectory:
     """The one time loop of every form. Step k = 1 .. config.steps is the
     theta step with sides(k) = (lhs, precond, rhs_mat), followed by the
     form's split update(k, y) of the solve's result y.
+
+    Each solve starts from x plus the EXTRAPOLATION of the increments
+    d = y - x of the last three solves, newest first: x, x + d1, x + 2 d1 - d2,
+    then x + 3 (d1 - d2) + d3. d excludes the split update, which moves x.
 
     Records the norms of the interior vector x at every time k dt, and a
     Field at step 0, the last step and every snapshot_stride-th step. The
@@ -159,11 +167,15 @@ def _march(config: RunConfig, first: Field, mass, sides, update=lambda k, y: y) 
     clear of overflow and underflow at any scale of x.
     """
     stride = config.snapshot_stride
-    snapshots, times, l2, linf = [], [], [], []
+    snapshots, times, l2, linf, iterations, d = [], [], [], [], [0], []
     x = first.interior_values()
     for k in range(config.steps + 1):
         if k > 0:
-            x = update(k, _theta_step(*sides(k), x, config))
+            guess = sum((w * di for w, di in zip(EXTRAPOLATION[len(d)], d)), x)
+            y, stats = _theta_step(*sides(k), x, guess, config)
+            d = [y - x] + d[:2]
+            iterations.append(stats.iterations)
+            x = update(k, y)
         time = k * config.dt
         times.append(time)
         linf.append(float(np.abs(x).max(initial=0.0)))
@@ -172,7 +184,7 @@ def _march(config: RunConfig, first: Field, mass, sides, update=lambda k, y: y) 
         l2.append(math.ldexp(math.sqrt(max(y @ mass.matvec(y), 0.0)), e))
         if k in (0, config.steps) or (stride > 0 and k % stride == 0):
             snapshots.append(first.with_interior(x, time))
-    return Trajectory(config, snapshots, np.array(times), np.array(l2), np.array(linf))
+    return Trajectory(config, snapshots, *map(np.array, (times, l2, linf, iterations)))
 
 
 def run_original(config: RunConfig, f0=None) -> Trajectory:

@@ -129,7 +129,8 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     """Right-preconditioned BiCGStab for A x = b.
 
     precond is a preconditioner built from A, such as jacobi(A) or
-    line_jacobi(A); jacobi(A) is the default.
+    line_jacobi(A); jacobi(A) is the default. x0, zero by default, only sets
+    where the iteration begins: every start meets the same stopping test.
 
     Returns (x, SolveStats); convergence means ||A x - b||_2 <= tol * ||b||_2.
     The recurrence breaks down when r* turns orthogonal to r or to A M p, to

@@ -14,6 +14,9 @@ closed form (errors.csv):
 * per entry: max |a - b| / |b| over the entries;
 * scale: max |a - b| / max |b|, relative to the largest value of the column.
 
+Beside the distances it prints each run's cost: the total BiCGStab
+iterations of its solves, from the run's record.
+
 `--cases` prints the table of every case in CASES: each form at n = 32 and
 the two coarsest Table-2 levels (n = 20 and 40, s = 10). Each takes under
 three seconds on two cores; `--n 128` with the defaults takes about 8 s.
@@ -63,10 +66,12 @@ def paths(form: str) -> dict:
 
 
 def outputs(config: RunConfig) -> dict:
-    """The columns of one run: norm series, final field and final L2 error."""
+    """The columns of one run: norm series, final field and final L2 error,
+    and its total BiCGStab iterations."""
     traj = run(config)
     return {"l2": traj.l2, "linf": traj.linf, "final field": traj.final.values,
-            "L2 error": np.array([analysis.final_errors(traj)[0]])}
+            "L2 error": np.array([analysis.final_errors(traj)[0]]),
+            "iterations": int(traj.iterations.sum())}
 
 
 def distances(got: dict, ref: dict) -> dict:
@@ -83,22 +88,31 @@ def distances(got: dict, ref: dict) -> dict:
     return out
 
 
-def yardstick(n: int, dt: float, t_end: float, form: str = "lagrangian") -> dict:
-    """Path name -> distances from the reference run."""
+def runs(n: int, dt: float, t_end: float, form: str = "lagrangian") -> tuple:
+    """(reference outputs, path name -> the path's outputs)."""
     base = dict(form=form, n=n, dt=dt, horizon=t_end)
     ref = outputs(RunConfig(**base, tol=REFERENCE_TOL))
-    table = {}
+    got = {}
     for name, context in paths(form).items():
         with context():
-            table[name] = distances(outputs(RunConfig(**base)), ref)
-    return table
+            got[name] = outputs(RunConfig(**base))
+    return ref, got
 
 
-def _print_table(title: str, table: dict) -> None:
-    print(f"{title}, distance from tol={REFERENCE_TOL:g} (per entry / scale)")
-    print(f"{'path (tol 1e-10)':<18}" + "".join(f"{c:>22}" for c in COLUMNS))
-    for path, row in table.items():
-        print(f"{path:<18}" + "".join(f"{f'{a:.2e} / {b:.2e}':>22}" for a, b in row.values()))
+def yardstick(n: int, dt: float, t_end: float, form: str = "lagrangian") -> dict:
+    """Path name -> distances from the reference run."""
+    ref, got = runs(n, dt, t_end, form)
+    return {name: distances(out, ref) for name, out in got.items()}
+
+
+def _print_table(title: str, ref: dict, got: dict) -> None:
+    print(f"{title}, distance from tol={REFERENCE_TOL:g} (per entry / scale); "
+          f"the reference took {ref['iterations']} iterations")
+    print(f"{'path (tol 1e-10)':<18}" + "".join(f"{c:>22}" for c in COLUMNS) + f"{'iterations':>12}")
+    for path, out in got.items():
+        row = distances(out, ref)
+        print(f"{path:<18}" + "".join(f"{f'{a:.2e} / {b:.2e}':>22}" for a, b in row.values())
+              + f"{out['iterations']:>12}")
 
 
 def main(argv=None) -> int:
@@ -111,10 +125,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.cases:
         for name, (form, n, dt, t_end) in CASES.items():
-            _print_table(f"{name}: {form} dt={dt} t={t_end:.6g}", yardstick(n, dt, t_end, form))
+            _print_table(f"{name}: {form} dt={dt} t={t_end:.6g}", *runs(n, dt, t_end, form))
         return 0
     _print_table(f"{args.form} n={args.n} dt={args.dt} t={args.t_end}",
-                 yardstick(args.n, args.dt, args.t_end, args.form))
+                 *runs(args.n, args.dt, args.t_end, args.form))
     return 0
 
 

@@ -54,12 +54,12 @@ class GaussianSum:
                 raise ValueError("Gaussian decay rates must be positive")
 
     def __call__(self, v, x):
-        v = np.asarray(v, dtype=float)
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(np.broadcast(v, x).shape)
-        for amp, cv, cx, av, ax in self.terms:
-            out = out + amp * np.exp(-av * (v - cv) ** 2 - ax * (x - cx) ** 2)
-        return out
+        v, x = np.asarray(v, dtype=float), np.asarray(x, dtype=float)
+        out, term = np.zeros(np.broadcast(v, x).shape), np.empty(np.broadcast(v, x).shape)
+        for amp, cv, cx, av, ax in self.terms:  # in place: no grid-sized temporaries
+            np.exp(np.subtract(-av * (v - cv) ** 2, ax * (x - cx) ** 2, out=term), out=term)
+            out += np.multiply(amp, term, out=term)
+        return out[()]
 
     def support_box(self, k: float = 8.0):
         """Box outside which every term has decayed below exp(-k^2)."""
@@ -92,14 +92,14 @@ def _check_kernel_time(t: float) -> None:
 def kernel_G(t: float, v, z):
     """Fundamental solution G_t(v, z) in the sheared frame, t > 0."""
     _check_kernel_time(t)
-    v = np.asarray(v, dtype=float)
-    z = np.asarray(z, dtype=float)
+    v, z = np.asarray(v, dtype=float), np.asarray(z, dtype=float)
     pref = SQRT3 / (2.0 * math.pi * t * t)
-    quadratic = 3.0 * z ** 2 + (2.0 * t * v - 3.0 * z) ** 2
+    g = np.asarray(np.square(2.0 * t * v - 3.0 * z))  # in place from here: same bits, fewer temporaries
+    g += 3.0 * z ** 2
     # at tiny t the quotient may overflow to inf, and exp(-inf) is the exact limit 0
     with np.errstate(over="ignore"):
-        exponent = -quadratic / (4.0 * t ** 3)
-    return pref * np.exp(exponent)
+        g /= -4.0 * t ** 3
+    return np.multiply(np.exp(g, out=g), pref, out=g)[()]
 
 
 def kernel_Lq_norm(t: float, q) -> float:
@@ -310,7 +310,8 @@ def convolution_oracle(f0: GaussianSum, t: float, points) -> np.ndarray:
     out = np.zeros(len(pts))  # an empty box integrates to 0
 
     def integrand(nu, ze, v, z):
-        return kernel_G(t, nu, ze) * f0(v - nu, z - ze)
+        g = kernel_G(t, nu, ze)
+        return np.multiply(g, f0(v - nu, z - ze), out=g)
 
     def grid(live, m):
         return _tensor_gauss(integrand, [b[live] for b in box], m, v[live], z[live])

@@ -156,8 +156,7 @@ def _march(config: RunConfig, first: Field, mass, sides, update=lambda k, y: y) 
     form's split update(k, y) of the solve's result y.
 
     Each solve starts from x plus the EXTRAPOLATION of the increments
-    d = y - x of the last three solves, newest first: x, x + d1, x + 2 d1 - d2,
-    then x + 3 (d1 - d2) + d3. d excludes the split update, which moves x.
+    d = y - x of the last three solves, taken before the split update.
 
     Records the norms of the interior vector x at every time k dt, and a
     Field at step 0, the last step and every snapshot_stride-th step. The

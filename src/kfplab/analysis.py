@@ -178,11 +178,12 @@ def convergence_study(base: RunConfig, h_levels):
     return report, fit_power_law(h, l2s)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def poincare_check(mesh: TriMesh, t: float, trials: int, seed: int = 1234) -> float:
     """Worst ratio ||g|| / (coef * ||d_v g + t d_z g||) over random
     zero-boundary P1 fields, by exact element quadrature. The directional
-    Poincare inequality says this never exceeds 1. NaN when a quadratic form
-    overflows, as t^2 does past about 1.3e154."""
+    Poincare inequality says this never exceeds 1. NaN, without a warning,
+    when a quadratic form overflows, as t^2 does past about 1.3e154."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     blocks = assemble_blocks(mesh)

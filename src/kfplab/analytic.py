@@ -69,9 +69,6 @@ class GaussianSum:
         xhi = max(cx + k / math.sqrt(ax) for _, _, cx, _, ax in self.terms)
         return vlo, vhi, xlo, xhi
 
-    def scaled(self, c: float) -> "GaussianSum":
-        return GaussianSum([(c * a, cv, cx, av, ax) for a, cv, cx, av, ax in self.terms])
-
 
 # the reference initial state exp(-v^2 - x^2): mass pi, sup norm 1
 gaussian_ic = GaussianSum([(1.0, 0.0, 0.0, 1.0, 1.0)])

@@ -3,8 +3,8 @@
 Commands: run, convergence, compare, norms, kernel-check, poincare-check,
 nested-domains. Configuration comes from flags, optionally layered over a
 flat `key = value` file (flags win). Outputs are deterministic CSV/text
-files written atomically; exit codes: 0 success, 2 configuration error,
-3 runtime or solver failure (including a failed check).
+files written atomically; exit codes: 0 success, 2 configuration error or
+an unusable --out, 3 runtime or solver failure (including a failed check).
 """
 
 import argparse
@@ -24,8 +24,7 @@ def _fmt(x: float) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write through a temporary file, creating the directory if it is missing."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    """Write through a temporary file."""
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
@@ -311,6 +310,7 @@ def main(argv=None) -> int:
                 studies[key](config, flags[key])
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"--{key}: {exc}") from None
+        os.makedirs(config.out_dir, exist_ok=True)  # last: a configuration error leaves no directory
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,13 +10,15 @@
   exponential reaction update. The two split operators commute, so the
   splitting itself introduces no error.
 
-Each form supplies only the sides of its theta step and its split update to
-one time loop, _march, which takes the steps and records the run, starting
-each solve from the extrapolated solve increments of the last three steps. A
-single run is sequential; distinct runs are independent and each produced
-Field is an immutable snapshot.
+Each form supplies only the operators of its theta step, as coefficient
+vectors over the assembled blocks, its preconditioner and its split update to
+one time loop, _march. The loop builds the theta sides, takes the steps and
+records the run, starting each solve from the extrapolated solve increments
+of the last three steps. A single run is sequential; distinct runs are
+independent and each produced Field is an immutable snapshot.
 """
 
+import functools
 import math
 import numbers
 import sys
@@ -130,19 +132,9 @@ def _start(config: RunConfig, f0, form: str):
     return project_initial(mesh, analytic.gaussian_ic if f0 is None else f0), blocks
 
 
-def _implicit_side(blocks, c, config):
-    """The theta scheme's implicit side M + dt th A, A with coefficients c."""
-    return blocks.matrix(MASS + config.dt * config.theta * c)
-
-
-def _explicit_side(blocks, c, config):
-    """The theta scheme's explicit side M - dt (1-th) A, in one contraction."""
-    return blocks.matrix(MASS - config.dt * (1.0 - config.theta) * c)
-
-
 def _theta_step(lhs, precond, rhs_mat, x, guess, config):
     """Solve lhs x_new = rhs_mat x from guess with precond, a preconditioner
-    built from lhs, or None for Jacobi; returns (x_new, SolveStats)."""
+    built from lhs; returns (x_new, SolveStats)."""
     x_new, stats = sparse.solve(lhs, rhs_mat.matvec(x), tol=config.tol, x0=guess, precond=precond)
     if not stats.converged:
         raise SolverError(
@@ -150,10 +142,13 @@ def _theta_step(lhs, precond, rhs_mat, x, guess, config):
     return x_new, stats
 
 
-def _march(config: RunConfig, first: Field, mass, sides, update=lambda k, y: y) -> Trajectory:
-    """The one time loop of every form. Step k = 1 .. config.steps is the
-    theta step with sides(k) = (lhs, precond, rhs_mat), followed by the
-    form's split update(k, y) of the solve's result y.
+def _march(config: RunConfig, first: Field, blocks, operators, precond, update=lambda k, y: y) -> Trajectory:
+    """The one time loop of every form. Step k = 1 .. config.steps solves the
+    theta step (M + dt th A) y = (M - dt (1-th) A') x, with operators(k) =
+    (A', A) the coefficient vectors over the blocks of its explicit and its
+    implicit side, and then applies the form's split update(k, y). Each side
+    is built in one contraction, and precond(lhs) from the implicit side
+    lhs; all three are reused while operators(k) returns equal vectors.
 
     Each solve starts from x plus the EXTRAPOLATION of the increments
     d = y - x of the last three solves, taken before the split update.
@@ -167,11 +162,17 @@ def _march(config: RunConfig, first: Field, mass, sides, update=lambda k, y: y) 
     """
     stride = config.snapshot_stride
     snapshots, times, l2, linf, iterations, d = [], [], [], [], [0], []
+    ops = sides = None
     x = first.interior_values()
     for k in range(config.steps + 1):
         if k > 0:
+            explicit, implicit = new = operators(k)
+            if ops is None or not all(map(np.array_equal, new, ops)):
+                lhs = blocks.matrix(MASS + config.dt * config.theta * implicit)
+                rhs_mat = blocks.matrix(MASS - config.dt * (1.0 - config.theta) * explicit)
+                ops, sides = new, (lhs, precond(lhs), rhs_mat)
             guess = sum((w * di for w, di in zip(EXTRAPOLATION[len(d)], d)), x)
-            y, stats = _theta_step(*sides(k), x, guess, config)
+            y, stats = _theta_step(*sides, x, guess, config)
             d = [y - x] + d[:2]
             iterations.append(stats.iterations)
             x = update(k, y)
@@ -180,7 +181,7 @@ def _march(config: RunConfig, first: Field, mass, sides, update=lambda k, y: y) 
         linf.append(float(np.abs(x).max(initial=0.0)))
         e = math.frexp(linf[-1])[1]
         y = np.ldexp(x, -e)
-        l2.append(math.ldexp(math.sqrt(max(y @ mass.matvec(y), 0.0)), e))
+        l2.append(math.ldexp(math.sqrt(max(y @ blocks.mass.matvec(y), 0.0)), e))
         if k in (0, config.steps) or (stride > 0 and k % stride == 0):
             snapshots.append(first.with_interior(x, time))
     return Trajectory(config, snapshots, *map(np.array, (times, l2, linf, iterations)))
@@ -190,14 +191,11 @@ def run_original(config: RunConfig, f0=None) -> Trajectory:
     """Heat/transport splitting for the original form."""
     state, blocks = _start(config, f0, "original")
     mesh = state.mesh
-    # all are constant: the theta sides of the v-direction heat operator with
-    # the implicit side's preconditioner, and the feet (v, x + v dt) of the
-    # exact characteristics through the interior nodes, located once
-    lhs = _implicit_side(blocks, D_VV, config)
-    sides = (lhs, sparse.jacobi(lhs), _explicit_side(blocks, D_VV, config))
+    # the feet (v, x + v dt) of the exact characteristics through the
+    # interior nodes are constant, so they are located once
     feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * config.dt])
     at_feet = locate(mesh, feet[mesh.interior])
-    return _march(config, state, blocks.mass, lambda k: sides,
+    return _march(config, state, blocks, lambda k: (D_VV, D_VV), sparse.jacobi,
                   lambda k, y: interpolate_many(state.with_interior(y, k * config.dt), at_feet))
 
 
@@ -209,12 +207,8 @@ def run_lagrangian(config: RunConfig, f0=None) -> Trajectory:
     step's solve is preconditioned with the exact inverse along z-lines.
     """
     state, blocks = _start(config, f0, "lagrangian")
-
-    def sides(k):
-        a_mid = blocks.lagrangian((k - 1) * config.dt + 0.5 * config.dt)
-        lhs = _implicit_side(blocks, a_mid, config)
-        return lhs, sparse.line_jacobi(lhs), _explicit_side(blocks, a_mid, config)
-    return _march(config, state, blocks.mass, sides)
+    return _march(config, state, blocks,
+                  lambda k: (blocks.lagrangian((k - 1) * config.dt + 0.5 * config.dt),) * 2, sparse.line_jacobi)
 
 
 def run_selfsimilar(config: RunConfig, f0=None) -> Trajectory:
@@ -231,16 +225,10 @@ def run_selfsimilar(config: RunConfig, f0=None) -> Trajectory:
             "the truncated solution will decay to zero instead of reaching the steady profile",
             RuntimeWarning, stacklevel=2)
     growth = math.exp(config.sigma2 * config.dt)
-    a_prev = blocks.selfsimilar(0.0, config.sigma1)
-
-    def sides(k):
-        # A(s_{k-1}) carries over from the previous step; its explicit side
-        # is built before A(s_k) replaces it
-        nonlocal a_prev
-        explicit = _explicit_side(blocks, a_prev, config)
-        a_prev = blocks.selfsimilar(k * config.dt, config.sigma1)
-        return _implicit_side(blocks, a_prev, config), None, explicit
-    return _march(config, state, blocks.mass, sides, lambda k, y: growth * y)
+    # A(s_k) is the implicit operator of step k and the explicit one of step
+    # k + 1; the cache of two computes each once
+    a = functools.lru_cache(maxsize=2)(lambda k: blocks.selfsimilar(k * config.dt, config.sigma1))
+    return _march(config, state, blocks, lambda k: (a(k - 1), a(k)), sparse.jacobi, lambda k, y: growth * y)
 
 
 def run(config: RunConfig, f0=None) -> Trajectory:

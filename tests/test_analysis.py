@@ -242,10 +242,11 @@ def test_poincare_single_hat_function():
     assert worst == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_poincare_is_nan_when_the_form_overflows():
     mesh = build_structured_mesh(UNIT, 4)
-    assert math.isnan(poincare_check(mesh, 1e308, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(poincare_check(mesh, 1e308, 2))
 
 
 def test_poincare_rejects_zero_trials():

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from kfplab import cli, solvers
+from kfplab import cli, solvers, sparse
 from kfplab.assembly import OperatorBlocks
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
@@ -50,7 +50,11 @@ def test_every_form_calls_the_traced_names_as_the_benchmark_expects(form, monkey
     # the tracer wraps these names at their module or class binding, and the
     # step clock wraps solvers._theta_step; the benchmark's self-test expects
     # each layer's calls on a form's workload, so a run that bypassed a
-    # binding or changed a count would drop out of its numbers
+    # binding or changed a count would drop out of its numbers. The theta
+    # sides take two contractions and their preconditioner one diagonal:
+    # once per run for the original form's constant operator, once per step
+    # for the others, so re-building constant sides or reusing stale ones
+    # changes the count
     calls = collections.Counter()
 
     def count_calls(owner, name):
@@ -65,13 +69,17 @@ def test_every_form_calls_the_traced_names_as_the_benchmark_expects(form, monkey
         count_calls(solvers, name)
     for name in ("lagrangian", "selfsimilar"):
         count_calls(OperatorBlocks, name)
+    count_calls(sparse, "combine")
+    count_calls(sparse.SparseMatrix, "diagonal")
     config = solvers.RunConfig(form=form, n=6, dt=0.1, horizon=0.5)
     solvers.run(config)
     steps = config.steps
     want = {"_theta_step": steps, f"run_{form}": 1,
             "interpolate_many": steps if form == "original" else 0,
             "lagrangian": steps if form == "lagrangian" else 0,
-            "selfsimilar": steps + 1 if form == "selfsimilar" else 0}
+            "selfsimilar": steps + 1 if form == "selfsimilar" else 0,
+            "combine": 2 if form == "original" else 2 * steps,
+            "diagonal": 1 if form == "original" else steps}
     assert {name: calls[name] for name in want} == want
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,21 @@ def test_a_config_key_the_command_does_not_read_is_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: kernel-check does not read the config keys dt, n\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_an_unusable_out_exits_2_before_running(tmp_path, capsys, monkeypatch, out):
+    # an existing file, and a path under one, cannot be the output directory
+    (tmp_path / "file").write_text("")
+
+    def no_solve(config, f0=None):
+        raise AssertionError("the solve ran")
+    monkeypatch.setattr(solvers, "run", no_solve)
+    rc = main(["run", "--n", "8", "--t-end", "0.1", "--out", str(tmp_path / out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
 
 
 def test_every_key_names_commands_that_exist():
@@ -296,11 +312,13 @@ def test_poincare_check_command(tmp_path):
     assert "PASS" in (out / "report.txt").read_text()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_poincare_check_fails_when_the_form_overflows(tmp_path, capsys):
-    # t^2 overflows at t = 1e308: a ratio of nothing must not pass
-    rc = main(["poincare-check", "--n", "4", "--trials", "2", "--t-grid", "0,1e308",
-               "--out", str(tmp_path)])
+    # t^2 overflows at t = 1e308: a ratio of nothing must not pass, and the
+    # expected overflow raises no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["poincare-check", "--n", "4", "--trials", "2", "--t-grid", "0,1e308",
+                   "--out", str(tmp_path)])
     assert rc == 3
     assert capsys.readouterr().out.splitlines()[-1] == "t=1e+308: worst ratio nan FAIL"
 

@@ -73,7 +73,7 @@ def test_zero_initial_state_stays_zero(form):
 def test_run_linearity(form, alpha):
     cfg = RunConfig(form=form, n=12, dt=0.02, horizon=0.4, snapshot_stride=5)
     a = run(cfg, analytic.gaussian_ic)
-    b = run(cfg, analytic.gaussian_ic.scaled(alpha))
+    b = run(cfg, analytic.GaussianSum([(alpha, 0.0, 0.0, 1.0, 1.0)]))  # alpha * gaussian_ic
     for fa, fb in zip(a.snapshots, b.snapshots):
         denom = np.abs(alpha * fa.values).max()
         assert np.abs(fb.values - alpha * fa.values).max() <= 1e-10 * denom

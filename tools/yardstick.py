@@ -14,6 +14,14 @@ closed form (errors.csv):
 * per entry: max |a - b| / |b| over the entries;
 * scale: max |a - b| / max |b|, relative to the largest value of the column.
 
+The table gives the final field by scale only. Its entries near the
+boundary and in the tails lie near 0, where the solver tolerance leaves
+differences far larger than the entries, so their per-entry distance
+follows those entries and not the run: on the self-similar run at n = 128,
+starting each solve from extrapolated increments cut the scale distance
+from 2.52e-9 to 1.27e-10 and raised the per-entry one from 3.26e+03 to
+1.37e+12. distances() still returns both.
+
 Beside the distances it prints each run's cost: the total BiCGStab
 iterations of its solves, from the run's record.
 
@@ -106,13 +114,15 @@ def yardstick(n: int, dt: float, t_end: float, form: str = "lagrangian") -> dict
 
 
 def _print_table(title: str, ref: dict, got: dict) -> None:
-    print(f"{title}, distance from tol={REFERENCE_TOL:g} (per entry / scale); "
+    print(f"{title}, distance from tol={REFERENCE_TOL:g} (per entry / scale; "
+          f"the final field by scale); "
           f"the reference took {ref['iterations']} iterations")
     print(f"{'path (tol 1e-10)':<18}" + "".join(f"{c:>22}" for c in COLUMNS) + f"{'iterations':>12}")
     for path, out in got.items():
         row = distances(out, ref)
-        print(f"{path:<18}" + "".join(f"{f'{a:.2e} / {b:.2e}':>22}" for a, b in row.values())
-              + f"{out['iterations']:>12}")
+        cells = [f"{a:.2e} / {b:.2e}" for a, b in row.values()]
+        cells[COLUMNS.index("final field")] = f"{row['final field'][1]:.2e}"
+        print(f"{path:<18}" + "".join(f"{c:>22}" for c in cells) + f"{out['iterations']:>12}")
 
 
 def main(argv=None) -> int:

@@ -1,13 +1,20 @@
-"""P1 finite element assembly over the structured mesh.
+"""P1 finite element operators on the uniform structured triangulation.
 
-All element integrals use the 3-midpoint rule. Every integrand that appears
-here (products of the linear basis functions, their constant gradients and
-the linear advection coefficients) has total degree <= 2, so assembly is
-exact and the discrete energy identities hold to machine precision rather
-than approximately.
+Every interior node couples to itself and to the six neighbours it shares an
+edge with, at grid steps (dv, dz) = (0, 0), (+-1, 0), (0, +-1) and +-(1, 1),
+since each cell is split along its lower-left to upper-right diagonal. So
+each block is a 7-point stencil whose entries are the exact integrals over
+the six triangles around the row node, in closed form:
 
+* mass, d_vv, d_zz and d_vz_sym hold one value per stencil point, a multiple
+  of the cell area h_v h_z / 2, of h_z / h_v, of h_v / h_z and of 1;
+* b_adv, the advection pairing ((v/2) d_v u + (3 z/2) d_z u, w) with u the
+  column, has linear coefficients, so its entries are affine in the row
+  node's (v, z) on each stencil point.
+
+Exact integrals make the discrete energy identities hold to rounding.
 Homogeneous Dirichlet conditions are imposed by reduction to the interior
-unknowns; boundary rows and columns are dropped, never penalized.
+unknowns: boundary rows and columns are dropped, never penalized.
 """
 
 import math
@@ -15,67 +22,20 @@ import math
 import numpy as np
 
 from . import sparse
-from .mesh import TriMesh, edge_midpoints, midpoint_quadrature
+from .mesh import TriMesh
 
-
-def _element_blocks(mesh: TriMesh):
-    """Per-element 3x3 kernels for every bilinear form used by the solvers.
-
-    Returns a dict of (n_el, 3, 3) arrays: mass, d_vv, d_zz, d_vz_sym (the
-    symmetrized mixed-gradient pairing) and b_adv, the advection pairing
-    ((v/2) d_v u + (3 z / 2) d_z u, w) with u the column index.
-    """
-    grads, areas = mesh.element_gradients()
-
-    base = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0
-    mass = areas[:, None, None] * base[None, :, :]
-
-    gv = grads[:, :, 0]
-    gz = grads[:, :, 1]
-    a = areas[:, None, None]
-    d_vv = a * gv[:, :, None] * gv[:, None, :]
-    d_zz = a * gz[:, :, None] * gz[:, None, :]
-    d_vz = a * gv[:, :, None] * gz[:, None, :]  # rows derive in v, cols in z
-    d_vz_sym = d_vz + np.transpose(d_vz, (0, 2, 1))
-
-    # int_T coord * phi_i by the midpoint rule: phi_i is 1/2 at the two
-    # midpoints of the edges at vertex i and vanishes at the third.
-    mids, weights = midpoint_quadrature(mesh)
-    phi_at_mid = edge_midpoints(np.eye(3))  # [i, q]
-    int_v_phi = np.einsum("eq,iq,e->ei", mids[:, :, 0], phi_at_mid, weights)
-    int_z_phi = np.einsum("eq,iq,e->ei", mids[:, :, 1], phi_at_mid, weights)
-
-    # b_adv[i, j] = (1/2) g_j^v * int(v phi_i) + (3/2) g_j^z * int(z phi_i)
-    b_adv = 0.5 * int_v_phi[:, :, None] * gv[:, None, :] + 1.5 * int_z_phi[:, :, None] * gz[:, None, :]
-
-    return {"mass": mass, "d_vv": d_vv, "d_zz": d_zz, "d_vz_sym": d_vz_sym, "b_adv": b_adv}
-
-
-def _banded(mesh: TriMesh, kernels) -> tuple:
-    """Scatter (n_el, 3, 3) element kernels into banded matrices on the
-    interior unknowns, all over one band of offsets.
-
-    On the uniform triangulation every node couples only to itself and its
-    neighbours at grid offsets +-1, +-w and +-(w + 1), with w = n - 1 the
-    width of the grid of interior unknowns. One unbuffered add over the slot
-    k * m + row sums each entry's element contributions in element order,
-    straight into the array of all bands. Returns (offsets, stack): stack[b]
-    is the (k, m) DIA data of kernels[b].
-    """
-    rows = np.repeat(mesh.elements, 3, axis=1).reshape(-1, 3, 3)  # rows[e, i, j] = elements[e, i]
-    rows, cols = rows.ravel(), np.transpose(rows, (0, 2, 1)).ravel()
-    rows, cols = mesh.interior_index[rows], mesh.interior_index[cols]
-    keep = (rows >= 0) & (cols >= 0)
-    rows, cols = rows[keep], cols[keep]
-    w, m = mesh.n - 1, mesh.interior_count
-    offsets = np.unique([0, 1, -1, w, -w, w + 1, -(w + 1)])  # not distinct for w <= 1
-    slot = np.searchsorted(offsets, cols - rows) * m + rows
-    del rows, cols  # the slots replace them; freed, they leave room for the bands
-    stack = np.zeros((len(kernels), len(offsets), m))
-    for band, arr in zip(stack, kernels):
-        np.add.at(band.ravel(), slot, arr.ravel()[keep])
-    return tuple(int(o) for o in offsets), stack
-
+# Per stencil point (dv, dz): mass / c, d_vv h_v / h_z, d_zz h_z / h_v and
+# d_vz_sym, then b_adv = c k + (h_z / 12) a_v v + (h_v / 4) a_z z at a row
+# node (v, z) as (k, a_v, a_z), with c = h_v h_z / 2 the cell area.
+STENCIL = (
+    ((0, 0), (1.0, 2.0, 2.0, -2.0), (-1.0, 0.0, 0.0)),
+    ((1, 0), (1 / 6, -1.0, 0.0, 1.0), (0.0, 2.0, -1.0)),
+    ((-1, 0), (1 / 6, -1.0, 0.0, 1.0), (0.0, -2.0, 1.0)),
+    ((0, 1), (1 / 6, 0.0, -1.0, 1.0), (1 / 3, -1.0, 2.0)),
+    ((0, -1), (1 / 6, 0.0, -1.0, 1.0), (1 / 3, 1.0, -2.0)),
+    ((1, 1), (1 / 6, 0.0, 0.0, -1.0), (1 / 6, 1.0, 1.0)),
+    ((-1, -1), (1 / 6, 0.0, 0.0, -1.0), (1 / 6, -1.0, -1.0)),
+)
 
 MASS, D_VV = np.eye(5)[:2]  # the coefficient vectors of the mass and of d_vv
 
@@ -98,9 +58,9 @@ class OperatorBlocks:
         self.offsets, self.stack = offsets, stack
         self.mass, self.d_vv, self.d_zz, self.d_vz_sym, self.b_adv = (sparse.SparseMatrix(offsets, b) for b in stack)
 
-    def matrix(self, coeffs) -> sparse.SparseMatrix:
-        """The operator sum_b coeffs[b] * block b."""
-        return sparse.combine(coeffs, self.stack, self.offsets)
+    def matrix(self, coeffs, out=None) -> sparse.SparseMatrix:
+        """The operator sum_b coeffs[b] * block b, its data written into out if given."""
+        return sparse.combine(coeffs, self.stack, self.offsets, out=out)
 
     def lagrangian(self, t: float) -> np.ndarray:
         if t < 0:
@@ -129,5 +89,25 @@ class OperatorBlocks:
 
 
 def assemble_blocks(mesh: TriMesh) -> OperatorBlocks:
-    """All interior-reduced building-block matrices over one band of offsets."""
-    return OperatorBlocks(*_banded(mesh, list(_element_blocks(mesh).values())))
+    """All interior-reduced building-block matrices over one band of offsets.
+
+    The unknown i = a w + c sits at column c and row a of the w x w grid of
+    interior nodes, w = n - 1, so the stencil point (dv, dz) lies at offset
+    dz w + dv. Its slot is 0 where that neighbour falls off the grid: on the
+    boundary, or past the end of a grid row, where the offset wraps.
+    """
+    w, m = mesh.n - 1, mesh.interior_count
+    hv, hz = mesh.hv, mesh.hz
+    cell = hv * hz / 2
+    scale = np.array([cell, hz / hv, hv / hz, 1.0])
+    v, z = mesh.nodes[mesh.interior].T
+    a, c = np.divmod(np.arange(m), max(w, 1))
+    on_v, on_z = ({-1: i > 0, 0: i >= 0, 1: i < w - 1} for i in (c, a))  # neighbour on the grid
+    offsets = sorted({dz * w + dv for (dv, dz), _, _ in STENCIL})  # not distinct for w <= 1
+    stack = np.zeros((5, len(offsets), m))
+    for (dv, dz), consts, (k, a_v, a_z) in STENCIL:
+        inside = on_v[dv] & on_z[dz]  # at most one stencil point is inside per slot
+        band = stack[:, offsets.index(dz * w + dv)]
+        np.copyto(band[:4], (scale * consts)[:, None], where=inside)
+        np.copyto(band[4], cell * k + hz / 12 * a_v * v + hv / 4 * a_z * z, where=inside)
+    return OperatorBlocks(tuple(offsets), stack)

@@ -83,9 +83,6 @@ class TriMesh:
         grid_iz = np.repeat(np.arange(nv), nv)
         self.boundary = (grid_iv == 0) | (grid_iv == n) | (grid_iz == 0) | (grid_iz == n)
         self.interior = ~self.boundary
-        # map node id -> interior unknown index, -1 on the boundary
-        self.interior_index = np.full(self.node_count, -1, dtype=np.int64)
-        self.interior_index[self.interior] = np.arange(self.interior_count)
 
     @property
     def node_count(self) -> int:
@@ -104,19 +101,6 @@ class TriMesh:
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    def element_gradients(self) -> tuple[np.ndarray, np.ndarray]:
-        """Constant P1 basis gradients per element, shape (n_elements, 3, 2)."""
-        p = self.element_coords()
-        areas = self.element_areas()
-        grads = np.empty_like(p)
-        for i in range(3):
-            pj = p[:, (i + 1) % 3]
-            pk = p[:, (i + 2) % 3]
-            grads[:, i, 0] = pj[:, 1] - pk[:, 1]
-            grads[:, i, 1] = pk[:, 0] - pj[:, 0]
-        grads /= (2.0 * areas)[:, None, None]
-        return grads, areas
 
 
 @dataclass

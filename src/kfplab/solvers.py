@@ -14,8 +14,9 @@ Each form supplies only the operators of its theta step, as coefficient
 vectors over the assembled blocks, its preconditioner and its split update to
 one time loop, _march. The loop builds the theta sides, takes the steps and
 records the run, starting each solve from the extrapolated solve increments
-of the last three steps. A single run is sequential; distinct runs are
-independent and each produced Field is an immutable snapshot.
+of the last three steps. It owns the solver's work vectors and the theta
+sides' arrays for the whole run. A single run is sequential; distinct runs
+are independent and each produced Field is an immutable snapshot.
 """
 
 import functools
@@ -74,9 +75,15 @@ class RunConfig:
             raise ValueError(f"snapshot_stride must be nonnegative, got {self.snapshot_stride}")
         if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if 144 * self.n ** 2 > np.iinfo(np.intp).max:  # bytes of the (2 n^2, 3, 3) element kernels
-            raise ValueError(f"n must be at most {math.isqrt(np.iinfo(np.intp).max // 144)}: "
+        if 48 * self.n ** 2 > np.iinfo(np.intp).max:  # bytes of the mesh's (2 n^2, 3) elements
+            raise ValueError(f"n must be at most {math.isqrt(np.iinfo(np.intp).max // 48)}: "
                              "a larger mesh's arrays exceed numpy's size limit")
+        hv, hz = self.domain.side_v / self.n, self.domain.side_z / self.n
+        for name, value in (("h_v h_z / 2", hv * hz / 2), ("h_z / h_v", hz / hv if hv else math.inf),
+                            ("h_v / h_z", hv / hz if hz else math.inf)):  # the operators' stencil constants
+            if not sys.float_info.min <= value < math.inf:
+                raise ValueError(f"the mesh's {name} = {value:.3g} is not a finite normal float: "
+                                 f"n = {self.n} on {self.domain}")
         if not self._span() < 2 ** 53:  # past 2^53, step * dt repeats times
             raise ValueError(f"the horizon is {self._span():.3g} steps of dt, "
                              f"more than 2**53: horizon = {self.horizon}, dt = {self.dt}")
@@ -132,10 +139,10 @@ def _start(config: RunConfig, f0, form: str):
     return project_initial(mesh, analytic.gaussian_ic if f0 is None else f0), blocks
 
 
-def _theta_step(lhs, precond, rhs_mat, x, guess, config):
+def _theta_step(lhs, precond, rhs_mat, x, guess, work, config):
     """Solve lhs x_new = rhs_mat x from guess with precond, a preconditioner
-    built from lhs; returns (x_new, SolveStats)."""
-    x_new, stats = sparse.solve(lhs, rhs_mat.matvec(x), tol=config.tol, x0=guess, precond=precond)
+    built from lhs, in the solver's work array; returns (x_new, SolveStats)."""
+    x_new, stats = sparse.solve(lhs, rhs_mat.matvec(x), tol=config.tol, x0=guess, precond=precond, work=work)
     if not stats.converged:
         raise SolverError(
             f"linear solve failed: {stats.iterations} iterations, relative residual {stats.residual:.3e}")
@@ -151,7 +158,10 @@ def _march(config: RunConfig, first: Field, blocks, operators, precond, update=l
     lhs; all three are reused while operators(k) returns equal vectors.
 
     Each solve starts from x plus the EXTRAPOLATION of the increments
-    d = y - x of the last three solves, taken before the split update.
+    d = y - x of the last three solves, taken before the split update. The
+    run owns BiCGStab's work vectors and the data of both sides, so that no
+    step allocates them: a step that freed them at the top of the heap would
+    let malloc trim those pages, only for the next step to fault them in.
 
     Records the norms of the interior vector x at every time k dt, and a
     Field at step 0, the last step and every snapshot_stride-th step. The
@@ -164,15 +174,16 @@ def _march(config: RunConfig, first: Field, blocks, operators, precond, update=l
     snapshots, times, l2, linf, iterations, d = [], [], [], [], [0], []
     ops = sides = None
     x = first.interior_values()
+    work, sides_data = np.empty((sparse.WORK_VECTORS, len(x))), np.empty((2,) + blocks.stack.shape[1:])
     for k in range(config.steps + 1):
         if k > 0:
             explicit, implicit = new = operators(k)
             if ops is None or not all(map(np.array_equal, new, ops)):
-                lhs = blocks.matrix(MASS + config.dt * config.theta * implicit)
-                rhs_mat = blocks.matrix(MASS - config.dt * (1.0 - config.theta) * explicit)
+                lhs = blocks.matrix(MASS + config.dt * config.theta * implicit, out=sides_data[0])
+                rhs_mat = blocks.matrix(MASS - config.dt * (1.0 - config.theta) * explicit, out=sides_data[1])
                 ops, sides = new, (lhs, precond(lhs), rhs_mat)
             guess = sum((w * di for w, di in zip(EXTRAPOLATION[len(d)], d)), x)
-            y, stats = _theta_step(*sides, x, guess, config)
+            y, stats = _theta_step(*sides, x, guess, work, config)
             d = [y - x] + d[:2]
             iterations.append(stats.iterations)
             x = update(k, y)

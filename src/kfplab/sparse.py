@@ -3,7 +3,7 @@ preconditioned BiCGStab solver and its two preconditioners.
 
 The advection terms make the assembled systems nonsymmetric, hence a
 stabilized bi-conjugate-gradient method. A preconditioner is a function
-r -> M^-1 r built once per matrix:
+(r, out=None) -> M^-1 r, written into out if given, built once per matrix:
 
 * jacobi: the inverse of the main diagonal. It serves matrices whose
   couplings stay mass dominated, as in the original and self-similar forms.
@@ -13,7 +13,8 @@ r -> M^-1 r built once per matrix:
   large t, where diagonal preconditioning needs several times as many
   iterations.
 
-Matrices are immutable after construction; matvec and solve are pure.
+Matrices are immutable after construction. matvec and solve write only to
+the out and work arrays a caller hands them, and to the arrays they return.
 """
 
 import math
@@ -63,16 +64,18 @@ class SparseMatrix:
         """Stored entries inside the matrix: the multiply-adds of one matvec."""
         return sum(hi - lo for _, lo, hi, _, _ in self._spans)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A x, written into out if given: a float array of A.rows entries other than x."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.rows,):
             raise ValueError(f"dimension mismatch: matrix is {self.rows}x{self.rows}, vector has length {len(x)}")
         # ascending offsets are ascending columns, so every row sums its
         # entries in column order starting from zero
-        y = np.zeros(self.rows)
+        out = np.empty(self.rows) if out is None else out
+        out.fill(0.0)
         for d, lo, hi, x_lo, x_hi in self._spans:
-            y[lo:hi] += d * x[x_lo:x_hi]
-        return y
+            out[lo:hi] += d * x[x_lo:x_hi]
+        return out
 
     def diagonal(self) -> np.ndarray:
         if 0 not in self.offsets:
@@ -80,11 +83,14 @@ class SparseMatrix:
         return self.data[self.offsets.index(0)].copy()
 
 
-def combine(coeffs, stack: np.ndarray, offsets) -> SparseMatrix:
+def combine(coeffs, stack: np.ndarray, offsets, out=None) -> SparseMatrix:
     """The linear combination sum_b coeffs[b] * stack[b] of the DIA data of
     matrices over one band of offsets, stack of shape (blocks, k, m), as one
-    contraction: a single matrix-vector product over the whole array."""
-    data = np.asarray(coeffs, dtype=float) @ stack.reshape(len(stack), -1)
+    contraction: a single matrix-vector product over the whole array. Its
+    data is written into out, a (k, m) array, if given: the matrix changes
+    when out is written again."""
+    data = np.matmul(np.asarray(coeffs, dtype=float), stack.reshape(len(stack), -1),
+                     out=None if out is None else out.reshape(-1))
     return SparseMatrix(offsets, data.reshape(stack.shape[1:]))
 
 
@@ -92,7 +98,7 @@ def jacobi(A: SparseMatrix):
     """Diagonal preconditioner r -> r / diag(A), the identity on zero diagonal entries."""
     diag = A.diagonal()
     inv_diag = np.where(np.abs(diag) > 0, 1.0 / np.where(diag == 0, 1.0, diag), 1.0)
-    return lambda r: inv_diag * r
+    return lambda r, out=None: np.multiply(inv_diag, r, out=out)
 
 
 def line_jacobi(A: SparseMatrix):
@@ -101,10 +107,11 @@ def line_jacobi(A: SparseMatrix):
     A has w * w rows, numbered i = a * w + c on a w x w grid, and the line c
     holds the rows c, w + c, ..., (w - 1) w + c. T is the w x w tridiagonal
     part of A on a line: its entries at offsets 0 and +-w. Every diagonal of
-    A is taken to hold one value, as on a uniform grid with constant
-    coefficients, so all lines share the T of line 0 and one matmul with its
-    inverse applies it to all of them; on other matrices the result is still
-    a preconditioner, only not the exact line inverse. With w <= 1 there is
+    A is taken to hold one value, so all lines share the T of line 0 and one
+    matmul with its inverse applies it to all of them. The operators that
+    assembly builds from the four constant blocks hold it by construction,
+    as the sheared form's sides do; on other matrices the result is still a
+    preconditioner, only not the exact line inverse. With w <= 1 there is
     one unknown or none, no line coupling, and this is jacobi(A).
     """
     w = math.isqrt(A.rows)
@@ -116,7 +123,8 @@ def line_jacobi(A: SparseMatrix):
     tri += np.diag(A.data[A.offsets.index(w)][:-w:w], 1)  # T[a, a + 1], rows a w
     tri += np.diag(A.data[A.offsets.index(-w)][w::w], -1)  # T[a, a - 1], rows a w
     t_inv = np.linalg.inv(tri)
-    return lambda r: (t_inv @ r.reshape(w, w)).ravel()
+    return lambda r, out=None: np.matmul(t_inv, r.reshape(w, w),
+                                         out=None if out is None else out.reshape(w, w)).ravel()
 
 
 def _norm(v: np.ndarray) -> float:
@@ -124,8 +132,11 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
+WORK_VECTORS = 11  # rows of the work array solve iterates in
+
+
 def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER, x0: np.ndarray | None = None, precond=None):
+          max_iter: int = DEFAULT_MAX_ITER, x0: np.ndarray | None = None, precond=None, work=None):
     """Right-preconditioned BiCGStab for A x = b.
 
     precond is a preconditioner built from A, such as jacobi(A) or
@@ -143,16 +154,23 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     above max|b|, and x is scaled back by 2^k. Scaling by a power of two is
     exact, so x and the stats do not depend on the scale of b, and the norms
     and the tests against the smallest normal float stay in range.
+
+    It iterates in place in the rows of work, a (WORK_VECTORS, A.rows) array
+    that aliases neither b nor x0, or in a new one when work is None, with
+    the same results; a caller that solves many systems of one size passes
+    one work array to all of them, so that no solve allocates its vectors.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     b = np.asarray(b, dtype=float)
     if b.shape != (A.rows,):
         raise ValueError("right-hand side has wrong length")
+    work = np.empty((WORK_VECTORS, A.rows)) if work is None else work
+    b_k, x, r, r_star, p, mp, amp, s, ms, ams, t = work  # ValueError on another shape
 
-    k = int(np.frexp(np.abs(b).max(initial=0.0))[1])
-    b = np.ldexp(b, -k)
-    norm_b = _norm(b)
+    k = int(np.frexp(np.abs(b, out=t).max(initial=0.0))[1])
+    np.ldexp(b, -k, out=b_k)
+    norm_b = _norm(b_k)
     if norm_b == 0.0:
         return np.zeros(A.rows), SolveStats(0, 0.0, True)
 
@@ -161,39 +179,40 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     target = tol * norm_b
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
 
-    x = np.zeros(A.rows) if x0 is None else np.ldexp(np.asarray(x0, dtype=float), -k)
+    np.ldexp(0.0 if x0 is None else np.asarray(x0, dtype=float), -k, out=x)
     iters = 0
     while True:  # each pass starts the recurrence from the current iterate
-        r = b - A.matvec(x)
+        np.subtract(b_k, A.matvec(x, out=t), out=r)
         normr = _norm(r)
         if normr <= target or iters >= max_iter:
             return np.ldexp(x, k), SolveStats(iters, normr / norm_b, bool(normr <= target))
-        r_star = r.copy()
-        p = r.copy()
+        r_star[:] = r
+        p[:] = r
         rho, norm_star = float(r_star @ r), normr
         while iters < max_iter:
-            mp = precond(p)
-            amp = A.matvec(mp)
+            precond(p, out=mp)
+            A.matvec(mp, out=amp)
             denom = float(r_star @ amp)
             if (abs(rho) <= eps * norm_star * normr
                     or abs(denom) <= eps * norm_star * _norm(amp)):
                 iters += 1  # breakdown: the restart counts as an iteration
                 break
             alpha = rho / denom
-            s = r - alpha * amp
-            ms = precond(s)
-            ams = A.matvec(ms)
+            np.subtract(r, np.multiply(alpha, amp, out=s), out=s)  # s = r - alpha A M p
+            precond(s, out=ms)
+            A.matvec(ms, out=ams)
             ams_sq = float(ams @ ams)
             iters += 1
             if ams_sq < tiny:  # s vanished: x + alpha M p is the next iterate
-                x = x + alpha * mp
+                x += np.multiply(alpha, mp, out=t)
                 break
             omega = float(ams @ s) / ams_sq
-            x = x + alpha * mp + omega * ms
-            r = s - omega * ams
+            x += np.multiply(alpha, mp, out=t)  # x + alpha M p + omega M s, in that order
+            x += np.multiply(omega, ms, out=t)
+            np.subtract(s, np.multiply(omega, ams, out=r), out=r)  # r = s - omega A M s
             normr = _norm(r)
             if normr <= target:
-                true_res = _norm(b - A.matvec(x))
+                true_res = _norm(np.subtract(b_k, A.matvec(x, out=t), out=t))
                 if true_res <= target:
                     return np.ldexp(x, k), SolveStats(iters, true_res / norm_b, True)
             if abs(omega) < tiny:  # breakdown: restart
@@ -201,4 +220,6 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
             rho_new = float(r_star @ r)
             beta = (rho_new / rho) * (alpha / omega)
             rho = rho_new
-            p = r + beta * (p - omega * amp)
+            p -= np.multiply(omega, amp, out=t)  # p = r + beta (p - omega A M p)
+            p *= beta
+            p += r

@@ -15,9 +15,9 @@ from kfplab.analysis import (
     percent_diff,
     poincare_check,
 )
-from kfplab.assembly import _element_blocks
 from kfplab.mesh import Field, RectDomain, build_structured_mesh
 from kfplab.solvers import RunConfig, project_initial, run
+from test_assembly import element_blocks
 
 UNIT = RectDomain(0.0, 1.0, 0.0, 1.0)
 
@@ -92,7 +92,7 @@ def test_l2_error_tight_when_deviation_is_p1():
     got = l2_error(f, ref)
     # p's mass norm over the whole mesh, boundary nodes included
     p_el = p[mesh.elements]
-    mass_norm = math.sqrt(np.einsum("ei,eij,ej->", p_el, _element_blocks(mesh)["mass"], p_el))
+    mass_norm = math.sqrt(np.einsum("ei,eij,ej->", p_el, element_blocks(mesh)["mass"], p_el))
     # residual of the smooth reference contributes ~(0.04/8)^2 relatively
     assert got == pytest.approx(mass_norm, rel=1e-3)
 

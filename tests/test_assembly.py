@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from kfplab.assembly import _element_blocks, assemble_blocks
-from kfplab.mesh import RectDomain, build_structured_mesh
+from kfplab.assembly import assemble_blocks
+from kfplab.mesh import RectDomain, build_structured_mesh, edge_midpoints, midpoint_quadrature
 from kfplab.solvers import RunConfig
+from kfplab.sparse import SparseMatrix
 
 UNIT = RectDomain(0.0, 1.0, 0.0, 1.0)
 
@@ -21,34 +22,121 @@ def directional_sq_norm(blocks, a, x):
     return float(x @ D.matvec(x))
 
 
-def dense_reference(mesh, kernel):
-    """Element kernels scattered straight into an (m, m) array on the interior
-    unknowns, element by element in order, independently of the banded
-    storage."""
-    ele = mesh.elements
-    rows = np.repeat(ele, 3, axis=1).reshape(-1, 3, 3)
-    cols = np.transpose(rows, (0, 2, 1))
-    ri = mesh.interior_index[rows].ravel()
-    ci = mesh.interior_index[cols].ravel()
-    keep = (ri >= 0) & (ci >= 0)
-    a = np.zeros((mesh.interior_count, mesh.interior_count))
-    np.add.at(a, (ri[keep], ci[keep]), kernel.ravel()[keep])
-    return a
+def element_gradients(mesh):
+    """Constant P1 basis gradients per element, shape (n_elements, 3, 2),
+    and the element areas."""
+    p = mesh.element_coords()
+    areas = mesh.element_areas()
+    grads = np.empty_like(p)
+    for i in range(3):
+        pj = p[:, (i + 1) % 3]
+        pk = p[:, (i + 2) % 3]
+        grads[:, i, 0] = pj[:, 1] - pk[:, 1]
+        grads[:, i, 1] = pk[:, 0] - pj[:, 0]
+    grads /= (2.0 * areas)[:, None, None]
+    return grads, areas
 
 
-def test_assembly_matches_dense_reference(to_dense):
-    for n in (2, 3, 7):
-        mesh = build_structured_mesh(RectDomain(-1.0, 2.0, 0.5, 3.0), n)
-        kernels = _element_blocks(mesh)
-        blocks = assemble_blocks(mesh)
-        for name, kernel in kernels.items():
-            assert np.array_equal(to_dense(getattr(blocks, name)),
-                                  dense_reference(mesh, kernel)), (n, name)
+def element_blocks(mesh):
+    """The oracle of assembly: per-element 3x3 kernels of every block, by
+    the 3-midpoint rule, which is exact for their integrands of degree <= 2.
+
+    Returns a dict of (n_el, 3, 3) arrays in the order of the stack: mass,
+    d_vv, d_zz, d_vz_sym (the symmetrized mixed-gradient pairing) and b_adv,
+    the advection pairing ((v/2) d_v u + (3 z / 2) d_z u, w) with u the
+    column index.
+    """
+    grads, areas = element_gradients(mesh)
+
+    base = (np.full((3, 3), 1.0) + np.eye(3)) / 12.0
+    mass = areas[:, None, None] * base[None, :, :]
+
+    gv = grads[:, :, 0]
+    gz = grads[:, :, 1]
+    a = areas[:, None, None]
+    d_vv = a * gv[:, :, None] * gv[:, None, :]
+    d_zz = a * gz[:, :, None] * gz[:, None, :]
+    d_vz = a * gv[:, :, None] * gz[:, None, :]  # rows derive in v, cols in z
+    d_vz_sym = d_vz + np.transpose(d_vz, (0, 2, 1))
+
+    # int_T coord * phi_i by the midpoint rule: phi_i is 1/2 at the two
+    # midpoints of the edges at vertex i and vanishes at the third.
+    mids, weights = midpoint_quadrature(mesh)
+    phi_at_mid = edge_midpoints(np.eye(3))  # [i, q]
+    int_v_phi = np.einsum("eq,iq,e->ei", mids[:, :, 0], phi_at_mid, weights)
+    int_z_phi = np.einsum("eq,iq,e->ei", mids[:, :, 1], phi_at_mid, weights)
+
+    # b_adv[i, j] = (1/2) g_j^v * int(v phi_i) + (3/2) g_j^z * int(z phi_i)
+    b_adv = 0.5 * int_v_phi[:, :, None] * gv[:, None, :] + 1.5 * int_z_phi[:, :, None] * gz[:, None, :]
+
+    return {"mass": mass, "d_vv": d_vv, "d_zz": d_zz, "d_vz_sym": d_vz_sym, "b_adv": b_adv}
+
+
+def interior_index(mesh):
+    """Node id -> interior unknown index, -1 on the boundary."""
+    index = np.full(mesh.node_count, -1)
+    index[mesh.interior] = np.arange(mesh.interior_count)
+    return index
+
+
+def scatter(mesh, kernels):
+    """Element kernels summed into banded matrices on the interior unknowns,
+    in element order, over the band of offsets 0, +-1, +-w and +-(w + 1),
+    w = n - 1. Returns (offsets, stack): stack[b] is the (k, m) DIA data of
+    kernels[b]."""
+    rows = np.repeat(mesh.elements, 3, axis=1).reshape(-1, 3, 3)  # rows[e, i, j] = elements[e, i]
+    rows, cols = rows.ravel(), np.transpose(rows, (0, 2, 1)).ravel()
+    index = interior_index(mesh)
+    rows, cols = index[rows], index[cols]
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[keep], cols[keep]
+    w, m = mesh.n - 1, mesh.interior_count
+    offsets = np.unique([0, 1, -1, w, -w, w + 1, -(w + 1)])  # not distinct for w <= 1
+    slot = np.searchsorted(offsets, cols - rows) * m + rows
+    stack = np.zeros((len(kernels), len(offsets), m))
+    for band, arr in zip(stack, kernels):
+        np.add.at(band.ravel(), slot, arr.ravel()[keep])
+    return tuple(int(o) for o in offsets), stack
+
+
+def test_assembly_matches_the_element_oracle():
+    # The oracle's cell sides are differences of node coordinates, each
+    # rounded to within eps of the largest one, so they are off from h_v and
+    # h_z by up to eps * R relative, R = max|v| / h_v + max|z| / h_z. Each
+    # entry combines such sides in a few products and quotients, about four
+    # relative errors of that size, and sums at most six element terms, each
+    # no larger than the block's largest entry. So both constructions lie
+    # within 4 eps (R + 4) of that entry, and so of each other.
+    for domain in (RectDomain.square(10.0), RectDomain(-1.0, 2.0, 0.5, 3.0)):
+        for n in (1, 2, 3, 7, 20, 128):  # at n <= 2 the grid offsets collapse
+            mesh = build_structured_mesh(domain, n)
+            blocks = assemble_blocks(mesh)
+            offsets, stack = scatter(mesh, list(element_blocks(mesh).values()))
+            assert blocks.offsets == offsets
+            r = (max(abs(domain.v_min), abs(domain.v_max)) / mesh.hv
+                 + max(abs(domain.z_min), abs(domain.z_max)) / mesh.hz)
+            for name, got, want in zip(("mass", "d_vv", "d_zz", "d_vz_sym", "b_adv"), blocks.stack, stack):
+                bound = 4 * np.finfo(float).eps * (r + 4) * np.abs(want).max(initial=0.0)
+                assert np.all(np.abs(got - want) <= bound), (domain, n, name)
+
+
+def test_duplicates_are_summed(to_dense):
+    # an element with k interior vertices adds k^2 contributions to the
+    # interior band; repeated (row, col) pairs must land in one slot, so the
+    # diagonal counts the elements around each interior node
+    mesh = build_structured_mesh(RectDomain.square(1.0), 5)
+    n_el = len(mesh.elements)
+    offsets, stack = scatter(mesh, [np.ones((n_el, 3, 3))])
+    A = SparseMatrix(offsets, stack[0])
+    inner = interior_index(mesh)[mesh.elements] >= 0
+    assert to_dense(A).sum() == float(np.sum(inner.sum(axis=1) ** 2))
+    per_node = np.bincount(mesh.elements.ravel(), minlength=mesh.node_count)
+    assert np.array_equal(A.diagonal(), per_node[mesh.interior])
 
 
 def test_element_mass_matrix_closed_form():
     mesh = build_structured_mesh(UNIT, 1)
-    blocks = _element_blocks(mesh)
+    blocks = element_blocks(mesh)
     area = 0.5
     want = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
     for e in range(len(mesh.elements)):
@@ -59,8 +147,8 @@ def test_full_mass_integrates_one():
     mesh = build_structured_mesh(RectDomain(-3.0, 1.0, 2.0, 7.0), 6)
     # the full mass matrix is the sum of its element kernels, and its
     # entries add up to the integral of 1, the area
-    assert _element_blocks(mesh)["mass"].sum() == pytest.approx(mesh.domain.side_v * mesh.domain.side_z,
-                                                                rel=1e-13)
+    assert element_blocks(mesh)["mass"].sum() == pytest.approx(mesh.domain.side_v * mesh.domain.side_z,
+                                                               rel=1e-13)
 
 
 def test_mass_symmetric_exactly(to_dense):
@@ -115,7 +203,7 @@ def test_lagrangian_symmetric(t, to_dense):
 def test_lagrangian_perfect_square_identity():
     mesh = build_structured_mesh(RectDomain.square(3.0), 10)
     blocks = assemble_blocks(mesh)
-    grads, areas = mesh.element_gradients()
+    grads, areas = element_gradients(mesh)
     for t in (0.0, 0.6, 2.5):
         A = blocks.matrix(blocks.lagrangian(t))
         for x in random_interior(mesh, seed=int(10 * t) + 1, count=20):

@@ -106,6 +106,21 @@ def test_invalid_command_flag_exits_2_before_running(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "run --n 4 --domain 0,1e-300,0,1e-300",  # the cell area underflows
+    "run --form original --n 4 --domain 0,1e200,0,1e200",  # the cell area overflows
+])
+def test_a_mesh_the_stencils_cannot_represent_exits_2(tmp_path, capsys, argv):
+    # rejected up front, not after 1000 iterations on NaN and warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(argv.split() + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: the mesh's h_v h_z / 2 = ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv, named", [
     ("convergence --levels 4,2,1 --n=64 --form lagrangian", "--n=64 --form lagrangian"),
     ("kernel-check --theta 0.2 --n 7", "--theta 0.2 --n 7"),

@@ -1,11 +1,14 @@
 import importlib.util
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kfplab import analytic, sparse
+from kfplab import analytic, solvers, sparse
 from kfplab.analysis import final_errors, l2_error
 from kfplab.assembly import D_VV, MASS, assemble_blocks
 from kfplab.mesh import RectDomain, build_structured_mesh, interpolate_many
@@ -393,6 +396,53 @@ def test_truncated_original_norm_non_increasing():
     assert np.all(np.diff(traj.l2) <= 1e-12)
 
 
+def test_a_run_gives_the_same_bits_after_other_runs():
+    # compare runs the three forms in one process; each run takes fresh work
+    # vectors, so what earlier runs left in memory cannot reach a later one
+    script = ("import sys; from kfplab.solvers import RunConfig, run\n"
+              "t = run(RunConfig(form='selfsimilar', n=16, dt=0.05, horizon=1.0))\n"
+              "sys.stdout.write(b''.join(a.tobytes() for a in (t.l2, t.linf, t.iterations, t.final.values)).hex())\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    alone = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                           capture_output=True, text=True, check=True).stdout
+    for form in ("original", "lagrangian"):
+        run(RunConfig(form=form, n=16, dt=0.05, horizon=1.0))
+    t = run(RunConfig(form="selfsimilar", n=16, dt=0.05, horizon=1.0))
+    assert b"".join(a.tobytes() for a in (t.l2, t.linf, t.iterations, t.final.values)).hex() == alone
+
+
+def test_a_step_allocates_neither_solver_vectors_nor_sides(monkeypatch):
+    # The run owns BiCGStab's work vectors and the data of both theta sides.
+    # From the end of one solve to the end of the next, a step then holds at
+    # most about 4.4 vectors more than before: its split update, norms,
+    # preconditioner, right-hand side, start and solution. A solve with
+    # vectors of its own peaks near 13, and two new sides take 14. Freed at
+    # the top of the heap on every step, those let malloc trim the pages
+    # that the next step faults in again; page-fault counts depend on the
+    # host, this bound does not.
+    peaks, base = [], []
+    inner = solvers._theta_step
+
+    def traced_step(*args):
+        result = inner(*args)
+        if base:
+            peaks.append((tracemalloc.get_traced_memory()[1] - base[0]) / args[3].nbytes)  # args[3] is x
+        tracemalloc.reset_peak()
+        base[:] = [tracemalloc.get_traced_memory()[0]]
+        return result
+    monkeypatch.setattr(solvers, "_theta_step", traced_step)
+    configs = [RunConfig(form=form, n=48, dt=0.05, horizon=1.0) for form in solvers.FORMS]
+    tracemalloc.start()
+    try:
+        for config in configs:
+            base.clear()
+            run(config)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == sum(config.steps - 1 for config in configs)
+    assert max(peaks) <= 6.0, max(peaks)
+
+
 # --------------------------------------------------------------- config guard
 
 def test_runconfig_validation():
@@ -408,8 +458,13 @@ def test_runconfig_validation():
                 dict(sigma1=math.nan), dict(sigma1=-math.inf), dict(tol=math.nan),
                 dict(tol=0.0), dict(snapshot_stride=-1),
                 dict(n=0), dict(n=4.0),
-                # the mesh's (2 n^2, 3, 3) element kernels pass numpy's size limit
-                dict(n=253_083_375), dict(n=10 ** 20),
+                # the mesh's (2 n^2, 3) elements pass numpy's size limit
+                dict(n=438_353_265), dict(n=10 ** 20),
+                # the cell area h_v h_z / 2 underflows or overflows, and
+                # h_z / h_v overflows
+                dict(domain=RectDomain(0.0, 1e-300, 0.0, 1e-300), n=4),
+                dict(domain=RectDomain(0.0, 1e200, 0.0, 1e200), n=4),
+                dict(domain=RectDomain(0.0, 1e-300, 0.0, 1e300), n=4),
                 # horizon / dt overflows, or passes 2^53 steps, and the
                 # self-similar growth factor exp(sigma2 * dt) overflows
                 dict(form="lagrangian", dt=1e-320, horizon=10.0),
@@ -419,7 +474,7 @@ def test_runconfig_validation():
         with pytest.raises(ValueError):
             RunConfig(**bad)
     assert RunConfig(sigma1=0.25).sigma2 == 1.75
-    assert RunConfig(n=253_083_374).n == 253_083_374
+    assert RunConfig(n=438_353_264).n == 438_353_264
 
 
 def test_exact_splitting_random_systems():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kfplab import sparse
-from kfplab.assembly import MASS, _banded, assemble_blocks
+from kfplab.assembly import MASS, assemble_blocks
 from kfplab.mesh import RectDomain, build_structured_mesh
 
 
@@ -37,20 +37,6 @@ def test_constructor_rejects_malformed_input():
         sparse.SparseMatrix((-1, 0, 1), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         sparse.SparseMatrix((0,), np.zeros(3))
-
-
-def test_duplicates_are_summed(to_dense):
-    # an element with k interior vertices adds k^2 contributions to the
-    # interior band; repeated (row, col) pairs must land in one slot, so the
-    # diagonal counts the elements around each interior node
-    mesh = build_structured_mesh(RectDomain.square(1.0), 5)
-    n_el = len(mesh.elements)
-    offsets, stack = _banded(mesh, [np.ones((n_el, 3, 3))])
-    A = sparse.SparseMatrix(offsets, stack[0])
-    inner = mesh.interior_index[mesh.elements] >= 0
-    assert to_dense(A).sum() == float(np.sum(inner.sum(axis=1) ** 2))
-    per_node = np.bincount(mesh.elements.ravel(), minlength=mesh.node_count)
-    assert np.array_equal(A.diagonal(), per_node[mesh.interior])
 
 
 def test_empty_matrix_matvec_is_zero():
@@ -241,6 +227,7 @@ def test_contraction_is_the_term_by_term_sum_of_the_blocks(n):
         assert np.shares_memory(part.data, blocks.stack), name
         assert part.data.base is not None and np.array_equal(part.data, band)
     rng = np.random.default_rng(n)
+    out = np.full(blocks.stack.shape[1:], np.nan)
     for _ in range(20):
         c = rng.standard_normal(5) * 10.0 ** rng.integers(-3, 4, 5)
         got = blocks.matrix(c)
@@ -249,6 +236,8 @@ def test_contraction_is_the_term_by_term_sum_of_the_blocks(n):
         bound = 10 * np.finfo(float).eps * sum(np.abs(t) for t in terms)
         assert got.offsets == blocks.offsets
         assert np.all(np.abs(got.data - want) <= bound)
+        # written into an array the caller owns, the data is the same bits
+        assert blocks.matrix(c, out=out).data.tobytes() == got.data.tobytes() == out.tobytes()
 
 
 def test_solve_breakdown_restart_reports_failure():
@@ -304,3 +293,90 @@ def test_solve_with_line_jacobi_vs_dense_elimination(to_dense):
     assert stats.iterations < jacobi_stats.iterations
     want = np.linalg.solve(to_dense(A), b)
     assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def allocating_solve(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_MAX_ITER, x0=None, precond=None):
+    """The reference for solve: the same BiCGStab with every vector a new
+    array, as it stood before the iteration ran in a work array."""
+    k = int(np.frexp(np.abs(b).max(initial=0.0))[1])
+    b = np.ldexp(b, -k)
+    norm_b = np.sqrt(b @ b)
+    if norm_b == 0.0:
+        return np.zeros(A.rows), sparse.SolveStats(0, 0.0, True)
+    precond = sparse.jacobi(A) if precond is None else precond
+    target = tol * norm_b
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    x = np.zeros(A.rows) if x0 is None else np.ldexp(x0, -k)
+    iters = 0
+    while True:
+        r = b - A.matvec(x)
+        normr = np.sqrt(r @ r)
+        if normr <= target or iters >= max_iter:
+            return np.ldexp(x, k), sparse.SolveStats(iters, normr / norm_b, bool(normr <= target))
+        r_star, p = r.copy(), r.copy()
+        rho, norm_star = float(r_star @ r), normr
+        while iters < max_iter:
+            mp = precond(p)
+            amp = A.matvec(mp)
+            denom = float(r_star @ amp)
+            if abs(rho) <= eps * norm_star * normr or abs(denom) <= eps * norm_star * np.sqrt(amp @ amp):
+                iters += 1
+                break
+            alpha = rho / denom
+            s = r - alpha * amp
+            ms = precond(s)
+            ams = A.matvec(ms)
+            ams_sq = float(ams @ ams)
+            iters += 1
+            if ams_sq < tiny:
+                x = x + alpha * mp
+                break
+            omega = float(ams @ s) / ams_sq
+            x = x + alpha * mp + omega * ms
+            r = s - omega * ams
+            normr = np.sqrt(r @ r)
+            if normr <= target:
+                res = b - A.matvec(x)
+                true_res = np.sqrt(res @ res)
+                if true_res <= target:
+                    return np.ldexp(x, k), sparse.SolveStats(iters, true_res / norm_b, True)
+            if abs(omega) < tiny:
+                break
+            rho_new = float(r_star @ r)
+            beta = (rho_new / rho) * (alpha / omega)
+            rho = rho_new
+            p = r + beta * (p - omega * amp)
+
+
+def solve_cases():
+    """(A, b, x0, precond) for every path of solve: Jacobi and z-lines, from
+    zero and from a start; a restart after r* . A M p vanishes and another
+    after omega does, each ending where s vanishes; and a system that
+    breaks down after every restart."""
+    A = lagrangian_lhs(12, 10.0)
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal(A.rows)
+    start = b + 0.1 * rng.standard_normal(A.rows)
+    for precond in (sparse.jacobi(A), sparse.line_jacobi(A)):
+        for x0 in (None, start):
+            yield A, b, x0, precond
+    for dense, rhs in (([[-1, -1, -1], [-1, -1, 0], [2, 0, -1]], [1, 1, 0]),
+                       ([[-1, -1, -1], [0, 0, 1], [1, -1, 2]], [1, 0, 0]),
+                       ([[0, 1], [-1, 0]], [1, 0])):
+        D = dia_of(np.array(dense, dtype=float))
+        yield D, np.array(rhs, dtype=float), None, sparse.jacobi(D)
+
+
+def test_solve_in_a_work_array_is_bit_identical_to_the_allocating_reference():
+    # the in-place updates keep every operation and its order, so x and the
+    # stats are the same bits; stale values in a reused work array do not
+    # matter, and a work array of the wrong shape is refused
+    for A, b, x0, precond in solve_cases():
+        want, want_stats = allocating_solve(A, b, x0=x0, precond=precond, max_iter=50)
+        work = np.full((sparse.WORK_VECTORS, A.rows), np.nan)
+        for w in (None, work, work):
+            x, stats = sparse.solve(A, b, x0=x0, precond=precond, max_iter=50, work=w)
+            assert x.tobytes() == want.tobytes() and stats == want_stats
+    for shape in ((sparse.WORK_VECTORS, 4), (sparse.WORK_VECTORS - 1, 3)):
+        with pytest.raises(ValueError):
+            sparse.solve(identity(3), np.ones(3), work=np.empty(shape))

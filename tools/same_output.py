@@ -3,6 +3,7 @@ and store everything they write and print, so that two checkouts can be
 compared with `diff -r`.
 
     python tools/same_output.py <checkout> <out_dir>
+    python tools/same_output.py --compare <out_dir> <out_dir>
 
 Example, for a change against its parent:
 
@@ -10,6 +11,14 @@ Example, for a change against its parent:
     python tools/same_output.py /tmp/parent /tmp/out-parent
     python tools/same_output.py . /tmp/out-change
     diff -r /tmp/out-parent /tmp/out-change    # empty: byte-identical
+    python tools/same_output.py --compare /tmp/out-parent /tmp/out-change
+
+--compare prints, for each file that differs between two such directories,
+how far its numbers moved: the largest change of a number relative to that
+number, and the largest change relative to the file's largest number (the
+first is large wherever a number near zero moves in its last digits). A file
+whose text differs outside its numbers, or that only one side has, is named
+as such. It exits 1 when any file differs and 0 when none does.
 
 Each case gets <out_dir>/<name>/ with the files the command wrote (under
 files/), stdout.txt, stderr.txt and exit_code.txt. Every command runs in its
@@ -21,6 +30,7 @@ text does not depend on where either lives, and wall times printed as
 two cores.
 """
 
+import math
 import os
 import pathlib
 import re
@@ -45,6 +55,7 @@ COMMANDS = {
 }
 
 WALL_TIME = re.compile(r"\(\d+\.\d+ s\)")
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def cases(checkout: pathlib.Path) -> dict:
@@ -69,10 +80,49 @@ def run_case(checkout: pathlib.Path, argv: list, case_dir: pathlib.Path) -> int:
     return proc.returncode
 
 
+def moves(old: str, new: str):
+    """(largest relative change of a number, largest change relative to the
+    largest |number| of either text) between two texts that differ only in
+    their numbers; None when they differ elsewhere."""
+    if NUMBER.split(old) != NUMBER.split(new):
+        return None
+    pairs = [(float(a), float(b)) for a, b in zip(NUMBER.findall(old), NUMBER.findall(new))]
+    changes = [abs(b - a) for a, b in pairs]
+    scale = max((max(abs(a), abs(b)) for a, b in pairs), default=0.0)
+    per_entry = max((c / abs(a) if a else math.inf for c, (a, _) in zip(changes, pairs) if c), default=0.0)
+    return per_entry, max(changes, default=0.0) / scale if scale else 0.0
+
+
+def compare(old_dir: pathlib.Path, new_dir: pathlib.Path) -> int:
+    """Print how far each differing file of two output directories moved."""
+    names = sorted({p.relative_to(d) for d in (old_dir, new_dir) for p in d.rglob("*") if p.is_file()})
+    differ = 0
+    for name in names:
+        old, new = old_dir / name, new_dir / name
+        if not (old.is_file() and new.is_file()):
+            print(f"{name}: only in {old_dir if old.is_file() else new_dir}")
+        elif old.read_bytes() == new.read_bytes():
+            continue
+        elif (moved := moves(old.read_text(), new.read_text())) is None:
+            print(f"{name}: differs outside its numbers")
+        else:
+            print(f"{name}: largest move {moved[0]:.2e} of a number, {moved[1]:.2e} of the file's largest")
+        differ += 1
+    print(f"{differ} of {len(names)} files differ")
+    return 1 if differ else 0
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--compare":
+        old_dir, new_dir = (pathlib.Path(a) for a in args[1:])
+        if not (old_dir.is_dir() and new_dir.is_dir()):
+            print("error: --compare takes two output directories", file=sys.stderr)
+            return 2
+        return compare(old_dir, new_dir)
     if len(args) != 2:
-        print("usage: python tools/same_output.py <checkout> <out_dir>", file=sys.stderr)
+        print("usage: python tools/same_output.py <checkout> <out_dir>\n"
+              "       python tools/same_output.py --compare <out_dir> <out_dir>", file=sys.stderr)
         return 2
     checkout, out_dir = (pathlib.Path(a).resolve() for a in args)
     if not (checkout / "src" / "kfplab").is_dir():

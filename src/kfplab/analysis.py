@@ -209,7 +209,9 @@ NESTED_GRID = 200  # cells per side of its comparison grid
 
 def nested_configs(base: RunConfig, scales) -> list:
     """The self-similar run of each scale, on scale * [-1, 1]^2 at one mesh
-    size h: the largest scale uses base.n."""
+    size h: at least two scales, the largest on base.n."""
+    if len(scales) < 2:
+        raise ValueError("a nested-domain study needs at least 2 scales")
     h = 2.0 * max(scales) / base.n
     return [replace(base, form="selfsimilar", domain=RectDomain.square(scale),
                     n=max(1, round(2.0 * scale / h))) for scale in scales]

@@ -2,7 +2,8 @@
 
 Commands: run, convergence, compare, norms, kernel-check, poincare-check,
 nested-domains. Configuration comes from flags, optionally layered over a
-flat `key = value` file (flags win). Outputs are deterministic CSV/text
+flat `key = value` file (a flag wins over its key in the file, and s-end
+over t-end wherever each is given). Outputs are deterministic CSV/text
 files written atomically; exit codes: 0 success, 2 configuration error or
 an unusable --out, 3 runtime or solver failure (including a failed check).
 """
@@ -38,15 +39,14 @@ def _domain(text: str) -> RectDomain:
     return RectDomain(*map(float, parts))
 
 
-def _numbers(positive: bool, least: int = 1):
-    """Converter for a comma-separated list of at least `least` finite numbers,
-    each > 0 (positive) or >= 0."""
+def _numbers(positive: bool):
+    """Converter for a comma-separated list of finite numbers, each > 0
+    (positive) or >= 0; a study's config builder checks how many."""
     def convert(text: str) -> list:
         vals = [float(x) for x in text.split(",")]
-        if len(vals) < least or not all(
-                math.isfinite(v) and (v > 0 or (v == 0 and not positive)) for v in vals):
+        if not all(math.isfinite(v) and (v > 0 or (v == 0 and not positive)) for v in vals):
             raise ValueError(f"need finite {'positive' if positive else 'nonnegative'} numbers, "
-                             f"at least {least}, got {text!r}")
+                             f"got {text!r}")
         return vals
     return convert
 
@@ -70,8 +70,9 @@ def _integer(least: int):
 
 # Every key, declared once: (converter, RunConfig field it sets or None, the
 # commands that read it, extra argparse settings); another command given it
-# fails. Later keys override earlier ones that set the same field, so --s-end
-# wins over --t-end; RunConfig supplies the defaults and validates the fields.
+# fails. Later keys override earlier ones that set the same field, whether
+# given in the file or as flags, so s-end wins over t-end; RunConfig supplies
+# the defaults and validates the fields.
 _SOLVE = ("run", "norms", "compare", "convergence", "nested-domains")  # commands that run the solver
 KEYS = {
     "form": (str, "form", ("run", "norms"), {"choices": FORMS}),
@@ -85,7 +86,7 @@ KEYS = {
     "snapshot-stride": (int, "snapshot_stride", ("run",), {}),
     "out": (str, "out_dir", (*_SOLVE, "kernel-check", "poincare-check"), {}),
     "seed": (_integer(0), None, ("poincare-check",), {}),
-    "levels": (_numbers(True, least=3), None, ("convergence",),
+    "levels": (_numbers(True), None, ("convergence",),
                {"required": True, "help": "comma-separated h values"}),
     "s-end": (_s_end, "horizon", ("convergence",),
               {"help": "rescaled horizon (overrides --t-end)"}),
@@ -140,7 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(args) -> tuple[RunConfig, int]:
-    """Merge config file and flags (flags win) into a RunConfig, which
+    """Merge config file and flags (a flag wins over its key in the file,
+    then later SETTINGS keys over earlier ones) into a RunConfig, which
     supplies the defaults (the reference settings) and validates the values.
     Reads the SETTINGS keys; a config file key that args.command does not
     read is an error. Returns (config, seed).
@@ -152,7 +154,7 @@ def parse_config(args) -> tuple[RunConfig, int]:
         raise ValueError(f"{command} does not read the config keys {', '.join(ignored)}")
     given.update({key: getattr(args, _dest(key)) for key in SETTINGS
                   if getattr(args, _dest(key), None) is not None})
-    values = {key: _convert(key, text) for key, text in given.items()}
+    values = {key: _convert(key, given[key]) for key in SETTINGS if key in given}
     seed = values.pop("seed", 0)
     return RunConfig(**{KEYS[key][1]: value for key, value in values.items()}), seed
 
@@ -280,7 +282,9 @@ def _cmd_nested_domains(config, seed, scales) -> int:
     for (a, b), d in zip(zip(used[:-1], used[1:]), diffs):
         lines.append(f"scales {_fmt(a)} vs {_fmt(b)}: L2 discrepancy {_fmt(d)}")
     valid = [d for d, fa, fb in zip(diffs, flags[:-1], flags[1:]) if not (fa or fb)]
-    monotone = all(x > y for x, y in zip(valid[:-1], valid[1:]))
+    if not valid:
+        lines.append("no pair of admissible scales was compared")
+    monotone = bool(valid) and all(x > y for x, y in zip(valid[:-1], valid[1:]))
     lines.append(f"discrepancies decreasing: {'PASS' if monotone else 'FAIL'}")
     return _write_report(config, lines, monotone)
 

@@ -10,6 +10,8 @@ import importlib
 import importlib.util
 import inspect
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -38,6 +40,17 @@ def test_tracer_target_resolves(modname, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_importing_the_package_loads_every_traced_module():
+    # the benchmark runs `import kfplab` and then patches the modules it
+    # finds loaded; the command line it imports itself
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run([sys.executable, "-c", "import sys, kfplab; print(*sorted(sys.modules))"],
+                            env=env, capture_output=True, text=True, check=True).stdout.split()
+    want = {modname for _, modname, _ in TARGETS} - {"kfplab.cli"}
+    assert want <= set(loaded)
 
 
 def test_step_clock_keys_on_last_argument():

@@ -76,6 +76,7 @@ def test_nonfinite_input_is_config_error(tmp_path, capsys, flag, value):
     "nested-domains --n 8 --scales 4,x",
     "nested-domains --n 8 --scales 4,nan",
     "nested-domains --n 8 --scales 0,4",
+    "nested-domains --n 8 --scales 4",  # one scale gives no pair to compare
     "run --n 4 --config {tmp}/missing.cfg",
     "run --form lagrangian --n 4 --dt 1e-320 --t-end 10",
     "run --form selfsimilar --n 4 --sigma1=-1e6",
@@ -211,6 +212,31 @@ def test_s_end_overrides_t_end():
     assert config.horizon == math.expm1(1.5)
 
 
+@pytest.mark.parametrize("lines, flags", [
+    ("s-end = 0.2\nt-end = 5\n", {}),
+    ("t-end = 5\ns-end = 0.2\n", {}),
+    ("s-end = 0.2\n", {"t_end": "5"}),
+    ("t-end = 5\n", {"s_end": "0.2"}),
+])
+def test_s_end_wins_whatever_the_file_order_or_source(tmp_path, lines, flags):
+    path = tmp_path / "horizon.cfg"
+    path.write_text(lines)
+    config, _ = parse_config(Args(command="convergence", config=str(path), **flags))
+    assert config.horizon == math.expm1(0.2)
+
+
+def test_a_convergence_run_ends_at_the_file_s_end(tmp_path):
+    # s-end before t-end in the file once let t-end win: the run ended at 1.8
+    path = tmp_path / "horizon.cfg"
+    path.write_text("s-end = 0.2\nt-end = 5\n")
+    out = tmp_path / "conv"
+    rc = main(["convergence", "--levels", "4,2,1", "--dt", "0.05", "--config", str(path),
+               "--out", str(out)])
+    assert rc == 0
+    times = [float(line.split(",")[2]) for line in (out / "errors.csv").read_text().splitlines()[1:]]
+    assert times == pytest.approx([0.2] * 3)
+
+
 def test_flag_overrides_config_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("dt = 0.02\nn = 16\n")
@@ -344,6 +370,15 @@ def test_nested_domains_command(tmp_path):
                "--t-end", "1.0", "--out", str(out)])
     assert rc == 0
     assert "discrepancy" in (out / "report.txt").read_text()
+
+
+def test_nested_domains_fails_when_every_scale_violates(tmp_path, capsys):
+    # every pair is excluded, so nothing was compared: that is no PASS
+    rc = main(["nested-domains", "--scales", "0.5,0.6,0.7", "--n", "8", "--dt", "0.1",
+               "--t-end", "1", "--out", str(tmp_path / "nd")])
+    assert rc == 3
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "no pair of admissible scales was compared", "discrepancies decreasing: FAIL"]
 
 
 def test_convergence_command(tmp_path):

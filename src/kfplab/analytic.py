@@ -103,11 +103,11 @@ def kernel_Lq_norm(t: float, q) -> float:
     """||G_t||_{L^q}: q^{-1/q} (sqrt(3)/(2 pi t^2))^{(q-1)/q}, sup norm at q=inf."""
     _check_kernel_time(t)
     pref = SQRT3 / (2.0 * math.pi * t * t)
-    if q == math.inf or q == "inf":
-        return pref
     q = float(q)
     if not q >= 1:  # NaN fails too
         raise ValueError("q must satisfy q >= 1")
+    if q == math.inf:
+        return pref
     return q ** (-1.0 / q) * pref ** ((q - 1.0) / q)
 
 
@@ -121,16 +121,16 @@ def kernel_Lq_quadrature(t: float, q) -> float:
     grid around the origin instead of integrated.
     """
     _check_kernel_time(t)
-    if q == math.inf or q == "inf":
+    q = float(q)
+    if not q >= 1:  # NaN fails too
+        raise ValueError("q must satisfy q >= 1")
+    if q == math.inf:
         sv = math.sqrt(2.0 * t)
         sz = math.sqrt(2.0 * t ** 3 / 3.0)
         g1 = np.linspace(-0.5 * sv, 0.5 * sv, 1001)
         g2 = np.linspace(-0.5 * sz, 0.5 * sz, 1001)
         V, Z = np.meshgrid(g1, g2, indexing="ij")
         return float(kernel_G(t, V, Z).max())
-    q = float(q)
-    if not q >= 1:  # NaN fails too
-        raise ValueError("q must satisfy q >= 1")
     sv = 8.0 * math.sqrt(2.0 * t)
     sz = 8.0 * math.sqrt(2.0 * t ** 3 / 3.0)
     box = tuple(np.array([c]) for c in (-sv, sv, -sz, sz))

@@ -68,17 +68,6 @@ class TriMesh:
         V, Z = np.meshgrid(vs, zs, indexing="xy")  # row iz, column iv
         self.nodes = np.column_stack([V.ravel(), Z.ravel()])
 
-        iv, iz = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-        ll = (iz * nv + iv).ravel()
-        lr = ll + 1
-        ul = ll + nv
-        ur = ul + 1
-        lower = np.column_stack([ll, lr, ur])
-        upper = np.column_stack([ll, ur, ul])
-        self.elements = np.empty((2 * n * n, 3), dtype=np.int64)
-        self.elements[0::2] = lower
-        self.elements[1::2] = upper
-
         grid_iv = np.tile(np.arange(nv), nv)
         grid_iz = np.repeat(np.arange(nv), nv)
         self.boundary = (grid_iv == 0) | (grid_iv == n) | (grid_iz == 0) | (grid_iz == n)
@@ -92,12 +81,17 @@ class TriMesh:
     def interior_count(self) -> int:
         return (self.n - 1) ** 2
 
-    def element_coords(self) -> np.ndarray:
-        """Vertex coordinates per element, shape (n_elements, 3, 2)."""
-        return self.nodes[self.elements]
+    def per_element(self, per_node: np.ndarray) -> np.ndarray:
+        """A per-node array at each element's vertices, shape (2 n^2, 3, ...),
+        stacked from the node grid's four corner views: per cell in row-major
+        order, the lower triangle (ll, lr, ur), then the upper one (ll, ur, ul)."""
+        n = self.n
+        grid = np.asarray(per_node).reshape(n + 1, n + 1, *np.shape(per_node)[1:])
+        ll, lr, ul, ur = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
+        return np.stack([ll, lr, ur, ll, ur, ul], axis=2).reshape(2 * n * n, 3, *grid.shape[2:])
 
     def element_areas(self) -> np.ndarray:
-        p = self.element_coords()
+        p = self.per_element(self.nodes)
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -139,7 +133,7 @@ def edge_midpoints(per_vertex: np.ndarray) -> np.ndarray:
 def midpoint_quadrature(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     """The edge-midpoint rule, exact for total degree <= 2. Returns the
     points (n_el, 3, 2) and the weights (n_el,) = |T|/3."""
-    return edge_midpoints(mesh.element_coords()), mesh.element_areas() / 3.0
+    return edge_midpoints(mesh.per_element(mesh.nodes)), mesh.element_areas() / 3.0
 
 
 @dataclass(frozen=True)

@@ -75,7 +75,7 @@ class RunConfig:
             raise ValueError(f"snapshot_stride must be nonnegative, got {self.snapshot_stride}")
         if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if 48 * self.n ** 2 > np.iinfo(np.intp).max:  # bytes of the mesh's (2 n^2, 3) elements
+        if 48 * self.n ** 2 > np.iinfo(np.intp).max:  # bytes of the error norm's (2 n^2, 3) per-element array
             raise ValueError(f"n must be at most {math.isqrt(np.iinfo(np.intp).max // 48)}: "
                              "a larger mesh's arrays exceed numpy's size limit")
         hv, hz = self.domain.side_v / self.n, self.domain.side_z / self.n

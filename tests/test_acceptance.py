@@ -285,7 +285,7 @@ def test_criterion_11_discrete_energy_identities():
         for t in (0.0, 1.0, 3.7):
             vals = np.zeros(mesh.node_count)
             vals[mesh.interior] = x
-            ue = vals[mesh.elements]
+            ue = mesh.per_element(vals)
             gv = np.einsum("ei,ei->e", ue, grads[:, :, 0])
             gz = np.einsum("ei,ei->e", ue, grads[:, :, 1])
             direct = float(np.sum(areas * (gv + t * gz) ** 2))

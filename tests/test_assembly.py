@@ -25,7 +25,7 @@ def directional_sq_norm(blocks, a, x):
 def element_gradients(mesh):
     """Constant P1 basis gradients per element, shape (n_elements, 3, 2),
     and the element areas."""
-    p = mesh.element_coords()
+    p = mesh.per_element(mesh.nodes)
     areas = mesh.element_areas()
     grads = np.empty_like(p)
     for i in range(3):
@@ -72,6 +72,11 @@ def element_blocks(mesh):
     return {"mass": mass, "d_vv": d_vv, "d_zz": d_zz, "d_vz_sym": d_vz_sym, "b_adv": b_adv}
 
 
+def element_nodes(mesh):
+    """The node ids of each element's vertices, shape (n_elements, 3)."""
+    return mesh.per_element(np.arange(mesh.node_count))
+
+
 def interior_index(mesh):
     """Node id -> interior unknown index, -1 on the boundary."""
     index = np.full(mesh.node_count, -1)
@@ -84,7 +89,7 @@ def scatter(mesh, kernels):
     in element order, over the band of offsets 0, +-1, +-w and +-(w + 1),
     w = n - 1. Returns (offsets, stack): stack[b] is the (k, m) DIA data of
     kernels[b]."""
-    rows = np.repeat(mesh.elements, 3, axis=1).reshape(-1, 3, 3)  # rows[e, i, j] = elements[e, i]
+    rows = np.repeat(element_nodes(mesh), 3, axis=1).reshape(-1, 3, 3)  # rows[e, i, j] = node i of e
     rows, cols = rows.ravel(), np.transpose(rows, (0, 2, 1)).ravel()
     index = interior_index(mesh)
     rows, cols = index[rows], index[cols]
@@ -125,12 +130,13 @@ def test_duplicates_are_summed(to_dense):
     # interior band; repeated (row, col) pairs must land in one slot, so the
     # diagonal counts the elements around each interior node
     mesh = build_structured_mesh(RectDomain.square(1.0), 5)
-    n_el = len(mesh.elements)
+    elements = element_nodes(mesh)
+    n_el = len(elements)
     offsets, stack = scatter(mesh, [np.ones((n_el, 3, 3))])
     A = SparseMatrix(offsets, stack[0])
-    inner = interior_index(mesh)[mesh.elements] >= 0
+    inner = interior_index(mesh)[elements] >= 0
     assert to_dense(A).sum() == float(np.sum(inner.sum(axis=1) ** 2))
-    per_node = np.bincount(mesh.elements.ravel(), minlength=mesh.node_count)
+    per_node = np.bincount(elements.ravel(), minlength=mesh.node_count)
     assert np.array_equal(A.diagonal(), per_node[mesh.interior])
 
 
@@ -139,7 +145,7 @@ def test_element_mass_matrix_closed_form():
     blocks = element_blocks(mesh)
     area = 0.5
     want = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-    for e in range(len(mesh.elements)):
+    for e in range(len(element_nodes(mesh))):
         assert np.allclose(blocks["mass"][e], want, atol=1e-15)
 
 
@@ -210,7 +216,7 @@ def test_lagrangian_perfect_square_identity():
             # elementwise quadrature of the squared directional gradient
             vals = np.zeros(mesh.node_count)
             vals[mesh.interior] = x
-            ue = vals[mesh.elements]
+            ue = mesh.per_element(vals)
             gv = np.einsum("ei,ei->e", ue, grads[:, :, 0])
             gz = np.einsum("ei,ei->e", ue, grads[:, :, 1])
             direct = float(np.sum(areas * (gv + t * gz) ** 2))

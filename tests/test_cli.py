@@ -381,6 +381,35 @@ def test_nested_domains_fails_when_every_scale_violates(tmp_path, capsys):
         "no pair of admissible scales was compared", "discrepancies decreasing: FAIL"]
 
 
+def test_nested_domains_reports_each_violating_scale(tmp_path, capsys):
+    # the study's flags name each scale excluded from the contract
+    rc = main(["nested-domains", "--scales", "0.5,4,6", "--n", "16", "--dt", "0.05",
+               "--t-end", "1", "--out", str(tmp_path / "nd")])
+    assert rc == 0
+    lines = (tmp_path / "nd" / "report.txt").read_text().splitlines()
+    assert [line for line in lines if line.startswith("warning:")] == [
+        "warning: scale 0.5 violates the domain size condition; excluded from the monotonicity contract"]
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+@pytest.mark.parametrize("argv", [
+    "run --form lagrangian --n 4 --domain=0,1.6e308,0,8 --t-end 10",
+    "compare --n 4 --domain=0,1.6e308,0,8 --t-end 10",
+    "convergence --levels 4e307,2e307,1e307 --domain=0,1.6e308,0,8 --s-end 0.5 --dt 0.1",
+])
+def test_a_non_finite_error_against_the_closed_form_exits_3(tmp_path, capsys, argv):
+    # the closed form overflows on this domain, so its errors would read nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main([*argv.split(), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert "RectDomain(v_min=0.0, v_max=1.6e+308" in err
+    assert not (tmp_path / "errors.csv").exists()
+
+
 def test_convergence_command(tmp_path):
     out = tmp_path / "conv"
     rc = main(["convergence", "--levels", "2.5,1.25,0.625", "--dt", "0.05",

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,10 +16,26 @@ from kfplab.mesh import (
 UNIT = RectDomain(0.0, 1.0, 0.0, 1.0)
 
 
+def element_oracle(mesh):
+    """The (2 n^2, 3) node ids of the elements, built by index arithmetic:
+    per cell in row-major order, the lower triangle (ll, lr, ur), then the
+    upper one (ll, ur, ul)."""
+    n, nv = mesh.n, mesh.n + 1
+    iv, iz = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
+    ll = (iz * nv + iv).ravel()
+    lr = ll + 1
+    ul = ll + nv
+    ur = ul + 1
+    elements = np.empty((2 * n * n, 3), dtype=np.int64)
+    elements[0::2] = np.column_stack([ll, lr, ur])
+    elements[1::2] = np.column_stack([ll, ur, ul])
+    return elements
+
+
 def test_smallest_mesh_counts():
     m = build_structured_mesh(UNIT, 1)
     assert m.node_count == 4
-    assert len(m.elements) == 2
+    assert len(m.per_element(np.arange(m.node_count))) == 2
     assert m.boundary.sum() == 4
     assert m.interior_count == 0
 
@@ -26,7 +43,7 @@ def test_smallest_mesh_counts():
 def test_n2_counts():
     m = build_structured_mesh(UNIT, 2)
     assert m.node_count == 9
-    assert len(m.elements) == 8
+    assert len(m.per_element(np.arange(m.node_count))) == 8
     assert m.boundary.sum() == 8
     assert m.interior.sum() == 1
 
@@ -42,6 +59,30 @@ def test_area_partition(domain, n):
     assert np.all(areas > 0)
     area = domain.side_v * domain.side_z
     assert abs(areas.sum() - area) <= 1e-12 * area
+
+
+@pytest.mark.parametrize("domain,n", [(UNIT, 1), (UNIT, 2), (UNIT, 3), (UNIT, 20),
+                                      (RectDomain(-1.0, 2.0, 0.5, 3.0), 7)])
+def test_per_element_matches_the_index_oracle(domain, n):
+    m = build_structured_mesh(domain, n)
+    ids = m.per_element(np.arange(m.node_count))
+    assert ids.dtype == np.int64
+    assert np.array_equal(ids, element_oracle(m))
+    # trailing axes ride along: the coordinates are those of the ids
+    assert np.array_equal(m.per_element(m.nodes), m.nodes[element_oracle(m)])
+
+
+def test_mesh_stores_no_connectivity():
+    # a live mesh holds its node coordinates and its two node masks, and no
+    # array of its 2 n^2 elements
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        m = build_structured_mesh(UNIT, 128)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= m.nodes.nbytes + m.boundary.nbytes + m.interior.nbytes + 4096
 
 
 def test_rejects_zero_subdivisions():
@@ -62,7 +103,7 @@ def test_rejects_domain_whose_side_overflows(bounds):
 
 def test_node_membership_counts():
     m = build_structured_mesh(UNIT, 4)
-    counts = np.bincount(m.elements.ravel(), minlength=m.node_count)
+    counts = np.bincount(m.per_element(np.arange(m.node_count)).ravel(), minlength=m.node_count)
     nv = m.n + 1
     corner_ids = [0, m.n, m.n * nv, m.n * nv + m.n]
     for node in range(m.node_count):
@@ -212,7 +253,7 @@ def test_quadrature_degree_two_on_random_triangles():
         domain = RectDomain(lo[0], lo[0] + rng.uniform(0.5, 5), lo[1], lo[1] + rng.uniform(0.5, 5))
         mesh = build_structured_mesh(domain, int(rng.integers(1, 5)))
         pts, w = midpoint_quadrature(mesh)
-        for tri, tri_pts, tri_w in zip(mesh.element_coords(), pts, w):
+        for tri, tri_pts, tri_w in zip(mesh.per_element(mesh.nodes), pts, w):
             for p, q in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
                 got = np.sum(tri_w * tri_pts[:, 0] ** p * tri_pts[:, 1] ** q)
                 want = _exact_triangle_moment(tri, p, q)

@@ -458,7 +458,7 @@ def test_runconfig_validation():
                 dict(sigma1=math.nan), dict(sigma1=-math.inf), dict(tol=math.nan),
                 dict(tol=0.0), dict(snapshot_stride=-1),
                 dict(n=0), dict(n=4.0),
-                # the mesh's (2 n^2, 3) elements pass numpy's size limit
+                # the error norm's (2 n^2, 3) per-element array passes numpy's size limit
                 dict(n=438_353_265), dict(n=10 ** 20),
                 # the cell area h_v h_z / 2 underflows or overflows, and
                 # h_z / h_v overflows

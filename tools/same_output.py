@@ -1,6 +1,7 @@
-"""Run a fixed set of kfplab commands and the five demos against one checkout
+"""Run fourteen fixed kfplab commands and the five demos against one checkout
 and store everything they write and print, so that two checkouts can be
-compared with `diff -r`.
+compared with `diff -r`. One run is on an off-centre rectangle with h_v != h_z,
+where a swapped axis would show.
 
     python tools/same_output.py <checkout> <out_dir>
     python tools/same_output.py --compare <out_dir> <out_dir>
@@ -43,6 +44,8 @@ COMMANDS = {
     "run-original": "run --form original --n 128 --dt 0.01 --t-end 5",
     "run-original-snapshots": "run --form original --n 24 --dt 0.05 --t-end 1 --snapshot-stride 7",
     "run-lagrangian-snapshots": "run --form lagrangian --n 24 --dt 0.05 --t-end 1 --snapshot-stride 7",
+    "run-lagrangian-rectangle": "run --form lagrangian --n 20 --domain=-3,5,-2,4 --dt 0.05 --t-end 1 "
+                                "--snapshot-stride 10",
     "run-selfsimilar": "run --form selfsimilar --n 128 --dt 0.01 --t-end 10 --snapshot-stride 60",
     "run-original-theta": "run --form original --n 24 --theta 0.75",
     "run-selfsimilar-sigma1": "run --form selfsimilar --n 24 --theta 1 --sigma1 0.5",

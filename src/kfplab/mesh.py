@@ -90,8 +90,8 @@ class TriMesh:
         ll, lr, ul, ur = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
         return np.stack([ll, lr, ur, ll, ur, ul], axis=2).reshape(2 * n * n, 3, *grid.shape[2:])
 
-    def element_areas(self) -> np.ndarray:
-        p = self.per_element(self.nodes)
+    def element_areas(self, p: np.ndarray | None = None) -> np.ndarray:
+        p = self.per_element(self.nodes) if p is None else p  # the vertex coordinates
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -133,7 +133,8 @@ def edge_midpoints(per_vertex: np.ndarray) -> np.ndarray:
 def midpoint_quadrature(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     """The edge-midpoint rule, exact for total degree <= 2. Returns the
     points (n_el, 3, 2) and the weights (n_el,) = |T|/3."""
-    return edge_midpoints(mesh.per_element(mesh.nodes)), mesh.element_areas() / 3.0
+    weights = mesh.element_areas(vertices := mesh.per_element(mesh.nodes)) / 3.0
+    return edge_midpoints(vertices), weights
 
 
 @dataclass(frozen=True)

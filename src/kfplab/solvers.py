@@ -3,8 +3,8 @@
 * run_original: split stepping, a theta-scheme solve of the v-diffusion
   followed by an exact characteristic (semi-Lagrangian) transport update.
 * run_lagrangian: a theta scheme for the time-dependent sheared form, with
-  the bilinear form frozen at the midpoint of each step. Its solves use the
-  z-line preconditioner; the other two forms use Jacobi.
+  the bilinear form frozen at the midpoint of each step. Its solves use a
+  red-black sweep over z-lines; the other two forms use Jacobi.
 * run_selfsimilar: the exact two-operator split of the rescaled equation, a
   theta-scheme solve for the coercive part followed by the closed-form
   exponential reaction update. The two split operators commute, so the
@@ -181,7 +181,8 @@ def _march(config: RunConfig, first: Field, blocks, operators, precond, update=l
             if ops is None or not all(map(np.array_equal, new, ops)):
                 lhs = blocks.matrix(MASS + config.dt * config.theta * implicit, out=sides_data[0])
                 rhs_mat = blocks.matrix(MASS - config.dt * (1.0 - config.theta) * explicit, out=sides_data[1])
-                ops, sides = new, (lhs, precond(lhs), rhs_mat)
+                ops, sides = new, None  # free the last preconditioner's arrays before the next takes its own
+                sides = (lhs, precond(lhs), rhs_mat)
             guess = sum((w * di for w, di in zip(EXTRAPOLATION[len(d)], d)), x)
             y, stats = _theta_step(*sides, x, guess, work, config)
             d = [y - x] + d[:2]
@@ -214,12 +215,12 @@ def run_lagrangian(config: RunConfig, f0=None) -> Trajectory:
     """Theta scheme for the sheared form, midpoint-frozen coefficients.
 
     At large t the operator (d_v + t d_z)^2 couples each unknown mostly to
-    its z-neighbours, at offsets +-w in the interior numbering, so each
-    step's solve is preconditioned with the exact inverse along z-lines.
+    its z-neighbours, at offsets +-w in the interior numbering, so each step's
+    solve is preconditioned by exact solves along z-lines, swept red-black.
     """
     state, blocks = _start(config, f0, "lagrangian")
     return _march(config, state, blocks,
-                  lambda k: (blocks.lagrangian((k - 1) * config.dt + 0.5 * config.dt),) * 2, sparse.line_jacobi)
+                  lambda k: (blocks.lagrangian((k - 1) * config.dt + 0.5 * config.dt),) * 2, sparse.line_gauss_seidel)
 
 
 def run_selfsimilar(config: RunConfig, f0=None) -> Trajectory:

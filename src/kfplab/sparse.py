@@ -7,16 +7,16 @@ stabilized bi-conjugate-gradient method. A preconditioner is a function
 
 * jacobi: the inverse of the main diagonal. It serves matrices whose
   couplings stay mass dominated, as in the original and self-similar forms.
-* line_jacobi: the exact inverse of the tridiagonal part at offsets 0 and +-w,
-  the lines along the second axis of a w x w grid of unknowns. The sheared
-  form's operator (d_v + t d_z)^2 puts nearly all of its coupling there at
-  large t, where diagonal preconditioning needs several times as many
-  iterations.
+* line_gauss_seidel: a symmetric red-black sweep of exact solves along the
+  lines at offsets 0 and +-w of a w x w grid of unknowns. The sheared form's
+  operator (d_v + t d_z)^2 puts nearly all of its coupling there at large t,
+  where diagonal preconditioning needs several times as many iterations.
 
 Matrices are immutable after construction. matvec and solve write only to
 the out and work arrays a caller hands them, and to the arrays they return.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,30 +101,58 @@ def jacobi(A: SparseMatrix):
     return lambda r, out=None: np.multiply(inv_diag, r, out=out)
 
 
-def line_jacobi(A: SparseMatrix):
-    """Block Jacobi over lines of stride w: r -> T^-1 r on every line.
+@functools.lru_cache(maxsize=4)
+def _sine_basis(w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvectors Q[j, k] = sqrt(2 / (w + 1)) sin(j k pi / (w + 1)), j, k = 1..w, of every
+    symmetric tridiagonal Toeplitz w x w matrix, and cos(k pi / (w + 1)); Q = Q^T = Q^-1."""
+    angles = np.arange(1, w + 1) * np.pi / (w + 1)
+    return math.sqrt(2.0 / (w + 1)) * np.sin(np.outer(np.arange(1, w + 1), angles)), np.cos(angles)
 
-    A has w * w rows, numbered i = a * w + c on a w x w grid, and the line c
-    holds the rows c, w + c, ..., (w - 1) w + c. T is the w x w tridiagonal
-    part of A on a line: its entries at offsets 0 and +-w. Every diagonal of
-    A is taken to hold one value, so all lines share the T of line 0 and one
-    matmul with its inverse applies it to all of them. The operators that
-    assembly builds from the four constant blocks hold it by construction,
-    as the sheared form's sides do; on other matrices the result is still a
-    preconditioner, only not the exact line inverse. With w <= 1 there is
-    one unknown or none, no line coupling, and this is jacobi(A).
+
+def line_gauss_seidel(A: SparseMatrix):
+    """Symmetric red-black Gauss-Seidel over the lines of stride w.
+
+    A has w * w rows, i = a * w + c, and line c holds the rows c, w + c, ...
+    Its line part L, at offsets 0 and +-w, is on every line the tridiagonal
+    Toeplitz T, a on the diagonal and b beside it, so T^-1 = (Q / lambda) Q
+    in the sine basis, lambda_k = a + 2 b cos(k pi / (w + 1)). The offsets
+    +-1 and +-(w + 1) couple even lines only to odd ones, by C_oe into odd
+    rows and C_eo into even rows, so the sweep is three line solves,
+    y_e' = T^-1 r_e, y_o = T^-1 (r_o - C_oe y_e') and y_e = T^-1 (r_e - C_eo y_o),
+    or (L + C_eo)^-1 L (L + C_oe)^-1 r: symmetric positive definite whenever
+    A is. Each diagonal of A is taken to hold one value, read in a row whose
+    neighbour is on the grid, as in the sides assembly builds; with w <= 1 no
+    lines couple and this is jacobi(A). It sweeps in arrays of its own.
     """
     w = math.isqrt(A.rows)
     if A.rows != w * w:
         raise ValueError(f"a matrix of {A.rows} rows is not a square grid of lines")
     if w <= 1:
         return jacobi(A)
-    tri = np.diag(A.diagonal()[::w])
-    tri += np.diag(A.data[A.offsets.index(w)][:-w:w], 1)  # T[a, a + 1], rows a w
-    tri += np.diag(A.data[A.offsets.index(-w)][w::w], -1)  # T[a, a - 1], rows a w
-    t_inv = np.linalg.inv(tri)
-    return lambda r, out=None: np.matmul(t_inv, r.reshape(w, w),
-                                         out=None if out is None else out.reshape(w, w)).ravel()
+    value = lambda off, row: A.data[A.offsets.index(off), row] if off in A.offsets else 0.0
+    q, cos = _sine_basis(w)
+    t_inv = (q / (A.diagonal()[0] + 2.0 * value(w, 0) * cos)) @ q
+    n = (w + 1) // 2, w // 2  # lines of colour p = 0 (even) and 1 (odd)
+    row = n[0] + 2
+    # line 2j + p is column j of rhs and j + 1 of frames[p], framed by zeros
+    # for neighbours off the grid; with `row` entries a row, the neighbours of
+    # entry i of the flat rhs lie at i + shift in the flat frames[1 - p][p:]
+    frames, rhs = np.zeros((2, w + 2, row)), np.empty((w, row))
+    lines = [frames[p, 1:-1, 1:count + 1] for p, count in enumerate(n)]
+    shifts = ((value(-1, 1), row), (value(1, 0), row + 1), (value(-w - 1, w + 1), 0), (value(w + 1, 0), 2 * row + 1))
+    def apply(r, out=None):
+        for sweep, p in enumerate((0, 1, 0)):
+            rhs[:, :n[p]] = r.reshape(w, w)[:, p::2]
+            if sweep:  # subtract the coupling to the lines of the other colour
+                m = (w - 1) * row + n[p]
+                target, source = rhs.reshape(-1)[:m], frames[1 - p].reshape(-1)[p:]
+                for c, shift in shifts:
+                    target -= c * source[shift:shift + m]
+            np.matmul(t_inv, rhs[:, :n[p]], out=lines[p])
+        out = np.empty(w * w) if out is None else out
+        out.reshape(w, w)[:, 0::2], out.reshape(w, w)[:, 1::2] = lines
+        return out
+    return apply
 
 
 def _norm(v: np.ndarray) -> float:
@@ -140,8 +168,8 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     """Right-preconditioned BiCGStab for A x = b.
 
     precond is a preconditioner built from A, such as jacobi(A) or
-    line_jacobi(A); jacobi(A) is the default. x0, zero by default, only sets
-    where the iteration begins: every start meets the same stopping test.
+    line_gauss_seidel(A); jacobi(A) is the default. x0, zero by default, only
+    sets where the iteration begins: every start meets the same stopping test.
 
     Returns (x, SolveStats); convergence means ||A x - b||_2 <= tol * ||b||_2.
     The recurrence breaks down when r* turns orthogonal to r or to A M p, to

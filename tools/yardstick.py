@@ -5,11 +5,12 @@ problem.
     python tools/yardstick.py --cases
 
 The reference run solves every step to tol = 1e-12; each path runs at the
-default tol = 1e-10. The sheared (Lagrangian) form has two paths, its z-line
-preconditioner and Jacobi; the original and self-similar forms have one,
-Jacobi. For each path the table gives its distance from the reference in the
-norm series (norms.csv), the final field and the final L2 error against the
-closed form (errors.csv):
+default tol = 1e-10. The sheared (Lagrangian) form has two paths, "z-lines",
+its symmetric red-black Gauss-Seidel sweep over z-lines
+(sparse.line_gauss_seidel), and Jacobi; the original and self-similar forms
+have one, Jacobi. For each path the table gives its distance from the
+reference in the norm series (norms.csv), the final field and the final L2
+error against the closed form (errors.csv):
 
 * per entry: max |a - b| / |b| over the entries;
 * scale: max |a - b| / max |b|, relative to the largest value of the column.
@@ -57,13 +58,14 @@ CASES = {
 
 @contextlib.contextmanager
 def jacobi_path():
-    """Within the block, run_lagrangian preconditions its solves with Jacobi."""
-    line_jacobi = sparse.line_jacobi
-    sparse.line_jacobi = sparse.jacobi
+    """Within the block, run_lagrangian preconditions its solves with Jacobi
+    in place of the red-black sweep over z-lines."""
+    line_gauss_seidel = sparse.line_gauss_seidel
+    sparse.line_gauss_seidel = sparse.jacobi
     try:
         yield
     finally:
-        sparse.line_jacobi = line_jacobi
+        sparse.line_gauss_seidel = line_gauss_seidel
 
 
 def paths(form: str) -> dict:

@@ -110,14 +110,6 @@ class Field:
         if self.values.shape != (self.mesh.node_count,):
             raise ValueError("field length does not match mesh node count")
 
-    def interior_values(self) -> np.ndarray:
-        return self.values[self.mesh.interior]
-
-    def with_interior(self, interior: np.ndarray, time: float) -> "Field":
-        vals = np.zeros(self.mesh.node_count)
-        vals[self.mesh.interior] = interior
-        return Field(self.mesh, vals, time=time)
-
 
 def build_structured_mesh(domain: RectDomain, n: int) -> TriMesh:
     """Uniform mesh of (n+1)^2 nodes and 2 n^2 triangles over the rectangle."""

@@ -15,7 +15,8 @@ vectors over the assembled blocks, its preconditioner and its split update to
 one time loop, _march. The loop builds the theta sides, takes the steps and
 records the run, starting each solve from the extrapolated solve increments
 of the last three steps. It owns the solver's work vectors and the theta
-sides' arrays for the whole run. A single run is sequential; distinct runs
+sides' arrays for the whole run. Every state is a node vector, 0.0 on the
+boundary, the frame of every solve. A single run is sequential; distinct runs
 are independent and each produced Field is an immutable snapshot.
 """
 
@@ -75,8 +76,8 @@ class RunConfig:
             raise ValueError(f"snapshot_stride must be nonnegative, got {self.snapshot_stride}")
         if not isinstance(self.n, numbers.Integral) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if 48 * self.n ** 2 > np.iinfo(np.intp).max:  # bytes of the error norm's (2 n^2, 3) per-element array
-            raise ValueError(f"n must be at most {math.isqrt(np.iinfo(np.intp).max // 48)}: "
+        if 112 * (self.n + 1) ** 2 > np.iinfo(np.intp).max:  # bytes of the largest array, 2 sides' 7 rows
+            raise ValueError(f"n must be at most {math.isqrt(np.iinfo(np.intp).max // 112) - 1}: "
                              "a larger mesh's arrays exceed numpy's size limit")
         hv, hz = self.domain.side_v / self.n, self.domain.side_z / self.n
         for name, value in (("h_v h_z / 2", hv * hz / 2), ("h_z / h_v", hz / hv if hv else math.inf),
@@ -122,12 +123,15 @@ class Trajectory:
         return self.snapshots[-1]
 
 
+def _pinned(mesh: TriMesh, values: np.ndarray) -> np.ndarray:
+    """values, a node vector, with the boundary pinned to 0: the zero frame."""
+    values[mesh.boundary] = 0.0
+    return values
+
+
 def project_initial(mesh: TriMesh, f0) -> Field:
     """Nodal interpolation of the initial state with the boundary pinned to 0."""
-    vals = np.asarray(f0(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)
-    vals = vals.copy()
-    vals[mesh.boundary] = 0.0
-    return Field(mesh, vals, time=0.0)
+    return Field(mesh, _pinned(mesh, np.array(f0(mesh.nodes[:, 0], mesh.nodes[:, 1]), dtype=float)), time=0.0)
 
 
 def _start(config: RunConfig, f0, form: str):
@@ -154,27 +158,26 @@ def _march(config: RunConfig, first: Field, blocks, operators, precond, update=l
     theta step (M + dt th A) y = (M - dt (1-th) A') x, with operators(k) =
     (A', A) the coefficient vectors over the blocks of its explicit and its
     implicit side, and then applies the form's split update(k, y). Each side
-    is built in one contraction, and precond(lhs) from the implicit side
-    lhs; all three are reused while operators(k) returns equal vectors.
+    is built by one combine, and precond(lhs) from the implicit side lhs;
+    all three are reused while operators(k) returns equal vectors.
 
     Each solve starts from x plus the EXTRAPOLATION of the increments
     d = y - x of the last three solves, taken before the split update. The
-    run owns BiCGStab's work vectors and the data of both sides, so that no
+    run owns BiCGStab's work vectors and the rows of both sides, so that no
     step allocates them: a step that freed them at the top of the heap would
     let malloc trim those pages, only for the next step to fault them in.
 
-    Records the norms of the interior vector x at every time k dt, and a
-    Field at step 0, the last step and every snapshot_stride-th step. The
-    boundary is pinned to 0, so the interior holds the L-inf norm;
-    initial=0.0 covers a mesh with no interior. The L2 norm is taken of x
-    scaled by a power of two near 1/linf, which is exact and keeps x M x
-    clear of overflow and underflow at any scale of x.
+    x is a node vector, first.values at step 0, and no step writes into an x
+    it made. Records its norms at every time k dt, and a Field of it at step
+    0, the last step and every snapshot_stride-th step. The L2 norm is taken
+    of x scaled by a power of two near 1/linf, which is exact and keeps
+    x M x clear of overflow and underflow at any scale of x.
     """
     stride = config.snapshot_stride
     snapshots, times, l2, linf, iterations, d = [], [], [], [], [0], []
     ops = sides = None
-    x = first.interior_values()
-    work, sides_data = np.empty((sparse.WORK_VECTORS, len(x))), np.empty((2,) + blocks.stack.shape[1:])
+    x = first.values
+    work, sides_data = np.empty((sparse.WORK_VECTORS, len(x))), np.empty((2,) + blocks.b_adv.data.shape)
     for k in range(config.steps + 1):
         if k > 0:
             explicit, implicit = new = operators(k)
@@ -190,12 +193,12 @@ def _march(config: RunConfig, first: Field, blocks, operators, precond, update=l
             x = update(k, y)
         time = k * config.dt
         times.append(time)
-        linf.append(float(np.abs(x).max(initial=0.0)))
+        linf.append(float(np.abs(x).max()))
         e = math.frexp(linf[-1])[1]
         y = np.ldexp(x, -e)
         l2.append(math.ldexp(math.sqrt(max(y @ blocks.mass.matvec(y), 0.0)), e))
         if k in (0, config.steps) or (stride > 0 and k % stride == 0):
-            snapshots.append(first.with_interior(x, time))
+            snapshots.append(Field(first.mesh, x, time))
     return Trajectory(config, snapshots, *map(np.array, (times, l2, linf, iterations)))
 
 
@@ -203,20 +206,21 @@ def run_original(config: RunConfig, f0=None) -> Trajectory:
     """Heat/transport splitting for the original form."""
     state, blocks = _start(config, f0, "original")
     mesh = state.mesh
-    # the feet (v, x + v dt) of the exact characteristics through the
-    # interior nodes are constant, so they are located once
+    # the feet (v, x + v dt) of the exact characteristics through the nodes
+    # are constant, so they are located once; boundary feet may land inside
+    # the domain, so the transported state is pinned as the initial one is
     feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * config.dt])
-    at_feet = locate(mesh, feet[mesh.interior])
+    at_feet = locate(mesh, feet)
     return _march(config, state, blocks, lambda k: (D_VV, D_VV), sparse.jacobi,
-                  lambda k, y: interpolate_many(state.with_interior(y, k * config.dt), at_feet))
+                  lambda k, y: _pinned(mesh, interpolate_many(Field(mesh, y, k * config.dt), at_feet)))
 
 
 def run_lagrangian(config: RunConfig, f0=None) -> Trajectory:
     """Theta scheme for the sheared form, midpoint-frozen coefficients.
 
-    At large t the operator (d_v + t d_z)^2 couples each unknown mostly to
-    its z-neighbours, at offsets +-w in the interior numbering, so each step's
-    solve is preconditioned by exact solves along z-lines, swept red-black.
+    At large t the operator (d_v + t d_z)^2 couples each node mostly to its
+    z-neighbours, at offsets +-(n + 1) on the node grid, so each step's solve
+    is preconditioned by exact solves along z-lines, swept red-black.
     """
     state, blocks = _start(config, f0, "lagrangian")
     return _march(config, state, blocks,

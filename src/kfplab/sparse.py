@@ -1,5 +1,11 @@
-"""Banded (DIA) matrices, their linear combination in one contraction, a
-preconditioned BiCGStab solver and its two preconditioners.
+"""The 7-point operators of the P1 forms on the node grid, their linear
+combination, a preconditioned BiCGStab solver and its two preconditioners.
+
+A vector holds the values at the nodes of the (n + 1) x (n + 1) grid, as
+Field.values does. Its boundary nodes are the frame, the homogeneous
+Dirichlet data, 0.0 in every vector of a solve: a matvec writes zero frame
+rows, a preconditioner keeps a zero frame, and so does every linear
+combination.
 
 The advection terms make the assembled systems nonsymmetric, hence a
 stabilized bi-conjugate-gradient method. A preconditioner is a function
@@ -8,9 +14,10 @@ stabilized bi-conjugate-gradient method. A preconditioner is a function
 * jacobi: the inverse of the main diagonal. It serves matrices whose
   couplings stay mass dominated, as in the original and self-similar forms.
 * line_gauss_seidel: a symmetric red-black sweep of exact solves along the
-  lines at offsets 0 and +-w of a w x w grid of unknowns. The sheared form's
-  operator (d_v + t d_z)^2 puts nearly all of its coupling there at large t,
-  where diagonal preconditioning needs several times as many iterations.
+  z-lines of the interior grid, the couplings at offsets 0 and +-s. The
+  sheared form's operator (d_v + t d_z)^2 puts nearly all of its coupling
+  there at large t, where diagonal preconditioning needs several times as
+  many iterations.
 
 Matrices are immutable after construction. matvec and solve write only to
 the out and work arrays a caller hands them, and to the arrays they return.
@@ -33,65 +40,65 @@ class SolveStats:
     converged: bool
 
 
-class SparseMatrix:
-    """Square banded matrix in diagonal (DIA) storage.
+def zero_frame(v: np.ndarray, side: int) -> np.ndarray:
+    """v, a vector on the grid of the given side, with its frame set to 0.0."""
+    grid = v.reshape(side, side)
+    grid[0] = grid[-1] = grid[:, 0] = grid[:, -1] = 0.0
+    return v
 
-    offsets are strictly increasing and data has shape (len(offsets), m),
-    row-aligned: y[i] = sum_k data[k, i] * x[i + offsets[k]]. Slots whose
-    column i + offsets[k] falls outside the matrix are ignored. The matrix
-    is immutable, so the span of rows each diagonal reaches is fixed at
-    construction.
+
+class SparseMatrix:
+    """The 7-point operator of a P1 form on the node grid of side s >= 2.
+
+    On every interior row i, y[i] = sum_k data[k] * x[i + offsets[k]] over
+    the offsets dz s + dv of the stencil points (dv, dz) = (-1, -1), (0, -1),
+    (-1, 0), (0, 0), (1, 0), (0, 1) and (1, 1), summed in that order from 0.0;
+    on the frame rows y = 0. data is 7 numbers, one stencil for every row, or
+    (7, s * s) rows, data[k, i] in row i. An interior node's neighbours are
+    grid nodes, so no offset leaves the matrix or wraps past a grid row.
     """
 
-    def __init__(self, offsets, data):
-        self.offsets = tuple(int(o) for o in offsets)
+    def __init__(self, side: int, data):
+        self.side = s = int(side)
+        self.offsets = (-s - 1, -s, -1, 0, 1, s, s + 1)
+        self.rows = s * s
         self.data = np.asarray(data, dtype=float)
-        if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
-            raise ValueError("offsets must be strictly increasing")
-        if self.data.ndim != 2 or self.data.shape[0] != len(self.offsets):
-            raise ValueError(f"data shape {self.data.shape} does not match {len(self.offsets)} offsets")
-        self.rows = m = self.data.shape[1]
-        # (diagonal in rows lo..hi, lo, hi, lo + off, hi + off) per diagonal
-        # that reaches the matrix, in ascending offset order
-        self._spans = []
-        for off, d in zip(self.offsets, self.data):
-            lo, hi = max(0, -off), min(m, m - off)
-            if lo < hi:
-                self._spans.append((d[lo:hi], lo, hi, lo + off, hi + off))
-
-    @property
-    def nnz(self) -> int:
-        """Stored entries inside the matrix: the multiply-adds of one matvec."""
-        return sum(hi - lo for _, lo, hi, _, _ in self._spans)
+        if s < 2 or self.data.shape not in ((7,), (7, self.rows)):
+            raise ValueError(f"data of shape {self.data.shape} is no 7-point operator on a grid of side {s}")
+        # matvec sums the rows lo .. hi - 1, from the first interior node to
+        # the last and the frame rows between them, in one slice per offset
+        self._span = lo, hi = s + 1, max(s + 1, self.rows - s - 1)
+        self._terms = tuple((d if d.ndim == 0 else d[lo:hi], lo + off, hi + off)
+                            for off, d in zip(self.offsets, self.data))
+        self.nnz = 7 * (hi - lo)  # the multiply-adds of one matvec
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A x, written into out if given: a float array of A.rows entries other than x."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.rows,):
             raise ValueError(f"dimension mismatch: matrix is {self.rows}x{self.rows}, vector has length {len(x)}")
-        # ascending offsets are ascending columns, so every row sums its
-        # entries in column order starting from zero
         out = np.empty(self.rows) if out is None else out
         out.fill(0.0)
-        for d, lo, hi, x_lo, x_hi in self._spans:
-            out[lo:hi] += d * x[x_lo:x_hi]
-        return out
+        rows = out[slice(*self._span)]
+        for d, x_lo, x_hi in self._terms:
+            rows += d * x[x_lo:x_hi]
+        return zero_frame(out, self.side)
 
     def diagonal(self) -> np.ndarray:
-        if 0 not in self.offsets:
-            return np.zeros(self.rows)
-        return self.data[self.offsets.index(0)].copy()
+        """The main diagonal, 0 in the frame rows."""
+        return zero_frame(np.full(self.rows, self.data[3]), self.side)
 
 
-def combine(coeffs, stack: np.ndarray, offsets, out=None) -> SparseMatrix:
-    """The linear combination sum_b coeffs[b] * stack[b] of the DIA data of
-    matrices over one band of offsets, stack of shape (blocks, k, m), as one
-    contraction: a single matrix-vector product over the whole array. Its
-    data is written into out, a (k, m) array, if given: the matrix changes
-    when out is written again."""
-    data = np.matmul(np.asarray(coeffs, dtype=float), stack.reshape(len(stack), -1),
-                     out=None if out is None else out.reshape(-1))
-    return SparseMatrix(offsets, data.reshape(stack.shape[1:]))
+def combine(coeffs, table: np.ndarray, rows: SparseMatrix, out=None) -> SparseMatrix:
+    """The operator sum_b coeffs[b] * block b: blocks b < k are the one-stencil
+    rows of the (k, 7) table, block k is rows, with a stencil per row. It is
+    7 numbers when coeffs[k] is 0; else its (7, s * s) rows are written into
+    out if given, and the matrix changes when out is written again."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    data = coeffs[:-1] @ table
+    if coeffs[-1] != 0.0:
+        data = np.add(np.multiply(coeffs[-1], rows.data, out=out), data[:, None], out=out)
+    return SparseMatrix(rows.side, data)
 
 
 def jacobi(A: SparseMatrix):
@@ -110,47 +117,50 @@ def _sine_basis(w: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def line_gauss_seidel(A: SparseMatrix):
-    """Symmetric red-black Gauss-Seidel over the lines of stride w.
+    """Symmetric red-black Gauss-Seidel over the z-lines of the interior grid.
 
-    A has w * w rows, i = a * w + c, and line c holds the rows c, w + c, ...
-    Its line part L, at offsets 0 and +-w, is on every line the tridiagonal
-    Toeplitz T, a on the diagonal and b beside it, so T^-1 = (Q / lambda) Q
-    in the sine basis, lambda_k = a + 2 b cos(k pi / (w + 1)). The offsets
-    +-1 and +-(w + 1) couple even lines only to odd ones, by C_oe into odd
-    rows and C_eo into even rows, so the sweep is three line solves,
+    A holds one stencil, 7 numbers. Line c = 0 .. w - 1, w = s - 2, is the
+    grid column iv = c + 1 of the interior nodes. A's line part L, at offsets
+    0 and +-s, is on every line the tridiagonal Toeplitz T, a on the
+    diagonal and b beside it, so T^-1 = (Q / lambda) Q in the sine basis,
+    lambda_k = a + 2 b cos(k pi / (w + 1)). The offsets +-1 and +-(s + 1)
+    couple even lines only to odd ones, by C_oe into odd rows and C_eo into
+    even rows, so the sweep is three line solves,
     y_e' = T^-1 r_e, y_o = T^-1 (r_o - C_oe y_e') and y_e = T^-1 (r_e - C_eo y_o),
     or (L + C_eo)^-1 L (L + C_oe)^-1 r: symmetric positive definite whenever
-    A is. Each diagonal of A is taken to hold one value, read in a row whose
-    neighbour is on the grid, as in the sides assembly builds; with w <= 1 no
-    lines couple and this is jacobi(A). It sweeps in arrays of its own.
+    A is. It sweeps in arrays of its own, and the four coupling terms of a
+    line solve go through one of them. With w <= 1 no lines couple and this
+    is jacobi(A).
     """
-    w = math.isqrt(A.rows)
-    if A.rows != w * w:
-        raise ValueError(f"a matrix of {A.rows} rows is not a square grid of lines")
+    if A.data.ndim != 1:
+        raise ValueError("the sweep needs A as one stencil of 7 numbers, not a stencil per row")
+    s, w = A.side, A.side - 2
     if w <= 1:
         return jacobi(A)
-    value = lambda off, row: A.data[A.offsets.index(off), row] if off in A.offsets else 0.0
+    stencil = dict(zip(A.offsets, A.data))
     q, cos = _sine_basis(w)
-    t_inv = (q / (A.diagonal()[0] + 2.0 * value(w, 0) * cos)) @ q
+    t_inv = (q / (A.diagonal()[s + 1] + 2.0 * stencil[s] * cos)) @ q
     n = (w + 1) // 2, w // 2  # lines of colour p = 0 (even) and 1 (odd)
     row = n[0] + 2
     # line 2j + p is column j of rhs and j + 1 of frames[p], framed by zeros
     # for neighbours off the grid; with `row` entries a row, the neighbours of
     # entry i of the flat rhs lie at i + shift in the flat frames[1 - p][p:]
-    frames, rhs = np.zeros((2, w + 2, row)), np.empty((w, row))
+    frames, rhs, term = np.zeros((2, w + 2, row)), np.empty((w, row)), np.empty(w * row)
     lines = [frames[p, 1:-1, 1:count + 1] for p, count in enumerate(n)]
-    shifts = ((value(-1, 1), row), (value(1, 0), row + 1), (value(-w - 1, w + 1), 0), (value(w + 1, 0), 2 * row + 1))
+    shifts = ((stencil[-1], row), (stencil[1], row + 1), (stencil[-s - 1], 0), (stencil[s + 1], 2 * row + 1))
     def apply(r, out=None):
+        interior = r.reshape(s, s)[1:-1, 1:-1]
         for sweep, p in enumerate((0, 1, 0)):
-            rhs[:, :n[p]] = r.reshape(w, w)[:, p::2]
+            rhs[:, :n[p]] = interior[:, p::2]
             if sweep:  # subtract the coupling to the lines of the other colour
                 m = (w - 1) * row + n[p]
                 target, source = rhs.reshape(-1)[:m], frames[1 - p].reshape(-1)[p:]
                 for c, shift in shifts:
-                    target -= c * source[shift:shift + m]
+                    target -= np.multiply(c, source[shift:shift + m], out=term[:m])
             np.matmul(t_inv, rhs[:, :n[p]], out=lines[p])
-        out = np.empty(w * w) if out is None else out
-        out.reshape(w, w)[:, 0::2], out.reshape(w, w)[:, 1::2] = lines
+        out = zero_frame(np.empty(A.rows) if out is None else out, s)
+        interior = out.reshape(s, s)[1:-1, 1:-1]
+        interior[:, 0::2], interior[:, 1::2] = lines
         return out
     return apply
 
@@ -170,6 +180,8 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     precond is a preconditioner built from A, such as jacobi(A) or
     line_gauss_seidel(A); jacobi(A) is the default. x0, zero by default, only
     sets where the iteration begins: every start meets the same stopping test.
+    With b and x0 zero on the frame, every vector of the iteration is, and x
+    too.
 
     Returns (x, SolveStats); convergence means ||A x - b||_2 <= tol * ||b||_2.
     The recurrence breaks down when r* turns orthogonal to r or to A M p, to

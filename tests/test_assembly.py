@@ -6,14 +6,17 @@ import pytest
 from kfplab.assembly import assemble_blocks
 from kfplab.mesh import RectDomain, build_structured_mesh, edge_midpoints, midpoint_quadrature
 from kfplab.solvers import RunConfig
-from kfplab.sparse import SparseMatrix
+from test_sparse import DiaMatrix, stencils
 
 UNIT = RectDomain(0.0, 1.0, 0.0, 1.0)
 
 
 def random_interior(mesh, seed=0, count=1):
+    """count node vectors, random on the interior nodes and 0.0 on the frame."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(-1.0, 1.0, (count, mesh.interior_count))
+    x = np.zeros((count, mesh.node_count))
+    x[:, mesh.interior] = rng.uniform(-1.0, 1.0, (count, mesh.interior_count))
+    return x
 
 
 def directional_sq_norm(blocks, a, x):
@@ -77,26 +80,18 @@ def element_nodes(mesh):
     return mesh.per_element(np.arange(mesh.node_count))
 
 
-def interior_index(mesh):
-    """Node id -> interior unknown index, -1 on the boundary."""
-    index = np.full(mesh.node_count, -1)
-    index[mesh.interior] = np.arange(mesh.interior_count)
-    return index
-
-
 def scatter(mesh, kernels):
-    """Element kernels summed into banded matrices on the interior unknowns,
-    in element order, over the band of offsets 0, +-1, +-w and +-(w + 1),
-    w = n - 1. Returns (offsets, stack): stack[b] is the (k, m) DIA data of
-    kernels[b]."""
+    """Element kernels summed, in element order, into banded matrices over
+    the node grid's offsets 0, +-1, +-s and +-(s + 1), s = n + 1, in the
+    rows of the interior nodes: their whole stencils, the columns of
+    boundary nodes included. Returns (offsets, stack): stack[b] is the
+    (7, (n + 1)^2) DIA data of kernels[b], 0 in the frame rows."""
     rows = np.repeat(element_nodes(mesh), 3, axis=1).reshape(-1, 3, 3)  # rows[e, i, j] = node i of e
     rows, cols = rows.ravel(), np.transpose(rows, (0, 2, 1)).ravel()
-    index = interior_index(mesh)
-    rows, cols = index[rows], index[cols]
-    keep = (rows >= 0) & (cols >= 0)
+    keep = mesh.interior[rows]
     rows, cols = rows[keep], cols[keep]
-    w, m = mesh.n - 1, mesh.interior_count
-    offsets = np.unique([0, 1, -1, w, -w, w + 1, -(w + 1)])  # not distinct for w <= 1
+    s, m = mesh.n + 1, mesh.node_count
+    offsets = np.array([-s - 1, -s, -1, 0, 1, s, s + 1])
     slot = np.searchsorted(offsets, cols - rows) * m + rows
     stack = np.zeros((len(kernels), len(offsets), m))
     for band, arr in zip(stack, kernels):
@@ -111,16 +106,19 @@ def test_assembly_matches_the_element_oracle():
     # entry combines such sides in a few products and quotients, about four
     # relative errors of that size, and sums at most six element terms, each
     # no larger than the block's largest entry. So both constructions lie
-    # within 4 eps (R + 4) of that entry, and so of each other.
+    # within 4 eps (R + 4) of that entry, and so of each other. Each block
+    # is compared on the rows of the interior nodes, the rows it writes.
     for domain in (RectDomain.square(10.0), RectDomain(-1.0, 2.0, 0.5, 3.0)):
-        for n in (1, 2, 3, 7, 20, 128):  # at n <= 2 the grid offsets collapse
+        for n in (1, 2, 3, 7, 20, 128):  # at n = 1 no node is interior, at n = 2 one
             mesh = build_structured_mesh(domain, n)
             blocks = assemble_blocks(mesh)
             offsets, stack = scatter(mesh, list(element_blocks(mesh).values()))
-            assert blocks.offsets == offsets
             r = (max(abs(domain.v_min), abs(domain.v_max)) / mesh.hv
                  + max(abs(domain.z_min), abs(domain.z_max)) / mesh.hz)
-            for name, got, want in zip(("mass", "d_vv", "d_zz", "d_vz_sym", "b_adv"), blocks.stack, stack):
+            for name, want in zip(("mass", "d_vv", "d_zz", "d_vz_sym", "b_adv"), stack):
+                block = getattr(blocks, name)
+                assert block.offsets == offsets
+                got, want = stencils(block)[:, mesh.interior], want[:, mesh.interior]
                 bound = 4 * np.finfo(float).eps * (r + 4) * np.abs(want).max(initial=0.0)
                 assert np.all(np.abs(got - want) <= bound), (domain, n, name)
 
@@ -133,11 +131,11 @@ def test_duplicates_are_summed(to_dense):
     elements = element_nodes(mesh)
     n_el = len(elements)
     offsets, stack = scatter(mesh, [np.ones((n_el, 3, 3))])
-    A = SparseMatrix(offsets, stack[0])
-    inner = interior_index(mesh)[elements] >= 0
-    assert to_dense(A).sum() == float(np.sum(inner.sum(axis=1) ** 2))
+    A = DiaMatrix(offsets, stack[0])
+    inner = mesh.interior[elements]
+    assert to_dense(A, mesh.interior).sum() == float(np.sum(inner.sum(axis=1) ** 2))
     per_node = np.bincount(elements.ravel(), minlength=mesh.node_count)
-    assert np.array_equal(A.diagonal(), per_node[mesh.interior])
+    assert np.array_equal(A.diagonal()[mesh.interior], per_node[mesh.interior])
 
 
 def test_element_mass_matrix_closed_form():
@@ -159,8 +157,8 @@ def test_full_mass_integrates_one():
 
 def test_mass_symmetric_exactly(to_dense):
     mesh = build_structured_mesh(UNIT, 5)
-    M = assemble_blocks(mesh).mass
-    assert np.max(np.abs(to_dense(M) - to_dense(M).T)) == 0.0
+    M = to_dense(assemble_blocks(mesh).mass, mesh.interior)
+    assert np.max(np.abs(M - M.T)) == 0.0
 
 
 def test_mass_positive_definite_on_interior():
@@ -192,7 +190,7 @@ def test_heat_v_sine_energy():
     mesh = build_structured_mesh(UNIT, 64)
     vals = np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
     vals[mesh.boundary] = 0.0
-    x = vals[mesh.interior]
+    x = vals
     blocks = assemble_blocks(mesh)
     q = x @ blocks.matrix(blocks.lagrangian(0.0)).matvec(x)
     assert abs(q - np.pi ** 2 / 4) / (np.pi ** 2 / 4) < 0.02
@@ -202,8 +200,8 @@ def test_heat_v_sine_energy():
 def test_lagrangian_symmetric(t, to_dense):
     mesh = build_structured_mesh(RectDomain.square(2.0), 6)
     blocks = assemble_blocks(mesh)
-    A = blocks.matrix(blocks.lagrangian(t))
-    assert np.max(np.abs(to_dense(A) - to_dense(A).T)) == 0.0
+    A = to_dense(blocks.matrix(blocks.lagrangian(t)), mesh.interior)
+    assert np.max(np.abs(A - A.T)) == 0.0
 
 
 def test_lagrangian_perfect_square_identity():
@@ -214,9 +212,7 @@ def test_lagrangian_perfect_square_identity():
         A = blocks.matrix(blocks.lagrangian(t))
         for x in random_interior(mesh, seed=int(10 * t) + 1, count=20):
             # elementwise quadrature of the squared directional gradient
-            vals = np.zeros(mesh.node_count)
-            vals[mesh.interior] = x
-            ue = mesh.per_element(vals)
+            ue = mesh.per_element(x)
             gv = np.einsum("ei,ei->e", ue, grads[:, :, 0])
             gz = np.einsum("ei,ei->e", ue, grads[:, :, 1])
             direct = float(np.sum(areas * (gv + t * gz) ** 2))
@@ -286,9 +282,10 @@ def test_advection_skew_identity(to_dense):
     # x^T (B + B^T) x = -2 x^T M x on zero-boundary fields
     mesh = build_structured_mesh(RectDomain.square(4.0), 9)
     blocks = assemble_blocks(mesh)
-    Bt = to_dense(blocks.b_adv).T
+    Bt = to_dense(blocks.b_adv, mesh.interior).T
     for x in random_interior(mesh, seed=31, count=10):
-        lhs = float(x @ blocks.b_adv.matvec(x) + x @ (Bt @ x))
+        inner = x[mesh.interior]
+        lhs = float(x @ blocks.b_adv.matvec(x) + inner @ (Bt @ inner))
         rhs = -2.0 * float(x @ blocks.mass.matvec(x))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 

@@ -13,10 +13,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from kfplab import cli, solvers, sparse
-from kfplab.assembly import OperatorBlocks
+from kfplab.assembly import MASS, OperatorBlocks, assemble_blocks
+from kfplab.mesh import RectDomain, build_structured_mesh
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -28,7 +30,8 @@ def _load(name):
     return module
 
 
-TARGETS = _load("tracer").TARGETS
+TRACER = _load("tracer")
+TARGETS = TRACER.TARGETS
 CLI_LINES = {f"{name}-{kind}": (kind, wl[kind]) for name, wl in _load("workloads").WORKLOADS.items()
              if wl["kind"] == "cli" for kind in ("argv", "tiny")}
 
@@ -94,6 +97,22 @@ def test_every_form_calls_the_traced_names_as_the_benchmark_expects(form, monkey
             "combine": 2 if form == "original" else 2 * steps,
             "diagonal": 1 if form == "original" else steps}
     assert {name: calls[name] for name in want} == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_the_tracers_matvec_counts_read_the_operator(n):
+    # the tracer records (nnz, rows) of every traced matvec and turns them
+    # into sparse.matvec.flops and .bytes; both are ints, and nnz is the
+    # multiply-adds of one matvec: 7 in each row from the first interior node
+    # to the last, (n + 1)^2 - 2 (n + 1) - 2 rows for n >= 2, none at n = 1
+    mesh = build_structured_mesh(RectDomain.square(10.0), n)
+    blocks = assemble_blocks(mesh)
+    for coeffs in (MASS + 0.05 * blocks.lagrangian(2.0), MASS + 0.05 * blocks.selfsimilar(0.7, 1.0)):
+        A = blocks.matrix(coeffs)
+        x = np.zeros(mesh.node_count)
+        counts = TRACER.EXTRAS["sparse.matvec"]((A, x), A.matvec(x))
+        assert counts == (7 * max(n * n - 3, 0), mesh.node_count)
+        assert all(type(count) is int for count in counts)
 
 
 @pytest.mark.parametrize("name", list(CLI_LINES))

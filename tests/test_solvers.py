@@ -11,7 +11,7 @@ import pytest
 from kfplab import analytic, solvers, sparse
 from kfplab.analysis import final_errors, l2_error
 from kfplab.assembly import D_VV, MASS, assemble_blocks
-from kfplab.mesh import RectDomain, build_structured_mesh, interpolate_many
+from kfplab.mesh import Field, RectDomain, build_structured_mesh, interpolate_many
 from kfplab.solvers import (
     RunConfig,
     SolverError,
@@ -126,13 +126,12 @@ def test_original_one_step_matches_manual():
     traj = run_original(cfg)
     mesh = traj.final.mesh
     blocks = assemble_blocks(mesh)
-    f0 = project_initial(mesh, analytic.gaussian_ic)
-    x = f0.interior_values()
+    x = project_initial(mesh, analytic.gaussian_ic).values
     lhs = blocks.matrix(MASS + cfg.dt * cfg.theta * D_VV)
     rhs = blocks.matrix(MASS - cfg.dt * (1 - cfg.theta) * D_VV).matvec(x)
     y, stats = sparse.solve(lhs, rhs, tol=cfg.tol, x0=x)
     assert stats.converged
-    half = f0.with_interior(y, cfg.dt)
+    half = Field(mesh, y, cfg.dt)
     feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * cfg.dt])
     want = interpolate_many(half, feet)
     want[mesh.boundary] = 0.0
@@ -142,9 +141,9 @@ def test_original_one_step_matches_manual():
 def _per_form_loop(cfg, warm=True):
     """Each form's step loop and norm recorder written out on its own, as
     they stood before the forms shared one loop, each side built in one
-    contraction over the five blocks. The original form
-    interpolates at the feet of all nodes on every step and keeps the
-    interior values; the self-similar form builds the next step's explicit
+    contraction over the five blocks, on node vectors. The original form
+    interpolates at the feet of all nodes on every step and pins the
+    boundary to 0; the self-similar form builds the next step's explicit
     side at the end of each step. With warm, each solve starts from x plus
     the backward-difference extrapolation of the last three solve increments
     y - x; without, from x. Returns (times, l2, linf, snapshots, iterations)
@@ -162,7 +161,7 @@ def _per_form_loop(cfg, warm=True):
         times.append(time)
         l2.append(math.ldexp(math.sqrt(max(y @ mass.matvec(y), 0.0)), k))
         if step in (0, cfg.steps) or (cfg.snapshot_stride and step % cfg.snapshot_stride == 0):
-            snapshots.append(first.with_interior(x, time))
+            snapshots.append(Field(mesh, x, time))
 
     def sides(c):
         return (blocks.matrix(MASS + cfg.dt * cfg.theta * c),
@@ -184,14 +183,15 @@ def _per_form_loop(cfg, warm=True):
         iterations.append(stats.iterations)
         return x_new
 
-    x = first.interior_values()
+    x = first.values
     record(0, 0.0, x)
     if cfg.form == "original":
         lhs, rhs_mat = sides(D_VV)
         feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * cfg.dt])
         for step in range(1, cfg.steps + 1):
             x = step_solve(lhs, sparse.jacobi(lhs), rhs_mat, x)
-            x = interpolate_many(first.with_interior(x, step * cfg.dt), feet)[mesh.interior]
+            x = interpolate_many(Field(mesh, x, step * cfg.dt), feet)
+            x[mesh.boundary] = 0.0
             record(step, step * cfg.dt, x)
     elif cfg.form == "lagrangian":
         for step in range(1, cfg.steps + 1):
@@ -246,18 +246,17 @@ def test_extrapolated_start_halves_the_iterations(form, horizon):
 
 def test_lagrangian_one_step_matches_manual():
     # one step = theta solve with the midpoint operator, preconditioned by
-    # the red-black sweep over z-lines (offsets +-w, w = n - 1 = isqrt of the
-    # interior count)
+    # the red-black sweep over z-lines (offsets +-s on the node grid, s = n + 1)
     cfg = RunConfig(form="lagrangian", n=10, dt=0.05, horizon=0.05)
     traj = run_lagrangian(cfg)
     mesh = traj.final.mesh
     blocks = assemble_blocks(mesh)
-    x = project_initial(mesh, analytic.gaussian_ic).interior_values()
+    x = project_initial(mesh, analytic.gaussian_ic).values
     a_mid = blocks.lagrangian(0.5 * cfg.dt)
     lhs = blocks.matrix(MASS + cfg.dt * cfg.theta * a_mid)
     rhs = blocks.matrix(MASS - cfg.dt * (1 - cfg.theta) * a_mid).matvec(x)
     y, _ = sparse.solve(lhs, rhs, tol=cfg.tol, x0=x, precond=sparse.line_gauss_seidel(lhs))
-    assert np.max(np.abs(traj.final.interior_values() - y)) < 1e-12
+    assert np.max(np.abs(traj.final.values - y)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -267,14 +266,16 @@ def test_lagrangian_small_meshes_match_dense_steps(n, to_dense):
     cfg = RunConfig(form="lagrangian", n=n, dt=0.1, horizon=0.3)
     traj = run_lagrangian(cfg)
     assert len(traj.times) == 4
-    blocks = assemble_blocks(traj.final.mesh)
-    x = project_initial(traj.final.mesh, analytic.gaussian_ic).interior_values()
+    mesh = traj.final.mesh
+    blocks = assemble_blocks(mesh)
+    x = project_initial(mesh, analytic.gaussian_ic).values
     for step in range(3):
         a_mid = blocks.lagrangian((step + 0.5) * cfg.dt)
-        lhs = to_dense(blocks.matrix(MASS + cfg.dt * cfg.theta * a_mid))
+        lhs = to_dense(blocks.matrix(MASS + cfg.dt * cfg.theta * a_mid), mesh.interior)
         rhs = blocks.matrix(MASS - cfg.dt * (1 - cfg.theta) * a_mid).matvec(x)
-        x = np.linalg.solve(lhs, rhs) if len(x) else x
-    got = traj.final.interior_values()
+        x = np.zeros(mesh.node_count)
+        x[mesh.interior] = np.linalg.solve(lhs, rhs[mesh.interior]) if len(lhs) else []
+    got = traj.final.values
     assert got.shape == x.shape
     assert np.max(np.abs(got - x), initial=0.0) <= 1e-10 * np.max(np.abs(x), initial=1.0)
 
@@ -360,7 +361,7 @@ def test_selfsimilar_two_steps_match_manual():
     assert len(traj.times) == 3
     mesh = traj.final.mesh
     blocks = assemble_blocks(mesh)
-    x = project_initial(mesh, analytic.gaussian_ic).interior_values()
+    x = project_initial(mesh, analytic.gaussian_ic).values
     ds = cfg.dt
     increment = np.zeros_like(x)  # the second solve starts from x + (y - x) of the first
     for k in (1, 2):
@@ -372,7 +373,7 @@ def test_selfsimilar_two_steps_match_manual():
         assert stats.converged
         increment = y - x
         x = math.exp(cfg.sigma2 * ds) * y
-    assert np.max(np.abs(traj.final.interior_values() - x)) < 1e-12
+    assert np.max(np.abs(traj.final.values - x)) < 1e-12
 
 
 def test_selfsimilar_reaction_update_is_exact_exponential():
@@ -470,8 +471,9 @@ def test_runconfig_validation():
                 dict(sigma1=math.nan), dict(sigma1=-math.inf), dict(tol=math.nan),
                 dict(tol=0.0), dict(snapshot_stride=-1),
                 dict(n=0), dict(n=4.0),
-                # the error norm's (2 n^2, 3) per-element array passes numpy's size limit
-                dict(n=438_353_265), dict(n=10 ** 20),
+                # the run's largest array, the (2, 7, (n + 1)^2) rows of the
+                # self-similar theta sides, passes numpy's size limit
+                dict(n=286_969_573), dict(n=10 ** 20),
                 # the cell area h_v h_z / 2 underflows or overflows, and
                 # h_z / h_v overflows
                 dict(domain=RectDomain(0.0, 1e-300, 0.0, 1e-300), n=4),
@@ -486,7 +488,7 @@ def test_runconfig_validation():
         with pytest.raises(ValueError):
             RunConfig(**bad)
     assert RunConfig(sigma1=0.25).sigma2 == 1.75
-    assert RunConfig(n=438_353_264).n == 438_353_264
+    assert RunConfig(n=286_969_572).n == 286_969_572
 
 
 def test_exact_splitting_random_systems():

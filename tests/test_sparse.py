@@ -1,11 +1,99 @@
-import math
-
 import numpy as np
 import pytest
 
 from kfplab import sparse
-from kfplab.assembly import MASS, assemble_blocks
+from kfplab.assembly import MASS, STENCIL, assemble_blocks
 from kfplab.mesh import RectDomain, build_structured_mesh
+
+DOMAINS = [RectDomain.square(10.0), RectDomain(-1.0, 2.0, 0.5, 3.0)]
+
+
+class DiaMatrix:
+    """The oracle: a square banded matrix in diagonal (DIA) storage, as
+    kfplab kept its operators on the interior unknowns before they became
+    grid operators on node vectors.
+
+    offsets are strictly increasing and data has shape (len(offsets), m),
+    row-aligned: y[i] = sum_k data[k, i] * x[i + offsets[k]]. Slots whose
+    column i + offsets[k] falls outside the matrix are ignored. The matrix
+    is immutable, so the span of rows each diagonal reaches is fixed at
+    construction.
+    """
+
+    def __init__(self, offsets, data):
+        self.offsets = tuple(int(o) for o in offsets)
+        self.data = np.asarray(data, dtype=float)
+        if any(b <= a for a, b in zip(self.offsets, self.offsets[1:])):
+            raise ValueError("offsets must be strictly increasing")
+        if self.data.ndim != 2 or self.data.shape[0] != len(self.offsets):
+            raise ValueError(f"data shape {self.data.shape} does not match {len(self.offsets)} offsets")
+        self.rows = m = self.data.shape[1]
+        # (diagonal in rows lo..hi, lo, hi, lo + off, hi + off) per diagonal
+        # that reaches the matrix, in ascending offset order
+        self._spans = []
+        for off, d in zip(self.offsets, self.data):
+            lo, hi = max(0, -off), min(m, m - off)
+            if lo < hi:
+                self._spans.append((d[lo:hi], lo, hi, lo + off, hi + off))
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries inside the matrix: the multiply-adds of one matvec."""
+        return sum(hi - lo for _, lo, hi, _, _ in self._spans)
+
+    def matvec(self, x, out=None):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.rows,):
+            raise ValueError(f"dimension mismatch: matrix is {self.rows}x{self.rows}, vector has length {len(x)}")
+        # ascending offsets are ascending columns, so every row sums its
+        # entries in column order starting from zero
+        out = np.empty(self.rows) if out is None else out
+        out.fill(0.0)
+        for d, lo, hi, x_lo, x_hi in self._spans:
+            out[lo:hi] += d * x[x_lo:x_hi]
+        return out
+
+    def diagonal(self):
+        if 0 not in self.offsets:
+            return np.zeros(self.rows)
+        return self.data[self.offsets.index(0)].copy()
+
+
+def stencils(A):
+    """A grid operator's data as (7, A.rows): the stencil of every row."""
+    return np.broadcast_to(A.data.T, (A.rows, 7)).T
+
+
+def interior_dia(A, mesh):
+    """The grid operator A as the oracle holds it on the interior unknowns,
+    i = a w + c at row a and column c of the w x w interior grid, w = n - 1:
+    the stencil point (dv, dz) at offset dz w + dv, its slot 0 where that
+    neighbour is a boundary node or the offset wraps past the end of a grid
+    row. For w <= 1 the offsets collapse, and at most one stencil point is
+    inside per slot."""
+    w, m = mesh.n - 1, mesh.interior_count
+    a, c = np.divmod(np.arange(m), max(w, 1))
+    on_v, on_z = ({-1: i > 0, 0: i >= 0, 1: i < w - 1} for i in (c, a))  # neighbour on the grid
+    offsets = sorted({dz * w + dv for (dv, dz), _, _ in STENCIL})
+    data = np.zeros((len(offsets), m))
+    rows = stencils(A)[:, mesh.interior]  # in the order of A.offsets, which is STENCIL's
+    for ((dv, dz), _, _), row in zip(STENCIL, rows):
+        np.copyto(data[offsets.index(dz * w + dv)], row, where=on_v[dv] & on_z[dz])
+    return DiaMatrix(offsets, data)
+
+
+def interior_of(A):
+    """The mask of the interior nodes of A's grid."""
+    grid = np.zeros((A.side, A.side), dtype=bool)
+    grid[1:-1, 1:-1] = True
+    return grid.ravel()
+
+
+def framed(A, values):
+    """A node vector of A's grid holding values on its interior nodes and 0.0 on the frame."""
+    x = np.zeros(A.rows)
+    x[interior_of(A)] = values
+    return x
 
 
 def dense_of(triplets, shape):
@@ -23,29 +111,43 @@ def dia_of(dense):
     for k, off in enumerate(offsets):
         i = np.arange(max(0, -off), min(m, m - off))
         data[k, i] = dense[i, i + off]
-    return sparse.SparseMatrix(offsets, data)
+    return DiaMatrix(offsets, data)
 
 
 def identity(m):
-    return sparse.SparseMatrix((0,), np.ones((1, m)))
+    return DiaMatrix((0,), np.ones((1, m)))
+
+
+def sides(n, domain=DOMAINS[0], dt=0.05):
+    """A Lagrangian side, 7 numbers, and a self-similar one, with a row per node."""
+    blocks = assemble_blocks(build_structured_mesh(domain, n))
+    return blocks.matrix(MASS + dt * blocks.lagrangian(2.0)), blocks.matrix(MASS + dt * blocks.selfsimilar(0.7, 0.5))
 
 
 def test_constructor_rejects_malformed_input():
     with pytest.raises(ValueError):
-        sparse.SparseMatrix((0, 0), np.zeros((2, 3)))
+        DiaMatrix((0, 0), np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        sparse.SparseMatrix((1, -1), np.zeros((2, 3)))
+        DiaMatrix((1, -1), np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        sparse.SparseMatrix((-1, 0, 1), np.zeros((2, 3)))
+        DiaMatrix((-1, 0, 1), np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        sparse.SparseMatrix((0,), np.zeros(3))
+        DiaMatrix((0,), np.zeros(3))
+    # a grid operator is 7 numbers or 7 rows over a grid of side >= 2
+    for side, data in ((1, np.zeros(7)), (3, np.zeros(6)), (3, np.zeros((7, 8))), (3, np.zeros((6, 9)))):
+        with pytest.raises(ValueError):
+            sparse.SparseMatrix(side, data)
 
 
 def test_empty_matrix_matvec_is_zero():
-    A = sparse.SparseMatrix((), np.zeros((0, 4)))
+    A = DiaMatrix((), np.zeros((0, 4)))
     out = A.matvec(np.ones(4))
     assert out.shape == (4,)
     assert np.all(out == 0.0)
+    # a grid with no interior node (n = 1) is all frame
+    for A in sides(1):
+        out = A.matvec(np.ones(4))
+        assert out.shape == (4,) and np.all(out == 0.0) and A.nnz == 0
 
 
 def test_identity_triplets():
@@ -56,24 +158,28 @@ def test_identity_triplets():
 
 
 def test_csr_invariants():
-    # storage invariants of the banded format: offsets strictly increasing
-    # (no duplicates, also for n = 2 where the seven grid offsets coincide),
-    # data row-aligned as (len(offsets), m), and slots outside the matrix zero
-    for n in (2, 3, 12):
+    # storage invariants of the grid operators: the offsets follow from the
+    # grid side s = n + 1, strictly increasing for every n; the four
+    # constant blocks are 7 numbers, b_adv 7 rows, and every column an
+    # interior row reaches lies inside the matrix
+    for n in (1, 2, 3, 12):
         mesh = build_structured_mesh(RectDomain.square(1.0), n)
         blocks = assemble_blocks(mesh)
+        s = n + 1
         for A in (blocks.mass, blocks.d_vv, blocks.d_zz, blocks.d_vz_sym, blocks.b_adv):
-            assert np.all(np.diff(A.offsets) > 0)
-            assert A.data.shape == (len(A.offsets), mesh.interior_count)
-            for off, d in zip(A.offsets, A.data):
-                i = np.arange(A.rows)
-                assert np.all(d[(i + off < 0) | (i + off >= A.rows)] == 0.0), (n, off)
+            assert A.offsets == (-s - 1, -s, -1, 0, 1, s, s + 1) and np.all(np.diff(A.offsets) > 0)
+            assert A.data.shape == ((7, mesh.node_count) if A is blocks.b_adv else (7,))
+            rows = np.flatnonzero(mesh.interior)
+            for off in A.offsets:
+                assert np.all((rows + off >= 0) & (rows + off < A.rows)), (n, off)
 
 
 def test_matvec_dimension_mismatch():
     A = identity(3)
     with pytest.raises(ValueError):
         A.matvec(np.ones(4))
+    with pytest.raises(ValueError):
+        sides(3)[0].matvec(np.ones(15))
 
 
 def test_matvec_against_dense_reference():
@@ -87,26 +193,49 @@ def test_matvec_against_dense_reference():
 
 
 def _matvec_by_rows(A, x):
-    """y[i] summed entry by entry in ascending offset order from 0.0."""
+    """y[i] summed entry by entry in ascending offset order from 0.0 on the
+    interior rows, 0.0 on the frame."""
+    data = stencils(A)
     y = np.zeros(A.rows)
-    for i in range(A.rows):
+    for i in np.flatnonzero(interior_of(A)):
         acc = 0.0
-        for off, d in zip(A.offsets, A.data):
-            if 0 <= i + off < A.rows:
-                acc += d[i] * x[i + off]
+        for k, off in enumerate(A.offsets):
+            acc += data[k, i] * x[i + off]
         y[i] = acc
     return y
 
 
-@pytest.mark.parametrize("n", [2, 3, 7])  # at n = 2 the grid offsets collapse
+@pytest.mark.parametrize("n", [2, 3, 7])  # at n = 2 one node is interior
 def test_matvec_is_bit_identical_to_a_row_loop(n):
-    blocks = assemble_blocks(build_structured_mesh(RectDomain(-1.0, 2.0, 0.5, 3.0), n))
+    mesh = build_structured_mesh(RectDomain(-1.0, 2.0, 0.5, 3.0), n)
+    blocks = assemble_blocks(mesh)
     rng = np.random.default_rng(n)
     for A in (blocks.mass, blocks.d_vv, blocks.d_zz, blocks.d_vz_sym, blocks.b_adv):
-        x = rng.standard_normal(A.rows)
+        x = framed(A, rng.standard_normal(mesh.interior_count))
         x[rng.random(A.rows) < 0.3] = -0.0
         assert A.matvec(x).tobytes() == _matvec_by_rows(A, x).tobytes()
-        assert A.nnz == sum(0 <= i + off < A.rows for off in A.offsets for i in range(A.rows))
+        # 7 multiply-adds in each row from the first interior node to the
+        # last: (n + 1)^2 - 2 (n + 1) - 2 = n^2 - 3 rows, the 2 (n - 2)
+        # frame rows between them included
+        assert A.nnz == 7 * (n * n - 3)
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=["square", "rectangle"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 20, 128])  # at n <= 2 the oracle's offsets collapse
+def test_matvec_is_bit_identical_to_the_dia_oracle(n, domain):
+    # on every interior row the grid operator gives the bits of the oracle
+    # on the interior unknowns, for a side of 7 numbers and one of rows, and
+    # it writes a zero frame
+    mesh = build_structured_mesh(domain, n)
+    rng = np.random.default_rng(n)
+    for A, ndim in zip(sides(n, domain), (1, 2)):
+        assert A.data.ndim == ndim
+        x = framed(A, rng.standard_normal(mesh.interior_count))
+        x[rng.random(A.rows) < 0.1] = -0.0
+        got = A.matvec(x)
+        want = interior_dia(A, mesh).matvec(x[mesh.interior])
+        assert got[mesh.interior].tobytes() == want.tobytes()
+        assert np.all(got[mesh.boundary] == 0.0)
 
 
 def test_matvec_linearity():
@@ -130,7 +259,7 @@ def test_solve_identity():
 
 
 def test_solve_2x2_by_hand():
-    A = sparse.SparseMatrix((-1, 0, 1), [[0.0, 1.0], [2.0, 3.0], [1.0, 0.0]])  # [[2, 1], [1, 3]]
+    A = DiaMatrix((-1, 0, 1), [[0.0, 1.0], [2.0, 3.0], [1.0, 0.0]])  # [[2, 1], [1, 3]]
     x, stats = sparse.solve(A, np.array([3.0, 4.0]))
     assert stats.converged
     assert np.allclose(x, [1.0, 1.0], atol=1e-9)
@@ -202,115 +331,128 @@ def test_solve_validates_inputs():
 
 
 def test_combine_requires_one_coefficient_per_block():
-    # one array holds one band, so only the count of blocks can mismatch
-    stack = np.ones((2, 1, 3))
+    # one table holds the constant blocks, so only the count of blocks can mismatch
+    table, rows = np.ones((1, 7)), sparse.SparseMatrix(3, np.ones((7, 9)))
     with pytest.raises(ValueError):
-        sparse.combine([1.0], stack, (0,))
+        sparse.combine([1.0], table, rows)
     with pytest.raises(ValueError):
-        sparse.combine([1.0, 1.0, 1.0], stack, (0,))
+        sparse.combine([1.0, 1.0, 1.0], table, rows)
 
 
 def test_combine_and_pattern_assembly(to_dense):
-    A = sparse.SparseMatrix((0,), [[2.0, 2.0, 3.0]])
-    B = sparse.SparseMatrix((0,), [[1.0, 0.5, 0.5]])
-    C = sparse.combine([2.0, -1.0], np.array([A.data, B.data]), (0,))
-    assert np.allclose(to_dense(C), np.diag([3.0, 3.5, 5.5]))
+    mesh = build_structured_mesh(RectDomain.square(1.0), 3)
+    table = np.array([[2.0, 2.0, 3.0, 1.0, 0.5, 0.0, -1.0]])
+    rows = sparse.SparseMatrix(4, np.arange(7 * 16, dtype=float).reshape(7, 16))
+    A = sparse.SparseMatrix(4, table[0])
+    for coeffs in ([2.0, -1.0], [2.0, 0.0]):
+        C = sparse.combine(coeffs, table, rows)
+        assert C.data.ndim == (2 if coeffs[1] else 1)
+        want = coeffs[0] * to_dense(A, mesh.interior) + coeffs[1] * to_dense(rows, mesh.interior)
+        assert np.allclose(to_dense(C, mesh.interior), want)
 
 
-@pytest.mark.parametrize("n", [2, 3, 7])  # at n = 2 the grid offsets collapse
+@pytest.mark.parametrize("n", [2, 3, 7])
 def test_contraction_is_the_term_by_term_sum_of_the_blocks(n):
     # each entry is a sum of five products; any order of it, with or without
     # fused multiply-adds, lies within gamma_5 ~ 5 eps of sum |c_b a_b|, so
-    # two orders differ by at most 10 eps of it
+    # two orders differ by at most 10 eps of it. The four constant blocks
+    # are rows of the table, b_adv has rows of its own, and a combination
+    # without b_adv is 7 numbers
     blocks = assemble_blocks(build_structured_mesh(RectDomain(-1.0, 2.0, 0.5, 3.0), n))
-    names = ("mass", "d_vv", "d_zz", "d_vz_sym", "b_adv")  # the order of the rows of the stack
+    names = ("mass", "d_vv", "d_zz", "d_vz_sym", "b_adv")  # the order of the coefficients
     parts = [getattr(blocks, name) for name in names]
-    for name, part, band in zip(names, parts, blocks.stack):
-        assert np.shares_memory(part.data, blocks.stack), name
-        assert part.data.base is not None and np.array_equal(part.data, band)
+    for name, part, row in zip(names, parts, blocks.table):
+        assert np.shares_memory(part.data, blocks.table), name
+        assert part.data.base is not None and np.array_equal(part.data, row)
     rng = np.random.default_rng(n)
-    out = np.full(blocks.stack.shape[1:], np.nan)
-    for _ in range(20):
+    out = np.full(blocks.b_adv.data.shape, np.nan)
+    for trial in range(20):
         c = rng.standard_normal(5) * 10.0 ** rng.integers(-3, 4, 5)
+        c[4] *= trial % 2  # every other combination without b_adv
         got = blocks.matrix(c)
-        terms = [cb * part.data for cb, part in zip(c, parts)]
+        terms = [cb * stencils(part) for cb, part in zip(c, parts)]
         want = terms[0] + terms[1] + terms[2] + terms[3] + terms[4]
         bound = 10 * np.finfo(float).eps * sum(np.abs(t) for t in terms)
-        assert got.offsets == blocks.offsets
-        assert np.all(np.abs(got.data - want) <= bound)
-        # written into an array the caller owns, the data is the same bits
-        assert blocks.matrix(c, out=out).data.tobytes() == got.data.tobytes() == out.tobytes()
+        assert got.offsets == blocks.mass.offsets and got.data.ndim == (2 if c[4] else 1)
+        assert np.all(np.abs(stencils(got) - want) <= bound)
+        if c[4]:  # written into an array the caller owns, the rows are the same bits
+            assert blocks.matrix(c, out=out).data.tobytes() == got.data.tobytes() == out.tobytes()
 
 
 def test_solve_breakdown_restart_reports_failure():
     # skew-symmetric system: the BiCGStab recurrence breaks down at once
     # (r* . A p = 0) after every restart; each restart counts as an iteration,
     # so the solver stops at max_iter and reports honestly
-    A = sparse.SparseMatrix((-1, 1), [[0.0, -1.0], [1.0, 0.0]])  # [[0, 1], [-1, 0]]
+    A = DiaMatrix((-1, 1), [[0.0, -1.0], [1.0, 0.0]])  # [[0, 1], [-1, 0]]
     x, stats = sparse.solve(A, np.array([1.0, 0.0]), tol=1e-12, max_iter=50)
     assert not stats.converged
     assert stats.iterations == 50
     assert np.all(np.isfinite(x))
 
 
-def lagrangian_lhs(n, t, dt=0.1):
-    """The sheared form's implicit side M + dt/2 A(t) on the 10-square."""
-    blocks = assemble_blocks(build_structured_mesh(RectDomain.square(10.0), n))
+def lagrangian_lhs(n, t, dt=0.1, domain=DOMAINS[0]):
+    """The sheared form's implicit side M + dt/2 A(t), 7 numbers, on the 10-square."""
+    blocks = assemble_blocks(build_structured_mesh(domain, n))
     return blocks.matrix(MASS + 0.5 * dt * blocks.lagrangian(t))
 
 
 def line_jacobi(A):
-    """Block Jacobi over lines of stride w, r -> T^-1 r on every line: the
-    oracle of the line part's inverse, and the iteration count the red-black
-    sweep is measured against. T is the tridiagonal part of A on line 0, its
-    entries at offsets 0 and +-w; every diagonal of A holds one value, so all
-    lines share it and one matmul with its inverse applies it to all."""
-    w = math.isqrt(A.rows)
+    """Block Jacobi over the z-lines of the interior grid, r -> T^-1 r on
+    every line: the oracle of the line part's inverse, and the iteration
+    count the red-black sweep is measured against. T is the tridiagonal part
+    of A on a line, its entries at offsets 0 and +-s; A holds one stencil,
+    so all lines share it and one matmul with its inverse applies it to all."""
+    s, w = A.side, A.side - 2
     if w <= 1:
         return sparse.jacobi(A)
-    tri = np.diag(A.diagonal()[::w])
-    tri += np.diag(A.data[A.offsets.index(w)][:-w:w], 1)  # T[a, a + 1], rows a w
-    tri += np.diag(A.data[A.offsets.index(-w)][w::w], -1)  # T[a, a - 1], rows a w
+    tri = np.diag(np.full(w, A.diagonal()[s + 1]))
+    tri += np.diag(np.full(w - 1, A.data[A.offsets.index(s)]), 1)  # T[a, a + 1]
+    tri += np.diag(np.full(w - 1, A.data[A.offsets.index(-s)]), -1)  # T[a, a - 1]
     t_inv = np.linalg.inv(tri)
-    return lambda r, out=None: np.matmul(t_inv, r.reshape(w, w),
-                                         out=None if out is None else out.reshape(w, w)).ravel()
+
+    def apply(r, out=None):
+        out = sparse.zero_frame(np.empty(A.rows) if out is None else out, s)
+        out.reshape(s, s)[1:-1, 1:-1] = t_inv @ r.reshape(s, s)[1:-1, 1:-1]
+        return out
+    return apply
 
 
 def line_part(A):
-    """The line part L of A: its diagonals at offsets 0 and +-w, w = isqrt(A.rows)."""
-    w = math.isqrt(A.rows)
-    keep = [k for k, off in enumerate(A.offsets) if off in (0, w, -w)]
-    return sparse.SparseMatrix([A.offsets[k] for k in keep], A.data[keep])
+    """The line part L of A, a grid operator of one stencil: its entries at offsets 0 and +-s."""
+    return sparse.SparseMatrix(A.side, np.where(np.isin(A.offsets, (0, A.side, -A.side)), A.data, 0.0))
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0, 10.0])
 @pytest.mark.parametrize("n", [3, 5, 12])
 def test_line_jacobi_is_the_inverse_of_the_line_part(n, t, to_dense):
-    # the z-lines are the entries at offsets 0 and +-w, w = n - 1
-    A, w = lagrangian_lhs(n, t), n - 1
+    # the z-lines are the entries at offsets 0 and +-s, s = n + 1
+    A, s = lagrangian_lhs(n, t), n + 1
+    inner = interior_of(A)
     dense = to_dense(A)
     i, j = np.indices(dense.shape)
-    tri = np.where(np.isin(j - i, (0, w, -w)), dense, 0.0)
-    r = np.random.default_rng(n).standard_normal(A.rows)
-    want = np.linalg.solve(tri, r)
+    tri = np.where(np.isin(j - i, (0, s, -s)), dense, 0.0)[np.ix_(inner, inner)]
+    r = framed(A, np.random.default_rng(n).standard_normal(inner.sum()))
+    want = np.linalg.solve(tri, r[inner])
     got = line_jacobi(A)(r)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(got[inner] - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.all(got[~inner] == 0.0)
 
 
 @pytest.mark.parametrize("t", [0.0, 1.0, 10.0])
 @pytest.mark.parametrize("n", [3, 5, 12])
 def test_line_gauss_seidel_of_the_line_part_is_its_inverse(n, t, to_dense):
-    # without the offsets +-1 and +-(w + 1) no line couples to another, and
+    # without the offsets +-1 and +-(s + 1) no line couples to another, and
     # the sweep is T^-1 on every line, T from the sine basis
     L = line_part(lagrangian_lhs(n, t))
-    assert L.offsets == (-(n - 1), 0, n - 1)
-    r = np.random.default_rng(n).standard_normal(L.rows)
-    want = np.linalg.solve(to_dense(L), r)
+    assert [off for off, d in zip(L.offsets, L.data) if d != 0.0] == [-(n + 1), 0, n + 1]
+    inner = interior_of(L)
+    r = framed(L, np.random.default_rng(n).standard_normal(inner.sum()))
+    want = np.linalg.solve(to_dense(L, inner), r[inner])
     got = sparse.line_gauss_seidel(L)(r)
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(got[inner] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("domain", [RectDomain.square(10.0), RectDomain(-1.0, 2.0, 0.5, 3.0)])
+@pytest.mark.parametrize("domain", DOMAINS)
 @pytest.mark.parametrize("t", [0.0, 1.0, 10.0])
 @pytest.mark.parametrize("n", [3, 4, 5, 12, 13])  # w = n - 1 of both parities; at w = 2 no row is interior
 def test_line_gauss_seidel_is_the_symmetric_red_black_sweep(n, t, domain, to_dense):
@@ -318,18 +460,18 @@ def test_line_gauss_seidel_is_the_symmetric_red_black_sweep(n, t, domain, to_den
     # C_oe (C_eo) the rest of A in the rows of odd (even) lines; taken as a
     # matrix it is symmetric to rounding (measured: up to 2.3e-15 of its
     # largest entry at n = 13)
-    blocks = assemble_blocks(build_structured_mesh(domain, n))
-    A, w = blocks.matrix(MASS + 0.05 * blocks.lagrangian(t)), n - 1
-    dense, lines = to_dense(A), to_dense(line_part(A))
-    odd_row = (np.arange(A.rows) % w % 2 == 1)[:, None]
+    A = lagrangian_lhs(n, t, dt=0.1, domain=domain)
+    inner = interior_of(A)
+    dense, lines = to_dense(A, inner), to_dense(line_part(A), inner)
+    odd_row = ((np.arange(A.rows) % A.side - 1) % 2 == 1)[inner][:, None]  # line c = iv - 1 is odd
     c_oe, c_eo = np.where(odd_row, dense - lines, 0.0), np.where(odd_row, 0.0, dense - lines)
-    r = np.random.default_rng(n).standard_normal(A.rows)
-    want = np.linalg.solve(lines + c_eo, lines @ np.linalg.solve(lines + c_oe, r))
+    r = framed(A, np.random.default_rng(n).standard_normal(inner.sum()))
+    want = np.linalg.solve(lines + c_eo, lines @ np.linalg.solve(lines + c_oe, r[inner]))
     apply = sparse.line_gauss_seidel(A)
-    assert np.max(np.abs(apply(r) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(apply(r)[inner] - want)) <= 1e-12 * np.max(np.abs(want))
     out = np.full(A.rows, np.nan)
     assert apply(r, out=out) is out and out.tobytes() == apply(r).tobytes()
-    matrix = np.column_stack([apply(e) for e in np.eye(A.rows)])
+    matrix = np.column_stack([apply(e)[inner] for e in np.eye(A.rows)[inner]])
     assert np.max(np.abs(matrix - matrix.T)) <= 64 * np.finfo(float).eps * np.max(np.abs(matrix))
 
 
@@ -342,19 +484,42 @@ def test_line_gauss_seidel_without_lines_is_jacobi(n):
 
 
 def test_line_gauss_seidel_needs_a_square_grid():
+    # a square grid of lines with one stencil: neither a DIA matrix nor a
+    # side with a row per node
     with pytest.raises(ValueError):
         sparse.line_gauss_seidel(identity(6))
+    with pytest.raises(ValueError):
+        sparse.line_gauss_seidel(sides(5)[1])
 
 
 def test_solve_with_line_gauss_seidel_vs_dense_elimination(to_dense):
     A = lagrangian_lhs(12, 10.0)
-    b = np.random.default_rng(5).standard_normal(A.rows)
+    inner = interior_of(A)
+    b = framed(A, np.random.default_rng(5).standard_normal(inner.sum()))
     x, stats = sparse.solve(A, b, tol=1e-12, precond=sparse.line_gauss_seidel(A))
     assert stats.converged
     _, jacobi_stats = sparse.solve(A, b, tol=1e-12)
     assert stats.iterations < jacobi_stats.iterations
-    want = np.linalg.solve(to_dense(A), b)
-    assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))
+    want = np.linalg.solve(to_dense(A, inner), b[inner])
+    assert np.max(np.abs(x[inner] - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 12])
+def test_preconditioners_and_solve_keep_the_zero_frame(n):
+    # given vectors with a zero frame, jacobi, the sweep and solve return
+    # exactly 0.0 on the frame, whatever their out and work arrays held
+    for A in sides(n):
+        inner = interior_of(A)
+        rng = np.random.default_rng(n)
+        r = framed(A, rng.standard_normal(inner.sum()))
+        preconds = [sparse.jacobi(A)] + ([sparse.line_gauss_seidel(A)] if A.data.ndim == 1 else [])
+        for precond in preconds:
+            for out in (None, np.full(A.rows, np.nan)):
+                assert np.all(precond(r, out=out)[~inner] == 0.0)
+        for precond in preconds:
+            x0 = framed(A, rng.standard_normal(inner.sum()))
+            x, stats = sparse.solve(A, r, x0=x0, precond=precond, work=np.full((sparse.WORK_VECTORS, A.rows), np.nan))
+            assert stats.converged and np.all(x[~inner] == 0.0)
 
 
 def allocating_solve(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_MAX_ITER, x0=None, precond=None):
@@ -417,8 +582,9 @@ def solve_cases():
     that breaks down after every restart."""
     A = lagrangian_lhs(12, 10.0)
     rng = np.random.default_rng(11)
-    b = rng.standard_normal(A.rows)
-    start = b + 0.1 * rng.standard_normal(A.rows)
+    inner = interior_of(A)
+    b = framed(A, rng.standard_normal(inner.sum()))
+    start = b + framed(A, 0.1 * rng.standard_normal(inner.sum()))
     for precond in (sparse.jacobi(A), sparse.line_gauss_seidel(A)):
         for x0 in (None, start):
             yield A, b, x0, precond

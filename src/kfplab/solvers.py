@@ -125,8 +125,7 @@ class Trajectory:
 
 def _pinned(mesh: TriMesh, values: np.ndarray) -> np.ndarray:
     """values, a node vector, with the boundary pinned to 0: the zero frame."""
-    values[mesh.boundary] = 0.0
-    return values
+    return sparse.zero_frame(values, mesh.n + 1)
 
 
 def project_initial(mesh: TriMesh, f0) -> Field:
@@ -144,9 +143,9 @@ def _start(config: RunConfig, f0, form: str):
 
 
 def _theta_step(lhs, precond, rhs_mat, x, guess, work, config):
-    """Solve lhs x_new = rhs_mat x from guess with precond, a preconditioner
-    built from lhs, in the solver's work array; returns (x_new, SolveStats)."""
-    x_new, stats = sparse.solve(lhs, rhs_mat.matvec(x), tol=config.tol, x0=guess, precond=precond, work=work)
+    """Solve lhs x_new = rhs_mat x from guess, precond built from lhs, in work: (x_new, SolveStats)."""
+    rhs = rhs_mat.matvec(x, scratch=work[0])  # work[0] holds nothing until the solve fills it
+    x_new, stats = sparse.solve(lhs, rhs, tol=config.tol, x0=guess, precond=precond, work=work)
     if not stats.converged:
         raise SolverError(
             f"linear solve failed: {stats.iterations} iterations, relative residual {stats.residual:.3e}")
@@ -186,7 +185,9 @@ def _march(config: RunConfig, first: Field, blocks, operators, precond, update=l
                 rhs_mat = blocks.matrix(MASS - config.dt * (1.0 - config.theta) * explicit, out=sides_data[1])
                 ops, sides = new, None  # free the last preconditioner's arrays before the next takes its own
                 sides = (lhs, precond(lhs), rhs_mat)
-            guess = sum((w * di for w, di in zip(EXTRAPOLATION[len(d)], d)), x)
+            guess = x.copy()
+            for w, di in zip(EXTRAPOLATION[len(d)], d):
+                guess += np.multiply(w, di, out=work[0])  # work is free between solves
             y, stats = _theta_step(*sides, x, guess, work, config)
             d = [y - x] + d[:2]
             iterations.append(stats.iterations)
@@ -196,7 +197,7 @@ def _march(config: RunConfig, first: Field, blocks, operators, precond, update=l
         linf.append(float(np.abs(x).max()))
         e = math.frexp(linf[-1])[1]
         y = np.ldexp(x, -e)
-        l2.append(math.ldexp(math.sqrt(max(y @ blocks.mass.matvec(y), 0.0)), e))
+        l2.append(math.ldexp(math.sqrt(max(y @ blocks.mass.matvec(y, scratch=work[0]), 0.0)), e))
         if k in (0, config.steps) or (stride > 0 and k % stride == 0):
             snapshots.append(Field(first.mesh, x, time))
     return Trajectory(config, snapshots, *map(np.array, (times, l2, linf, iterations)))

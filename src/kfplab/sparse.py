@@ -19,8 +19,9 @@ stabilized bi-conjugate-gradient method. A preconditioner is a function
   there at large t, where diagonal preconditioning needs several times as
   many iterations.
 
-Matrices are immutable after construction. matvec and solve write only to
-the out and work arrays a caller hands them, and to the arrays they return.
+A symmetric stencil's matvec adds x[i - o] + x[i + o] before one multiply,
+o = 1, s, s + 1. Matrices are immutable after construction. matvec and solve write
+only to the out, scratch and work arrays a caller hands them, and to those they return.
 """
 
 import functools
@@ -43,7 +44,7 @@ class SolveStats:
 def zero_frame(v: np.ndarray, side: int) -> np.ndarray:
     """v, a vector on the grid of the given side, with its frame set to 0.0."""
     grid = v.reshape(side, side)
-    grid[0] = grid[-1] = grid[:, 0] = grid[:, -1] = 0.0
+    grid[::side - 1] = grid[:, ::side - 1] = 0.0  # rows and columns 0 and side - 1
     return v
 
 
@@ -55,7 +56,10 @@ class SparseMatrix:
     (-1, 0), (0, 0), (1, 0), (0, 1) and (1, 1), summed in that order from 0.0;
     on the frame rows y = 0. data is 7 numbers, one stencil for every row, or
     (7, s * s) rows, data[k, i] in row i. An interior node's neighbours are
-    grid nodes, so no offset leaves the matrix or wraps past a grid row.
+    grid nodes, so no offset leaves the matrix or wraps past a grid row. A
+    symmetric stencil, data[k] == data[6 - k], is summed folded instead, from
+    data[3] x[i] on (not 0.0: a row of -0.0 terms is -0.0), adding data[k]
+    (x[i - offsets[k]] + x[i + offsets[k]]) for k = 4, 5, 6 in that order.
     """
 
     def __init__(self, side: int, data):
@@ -65,23 +69,29 @@ class SparseMatrix:
         self.data = np.asarray(data, dtype=float)
         if s < 2 or self.data.shape not in ((7,), (7, self.rows)):
             raise ValueError(f"data of shape {self.data.shape} is no 7-point operator on a grid of side {s}")
-        # matvec sums the rows lo .. hi - 1, from the first interior node to
-        # the last and the frame rows between them, in one slice per offset
+        # matvec sums the rows lo .. hi - 1, the first interior node to the last, a slice per offset
         self._span = lo, hi = s + 1, max(s + 1, self.rows - s - 1)
         self._terms = tuple((d if d.ndim == 0 else d[lo:hi], lo + off, hi + off)
                             for off, d in zip(self.offsets, self.data))
-        self.nnz = 7 * (hi - lo)  # the multiply-adds of one matvec
+        self.symmetric = self.data.ndim == 1 and bool(np.all(self.data == self.data[::-1]))
+        self.nnz = 7 * (hi - lo)  # stencil entries applied per matvec
 
-    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A x, written into out if given: a float array of A.rows entries other than x."""
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
+        """A x, written into out if given, the fold's pair sums into scratch if given: A.rows floats each, not x."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.rows,):
             raise ValueError(f"dimension mismatch: matrix is {self.rows}x{self.rows}, vector has length {len(x)}")
         out = np.empty(self.rows) if out is None else out
-        out.fill(0.0)
-        rows = out[slice(*self._span)]
-        for d, x_lo, x_hi in self._terms:
-            rows += d * x[x_lo:x_hi]
+        rows = out[slice(*self._span)]  # zero_frame zeroes every row outside the span
+        if self.symmetric:
+            pair = np.empty(len(rows)) if scratch is None else scratch[:len(rows)]
+            np.multiply(self.data[3], x[slice(*self._span)], out=rows)
+            for (d, b_lo, b_hi), (_, a_lo, a_hi) in zip(self._terms[4:], self._terms[2::-1]):
+                rows += np.multiply(d, np.add(x[a_lo:a_hi], x[b_lo:b_hi], out=pair), out=pair)
+        else:
+            rows.fill(0.0)
+            for d, x_lo, x_hi in self._terms:
+                rows += d * x[x_lo:x_hi]
         return zero_frame(out, self.side)
 
     def diagonal(self) -> np.ndarray:
@@ -90,12 +100,13 @@ class SparseMatrix:
 
 
 def combine(coeffs, table: np.ndarray, rows: SparseMatrix, out=None) -> SparseMatrix:
-    """The operator sum_b coeffs[b] * block b: blocks b < k are the one-stencil
-    rows of the (k, 7) table, block k is rows, with a stencil per row. It is
-    7 numbers when coeffs[k] is 0; else its (7, s * s) rows are written into
-    out if given, and the matrix changes when out is written again."""
+    """The operator sum_b coeffs[b] * block b: blocks b < k are the stencils of the
+    (k, 7) table, added as (b0 + b2 + ...) + (b1 + b3 + ...) in every column alike,
+    block k is rows, a stencil per row. It is 7 numbers when coeffs[k] is 0; else
+    its (7, s * s) rows go into out if given, and change when out is written again."""
     coeffs = np.asarray(coeffs, dtype=float)
-    data = coeffs[:-1] @ table
+    terms = coeffs[:-1].reshape(len(table), 1) * table  # ValueError unless a coefficient per table row
+    data = terms[0::2].sum(axis=0) + terms[1::2].sum(axis=0)  # so symmetric rows give a symmetric stencil
     if coeffs[-1] != 0.0:
         data = np.add(np.multiply(coeffs[-1], rows.data, out=out), data[:, None], out=out)
     return SparseMatrix(rows.side, data)
@@ -119,27 +130,25 @@ def _sine_basis(w: int) -> tuple[np.ndarray, np.ndarray]:
 def line_gauss_seidel(A: SparseMatrix):
     """Symmetric red-black Gauss-Seidel over the z-lines of the interior grid.
 
-    A holds one stencil, 7 numbers. Line c = 0 .. w - 1, w = s - 2, is the
-    grid column iv = c + 1 of the interior nodes. A's line part L, at offsets
-    0 and +-s, is on every line the tridiagonal Toeplitz T, a on the
+    A holds one symmetric stencil, 7 numbers. Line c = 0 .. w - 1, w = s - 2,
+    is the grid column iv = c + 1 of the interior nodes. A's line part L, at
+    offsets 0 and +-s, is on every line the tridiagonal Toeplitz T, a on the
     diagonal and b beside it, so T^-1 = (Q / lambda) Q in the sine basis,
     lambda_k = a + 2 b cos(k pi / (w + 1)). The offsets +-1 and +-(s + 1)
     couple even lines only to odd ones, by C_oe into odd rows and C_eo into
     even rows, so the sweep is three line solves,
     y_e' = T^-1 r_e, y_o = T^-1 (r_o - C_oe y_e') and y_e = T^-1 (r_e - C_eo y_o),
     or (L + C_eo)^-1 L (L + C_oe)^-1 r: symmetric positive definite whenever
-    A is. It sweeps in arrays of its own, and the four coupling terms of a
-    line solve go through one of them. With w <= 1 no lines couple and this
-    is jacobi(A).
+    A is. A line solve subtracts its couplings as two pairs, each pair's sum
+    times one number, in arrays of its own; with w <= 1 this is jacobi(A).
     """
-    if A.data.ndim != 1:
-        raise ValueError("the sweep needs A as one stencil of 7 numbers, not a stencil per row")
+    if not isinstance(A, SparseMatrix) or not A.symmetric:
+        raise ValueError("the sweep needs A as one symmetric stencil of 7 numbers")
     s, w = A.side, A.side - 2
     if w <= 1:
         return jacobi(A)
-    stencil = dict(zip(A.offsets, A.data))
     q, cos = _sine_basis(w)
-    t_inv = (q / (A.diagonal()[s + 1] + 2.0 * stencil[s] * cos)) @ q
+    t_inv = (q / (A.diagonal()[s + 1] + 2.0 * A.data[5] * cos)) @ q
     n = (w + 1) // 2, w // 2  # lines of colour p = 0 (even) and 1 (odd)
     row = n[0] + 2
     # line 2j + p is column j of rhs and j + 1 of frames[p], framed by zeros
@@ -147,7 +156,7 @@ def line_gauss_seidel(A: SparseMatrix):
     # entry i of the flat rhs lie at i + shift in the flat frames[1 - p][p:]
     frames, rhs, term = np.zeros((2, w + 2, row)), np.empty((w, row)), np.empty(w * row)
     lines = [frames[p, 1:-1, 1:count + 1] for p, count in enumerate(n)]
-    shifts = ((stencil[-1], row), (stencil[1], row + 1), (stencil[-s - 1], 0), (stencil[s + 1], 2 * row + 1))
+    shifts = ((A.data[4], row, row + 1), (A.data[6], 0, 2 * row + 1))  # offsets +-1 and +-(s + 1)
     def apply(r, out=None):
         interior = r.reshape(s, s)[1:-1, 1:-1]
         for sweep, p in enumerate((0, 1, 0)):
@@ -155,8 +164,8 @@ def line_gauss_seidel(A: SparseMatrix):
             if sweep:  # subtract the coupling to the lines of the other colour
                 m = (w - 1) * row + n[p]
                 target, source = rhs.reshape(-1)[:m], frames[1 - p].reshape(-1)[p:]
-                for c, shift in shifts:
-                    target -= np.multiply(c, source[shift:shift + m], out=term[:m])
+                for c, a, b in shifts:
+                    target -= np.multiply(c, np.add(source[a:a + m], source[b:b + m], out=term[:m]), out=term[:m])
             np.matmul(t_inv, rhs[:, :n[p]], out=lines[p])
         out = zero_frame(np.empty(A.rows) if out is None else out, s)
         interior = out.reshape(s, s)[1:-1, 1:-1]
@@ -222,7 +231,7 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     np.ldexp(0.0 if x0 is None else np.asarray(x0, dtype=float), -k, out=x)
     iters = 0
     while True:  # each pass starts the recurrence from the current iterate
-        np.subtract(b_k, A.matvec(x, out=t), out=r)
+        np.subtract(b_k, A.matvec(x, out=t, scratch=s), out=r)
         normr = _norm(r)
         if normr <= target or iters >= max_iter:
             return np.ldexp(x, k), SolveStats(iters, normr / norm_b, bool(normr <= target))
@@ -231,7 +240,7 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
         rho, norm_star = float(r_star @ r), normr
         while iters < max_iter:
             precond(p, out=mp)
-            A.matvec(mp, out=amp)
+            A.matvec(mp, out=amp, scratch=t)
             denom = float(r_star @ amp)
             if (abs(rho) <= eps * norm_star * normr
                     or abs(denom) <= eps * norm_star * _norm(amp)):
@@ -240,7 +249,7 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
             alpha = rho / denom
             np.subtract(r, np.multiply(alpha, amp, out=s), out=s)  # s = r - alpha A M p
             precond(s, out=ms)
-            A.matvec(ms, out=ams)
+            A.matvec(ms, out=ams, scratch=t)
             ams_sq = float(ams @ ams)
             iters += 1
             if ams_sq < tiny:  # s vanished: x + alpha M p is the next iterate
@@ -252,7 +261,7 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
             np.subtract(s, np.multiply(omega, ams, out=r), out=r)  # r = s - omega A M s
             normr = _norm(r)
             if normr <= target:
-                true_res = _norm(np.subtract(b_k, A.matvec(x, out=t), out=t))
+                true_res = _norm(np.subtract(b_k, A.matvec(x, out=t, scratch=s), out=t))
                 if true_res <= target:
                     return np.ldexp(x, k), SolveStats(iters, true_res / norm_b, True)
             if abs(omega) < tiny:  # breakdown: restart

@@ -103,8 +103,9 @@ def test_every_form_calls_the_traced_names_as_the_benchmark_expects(form, monkey
 def test_the_tracers_matvec_counts_read_the_operator(n):
     # the tracer records (nnz, rows) of every traced matvec and turns them
     # into sparse.matvec.flops and .bytes; both are ints, and nnz is the
-    # multiply-adds of one matvec: 7 in each row from the first interior node
-    # to the last, (n + 1)^2 - 2 (n + 1) - 2 rows for n >= 2, none at n = 1
+    # stencil entries applied per matvec: 7 in each row from the first
+    # interior node to the last, (n + 1)^2 - 2 (n + 1) - 2 rows for n >= 2,
+    # none at n = 1
     mesh = build_structured_mesh(RectDomain.square(10.0), n)
     blocks = assemble_blocks(mesh)
     for coeffs in (MASS + 0.05 * blocks.lagrangian(2.0), MASS + 0.05 * blocks.selfsimilar(0.7, 1.0)):

@@ -1,0 +1,40 @@
+import importlib.util
+import os
+
+import pytest
+
+BENCH_PAIRS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pairs.py")
+METRICS = [{"name": "wall_s", "unit": "s", "better": "lower"},
+           {"name": "throughput_per_s", "unit": "1/s", "better": "higher"}]
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_summary_counts_wins_by_each_metrics_direction(bench_pairs):
+    # ten pairs: the change is faster in nine and ties in one; the base's
+    # wall quartiles are 1.225 and 1.675, 0.45 apart, and the medians 1.45
+    # and 1.025 lie 0.425 apart: nine wins of ten, but no gain
+    walls = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]
+    pairs = [({"wall_s": w, "throughput_per_s": 1 / w}, {"wall_s": w - 0.45 if i else w, "throughput_per_s": 2 / w})
+             for i, w in enumerate(walls)]
+    wall, throughput = bench_pairs.summarize(pairs, METRICS)
+    name, unit, base, change, won, count, gain = wall
+    assert (name, unit, won, count, gain) == ("wall_s", "s", 9, 10, False)
+    assert base == pytest.approx((1.225, 1.45, 1.675))
+    assert change[1] == pytest.approx(1.025)
+    # throughput doubles in every pair, far beyond the base's spread
+    assert throughput[0] == "throughput_per_s" and throughput[4:] == (10, 10, True)
+
+
+def test_summary_skips_failed_runs_and_absent_metrics(bench_pairs):
+    # a failed run leaves an empty dict, and its pair counts for no metric
+    pairs = [({"wall_s": 2.0}, {"wall_s": 1.0}), ({}, {"wall_s": 1.0}), ({"wall_s": 2.0}, {"wall_s": 3.0})]
+    (row,) = bench_pairs.summarize(pairs, METRICS)
+    assert row[0] == "wall_s" and row[4:] == (1, 2, False)
+    assert bench_pairs.quartiles([4.0]) == (4.0, 4.0, 4.0)

@@ -41,7 +41,7 @@ class DiaMatrix:
         """Stored entries inside the matrix: the multiply-adds of one matvec."""
         return sum(hi - lo for _, lo, hi, _, _ in self._spans)
 
-    def matvec(self, x, out=None):
+    def matvec(self, x, out=None, scratch=None):  # the ascending sum needs no scratch
         x = np.asarray(x, dtype=float)
         if x.shape != (self.rows,):
             raise ValueError(f"dimension mismatch: matrix is {self.rows}x{self.rows}, vector has length {len(x)}")
@@ -192,30 +192,39 @@ def test_matvec_against_dense_reference():
     assert np.max(np.abs(A.matvec(x) - D @ x)) < 1e-13
 
 
-def _matvec_by_rows(A, x):
-    """y[i] summed entry by entry in ascending offset order from 0.0 on the
-    interior rows, 0.0 on the frame."""
+def _matvec_by_rows(A, x, folded=False):
+    """y[i] summed entry by entry on the interior rows, 0.0 on the frame: in
+    ascending offset order from 0.0, or folded, from the centre product
+    data[3] x[i] on, adding data[k] (x[i - off_k] + x[i + off_k]) for the
+    offsets off_k = 1, s and s + 1 of k = 4, 5, 6 in that order."""
     data = stencils(A)
     y = np.zeros(A.rows)
     for i in np.flatnonzero(interior_of(A)):
-        acc = 0.0
-        for k, off in enumerate(A.offsets):
-            acc += data[k, i] * x[i + off]
+        if folded:
+            acc = data[3, i] * x[i]
+            for k in (4, 5, 6):
+                acc += data[k, i] * (x[i - A.offsets[k]] + x[i + A.offsets[k]])
+        else:
+            acc = 0.0
+            for k, off in enumerate(A.offsets):
+                acc += data[k, i] * x[i + off]
         y[i] = acc
     return y
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])  # at n = 2 one node is interior
 def test_matvec_is_bit_identical_to_a_row_loop(n):
+    # the four symmetric blocks sum folded, b_adv's rows in ascending order
     mesh = build_structured_mesh(RectDomain(-1.0, 2.0, 0.5, 3.0), n)
     blocks = assemble_blocks(mesh)
     rng = np.random.default_rng(n)
     for A in (blocks.mass, blocks.d_vv, blocks.d_zz, blocks.d_vz_sym, blocks.b_adv):
         x = framed(A, rng.standard_normal(mesh.interior_count))
         x[rng.random(A.rows) < 0.3] = -0.0
-        assert A.matvec(x).tobytes() == _matvec_by_rows(A, x).tobytes()
-        # 7 multiply-adds in each row from the first interior node to the
-        # last: (n + 1)^2 - 2 (n + 1) - 2 = n^2 - 3 rows, the 2 (n - 2)
+        assert A.symmetric == (A is not blocks.b_adv)
+        assert A.matvec(x).tobytes() == _matvec_by_rows(A, x, folded=A.symmetric).tobytes()
+        # 7 stencil entries applied in each row from the first interior node
+        # to the last: (n + 1)^2 - 2 (n + 1) - 2 = n^2 - 3 rows, the 2 (n - 2)
         # frame rows between them included
         assert A.nnz == 7 * (n * n - 3)
 
@@ -226,16 +235,56 @@ def test_matvec_is_bit_identical_to_the_dia_oracle(n, domain):
     # on every interior row the grid operator gives the bits of the oracle
     # on the interior unknowns, for a side of 7 numbers and one of rows, and
     # it writes a zero frame
+    # (the side of 7 numbers is symmetric, so its matvec sums folded: its
+    # bits are those of the folded row loop, and each interior row lies
+    # within FOLD_BOUND eps sum_j |a_ij x_j| of the oracle's ascending sum)
     mesh = build_structured_mesh(domain, n)
     rng = np.random.default_rng(n)
     for A, ndim in zip(sides(n, domain), (1, 2)):
         assert A.data.ndim == ndim
         x = framed(A, rng.standard_normal(mesh.interior_count))
         x[rng.random(A.rows) < 0.1] = -0.0
-        got = A.matvec(x)
-        want = interior_dia(A, mesh).matvec(x[mesh.interior])
-        assert got[mesh.interior].tobytes() == want.tobytes()
+        got, dia = A.matvec(x), interior_dia(A, mesh)
+        want = dia.matvec(x[mesh.interior])
+        if A.symmetric:
+            assert got.tobytes() == _matvec_by_rows(A, x, folded=True).tobytes()
+            scale = DiaMatrix(dia.offsets, np.abs(dia.data)).matvec(np.abs(x[mesh.interior]))
+            assert np.all(np.abs(got[mesh.interior] - want) <= FOLD_BOUND * np.finfo(float).eps * scale)
+        else:
+            assert got[mesh.interior].tobytes() == want.tobytes()
         assert np.all(got[mesh.boundary] == 0.0)
+
+
+# A product's path rounds at most 7 times in the ascending sum (1 multiply,
+# up to 6 adds) and 5 times in the folded one (1 add, 1 multiply, up to 3
+# adds), so the two lie within gamma_7 and gamma_5 times sum_j |a_ij x_j| of
+# the exact row, gamma_k = k u / (1 - k u) with u = eps / 2: 6 eps apart
+# and a little over (measured: at most 1.96 eps, n = 160)
+FOLD_BOUND = 6.01
+
+
+def test_the_fold_is_taken_exactly_for_a_symmetric_stencil():
+    # a stencil of 7 numbers with data[k] == data[6 - k] sums folded, and
+    # one a single ulp from symmetric in ascending order; folded, a row
+    # starts from the centre product, not from 0.0, so a row of -0.0
+    # products is -0.0 where the ascending sum gives +0.0
+    rng = np.random.default_rng(3)
+    half = rng.uniform(0.5, 1.5, 4)
+    stencil = np.concatenate([half, half[2::-1]])
+    skewed = stencil.copy()
+    skewed[6] = np.nextafter(skewed[6], 2.0)
+    A, B = sparse.SparseMatrix(9, stencil), sparse.SparseMatrix(9, skewed)
+    assert A.symmetric and not B.symmetric
+    x = framed(A, rng.standard_normal(49))
+    assert A.matvec(x).tobytes() == _matvec_by_rows(A, x, folded=True).tobytes()
+    assert A.matvec(x).tobytes() != _matvec_by_rows(A, x).tobytes()  # the two orders differ on this x
+    assert B.matvec(x).tobytes() == _matvec_by_rows(B, x).tobytes()
+    zeros, inner = np.full(A.rows, -0.0), interior_of(A)
+    assert np.all(np.signbit(A.matvec(zeros)) == inner) and not np.any(np.signbit(B.matvec(zeros)))
+    # a scratch array the caller hands in holds the pair sums, and changes no bit
+    out, scratch = np.full(A.rows, np.nan), np.full(A.rows, np.nan)
+    assert A.matvec(x, out=out, scratch=scratch) is out and out.tobytes() == A.matvec(x).tobytes()
+    assert B.matvec(x, scratch=scratch).tobytes() == B.matvec(x).tobytes()
 
 
 def test_matvec_linearity():
@@ -337,6 +386,25 @@ def test_combine_requires_one_coefficient_per_block():
         sparse.combine([1.0], table, rows)
     with pytest.raises(ValueError):
         sparse.combine([1.0, 1.0, 1.0], table, rows)
+    with pytest.raises(ValueError):  # one coefficient for four table rows
+        sparse.combine([1.0, 1.0], np.ones((4, 7)), rows)
+
+
+def test_combine_of_symmetric_table_rows_is_symmetric():
+    # every column sums its blocks as (b0 + b2) + (b1 + b3), so a table of
+    # symmetric rows gives a symmetric stencil for any coefficients, which
+    # the fold and the sweep need; a BLAS matmul may round columns k and
+    # 6 - k apart (x86-64 OpenBLAS does for about half of these tables)
+    rng = np.random.default_rng(11)
+    rows = sparse.SparseMatrix(4, np.ones((7, 16)))
+    for _ in range(200):
+        table = rng.standard_normal((4, 7))
+        table += table[:, ::-1]
+        c = rng.standard_normal(4)
+        C = sparse.combine(np.append(c, 0.0), table, rows)
+        assert C.symmetric
+        want = (c[0] * table[0] + c[2] * table[2]) + (c[1] * table[1] + c[3] * table[3])
+        assert C.data.tobytes() == want.tobytes()
 
 
 def test_combine_and_pattern_assembly(to_dense):
@@ -481,6 +549,16 @@ def test_line_gauss_seidel_without_lines_is_jacobi(n):
     A = lagrangian_lhs(n, 1.0)
     r = np.ones(A.rows)
     assert np.array_equal(sparse.line_gauss_seidel(A)(r), sparse.jacobi(A)(r))
+
+
+def test_line_gauss_seidel_rejects_a_nonsymmetric_stencil():
+    # the sweep sums each pair of equal coupling terms before its multiply
+    A = lagrangian_lhs(5, 1.0)
+    for k in (0, 1, 2):
+        skewed = A.data.copy()
+        skewed[k] = np.nextafter(skewed[k], np.inf)
+        with pytest.raises(ValueError):
+            sparse.line_gauss_seidel(sparse.SparseMatrix(A.side, skewed))
 
 
 def test_line_gauss_seidel_needs_a_square_grid():

@@ -16,6 +16,19 @@ a unit-mass Gaussian with covariance [[2t, t^2], [t^2, 2t^3/3]]. The solution
 for the Gaussian initial state exp(-v^2 - x^2) is itself Gaussian, obtained by
 adding covariances; the closed forms below were derived that way and are
 cross-validated against the quadrature oracle in the test suite.
+
+The kernel's exponent -nu^2/t - 3 ze^2/t^3 + 3 nu ze/t^2 is a quadratic
+form, so the kernel splits along the axes up to one cross factor,
+
+    G_t(nu, ze) = G_t(nu, 0) G_t(0, ze) exp(3 nu ze / t^2) / G_t(0, 0),
+
+and each axis-aligned Gaussian of the initial data splits into a v and an x
+factor. The convolution oracle integrates in this factored form: on a
+tensor Gauss grid only the cross factor is a full m x m array. Inside the
+oracle's +-8 sigma kernel box |3 nu ze / t^2| <= 384 / sqrt(3) ~ 221.7, so
+the cross factor stays finite at any t. For G_t^q that bound is q times
+larger and overflows exp for q above about 3.2, so kernel_Lq_quadrature
+keeps the per-node form.
 """
 
 import functools
@@ -52,6 +65,8 @@ class GaussianSum:
         for amp, cv, cx, av, ax in self.terms:
             if av <= 0 or ax <= 0:
                 raise ValueError("Gaussian decay rates must be positive")
+        table = np.array(self.terms).reshape(-1, 5)
+        self._amp, self._centre, self._neg_rate = table[:, 0], table[:, 1:3], -table[:, 3:]
 
     def __call__(self, v, x):
         v, x = np.asarray(v, dtype=float), np.asarray(x, dtype=float)
@@ -60,6 +75,17 @@ class GaussianSum:
             np.exp(np.subtract(-av * (v - cv) ** 2, ax * (x - cx) ** 2, out=term), out=term)
             out += np.multiply(amp, term, out=term)
         return out[()]
+
+    def factors(self, vx):
+        """The terms' axis factors at vx, an array whose first axis holds
+        (v, x): an array of shape (terms,) + vx.shape whose [k, 0] is
+        amp exp(-av (v-cv)^2) and [k, 1] is exp(-ax (x-cx)^2) for the k-th
+        term, so that [k, 0] * [k, 1] is the term's value."""
+        vx = np.asarray(vx, dtype=float)
+        shape = (len(self.terms), 2) + (1,) * (vx.ndim - 1)
+        f = np.exp(self._neg_rate.reshape(shape) * (vx - self._centre.reshape(shape)) ** 2)
+        f[:, 0] *= self._amp.reshape(shape[:1] + shape[2:])
+        return f
 
     def support_box(self, k: float = 8.0):
         """Box outside which every term has decayed below exp(-k^2)."""
@@ -86,11 +112,16 @@ def _check_kernel_time(t: float) -> None:
         raise ValueError(f"the kernel is defined for finite t > 0 with 4 t^3 finite and nonzero, got {t}")
 
 
+def _kernel_peak(t: float) -> float:
+    """G_t(0, 0) = sqrt(3)/(2 pi t^2), the kernel's maximum."""
+    return SQRT3 / (2.0 * math.pi * t * t)
+
+
 def kernel_G(t: float, v, z):
     """Fundamental solution G_t(v, z) in the sheared frame, t > 0."""
     _check_kernel_time(t)
     v, z = np.asarray(v, dtype=float), np.asarray(z, dtype=float)
-    pref = SQRT3 / (2.0 * math.pi * t * t)
+    pref = _kernel_peak(t)
     g = np.asarray(np.square(2.0 * t * v - 3.0 * z))  # in place from here: same bits, fewer temporaries
     g += 3.0 * z ** 2
     # at tiny t the quotient may overflow to inf, and exp(-inf) is the exact limit 0
@@ -102,7 +133,7 @@ def kernel_G(t: float, v, z):
 def kernel_Lq_norm(t: float, q) -> float:
     """||G_t||_{L^q}: q^{-1/q} (sqrt(3)/(2 pi t^2))^{(q-1)/q}, sup norm at q=inf."""
     _check_kernel_time(t)
-    pref = SQRT3 / (2.0 * math.pi * t * t)
+    pref = _kernel_peak(t)
     q = float(q)
     if not q >= 1:  # NaN fails too
         raise ValueError("q must satisfy q >= 1")
@@ -114,11 +145,34 @@ def kernel_Lq_norm(t: float, q) -> float:
 KERNEL_QUAD_NODES = 400  # Gauss-Legendre nodes per axis
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(m):
+    """Gauss-Legendre nodes and weights of order m on [-1, 1], computed on
+    first use and shared read-only by every later caller."""
+    nodes, weights = leggauss(m)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _tensor_gauss(f, box, m):
+    """Integral of f over the box (lo_v, hi_v, lo_z, hi_z) by the m x m
+    tensor Gauss-Legendre rule; f receives the nodes as arrays of shapes
+    (m, 1) and (1, m) and returns the (m, m) integrand values."""
+    nodes, weights = _gauss_rule(m)
+    lo_v, hi_v, lo_z, hi_z = box
+    half_v, half_z = 0.5 * (hi_v - lo_v), 0.5 * (hi_z - lo_z)
+    nv, nz = half_v * nodes + 0.5 * (lo_v + hi_v), half_z * nodes + 0.5 * (lo_z + hi_z)
+    return np.einsum("i,j,ij->", half_v * weights, half_z * weights, f(nv[:, None], nz[None, :]))
+
+
 def kernel_Lq_quadrature(t: float, q) -> float:
     """||G_t||_q by tensor Gauss-Legendre over the +-8 sigma kernel box.
 
     Independent of the closed form above; the sup norm is sampled on a fine
-    grid around the origin instead of integrated.
+    grid around the origin instead of integrated. G_t^q is evaluated at
+    every node rather than in the convolution oracle's factored form: its
+    cross factor exp(3 q nu ze / t^2) reaches exp(221.7 q) at the box's
+    corners, which overflows for q above about 3.2.
     """
     _check_kernel_time(t)
     q = float(q)
@@ -133,8 +187,7 @@ def kernel_Lq_quadrature(t: float, q) -> float:
         return float(kernel_G(t, V, Z).max())
     sv = 8.0 * math.sqrt(2.0 * t)
     sz = 8.0 * math.sqrt(2.0 * t ** 3 / 3.0)
-    box = tuple(np.array([c]) for c in (-sv, sv, -sz, sz))
-    val = _tensor_gauss(lambda v, z: kernel_G(t, v, z) ** q, box, KERNEL_QUAD_NODES)[0]
+    val = _tensor_gauss(lambda v, z: kernel_G(t, v, z) ** q, (-sv, sv, -sz, sz), KERNEL_QUAD_NODES)
     return float(val ** (1.0 / q))
 
 
@@ -245,41 +298,50 @@ ORACLE_ABS_TOL = 1e-9  # two successive Gauss grids must agree to this
 ORACLE_START_NODES = 32  # nodes per axis of the first grid; each refinement doubles it
 ORACLE_MAX_NODES = 4096  # the refinement gives up past this
 SUP_GRID = 33  # oracle_sup_norm samples SUP_GRID x SUP_GRID points
-TENSOR_CHUNK = 2 ** 18  # most (box, node, node) entries one integrand call sees
+TENSOR_CHUNK = 2 ** 18  # most (box, node, node) entries of the cross factor one chunk of boxes holds
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_rule(m):
-    """Gauss-Legendre nodes and weights of order m on [-1, 1], computed on
-    first use and shared read-only by every later caller."""
-    nodes, weights = leggauss(m)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
+def _oracle_factors(f0, t, vz, nodes):
+    """The oracle's integrand G_t(nu, ze) f0(v - nu, z - ze) in factored form.
 
-
-def _tensor_gauss(f, box, m, *params):
-    """Integrals of f over P boxes by the m x m tensor Gauss-Legendre rule.
-
-    box is four arrays (lo_v, hi_v, lo_z, hi_z) of shape (P,), and params
-    are more per-box arrays of shape (P,). For a chunk of k boxes, f receives
-    the nodes as arrays of shapes (k, m, 1) and (k, 1, m) and the params as
-    (k, 1, 1), and returns the (k, m, m) integrand values. A chunk holds at
-    most TENSOR_CHUNK values, or one box when m * m is larger. Each box's
-    sum is the same einsum as for that box alone, so the result does not
-    depend on P or on the chunking.
+    vz holds the points' (v, z), of shape (2, P, 1), and nodes the rows nu,
+    0 and ze, each of shape (P, m): the nodes of each point's box along the
+    two axes. Returns an array F of shape (terms, 2, P, m), the axis factors
+    of each term of f0 times G_t(nu, 0) / G_t(0, 0) along v and G_t(0, ze)
+    along z, and the (P, m) array r = 3 nu / t^2. At node (i, j) of box p
+    the integrand is the sum over the terms k of
+    F[k, 0, p, i] exp(r[p, i] ze[p, j]) F[k, 1, p, j].
     """
-    nodes, weights = _gauss_rule(m)
-    lo_v, hi_v, lo_z, hi_z = (np.asarray(b, dtype=float)[:, None] for b in box)
-    half_v, half_z = 0.5 * (hi_v - lo_v), 0.5 * (hi_z - lo_z)
-    nv, wv = half_v * nodes + 0.5 * (lo_v + hi_v), half_v * weights
-    nz, wz = half_z * nodes + 0.5 * (lo_z + hi_z), half_z * weights
-    params = [np.asarray(p, dtype=float)[:, None, None] for p in params]
-    out = np.empty(len(nv))
+    g = kernel_G(t, nodes[:2], nodes[1:])  # one call: G_t(nu, 0) and G_t(0, ze)
+    g[0] /= _kernel_peak(t)
+    return f0.factors(vz - nodes[::2]) * g, (3.0 / (t * t)) * nodes[0]
+
+
+def _oracle_grid(f0, t, boxes, m):
+    """Integrals of the oracle's integrand over P boxes by the m x m tensor
+    Gauss-Legendre rule. boxes is (half, mid, vz) of shape (3, 2, P): each
+    box's half widths and midpoints along (v, z), and its point's (v, z).
+
+    The Gauss weights absorb the axis factors, so each term of box p sums to
+    a @ C @ b with C the m x m cross factor. A chunk of boxes holds at most
+    TENSOR_CHUNK entries of C, or one box when m * m is larger. Each box's
+    sum is the same matrix-vector and dot products as for that box alone, so
+    the result does not depend on P or on the chunking.
+    """
+    rule_nodes, rule_weights = _gauss_rule(m)
+    half, mid, vz = boxes[:, :, :, None]
+    nodes = np.zeros((3, boxes.shape[2], m))  # rows nu, 0, ze
+    nodes[::2] = half * rule_nodes + mid
+    factors, r = _oracle_factors(f0, t, vz, nodes)
+    factors *= half * rule_weights
+    out = np.zeros(boxes.shape[2])
     k = max(1, TENSOR_CHUNK // (m * m))
-    for lo in range(0, len(out), k):
-        c = slice(lo, lo + k)
-        vals = f(nv[c, :, None], nz[c, None, :], *(p[c] for p in params))
-        out[c] = np.einsum("pi,pj,pij->p", wv[c], wz[c], vals)
+    for start in range(0, len(out), k):
+        c = slice(start, start + k)
+        cross = np.multiply(r[c, :, None], nodes[2, c, None, :])
+        np.exp(cross, out=cross)
+        for a, b in factors[:, :, c]:
+            out[c] += (a[:, None, :] @ (cross @ b[:, :, None]))[:, 0, 0]
     return out
 
 
@@ -287,33 +349,43 @@ def convolution_oracle(f0: GaussianSum, t: float, points) -> np.ndarray:
     """Reference solution values f(t, v, x) by quadrature of the kernel
     convolution, refined until successive Gauss grids agree to ORACLE_ABS_TOL.
 
-    The integration box covers +-8 standard deviations of the kernel along
-    each axis, intersected with the effective support of the shifted initial
-    data (outside the intersection the integrand is below exp(-64)). All
-    points are integrated together, and only those whose last two grids
-    still differ go on to the next grid.
+    points is N points (v, x), as an (N, 2) array, or one point [v, x]. The
+    integration box covers +-8 standard deviations of the kernel along each
+    axis, intersected with the effective support of the shifted initial data
+    (outside the intersection the integrand is below exp(-64)). All points
+    are integrated together, and only those whose last two grids still
+    differ go on to the next grid.
+
+    The integrand is taken in the factored form of the module docstring:
+    G_t(nu, 0) and G_t(0, ze) come from one kernel_G call on the two axes,
+    each term of f0 adds one factor per axis, and the Gauss weights absorb
+    them all, so that exp(3 nu ze / t^2) is the one m x m exponential. It
+    stays finite at any t: inside the box |nu| <= 8 sqrt(2 t) and
+    |ze| <= 8 sqrt(2 t^3 / 3), so |3 nu ze / t^2| <= 384 / sqrt(3) ~ 221.7,
+    below the exp overflow at 709.
     """
     _check_kernel_time(t)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None]
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"oracle points must be N points (v, x), got an array of shape {np.shape(points)}")
     if not np.isfinite(pts).all():
         raise ValueError("oracle points must be finite")
     sv = 8.0 * math.sqrt(2.0 * t)
     sz = 8.0 * math.sqrt(2.0 * t ** 3 / 3.0)
     vlo0, vhi0, xlo0, xhi0 = f0.support_box()
-    v, x = pts[:, 0], pts[:, 1]
-    z = x + v * t
-    box = (np.maximum(-sv, v - vhi0), np.minimum(sv, v - vlo0),
-           np.maximum(-sz, z - xhi0), np.minimum(sz, z - xlo0))
+    v, x = pts.T
+    vz = np.array([v, x + v * t])
+    lo = np.maximum([[-sv], [-sz]], vz - [[vhi0], [xhi0]])
+    hi = np.minimum([[sv], [sz]], vz - [[vlo0], [xlo0]])
+    boxes = np.array([0.5 * (hi - lo), 0.5 * (lo + hi), vz])
     out = np.zeros(len(pts))  # an empty box integrates to 0
 
-    def integrand(nu, ze, v, z):
-        g = kernel_G(t, nu, ze)
-        return np.multiply(g, f0(v - nu, z - ze), out=g)
-
     def grid(live, m):
-        return _tensor_gauss(integrand, [b[live] for b in box], m, v[live], z[live])
+        return _oracle_grid(f0, t, boxes[:, :, live], m)
 
-    live = np.flatnonzero((box[0] < box[1]) & (box[2] < box[3]))
+    live = np.flatnonzero((lo < hi).all(axis=0))
     m = ORACLE_START_NODES
     prev = grid(live, m)
     while live.size and m < ORACLE_MAX_NODES:

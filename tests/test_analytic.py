@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -23,6 +26,7 @@ from kfplab.analytic import (
 from kfplab.mesh import RectDomain
 
 SQRT3 = math.sqrt(3.0)
+TWO_TERMS = GaussianSum([(1.0, 0.0, 0.0, 1.0, 1.0), (0.5, 0.8, -0.5, 2.0, 1.5)])
 
 
 # --------------------------------------------------------------------- kernel
@@ -324,11 +328,10 @@ def test_oracle_matches_closed_form(t):
 
 
 def test_oracle_superposition():
-    two = GaussianSum([(1.0, 0.0, 0.0, 1.0, 1.0), (0.5, 0.8, -0.5, 2.0, 1.5)])
     one_a = GaussianSum([(1.0, 0.0, 0.0, 1.0, 1.0)])
     one_b = GaussianSum([(0.5, 0.8, -0.5, 2.0, 1.5)])
     pts = np.array([[0.0, 0.0], [0.5, -0.7], [-1.0, 1.2]])
-    got = convolution_oracle(two, 1.0, pts)
+    got = convolution_oracle(TWO_TERMS, 1.0, pts)
     want = convolution_oracle(one_a, 1.0, pts) + convolution_oracle(one_b, 1.0, pts)
     assert np.max(np.abs(got - want)) < 1e-9
 
@@ -370,6 +373,21 @@ def test_oracle_rejects_nonfinite_input_up_front(monkeypatch, t, point):
         convolution_oracle(gaussian_ic, t, [[0.0, 0.0], point])
 
 
+@pytest.mark.parametrize("points", [
+    [], [[]], [0.0], 0.0, [0.0, 0.0, 0.0], [[0.0, 0.0, 0.0]], [[0.0], [1.0]],
+    [[[0.0, 0.0]]], np.zeros((2, 2, 2))])
+def test_oracle_rejects_anything_but_points_of_two_coordinates_up_front(monkeypatch, points):
+    monkeypatch.setattr(analytic, "kernel_G", None)
+    with pytest.raises(ValueError, match="N points"):
+        convolution_oracle(gaussian_ic, 2.0, points)
+
+
+def test_oracle_takes_one_point_or_none():
+    one = convolution_oracle(gaussian_ic, 2.0, [0.5, -0.7])
+    assert one.shape == (1,) and np.array_equal(one, convolution_oracle(gaussian_ic, 2.0, [[0.5, -0.7]]))
+    assert convolution_oracle(gaussian_ic, 2.0, np.empty((0, 2))).shape == (0,)
+
+
 @pytest.mark.parametrize("term", [
     (1.0, 0.0, 0.0, math.nan, 1.0), (1.0, 0.0, 0.0, 1.0, math.inf),
     (math.nan, 0.0, 0.0, 1.0, 1.0), (1.0, math.inf, 0.0, 1.0, 1.0)])
@@ -378,18 +396,83 @@ def test_gaussian_sum_rejects_nonfinite_terms(term):
         GaussianSum([(1.0, 0.0, 0.0, 1.0, 1.0), term])
 
 
+def _kernel_times_initial_data(f0, t, v, z, nu, ze):
+    """The oracle's integrand in the per-node form: the reference for the
+    factored one."""
+    return kernel_G(t, nu, ze) * f0(v - nu, z - ze)
+
+
+def _box_nodes(f0, t, points, m):
+    """The oracle's boxes for the points whose box is not empty, as its
+    _oracle_factors takes them: (2, P, 1) coordinates (v, z) and the (3, P, m)
+    node rows nu, 0, ze of the m-point Gauss-Legendre rule."""
+    from numpy.polynomial.legendre import leggauss
+    sv, sz = 8.0 * math.sqrt(2.0 * t), 8.0 * math.sqrt(2.0 * t ** 3 / 3.0)
+    vlo0, vhi0, xlo0, xhi0 = f0.support_box()
+    v, x = np.asarray(points, dtype=float).T
+    z = x + v * t
+    lo = np.maximum([[-sv], [-sz]], [v - vhi0, z - xhi0])
+    hi = np.minimum([[sv], [sz]], [v - vlo0, z - xlo0])
+    keep = (lo < hi).all(axis=0)
+    lo, hi = lo[:, keep], hi[:, keep]
+    nodes = np.zeros((3, keep.sum(), m))
+    nodes[::2] = 0.5 * (hi - lo)[:, :, None] * leggauss(m)[0] + 0.5 * (lo + hi)[:, :, None]
+    return np.array([v[keep], z[keep]])[:, :, None], nodes
+
+
+@pytest.mark.parametrize("f0", [gaussian_ic, TWO_TERMS], ids=["gaussian_ic", "two_terms"])
+@pytest.mark.parametrize("t", [0.5, 1.0, 5.0, 20.0, 200.0])
+@pytest.mark.parametrize("m", [32, 64, 128])
+def test_factored_integrand_is_kernel_times_initial_data(f0, t, m):
+    # a 5 x 5 grid of points out to two standard deviations of the solution
+    # and one more unit: its corners' boxes reach the kernel's far tails
+    half_v = 2.0 * math.sqrt(2.0 * t + 0.5) + 1.0
+    half_x = 2.0 * math.sqrt(2.0 * t ** 3 / 3.0 + t ** 2 / 2.0 + 0.5) + 1.0
+    V, X = np.meshgrid(np.linspace(-half_v, half_v, 5), np.linspace(-half_x, half_x, 5), indexing="ij")
+    vz, nodes = _box_nodes(f0, t, np.column_stack([V.ravel(), X.ravel()]), m)
+    F, r = analytic._oracle_factors(f0, t, vz, nodes)
+    nu, ze = nodes[0][:, :, None], nodes[2][:, None, :]
+    got = np.einsum("kpi,pij,kpj->pij", F[:, 0], np.exp(r[:, :, None] * ze), F[:, 1])
+    want = _kernel_times_initial_data(f0, t, vz[0][:, :, None], vz[1][:, :, None], nu, ze)
+    assert want.shape == (25, m, m) and want.min() > 0.0
+    rel = np.abs(got - want) / want
+    # Each form rounds the parts of its exponent, which reach several
+    # hundred where the integrand is below exp(-200) of its peak; there the
+    # per-node form errs most (1.6e-13 against a long-double evaluation at
+    # t = 1, where the factored form errs by at most 6.6e-14).
+    assert rel[want >= analytic._kernel_peak(t) * math.exp(-200.0)].max() < 1e-13
+    assert rel.max() < 2e-13
+
+
+@pytest.mark.parametrize("t", [1e-3, 1.0, 1e3])
+def test_cross_factor_is_finite_at_the_box_corners(t):
+    # nodes at the corners of the +-8 sigma kernel box, where |3 nu ze / t^2|
+    # is largest: 384 / sqrt(3), about 221.7, below exp's overflow at 709
+    sv, sz = 8.0 * math.sqrt(2.0 * t), 8.0 * math.sqrt(2.0 * t ** 3 / 3.0)
+    nodes = np.array([[[-sv, sv]], [[0.0, 0.0]], [[-sz, sz]]])
+    F, r = analytic._oracle_factors(gaussian_ic, t, np.zeros((2, 1, 1)), nodes)
+    cross = r[0][:, None] * nodes[2, 0]
+    assert np.abs(cross).max() == pytest.approx(384.0 / SQRT3, rel=1e-12)
+    assert np.isfinite(np.exp(cross)).all() and np.isfinite(F).all()
+
+
 def _oracle_point_by_point(f0, t, points):
     """The oracle one point at a time, with a fresh Gauss-Legendre rule per
-    grid: the reference the batched oracle must match bit for bit. Also
-    returns the nodes per axis each point's last grid used (0: empty box)."""
+    grid and the factored integrand contracted as a @ C @ b per term: the
+    reference the batched oracle must match bit for bit. Also returns the
+    nodes per axis each point's last grid used (0: empty box)."""
     from numpy.polynomial.legendre import leggauss
 
-    def tensor_gauss(f, box, m):
+    def tensor_gauss(v, z, box, m):
         a, b, c, d = box
         xg, wg = leggauss(m)
-        V, Z = np.meshgrid(0.5 * (b - a) * xg + 0.5 * (a + b),
-                           0.5 * (d - c) * xg + 0.5 * (c + d), indexing="ij")
-        return float(np.einsum("i,j,ij->", 0.5 * (b - a) * wg, 0.5 * (d - c) * wg, f(V, Z)))
+        nodes = np.zeros((3, 1, m))
+        nodes[0, 0] = 0.5 * (b - a) * xg + 0.5 * (a + b)
+        nodes[2, 0] = 0.5 * (d - c) * xg + 0.5 * (c + d)
+        F, r = analytic._oracle_factors(f0, t, np.array([[[v]], [[z]]]), nodes)
+        F *= np.array([[0.5 * (b - a) * wg], [0.5 * (d - c) * wg]])
+        cross = np.exp(np.outer(r[0], nodes[2, 0]))
+        return float(sum(f_v @ (cross @ f_z) for f_v, f_z in F[:, :, 0]))
 
     sv = 8.0 * math.sqrt(2.0 * t)
     sz = 8.0 * math.sqrt(2.0 * t ** 3 / 3.0)
@@ -402,12 +485,11 @@ def _oracle_point_by_point(f0, t, points):
             vals.append(0.0)
             nodes.append(0)
             continue
-        integrand = lambda nu, ze: kernel_G(t, nu, ze) * f0(v - nu, z - ze)
         m = analytic.ORACLE_START_NODES
-        prev = tensor_gauss(integrand, box, m)
+        prev = tensor_gauss(v, z, box, m)
         while True:
             m *= 2
-            cur = tensor_gauss(integrand, box, m)
+            cur = tensor_gauss(v, z, box, m)
             if abs(cur - prev) < analytic.ORACLE_ABS_TOL:
                 break
             prev = cur
@@ -431,6 +513,33 @@ def test_oracle_batched_matches_point_by_point():
     first = analytic.ORACLE_START_NODES
     assert np.count_nonzero(nodes) > analytic.TENSOR_CHUNK // (first * first)
     assert np.array_equal(convolution_oracle(gaussian_ic, t, pts), want)
+
+
+def test_oracle_batched_two_terms_matches_point_by_point():
+    pts = np.array([[0.0, 0.0], [0.5, -0.7], [-1.0, 1.2], [3.0, -40.0], [1e3, 0.0]])
+    want, nodes = _oracle_point_by_point(TWO_TERMS, 5.0, pts)
+    assert nodes[-1] == 0 and (nodes[:-1] > 0).all()
+    assert np.array_equal(convolution_oracle(TWO_TERMS, 5.0, pts), want)
+
+
+def test_oracle_bits_do_not_depend_on_the_blas_thread_count():
+    # the contraction calls BLAS; every point of criterion 3's 33 x 33 grid
+    # at t = 20 (115 of them need 128 nodes per axis), batched and one by one
+    script = ("import sys, numpy as np\n"
+              "from kfplab import analytic\n"
+              "t = 20.0\n"
+              "hv = 2.0 * np.sqrt(2.0 * t + 0.5) + 1.0\n"
+              "hx = 2.0 * np.sqrt(2.0 * t ** 3 / 3.0 + t ** 2 / 2.0 + 0.5) + 1.0\n"
+              "V, X = np.meshgrid(np.linspace(-hv, hv, 33), np.linspace(-hx, hx, 33), indexing='ij')\n"
+              "pts = np.column_stack([V.ravel(), X.ravel()])\n"
+              "batched = analytic.convolution_oracle(analytic.gaussian_ic, t, pts)\n"
+              "single = [analytic.convolution_oracle(analytic.gaussian_ic, t, p) for p in pts[::8]]\n"
+              "sys.stdout.write(np.concatenate([batched, *single]).tobytes().hex())\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=n)).stdout
+           for n in ("1", "2")]
+    assert len(out[0]) == 16 * (33 * 33 + 137) and out[0] == out[1]
 
 
 def test_oracle_names_the_first_point_that_does_not_stabilize(monkeypatch):

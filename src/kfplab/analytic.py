@@ -60,12 +60,14 @@ class GaussianSum:
 
     def __init__(self, terms):
         self.terms = [tuple(map(float, t)) for t in terms]
+        if not self.terms or any(len(t) != 5 for t in self.terms):
+            raise ValueError("a GaussianSum needs one or more terms of five numbers (amp, cv, cx, av, ax)")
         if not np.isfinite(self.terms).all():
             raise ValueError("Gaussian terms must be finite")
         for amp, cv, cx, av, ax in self.terms:
             if av <= 0 or ax <= 0:
                 raise ValueError("Gaussian decay rates must be positive")
-        table = np.array(self.terms).reshape(-1, 5)
+        table = np.array(self.terms)
         self._amp, self._centre, self._neg_rate = table[:, 0], table[:, 1:3], -table[:, 3:]
 
     def __call__(self, v, x):
@@ -317,32 +319,63 @@ def _oracle_factors(f0, t, vz, nodes):
     return f0.factors(vz - nodes[::2]) * g, (3.0 / (t * t)) * nodes[0]
 
 
-def _oracle_grid(f0, t, boxes, m):
+@functools.lru_cache(maxsize=None)
+def _joined_gauss_rule(ms):
+    """The Gauss-Legendre rules of the orders in the tuple ms, their nodes
+    and their weights each joined end to end in the order of ms, computed on
+    first use and shared read-only like _gauss_rule's."""
+    nodes, weights = (np.concatenate(part) for part in zip(*map(_gauss_rule, ms)))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _oracle_grids(f0, t, boxes, ms):
     """Integrals of the oracle's integrand over P boxes by the m x m tensor
-    Gauss-Legendre rule. boxes is (half, mid, vz) of shape (3, 2, P): each
+    Gauss-Legendre rule for each m in ms, as a list of arrays of shape (P,)
+    in the order of ms. boxes is (half, mid, vz) of shape (3, 2, P): each
     box's half widths and midpoints along (v, z), and its point's (v, z).
 
-    The Gauss weights absorb the axis factors, so each term of box p sums to
-    a @ C @ b with C the m x m cross factor. A chunk of boxes holds at most
-    TENSOR_CHUNK entries of C, or one box when m * m is larger. Each box's
-    sum is the same matrix-vector and dot products as for that box alone, so
-    the result does not depend on P or on the chunking.
+    All the grids in ms share one _oracle_factors call, and so one kernel_G
+    call, on their joined nodes: the axis factors take (terms, 2, P, sum(ms))
+    floats, (terms, 2, P, 96) for the oracle's first pass over the 32- and
+    64-node grids, which every live box takes. Each later grid is a call of
+    its own for the boxes still live: most boxes of a sup-norm sample stop
+    at 64 nodes, and 128-node factors would be wasted on them. The Gauss
+    weights absorb the axis factors, so each term of box p sums to a @ C @ b
+    on each grid, with C the m x m cross factor. A chunk of boxes holds at
+    most TENSOR_CHUNK entries of C, or one box when m * m is larger. Each
+    box's sum is the same matrix-vector and dot products as for that box
+    and grid alone, so the result does not depend on P, on the chunking or
+    on the other grids in ms.
     """
-    rule_nodes, rule_weights = _gauss_rule(m)
+    rule_nodes, rule_weights = _joined_gauss_rule(ms)
     half, mid, vz = boxes[:, :, :, None]
-    nodes = np.zeros((3, boxes.shape[2], m))  # rows nu, 0, ze
+    nodes = np.zeros((3, boxes.shape[2], len(rule_nodes)))  # rows nu, 0, ze
     nodes[::2] = half * rule_nodes + mid
     factors, r = _oracle_factors(f0, t, vz, nodes)
     factors *= half * rule_weights
-    out = np.zeros(boxes.shape[2])
-    k = max(1, TENSOR_CHUNK // (m * m))
-    for start in range(0, len(out), k):
-        c = slice(start, start + k)
-        cross = np.multiply(r[c, :, None], nodes[2, c, None, :])
-        np.exp(cross, out=cross)
-        for a, b in factors[:, :, c]:
-            out[c] += (a[:, None, :] @ (cross @ b[:, :, None]))[:, 0, 0]
-    return out
+    sums, end = [], 0
+    for m in ms:
+        grid = slice(end, end + m)
+        end += m
+        # each box's factor rows keep unit stride: the same BLAS calls as one grid alone
+        grid_factors, grid_r, grid_ze = factors[..., grid], r[:, grid], nodes[2, :, grid]
+        out = np.zeros(boxes.shape[2])
+        k = max(1, TENSOR_CHUNK // (m * m))
+        for start in range(0, len(out), k):
+            c = slice(start, start + k)
+            cross = np.einsum("pi,pj->pij", grid_r[c], grid_ze[c], order="C")
+            np.exp(cross, out=cross)
+            for a, b in grid_factors[:, :, c]:
+                out[c] += (a[:, None, :] @ (cross @ b[:, :, None]))[:, 0, 0]
+        sums.append(out)
+    return sums
+
+
+def _check_initial_data(f0) -> None:
+    """The oracle integrates against a GaussianSum only."""
+    if not isinstance(f0, GaussianSum):
+        raise TypeError(f"the oracle's initial data must be a GaussianSum, got {type(f0).__name__}")
 
 
 def convolution_oracle(f0: GaussianSum, t: float, points) -> np.ndarray:
@@ -356,6 +389,13 @@ def convolution_oracle(f0: GaussianSum, t: float, points) -> np.ndarray:
     are integrated together, and only those whose last two grids still
     differ go on to the next grid.
 
+    Every point with a non-empty box takes both the 32- and the 64-node
+    grid, so those two share one pass over the axis factors. Each later grid
+    (128, 256, ... nodes) has a pass of its own over the boxes still live.
+    The 128-node grid is not evaluated ahead of need: most boxes of a
+    sup-norm sample stop at 64 nodes, and for them its factors would be
+    wasted work.
+
     The integrand is taken in the factored form of the module docstring:
     G_t(nu, 0) and G_t(0, ze) come from one kernel_G call on the two axes,
     each term of f0 adds one factor per axis, and the Gauss weights absorb
@@ -364,6 +404,7 @@ def convolution_oracle(f0: GaussianSum, t: float, points) -> np.ndarray:
     |ze| <= 8 sqrt(2 t^3 / 3), so |3 nu ze / t^2| <= 384 / sqrt(3) ~ 221.7,
     below the exp overflow at 709.
     """
+    _check_initial_data(f0)
     _check_kernel_time(t)
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -382,18 +423,20 @@ def convolution_oracle(f0: GaussianSum, t: float, points) -> np.ndarray:
     boxes = np.array([0.5 * (hi - lo), 0.5 * (lo + hi), vz])
     out = np.zeros(len(pts))  # an empty box integrates to 0
 
-    def grid(live, m):
-        return _oracle_grid(f0, t, boxes[:, :, live], m)
+    def refine(live, prev, cur):
+        """Store the live points whose last two grids agree; the rest stay live."""
+        done = np.abs(cur - prev) < ORACLE_ABS_TOL
+        out[live[done]] = cur[done]
+        return live[~done], cur[~done]
 
     live = np.flatnonzero((lo < hi).all(axis=0))
     m = ORACLE_START_NODES
-    prev = grid(live, m)
+    if live.size and m < ORACLE_MAX_NODES:  # every live box takes both first grids
+        m *= 2
+        live, prev = refine(live, *_oracle_grids(f0, t, boxes[:, :, live], (m // 2, m)))
     while live.size and m < ORACLE_MAX_NODES:
         m *= 2
-        cur = grid(live, m)
-        done = np.abs(cur - prev) < ORACLE_ABS_TOL
-        out[live[done]] = cur[done]
-        live, prev = live[~done], cur[~done]
+        live, prev = refine(live, prev, *_oracle_grids(f0, t, boxes[:, :, live], (m,)))
     if live.size:
         k = live[0]
         raise QuadratureError(f"oracle quadrature did not stabilize at t={t}, point=({pts[k, 0]}, {pts[k, 1]})")
@@ -402,6 +445,7 @@ def convolution_oracle(f0: GaussianSum, t: float, points) -> np.ndarray:
 
 def oracle_sup_norm(f0: GaussianSum, t: float) -> float:
     """Sampled sup of |f(t)| over a centered grid sized to the solution spread."""
+    _check_initial_data(f0)
     _check_kernel_time(t)
     sigma_v = math.sqrt(2.0 * t + 0.5)
     sigma_x = math.sqrt(2.0 * t ** 3 / 3.0 + t ** 2 / 2.0 + 0.5)

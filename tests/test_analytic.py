@@ -396,6 +396,24 @@ def test_gaussian_sum_rejects_nonfinite_terms(term):
         GaussianSum([(1.0, 0.0, 0.0, 1.0, 1.0), term])
 
 
+@pytest.mark.parametrize("terms", [
+    [], [(1.0, 0.0, 0.0, 1.0)], [(1.0, 0.0, 0.0, 1.0, 1.0, 1.0)], [(1.0, 0.0, 0.0, 1.0, 1.0), ()]],
+    ids=["empty", "four", "six", "one-empty"])
+def test_gaussian_sum_needs_terms_of_five_numbers(terms):
+    with pytest.raises(ValueError, match=r"\(amp, cv, cx, av, ax\)"):
+        GaussianSum(terms)
+
+
+@pytest.mark.parametrize("f0", [None, lambda v, x: np.exp(-v * v - x * x)], ids=["none", "callable"])
+@pytest.mark.parametrize("fn", [
+    lambda f0: convolution_oracle(f0, 2.0, [[0.0, 0.0]]), lambda f0: analytic.oracle_sup_norm(f0, 2.0)],
+    ids=["convolution_oracle", "oracle_sup_norm"])
+def test_oracle_takes_only_a_gaussian_sum_up_front(monkeypatch, fn, f0):
+    monkeypatch.setattr(analytic, "kernel_G", None)
+    with pytest.raises(TypeError, match="GaussianSum"):
+        fn(f0)
+
+
 def _kernel_times_initial_data(f0, t, v, z, nu, ze):
     """The oracle's integrand in the per-node form: the reference for the
     factored one."""
@@ -542,12 +560,30 @@ def test_oracle_bits_do_not_depend_on_the_blas_thread_count():
     assert len(out[0]) == 16 * (33 * 33 + 137) and out[0] == out[1]
 
 
-def test_oracle_names_the_first_point_that_does_not_stabilize(monkeypatch):
+@pytest.mark.parametrize("point, passes", [([5.0, 0.0], 1), ([0.0, 0.0], 2), ([1e3, 0.0], 0)])
+def test_oracle_shares_one_factor_pass_between_the_first_two_grids(monkeypatch, point, passes):
+    # at t = 20, [5, 0] stops at 64 nodes per axis and [0, 0] at 128, and the
+    # box of [1e3, 0] is empty: one pass holds the 32- and 64-node grids,
+    # each later grid has one of its own, and an empty box has none
+    calls, factors = [], analytic._oracle_factors
+
+    def counted(f0, t, vz, nodes):
+        calls.append(nodes.shape[-1])
+        return factors(f0, t, vz, nodes)
+
+    monkeypatch.setattr(analytic, "_oracle_factors", counted)
+    convolution_oracle(gaussian_ic, 20.0, point)
+    assert calls == [96, 128][:passes]
+
+
+@pytest.mark.parametrize("max_nodes, first", [(32, "5.0, 0.0"), (64, "0.0, 0.0")], ids=["max32", "max64"])
+def test_oracle_names_the_first_point_that_does_not_stabilize(monkeypatch, max_nodes, first):
     # at t = 20 the second and fifth points need 128 nodes per axis, the
-    # first and third 64, and the fourth has an empty box
-    monkeypatch.setattr(analytic, "ORACLE_MAX_NODES", 64)
+    # first and third 64, and the fourth has an empty box; with at most 32
+    # nodes no grid is compared, and the first point with a box is named
+    monkeypatch.setattr(analytic, "ORACLE_MAX_NODES", max_nodes)
     pts = [[5.0, 0.0], [0.0, 0.0], [8.0, -100.0], [1e3, 0.0], [1.0, 0.0]]
-    with pytest.raises(analytic.QuadratureError, match=r"t=20\.0, point=\(0\.0, 0\.0\)"):
+    with pytest.raises(analytic.QuadratureError, match=rf"t=20\.0, point=\({first}\)"):
         convolution_oracle(gaussian_ic, 20.0, pts)
 
 

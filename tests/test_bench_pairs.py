@@ -1,5 +1,7 @@
 import importlib.util
+import json
 import os
+import subprocess
 
 import pytest
 
@@ -38,3 +40,32 @@ def test_summary_skips_failed_runs_and_absent_metrics(bench_pairs):
     (row,) = bench_pairs.summarize(pairs, METRICS)
     assert row[0] == "wall_s" and row[4:] == (1, 2, False)
     assert bench_pairs.quartiles([4.0]) == (4.0, 4.0, 4.0)
+
+
+@pytest.fixture
+def one_commit_repo(tmp_path, bench_pairs, monkeypatch):
+    """A git repository of one commit whose BENCHMARK.json declares the
+    workload "oracle", as the tool's root; exporting from it fails the test."""
+    with open(tmp_path / "BENCHMARK.json", "w") as fh:
+        json.dump({"run_seconds": 1, "workloads": [{"name": "oracle"}], "end_to_end": METRICS}, fh)
+    for cmd in (["init", "-q"], ["add", "BENCHMARK.json"],
+                ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "spec"]):
+        subprocess.run(["git", *cmd], cwd=tmp_path, check=True, capture_output=True)
+
+    def no_export(*args):
+        raise AssertionError("exported before the inputs were checked")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench_pairs, "export", no_export)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["no-such-rev", "HEAD", "--workload", "oracle"], "unknown revision 'no-such-rev'"),
+    (["HEAD", "no-such-rev", "--workload", "oracle"], "unknown revision 'no-such-rev'"),
+    (["HEAD", "HEAD", "--workload", "oracl"], "workload 'oracl' is not in the base's BENCHMARK.json: oracle")])
+def test_bad_revision_or_workload_exits_2_before_any_export(bench_pairs, one_commit_repo, capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(message)

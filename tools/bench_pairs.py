@@ -17,6 +17,8 @@ the change was better (ties count for neither side), and marks a gain where
 the change won at least nine tenths of the pairs and its median is better
 than the base's by more than the distance between the base's quartiles. A
 run that fails or reports a wrong result is named, and the command exits 1.
+An unknown revision, or a workload that the base's BENCHMARK.json does not
+declare, ends it with exit 2 before anything is exported or run.
 Temporary directories go where Python's tempfile puts them (TMPDIR).
 """
 
@@ -90,11 +92,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
+    # both revisions and the workload are checked before anything is exported or run
+    for rev in (args.base, args.change):
+        if subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{tree}}"],
+                          cwd=ROOT, capture_output=True).returncode != 0:
+            parser.error(f"unknown revision {rev!r}")
+    shown = subprocess.run(["git", "show", f"{args.base}:BENCHMARK.json"], cwd=ROOT, capture_output=True, text=True)
+    if shown.returncode != 0:
+        parser.error(f"the base {args.base!r} has no BENCHMARK.json")
+    spec = json.loads(shown.stdout)
+    names = [w["name"] for w in spec["workloads"]]
+    if args.workload not in names:
+        parser.error(f"workload {args.workload!r} is not in the base's BENCHMARK.json: {', '.join(names)}")
     root = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
         copies = {"base": export(args.base, root, "a"), "change": export(args.change, root, "b")}
-        with open(os.path.join(copies["base"], "BENCHMARK.json")) as fh:
-            spec = json.load(fh)
         pairs, bad = [], 0
         for i in range(args.pairs):
             result = {}

@@ -312,6 +312,8 @@ def main(argv=None) -> int:
                 studies[key](config, flags[key])
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"--{key}: {exc}") from None
+        if args.command == "poincare-check" and config.n < 2:  # poincare_check's own bound, up front
+            raise ValueError(f"n: poincare-check needs n >= 2 for an interior node, got {config.n}")
         os.makedirs(config.out_dir, exist_ok=True)  # last: a configuration error leaves no directory
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,13 @@
 """Structured triangular meshes of rectangles with P1 interpolation.
 
-Every grid cell is split along the lower-left to upper-right diagonal, so
-assembly and error numbers are fully deterministic. Meshes are immutable
-after construction and all operations here are pure. A Location holds
-points placed on a mesh, so that fixed points are located once and any
-field on the mesh is interpolated there by one gather.
+A mesh is its (n + 1) x (n + 1) node grid. Every grid cell is split along
+the lower-left to upper-right diagonal, so assembly and error numbers are
+fully deterministic. No element or boundary array is stored: the error
+norm reads the grid's four corner slices, and the boundary is the frame
+that sparse.zero_frame zeroes. Meshes are immutable after construction
+and all operations here are pure. A Location holds points placed on a
+mesh, so that fixed points are located once and any field on the mesh is
+interpolated there by one gather.
 """
 
 from dataclasses import dataclass
@@ -50,7 +53,9 @@ class TriMesh:
 
     Nodes are ordered row-major over the structured grid: node id
     iz * (n + 1) + iv. Each of the n*n cells is split into two triangles
-    (lower: ll, lr, ur and upper: ll, ur, ul), all with positive area.
+    (lower: ll, lr, ur and upper: ll, ur, ul), all with positive area; the
+    corner of every cell at once is an (n, n) slice of the node grid, e.g.
+    ll = grid[:-1, :-1] and ur = grid[1:, 1:].
     """
 
     def __init__(self, domain: RectDomain, n: int):
@@ -68,33 +73,9 @@ class TriMesh:
         V, Z = np.meshgrid(vs, zs, indexing="xy")  # row iz, column iv
         self.nodes = np.column_stack([V.ravel(), Z.ravel()])
 
-        grid_iv = np.tile(np.arange(nv), nv)
-        grid_iz = np.repeat(np.arange(nv), nv)
-        self.boundary = (grid_iv == 0) | (grid_iv == n) | (grid_iz == 0) | (grid_iz == n)
-        self.interior = ~self.boundary
-
     @property
     def node_count(self) -> int:
         return (self.n + 1) ** 2
-
-    @property
-    def interior_count(self) -> int:
-        return (self.n - 1) ** 2
-
-    def per_element(self, per_node: np.ndarray) -> np.ndarray:
-        """A per-node array at each element's vertices, shape (2 n^2, 3, ...),
-        stacked from the node grid's four corner views: per cell in row-major
-        order, the lower triangle (ll, lr, ur), then the upper one (ll, ur, ul)."""
-        n = self.n
-        grid = np.asarray(per_node).reshape(n + 1, n + 1, *np.shape(per_node)[1:])
-        ll, lr, ul, ur = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
-        return np.stack([ll, lr, ur, ll, ur, ul], axis=2).reshape(2 * n * n, 3, *grid.shape[2:])
-
-    def element_areas(self, p: np.ndarray | None = None) -> np.ndarray:
-        p = self.per_element(self.nodes) if p is None else p  # the vertex coordinates
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 @dataclass
@@ -114,19 +95,6 @@ class Field:
 def build_structured_mesh(domain: RectDomain, n: int) -> TriMesh:
     """Uniform mesh of (n+1)^2 nodes and 2 n^2 triangles over the rectangle."""
     return TriMesh(domain, n)
-
-
-def edge_midpoints(per_vertex: np.ndarray) -> np.ndarray:
-    """Values at the edge midpoints from values at the vertices (axis 1):
-    midpoint q of an element joins its vertices q and q + 1."""
-    return 0.5 * (per_vertex + np.roll(per_vertex, -1, axis=1))
-
-
-def midpoint_quadrature(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """The edge-midpoint rule, exact for total degree <= 2. Returns the
-    points (n_el, 3, 2) and the weights (n_el,) = |T|/3."""
-    weights = mesh.element_areas(vertices := mesh.per_element(mesh.nodes)) / 3.0
-    return edge_midpoints(vertices), weights
 
 
 @dataclass(frozen=True)

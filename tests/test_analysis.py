@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from kfplab.analysis import (
     envelope_check,
     fit_power_law,
     l2_error,
+    nested_configs,
     nested_domain_study,
     pairwise_orders,
     percent_diff,
@@ -18,6 +20,14 @@ from kfplab.analysis import (
 from kfplab.mesh import Field, RectDomain, build_structured_mesh
 from kfplab.solvers import RunConfig, project_initial, run
 from test_assembly import element_blocks
+from test_mesh import (
+    edge_midpoints,
+    element_areas,
+    interior_count,
+    interior_mask,
+    midpoint_quadrature,
+    per_element,
+)
 
 UNIT = RectDomain(0.0, 1.0, 0.0, 1.0)
 
@@ -52,8 +62,8 @@ def refined_l2_error(field, ref, k=8):
     from kfplab.mesh import interpolate_many
 
     mesh = field.mesh
-    p = mesh.per_element(mesh.nodes)
-    w = mesh.element_areas() / (k * k) / 3.0
+    p = per_element(mesh, mesh.nodes)
+    w = element_areas(mesh) / (k * k) / 3.0
     total = 0.0
     for i in range(k):
         for j in range(k - i):
@@ -91,10 +101,47 @@ def test_l2_error_tight_when_deviation_is_p1():
     f = Field(mesh, ref(mesh.nodes[:, 0], mesh.nodes[:, 1]) + p)
     got = l2_error(f, ref)
     # p's mass norm over the whole mesh, boundary nodes included
-    p_el = mesh.per_element(p)
+    p_el = per_element(mesh, p)
     mass_norm = math.sqrt(np.einsum("ei,eij,ej->", p_el, element_blocks(mesh)["mass"], p_el))
     # residual of the smooth reference contributes ~(0.04/8)^2 relatively
     assert got == pytest.approx(mass_norm, rel=1e-3)
+
+
+def per_element_l2_error(field, reference):
+    """The oracle of l2_error: the same midpoint rule, on per-element arrays
+    of the vertices and the edge midpoints."""
+    mesh = field.mesh
+    pts, w = midpoint_quadrature(mesh)
+    u_mid = edge_midpoints(per_element(mesh, field.values))
+    ref = reference(pts[:, :, 0], pts[:, :, 1])
+    return math.sqrt(float(np.sum(w[:, None] * (u_mid - ref) ** 2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_l2_error_matches_the_per_element_oracle(n):
+    # h_v != h_z, and a reference that is no polynomial
+    mesh = build_structured_mesh(RectDomain(-3.0, 5.0, -2.0, 4.0), n)
+    f = Field(mesh, np.random.default_rng(n).standard_normal(mesh.node_count))
+    ref = lambda v, z: np.sin(v) * np.cos(0.7 * z) + 0.1 * v * z
+    want = per_element_l2_error(f, ref)
+    assert abs(l2_error(f, ref) - want) <= 1e-14 * want
+
+
+def test_l2_error_allocates_no_per_element_arrays():
+    # the per-element rule took 4.8 MB at n = 128; the corner slices stay
+    # under 1.5 MB, about 11 node vectors
+    mesh = build_structured_mesh(RunConfig().domain, 128)
+    f = project_initial(mesh, analytic.gaussian_ic)
+    ref = lambda v, z: analytic.exact_selfsimilar(1.0, v, z)
+    l2_error(f, ref)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        l2_error(f, ref)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_l2_error_triangle_inequality():
@@ -237,7 +284,7 @@ def test_poincare_single_hat_function():
     from kfplab.assembly import assemble_blocks
     blocks = assemble_blocks(mesh)
     x = np.zeros(mesh.node_count)
-    x[mesh.interior] = 1.0
+    x[interior_mask(mesh)] = 1.0
     want = math.sqrt((x @ blocks.mass.matvec(x)) / (x @ blocks.matrix(blocks.lagrangian(0.0)).matvec(x)))
     want /= analytic.poincare_coefficient(mesh.domain, 0.0)
     assert worst == pytest.approx(want, rel=1e-12)
@@ -256,13 +303,40 @@ def test_poincare_rejects_zero_trials():
         poincare_check(mesh, 0.0, 0)
 
 
+def test_poincare_rejects_a_mesh_without_interior_node():
+    # at n = 1 every trial would be the zero field, and pass vacuously
+    with pytest.raises(ValueError, match="no interior node"):
+        poincare_check(build_structured_mesh(UNIT, 1), 0.0, 5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+def test_poincare_draws_each_trial_on_the_interior_mask(n):
+    # the oracle fills the interior nodes through their mask, in node order
+    mesh = build_structured_mesh(RectDomain(-1.0, 2.0, 0.5, 3.0), n)
+    from kfplab.assembly import assemble_blocks
+    blocks = assemble_blocks(mesh)
+    a_t = blocks.matrix(blocks.lagrangian(0.7))
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(20):
+        x = np.zeros(mesh.node_count)
+        x[interior_mask(mesh)] = rng.uniform(-1.0, 1.0, interior_count(mesh))
+        ratio = math.sqrt(float(x @ blocks.mass.matvec(x)) / float(x @ a_t.matvec(x)))
+        worst = max(worst, ratio / analytic.poincare_coefficient(mesh.domain, 0.7))
+    assert poincare_check(mesh, 0.7, 20, seed=5) == worst
+
+
 # ------------------------------------------------------------ nested domains
 
-def test_nested_identical_domains_zero_discrepancy():
+def test_nested_configs_reject_repeated_scales():
+    # a repeated scale would compare a run with itself, whose discrepancy of
+    # 0 would read as convergence
     cfg = RunConfig(form="selfsimilar", n=16, dt=0.05, horizon=1.0)
-    scales, diffs, flags = nested_domain_study(cfg, [4.0, 4.0])
-    assert diffs[0] < 1e-13
-    assert flags == [False, False]
+    for scales in ([4.0, 4.0], [4.0, 6.0, 4.0], [4, 4.0]):
+        with pytest.raises(ValueError, match="repeat"):
+            nested_configs(cfg, scales)
+        with pytest.raises(ValueError, match="repeat"):
+            nested_domain_study(cfg, scales)
 
 
 def test_nested_violating_scale_flagged():

@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from kfplab.assembly import assemble_blocks
-from kfplab.mesh import RectDomain, build_structured_mesh, edge_midpoints, midpoint_quadrature
+from kfplab.mesh import RectDomain, build_structured_mesh
 from kfplab.solvers import RunConfig
+from test_mesh import (
+    boundary_mask,
+    edge_midpoints,
+    element_areas,
+    interior_count,
+    interior_mask,
+    midpoint_quadrature,
+    per_element,
+)
 from test_sparse import DiaMatrix, stencils
 
 UNIT = RectDomain(0.0, 1.0, 0.0, 1.0)
@@ -15,7 +24,7 @@ def random_interior(mesh, seed=0, count=1):
     """count node vectors, random on the interior nodes and 0.0 on the frame."""
     rng = np.random.default_rng(seed)
     x = np.zeros((count, mesh.node_count))
-    x[:, mesh.interior] = rng.uniform(-1.0, 1.0, (count, mesh.interior_count))
+    x[:, interior_mask(mesh)] = rng.uniform(-1.0, 1.0, (count, interior_count(mesh)))
     return x
 
 
@@ -28,8 +37,8 @@ def directional_sq_norm(blocks, a, x):
 def element_gradients(mesh):
     """Constant P1 basis gradients per element, shape (n_elements, 3, 2),
     and the element areas."""
-    p = mesh.per_element(mesh.nodes)
-    areas = mesh.element_areas()
+    p = per_element(mesh, mesh.nodes)
+    areas = element_areas(mesh)
     grads = np.empty_like(p)
     for i in range(3):
         pj = p[:, (i + 1) % 3]
@@ -77,7 +86,7 @@ def element_blocks(mesh):
 
 def element_nodes(mesh):
     """The node ids of each element's vertices, shape (n_elements, 3)."""
-    return mesh.per_element(np.arange(mesh.node_count))
+    return per_element(mesh, np.arange(mesh.node_count))
 
 
 def scatter(mesh, kernels):
@@ -88,7 +97,7 @@ def scatter(mesh, kernels):
     (7, (n + 1)^2) DIA data of kernels[b], 0 in the frame rows."""
     rows = np.repeat(element_nodes(mesh), 3, axis=1).reshape(-1, 3, 3)  # rows[e, i, j] = node i of e
     rows, cols = rows.ravel(), np.transpose(rows, (0, 2, 1)).ravel()
-    keep = mesh.interior[rows]
+    keep = interior_mask(mesh)[rows]
     rows, cols = rows[keep], cols[keep]
     s, m = mesh.n + 1, mesh.node_count
     offsets = np.array([-s - 1, -s, -1, 0, 1, s, s + 1])
@@ -118,7 +127,7 @@ def test_assembly_matches_the_element_oracle():
             for name, want in zip(("mass", "d_vv", "d_zz", "d_vz_sym", "b_adv"), stack):
                 block = getattr(blocks, name)
                 assert block.offsets == offsets
-                got, want = stencils(block)[:, mesh.interior], want[:, mesh.interior]
+                got, want = stencils(block)[:, interior_mask(mesh)], want[:, interior_mask(mesh)]
                 bound = 4 * np.finfo(float).eps * (r + 4) * np.abs(want).max(initial=0.0)
                 assert np.all(np.abs(got - want) <= bound), (domain, n, name)
 
@@ -132,10 +141,11 @@ def test_duplicates_are_summed(to_dense):
     n_el = len(elements)
     offsets, stack = scatter(mesh, [np.ones((n_el, 3, 3))])
     A = DiaMatrix(offsets, stack[0])
-    inner = mesh.interior[elements]
-    assert to_dense(A, mesh.interior).sum() == float(np.sum(inner.sum(axis=1) ** 2))
+    interior = interior_mask(mesh)
+    inner = interior[elements]
+    assert to_dense(A, interior).sum() == float(np.sum(inner.sum(axis=1) ** 2))
     per_node = np.bincount(elements.ravel(), minlength=mesh.node_count)
-    assert np.array_equal(A.diagonal()[mesh.interior], per_node[mesh.interior])
+    assert np.array_equal(A.diagonal()[interior], per_node[interior])
 
 
 def test_element_mass_matrix_closed_form():
@@ -157,7 +167,7 @@ def test_full_mass_integrates_one():
 
 def test_mass_symmetric_exactly(to_dense):
     mesh = build_structured_mesh(UNIT, 5)
-    M = to_dense(assemble_blocks(mesh).mass, mesh.interior)
+    M = to_dense(assemble_blocks(mesh).mass, interior_mask(mesh))
     assert np.max(np.abs(M - M.T)) == 0.0
 
 
@@ -189,7 +199,7 @@ def test_heat_v_sine_energy():
     # int (d_v sin(pi v) sin(pi z))^2 over the unit square is pi^2 / 4
     mesh = build_structured_mesh(UNIT, 64)
     vals = np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
-    vals[mesh.boundary] = 0.0
+    vals[boundary_mask(mesh)] = 0.0
     x = vals
     blocks = assemble_blocks(mesh)
     q = x @ blocks.matrix(blocks.lagrangian(0.0)).matvec(x)
@@ -200,7 +210,7 @@ def test_heat_v_sine_energy():
 def test_lagrangian_symmetric(t, to_dense):
     mesh = build_structured_mesh(RectDomain.square(2.0), 6)
     blocks = assemble_blocks(mesh)
-    A = to_dense(blocks.matrix(blocks.lagrangian(t)), mesh.interior)
+    A = to_dense(blocks.matrix(blocks.lagrangian(t)), interior_mask(mesh))
     assert np.max(np.abs(A - A.T)) == 0.0
 
 
@@ -212,7 +222,7 @@ def test_lagrangian_perfect_square_identity():
         A = blocks.matrix(blocks.lagrangian(t))
         for x in random_interior(mesh, seed=int(10 * t) + 1, count=20):
             # elementwise quadrature of the squared directional gradient
-            ue = mesh.per_element(x)
+            ue = per_element(mesh, x)
             gv = np.einsum("ei,ei->e", ue, grads[:, :, 0])
             gz = np.einsum("ei,ei->e", ue, grads[:, :, 1])
             direct = float(np.sum(areas * (gv + t * gz) ** 2))
@@ -282,9 +292,9 @@ def test_advection_skew_identity(to_dense):
     # x^T (B + B^T) x = -2 x^T M x on zero-boundary fields
     mesh = build_structured_mesh(RectDomain.square(4.0), 9)
     blocks = assemble_blocks(mesh)
-    Bt = to_dense(blocks.b_adv, mesh.interior).T
+    Bt = to_dense(blocks.b_adv, interior_mask(mesh)).T
     for x in random_interior(mesh, seed=31, count=10):
-        inner = x[mesh.interior]
+        inner = x[interior_mask(mesh)]
         lhs = float(x @ blocks.b_adv.matvec(x) + inner @ (Bt @ inner))
         rhs = -2.0 * float(x @ blocks.mass.matvec(x))
         assert lhs == pytest.approx(rhs, rel=1e-12)

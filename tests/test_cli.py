@@ -73,10 +73,12 @@ def test_nonfinite_input_is_config_error(tmp_path, capsys, flag, value):
     "poincare-check --n 4 --trials 0",
     "poincare-check --n 4 --trials x",
     "poincare-check --n 4 --trials 5 --t-grid 0,-1",
+    "poincare-check --n 1 --trials 5",  # no interior node: every trial is the zero field
     "nested-domains --n 8 --scales 4,x",
     "nested-domains --n 8 --scales 4,nan",
     "nested-domains --n 8 --scales 0,4",
     "nested-domains --n 8 --scales 4",  # one scale gives no pair to compare
+    "nested-domains --n 16 --scales 4,4 --dt 0.1 --t-end 1",  # a scale compared with itself
     "run --n 4 --config {tmp}/missing.cfg",
     "run --form lagrangian --n 4 --dt 1e-320 --t-end 10",
     "run --form selfsimilar --n 4 --sigma1=-1e6",

@@ -10,10 +10,60 @@ from kfplab.mesh import (
     build_structured_mesh,
     interpolate_many,
     locate,
-    midpoint_quadrature,
 )
 
 UNIT = RectDomain(0.0, 1.0, 0.0, 1.0)
+
+
+# The per-element and per-node views of a mesh that kfplab does not store:
+# the oracles that its slices of the node grid are checked against.
+
+def per_element(mesh, per_node):
+    """A per-node array at each element's vertices, shape (2 n^2, 3, ...),
+    stacked from the node grid's four corner views: per cell in row-major
+    order, the lower triangle (ll, lr, ur), then the upper one (ll, ur, ul)."""
+    n = mesh.n
+    grid = np.asarray(per_node).reshape(n + 1, n + 1, *np.shape(per_node)[1:])
+    ll, lr, ul, ur = grid[:-1, :-1], grid[:-1, 1:], grid[1:, :-1], grid[1:, 1:]
+    return np.stack([ll, lr, ur, ll, ur, ul], axis=2).reshape(2 * n * n, 3, *grid.shape[2:])
+
+
+def element_areas(mesh, p=None):
+    """The signed area of each element from its vertex coordinates p, by
+    default the mesh's."""
+    p = per_element(mesh, mesh.nodes) if p is None else p
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def edge_midpoints(per_vertex):
+    """Values at the edge midpoints from values at the vertices (axis 1):
+    midpoint q of an element joins its vertices q and q + 1."""
+    return 0.5 * (per_vertex + np.roll(per_vertex, -1, axis=1))
+
+
+def midpoint_quadrature(mesh):
+    """The edge-midpoint rule, exact for total degree <= 2. Returns the
+    points (n_el, 3, 2) and the weights (n_el,) = |T|/3."""
+    weights = element_areas(mesh, vertices := per_element(mesh, mesh.nodes)) / 3.0
+    return edge_midpoints(vertices), weights
+
+
+def boundary_mask(mesh):
+    """The boundary nodes by index arithmetic: the frame of the node grid."""
+    nv = mesh.n + 1
+    grid_iv = np.tile(np.arange(nv), nv)
+    grid_iz = np.repeat(np.arange(nv), nv)
+    return (grid_iv == 0) | (grid_iv == mesh.n) | (grid_iz == 0) | (grid_iz == mesh.n)
+
+
+def interior_mask(mesh):
+    return ~boundary_mask(mesh)
+
+
+def interior_count(mesh):
+    return (mesh.n - 1) ** 2
 
 
 def element_oracle(mesh):
@@ -35,17 +85,17 @@ def element_oracle(mesh):
 def test_smallest_mesh_counts():
     m = build_structured_mesh(UNIT, 1)
     assert m.node_count == 4
-    assert len(m.per_element(np.arange(m.node_count))) == 2
-    assert m.boundary.sum() == 4
-    assert m.interior_count == 0
+    assert len(per_element(m, np.arange(m.node_count))) == 2
+    assert boundary_mask(m).sum() == 4
+    assert interior_count(m) == 0
 
 
 def test_n2_counts():
     m = build_structured_mesh(UNIT, 2)
     assert m.node_count == 9
-    assert len(m.per_element(np.arange(m.node_count))) == 8
-    assert m.boundary.sum() == 8
-    assert m.interior.sum() == 1
+    assert len(per_element(m, np.arange(m.node_count))) == 8
+    assert boundary_mask(m).sum() == 8
+    assert interior_mask(m).sum() == 1
 
 
 @pytest.mark.parametrize("domain,n", [
@@ -55,7 +105,7 @@ def test_n2_counts():
 ])
 def test_area_partition(domain, n):
     m = build_structured_mesh(domain, n)
-    areas = m.element_areas()
+    areas = element_areas(m)
     assert np.all(areas > 0)
     area = domain.side_v * domain.side_z
     assert abs(areas.sum() - area) <= 1e-12 * area
@@ -65,16 +115,16 @@ def test_area_partition(domain, n):
                                       (RectDomain(-1.0, 2.0, 0.5, 3.0), 7)])
 def test_per_element_matches_the_index_oracle(domain, n):
     m = build_structured_mesh(domain, n)
-    ids = m.per_element(np.arange(m.node_count))
+    ids = per_element(m, np.arange(m.node_count))
     assert ids.dtype == np.int64
     assert np.array_equal(ids, element_oracle(m))
     # trailing axes ride along: the coordinates are those of the ids
-    assert np.array_equal(m.per_element(m.nodes), m.nodes[element_oracle(m)])
+    assert np.array_equal(per_element(m, m.nodes), m.nodes[element_oracle(m)])
 
 
 def test_mesh_stores_no_connectivity():
-    # a live mesh holds its node coordinates and its two node masks, and no
-    # array of its 2 n^2 elements
+    # a live mesh holds its node coordinates, and no node mask and no array
+    # of its 2 n^2 elements
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -82,7 +132,7 @@ def test_mesh_stores_no_connectivity():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held <= m.nodes.nbytes + m.boundary.nbytes + m.interior.nbytes + 4096
+    assert held <= m.nodes.nbytes + 4096
 
 
 def test_rejects_zero_subdivisions():
@@ -103,11 +153,11 @@ def test_rejects_domain_whose_side_overflows(bounds):
 
 def test_node_membership_counts():
     m = build_structured_mesh(UNIT, 4)
-    counts = np.bincount(m.per_element(np.arange(m.node_count)).ravel(), minlength=m.node_count)
+    counts = np.bincount(per_element(m, np.arange(m.node_count)).ravel(), minlength=m.node_count)
     nv = m.n + 1
     corner_ids = [0, m.n, m.n * nv, m.n * nv + m.n]
     for node in range(m.node_count):
-        if m.interior[node]:
+        if interior_mask(m)[node]:
             assert counts[node] == 6
         elif node in corner_ids:
             assert counts[node] in (1, 2)
@@ -253,7 +303,7 @@ def test_quadrature_degree_two_on_random_triangles():
         domain = RectDomain(lo[0], lo[0] + rng.uniform(0.5, 5), lo[1], lo[1] + rng.uniform(0.5, 5))
         mesh = build_structured_mesh(domain, int(rng.integers(1, 5)))
         pts, w = midpoint_quadrature(mesh)
-        for tri, tri_pts, tri_w in zip(mesh.per_element(mesh.nodes), pts, w):
+        for tri, tri_pts, tri_w in zip(per_element(mesh, mesh.nodes), pts, w):
             for p, q in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
                 got = np.sum(tri_w * tri_pts[:, 0] ** p * tri_pts[:, 1] ** q)
                 want = _exact_triangle_moment(tri, p, q)

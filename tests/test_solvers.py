@@ -21,6 +21,7 @@ from kfplab.solvers import (
     run_original,
     run_selfsimilar,
 )
+from test_mesh import boundary_mask, interior_mask
 from test_sparse import line_jacobi
 
 BIG = RectDomain.square(10.0)
@@ -38,7 +39,7 @@ def test_project_initial_gaussian():
     f = project_initial(mesh, analytic.gaussian_ic)
     center = np.argmin(np.abs(mesh.nodes).sum(axis=1))
     assert f.values[center] == pytest.approx(1.0, rel=1e-14)
-    assert np.all(f.values[mesh.boundary] == 0.0)
+    assert np.all(f.values[boundary_mask(mesh)] == 0.0)
 
 
 def test_project_initial_zero():
@@ -134,7 +135,7 @@ def test_original_one_step_matches_manual():
     half = Field(mesh, y, cfg.dt)
     feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * cfg.dt])
     want = interpolate_many(half, feet)
-    want[mesh.boundary] = 0.0
+    want[boundary_mask(mesh)] = 0.0
     assert np.max(np.abs(traj.final.values - want)) < 1e-12
 
 
@@ -191,7 +192,7 @@ def _per_form_loop(cfg, warm=True):
         for step in range(1, cfg.steps + 1):
             x = step_solve(lhs, sparse.jacobi(lhs), rhs_mat, x)
             x = interpolate_many(Field(mesh, x, step * cfg.dt), feet)
-            x[mesh.boundary] = 0.0
+            x[boundary_mask(mesh)] = 0.0
             record(step, step * cfg.dt, x)
     elif cfg.form == "lagrangian":
         for step in range(1, cfg.steps + 1):
@@ -268,13 +269,14 @@ def test_lagrangian_small_meshes_match_dense_steps(n, to_dense):
     assert len(traj.times) == 4
     mesh = traj.final.mesh
     blocks = assemble_blocks(mesh)
+    inner = interior_mask(mesh)
     x = project_initial(mesh, analytic.gaussian_ic).values
     for step in range(3):
         a_mid = blocks.lagrangian((step + 0.5) * cfg.dt)
-        lhs = to_dense(blocks.matrix(MASS + cfg.dt * cfg.theta * a_mid), mesh.interior)
+        lhs = to_dense(blocks.matrix(MASS + cfg.dt * cfg.theta * a_mid), inner)
         rhs = blocks.matrix(MASS - cfg.dt * (1 - cfg.theta) * a_mid).matvec(x)
         x = np.zeros(mesh.node_count)
-        x[mesh.interior] = np.linalg.solve(lhs, rhs[mesh.interior]) if len(lhs) else []
+        x[inner] = np.linalg.solve(lhs, rhs[inner]) if len(lhs) else []
     got = traj.final.values
     assert got.shape == x.shape
     assert np.max(np.abs(got - x), initial=0.0) <= 1e-10 * np.max(np.abs(x), initial=1.0)

@@ -4,6 +4,7 @@ import pytest
 from kfplab import sparse
 from kfplab.assembly import MASS, STENCIL, assemble_blocks
 from kfplab.mesh import RectDomain, build_structured_mesh
+from test_mesh import boundary_mask, interior_count, interior_mask
 
 DOMAINS = [RectDomain.square(10.0), RectDomain(-1.0, 2.0, 0.5, 3.0)]
 
@@ -71,12 +72,12 @@ def interior_dia(A, mesh):
     neighbour is a boundary node or the offset wraps past the end of a grid
     row. For w <= 1 the offsets collapse, and at most one stencil point is
     inside per slot."""
-    w, m = mesh.n - 1, mesh.interior_count
+    w, m = mesh.n - 1, interior_count(mesh)
     a, c = np.divmod(np.arange(m), max(w, 1))
     on_v, on_z = ({-1: i > 0, 0: i >= 0, 1: i < w - 1} for i in (c, a))  # neighbour on the grid
     offsets = sorted({dz * w + dv for (dv, dz), _, _ in STENCIL})
     data = np.zeros((len(offsets), m))
-    rows = stencils(A)[:, mesh.interior]  # in the order of A.offsets, which is STENCIL's
+    rows = stencils(A)[:, interior_mask(mesh)]  # in the order of A.offsets, which is STENCIL's
     for ((dv, dz), _, _), row in zip(STENCIL, rows):
         np.copyto(data[offsets.index(dz * w + dv)], row, where=on_v[dv] & on_z[dz])
     return DiaMatrix(offsets, data)
@@ -169,7 +170,7 @@ def test_csr_invariants():
         for A in (blocks.mass, blocks.d_vv, blocks.d_zz, blocks.d_vz_sym, blocks.b_adv):
             assert A.offsets == (-s - 1, -s, -1, 0, 1, s, s + 1) and np.all(np.diff(A.offsets) > 0)
             assert A.data.shape == ((7, mesh.node_count) if A is blocks.b_adv else (7,))
-            rows = np.flatnonzero(mesh.interior)
+            rows = np.flatnonzero(interior_mask(mesh))
             for off in A.offsets:
                 assert np.all((rows + off >= 0) & (rows + off < A.rows)), (n, off)
 
@@ -219,7 +220,7 @@ def test_matvec_is_bit_identical_to_a_row_loop(n):
     blocks = assemble_blocks(mesh)
     rng = np.random.default_rng(n)
     for A in (blocks.mass, blocks.d_vv, blocks.d_zz, blocks.d_vz_sym, blocks.b_adv):
-        x = framed(A, rng.standard_normal(mesh.interior_count))
+        x = framed(A, rng.standard_normal(interior_count(mesh)))
         x[rng.random(A.rows) < 0.3] = -0.0
         assert A.symmetric == (A is not blocks.b_adv)
         assert A.matvec(x).tobytes() == _matvec_by_rows(A, x, folded=A.symmetric).tobytes()
@@ -239,20 +240,21 @@ def test_matvec_is_bit_identical_to_the_dia_oracle(n, domain):
     # bits are those of the folded row loop, and each interior row lies
     # within FOLD_BOUND eps sum_j |a_ij x_j| of the oracle's ascending sum)
     mesh = build_structured_mesh(domain, n)
+    inner = interior_mask(mesh)
     rng = np.random.default_rng(n)
     for A, ndim in zip(sides(n, domain), (1, 2)):
         assert A.data.ndim == ndim
-        x = framed(A, rng.standard_normal(mesh.interior_count))
+        x = framed(A, rng.standard_normal(interior_count(mesh)))
         x[rng.random(A.rows) < 0.1] = -0.0
         got, dia = A.matvec(x), interior_dia(A, mesh)
-        want = dia.matvec(x[mesh.interior])
+        want = dia.matvec(x[inner])
         if A.symmetric:
             assert got.tobytes() == _matvec_by_rows(A, x, folded=True).tobytes()
-            scale = DiaMatrix(dia.offsets, np.abs(dia.data)).matvec(np.abs(x[mesh.interior]))
-            assert np.all(np.abs(got[mesh.interior] - want) <= FOLD_BOUND * np.finfo(float).eps * scale)
+            scale = DiaMatrix(dia.offsets, np.abs(dia.data)).matvec(np.abs(x[inner]))
+            assert np.all(np.abs(got[inner] - want) <= FOLD_BOUND * np.finfo(float).eps * scale)
         else:
-            assert got[mesh.interior].tobytes() == want.tobytes()
-        assert np.all(got[mesh.boundary] == 0.0)
+            assert got[inner].tobytes() == want.tobytes()
+        assert np.all(got[boundary_mask(mesh)] == 0.0)
 
 
 # A product's path rounds at most 7 times in the ascending sum (1 multiply,
@@ -409,14 +411,15 @@ def test_combine_of_symmetric_table_rows_is_symmetric():
 
 def test_combine_and_pattern_assembly(to_dense):
     mesh = build_structured_mesh(RectDomain.square(1.0), 3)
+    inner = interior_mask(mesh)
     table = np.array([[2.0, 2.0, 3.0, 1.0, 0.5, 0.0, -1.0]])
     rows = sparse.SparseMatrix(4, np.arange(7 * 16, dtype=float).reshape(7, 16))
     A = sparse.SparseMatrix(4, table[0])
     for coeffs in ([2.0, -1.0], [2.0, 0.0]):
         C = sparse.combine(coeffs, table, rows)
         assert C.data.ndim == (2 if coeffs[1] else 1)
-        want = coeffs[0] * to_dense(A, mesh.interior) + coeffs[1] * to_dense(rows, mesh.interior)
-        assert np.allclose(to_dense(C, mesh.interior), want)
+        want = coeffs[0] * to_dense(A, inner) + coeffs[1] * to_dense(rows, inner)
+        assert np.allclose(to_dense(C, inner), want)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7])

@@ -130,7 +130,7 @@ def read_config_file(path: str) -> dict:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kfplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in COMMANDS.items():
+    for name, (_, help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config")
         for key, (_, _, commands, settings) in KEYS.items():
@@ -287,14 +287,19 @@ def _cmd_nested_domains(config, seed, scales) -> int:
     return _write_report(config, lines, monotone)
 
 
+# each command, its help and its up-front check: the key it names and the
+# rule the command itself applies, called on the config and the command's flags
 COMMANDS = {
-    "run": (_cmd_run, "integrate one formulation, emit norms/errors/snapshots"),
-    "convergence": (_cmd_convergence, "mesh-refinement ladder for the self-similar solver"),
-    "compare": (_cmd_compare, "run all three formulations, emit a table of final errors"),
-    "norms": (_cmd_norms, "integrate and emit the norm time series only"),
-    "kernel-check": (_cmd_kernel_check, "kernel norm identities, quadrature vs closed form"),
-    "poincare-check": (_cmd_poincare_check, "directional Poincare inequality on random fields"),
-    "nested-domains": (_cmd_nested_domains, "domain-growth study at fixed inner region"),
+    "run": (_cmd_run, "integrate one formulation, emit norms/errors/snapshots", None),
+    "convergence": (_cmd_convergence, "mesh-refinement ladder for the self-similar solver",
+                    ("levels", lambda config, levels: analysis.ladder_configs(config, levels))),
+    "compare": (_cmd_compare, "run all three formulations, emit a table of final errors", None),
+    "norms": (_cmd_norms, "integrate and emit the norm time series only", None),
+    "kernel-check": (_cmd_kernel_check, "kernel norm identities, quadrature vs closed form", None),
+    "poincare-check": (_cmd_poincare_check, "directional Poincare inequality on random fields",
+                       ("n", lambda config, **flags: analysis.poincare_mesh_check(config.n))),
+    "nested-domains": (_cmd_nested_domains, "domain-growth study at fixed inner region",
+                       ("scales", lambda config, scales: analysis.nested_configs(config, scales))),
 }
 
 
@@ -306,14 +311,13 @@ def main(argv=None) -> int:
         config, seed = parse_config(args)
         flags = {_dest(key): _convert(key, getattr(args, _dest(key)))
                  for key in KEYS if key not in SETTINGS and args.command in KEYS[key][2]}
-        studies = {"levels": analysis.ladder_configs, "scales": analysis.nested_configs}
-        for key in studies.keys() & flags.keys():  # every run of a study is checked up front
+        check = COMMANDS[args.command][2]
+        if check:  # every run of a study, and the poincare-check mesh, before anything runs
+            key, rule = check
             try:
-                studies[key](config, flags[key])
+                rule(config, **flags)
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"--{key}: {exc}") from None
-        if args.command == "poincare-check" and config.n < 2:  # poincare_check's own bound, up front
-            raise ValueError(f"n: poincare-check needs n >= 2 for an interior node, got {config.n}")
         os.makedirs(config.out_dir, exist_ok=True)  # last: a configuration error leaves no directory
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -146,17 +146,21 @@ def locate(mesh: TriMesh, points: np.ndarray) -> Location:
     return Location(mesh, nodes, weights, ~inside)
 
 
-def interpolate_many(field: Field, points: "np.ndarray | Location") -> np.ndarray:
+def interpolate_many(field: Field, points: "np.ndarray | Location", scratch: np.ndarray | None = None) -> np.ndarray:
     """P1 values at arbitrary points, 0 outside the domain (Dirichlet extension).
 
     points is an (N, 2) array, located here, or a Location on the field's
     mesh, which lets a caller locate fixed points once for many fields.
+    scratch, a (3, N) float array if given, takes the three vertices'
+    weighted values, so that a caller that interpolates many fields at the
+    same points allocates only the result.
     """
     loc = points if isinstance(points, Location) else locate(field.mesh, points)
     if loc.mesh is not field.mesh:
         raise ValueError("the points were located on another mesh")
-    v = field.values.take(loc.nodes)  # the three vertices' values in one gather
+    v = np.take(field.values, loc.nodes, out=scratch, mode="clip")  # one gather; every node id is in range
     v *= loc.weights
-    out = v[0] + v[1] + v[2]
+    out = np.add(v[0], v[1])
+    out += v[2]
     out[loc.outside] = 0.0
     return out

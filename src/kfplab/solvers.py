@@ -14,8 +14,8 @@ Each form supplies only the operators of its theta step, as coefficient
 vectors over the assembled blocks, its preconditioner and its split update to
 one time loop, _march. The loop builds the theta sides, takes the steps and
 records the run, starting each solve from the extrapolated solve increments
-of the last three steps. It owns the solver's work vectors and the theta
-sides' arrays for the whole run. Every state is a node vector, 0.0 on the
+of the last three steps. It owns the solver's work vectors, the theta
+sides' arrays, the start and the increments for the whole run. Every state is a node vector, 0.0 on the
 boundary, the frame of every solve. A single run is sequential; distinct runs
 are independent and each produced Field is an immutable snapshot.
 """
@@ -162,21 +162,26 @@ def _march(config: RunConfig, first: Field, blocks, operators, precond, update=l
 
     Each solve starts from x plus the EXTRAPOLATION of the increments
     d = y - x of the last three solves, taken before the split update. The
-    run owns BiCGStab's work vectors and the rows of both sides, so that no
-    step allocates them: a step that freed them at the top of the heap would
-    let malloc trim those pages, only for the next step to fault them in.
+    run owns BiCGStab's work vectors, the rows of both sides, the start and
+    the three increments, which rotate through their rows, so that no step
+    allocates them: a step that freed them at the top of the heap would let
+    malloc trim those pages, only for the next step to fault them in.
 
     x is a node vector, first.values at step 0, and no step writes into an x
     it made. Records its norms at every time k dt, and a Field of it at step
-    0, the last step and every snapshot_stride-th step. The L2 norm is taken
-    of x scaled by a power of two near 1/linf, which is exact and keeps
-    x M x clear of overflow and underflow at any scale of x.
+    0, the last step and every snapshot_stride-th step. L-inf is
+    max(max x, -min x). The L2 norm is sqrt(y M y) 2^e, y = x 2^-e with 2^e
+    near linf, and y M y the mass stencil's quadratic form, four dot
+    products without a matvec (SparseMatrix.quadratic_form). The scaling is
+    exact and keeps y M y clear of overflow and underflow at any scale of x;
+    y is taken in a work row, free between solves.
     """
     stride = config.snapshot_stride
     snapshots, times, l2, linf, iterations, d = [], [], [], [], [0], []
     ops = sides = None
     x = first.values
     work, sides_data = np.empty((sparse.WORK_VECTORS, len(x))), np.empty((2,) + blocks.b_adv.data.shape)
+    guess, *increments = np.empty((4, len(x)))  # the start, then the rows the increments rotate through
     for k in range(config.steps + 1):
         if k > 0:
             explicit, implicit = new = operators(k)
@@ -185,19 +190,18 @@ def _march(config: RunConfig, first: Field, blocks, operators, precond, update=l
                 rhs_mat = blocks.matrix(MASS - config.dt * (1.0 - config.theta) * explicit, out=sides_data[1])
                 ops, sides = new, None  # free the last preconditioner's arrays before the next takes its own
                 sides = (lhs, precond(lhs), rhs_mat)
-            guess = x.copy()
+            np.copyto(guess, x)
             for w, di in zip(EXTRAPOLATION[len(d)], d):
                 guess += np.multiply(w, di, out=work[0])  # work is free between solves
             y, stats = _theta_step(*sides, x, guess, work, config)
-            d = [y - x] + d[:2]
+            d = [np.subtract(y, x, out=increments[len(d)] if len(d) < 3 else d[2])] + d[:2]
             iterations.append(stats.iterations)
             x = update(k, y)
         time = k * config.dt
         times.append(time)
-        linf.append(float(np.abs(x).max()))
+        linf.append(float(max(x.max(), -x.min()) + 0.0))  # + 0.0 turns -0.0 into 0.0
         e = math.frexp(linf[-1])[1]
-        y = np.ldexp(x, -e)
-        l2.append(math.ldexp(math.sqrt(max(y @ blocks.mass.matvec(y, scratch=work[0]), 0.0)), e))
+        l2.append(math.ldexp(math.sqrt(max(blocks.mass.quadratic_form(np.ldexp(x, -e, out=work[0])), 0.0)), e))
         if k in (0, config.steps) or (stride > 0 and k % stride == 0):
             snapshots.append(Field(first.mesh, x, time))
     return Trajectory(config, snapshots, *map(np.array, (times, l2, linf, iterations)))
@@ -209,11 +213,13 @@ def run_original(config: RunConfig, f0=None) -> Trajectory:
     mesh = state.mesh
     # the feet (v, x + v dt) of the exact characteristics through the nodes
     # are constant, so they are located once; boundary feet may land inside
-    # the domain, so the transported state is pinned as the initial one is
+    # the domain, so the transported state is pinned as the initial one is;
+    # the run owns the gather of the vertex values, as _march owns the
+    # solver's rows, so that no step frees it at the top of the heap
     feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * config.dt])
-    at_feet = locate(mesh, feet)
+    at_feet, gather = locate(mesh, feet), np.empty((3, mesh.node_count))
     return _march(config, state, blocks, lambda k: (D_VV, D_VV), sparse.jacobi,
-                  lambda k, y: _pinned(mesh, interpolate_many(Field(mesh, y, k * config.dt), at_feet)))
+                  lambda k, y: _pinned(mesh, interpolate_many(Field(mesh, y, k * config.dt), at_feet, gather)))
 
 
 def run_lagrangian(config: RunConfig, f0=None) -> Trajectory:

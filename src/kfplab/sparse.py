@@ -94,6 +94,16 @@ class SparseMatrix:
                 rows += d * x[x_lo:x_hi]
         return zero_frame(out, self.side)
 
+    def quadratic_form(self, y: np.ndarray) -> float:
+        """y . A y for a symmetric stencil and y zero on the frame, from four dot products:
+        d3 y.y + 2 (d4 y[1:].y[:-1] + d5 y[s:].y[:-s] + d6 y[s+1:].y[:-s-1]), d = data. The
+        frame cancels every pair that wraps past a grid row, so it equals y . (A y) in algebra."""
+        if not self.symmetric:
+            raise ValueError("the quadratic form needs a symmetric stencil of 7 numbers")
+        d, s = self.data, self.side
+        return float(d[3] * (y @ y) + 2.0 * (d[4] * (y[1:] @ y[:-1]) + d[5] * (y[s:] @ y[:-s])
+                                             + d[6] * (y[s + 1:] @ y[:-s - 1])))
+
     def diagonal(self) -> np.ndarray:
         """The main diagonal, 0 in the frame rows."""
         return zero_frame(np.full(self.rows, self.data[3]), self.side)
@@ -115,7 +125,7 @@ def combine(coeffs, table: np.ndarray, rows: SparseMatrix, out=None) -> SparseMa
 def jacobi(A: SparseMatrix):
     """Diagonal preconditioner r -> r / diag(A), the identity on zero diagonal entries."""
     diag = A.diagonal()
-    inv_diag = np.where(np.abs(diag) > 0, 1.0 / np.where(diag == 0, 1.0, diag), 1.0)
+    inv_diag = np.divide(1.0, diag, out=np.ones(A.rows), where=diag != 0.0)
     return lambda r, out=None: np.multiply(inv_diag, r, out=out)
 
 
@@ -179,7 +189,8 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
-WORK_VECTORS = 11  # rows of the work array solve iterates in
+WORK_VECTORS = 9  # rows of the work array solve iterates in
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 
 def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
@@ -208,6 +219,9 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     that aliases neither b nor x0, or in a new one when work is None, with
     the same results; a caller that solves many systems of one size passes
     one work array to all of them, so that no solve allocates its vectors.
+    Of its nine rows, s = r - alpha A M p overwrites r, and M s overwrites
+    M p once x has taken alpha M p; x still receives x + alpha M p + omega M s
+    in that order.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -215,9 +229,9 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     if b.shape != (A.rows,):
         raise ValueError("right-hand side has wrong length")
     work = np.empty((WORK_VECTORS, A.rows)) if work is None else work
-    b_k, x, r, r_star, p, mp, amp, s, ms, ams, t = work  # ValueError on another shape
+    b_k, x, r, r_star, p, mp, amp, ams, t = work  # ValueError on another shape; r holds s, mp holds M s
 
-    k = int(np.frexp(np.abs(b, out=t).max(initial=0.0))[1])
+    k = math.frexp(max(b.max(), -b.min()))[1]
     np.ldexp(b, -k, out=b_k)
     norm_b = _norm(b_k)
     if norm_b == 0.0:
@@ -226,12 +240,11 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     if precond is None:
         precond = jacobi(A)
     target = tol * norm_b
-    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
 
     np.ldexp(0.0 if x0 is None else np.asarray(x0, dtype=float), -k, out=x)
     iters = 0
     while True:  # each pass starts the recurrence from the current iterate
-        np.subtract(b_k, A.matvec(x, out=t, scratch=s), out=r)
+        np.subtract(b_k, A.matvec(x, out=t, scratch=p), out=r)
         normr = _norm(r)
         if normr <= target or iters >= max_iter:
             return np.ldexp(x, k), SolveStats(iters, normr / norm_b, bool(normr <= target))
@@ -242,29 +255,28 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
             precond(p, out=mp)
             A.matvec(mp, out=amp, scratch=t)
             denom = float(r_star @ amp)
-            if (abs(rho) <= eps * norm_star * normr
-                    or abs(denom) <= eps * norm_star * _norm(amp)):
+            if (abs(rho) <= _EPS * norm_star * normr
+                    or abs(denom) <= _EPS * norm_star * _norm(amp)):
                 iters += 1  # breakdown: the restart counts as an iteration
                 break
             alpha = rho / denom
-            np.subtract(r, np.multiply(alpha, amp, out=s), out=s)  # s = r - alpha A M p
-            precond(s, out=ms)
-            A.matvec(ms, out=ams, scratch=t)
+            np.subtract(r, np.multiply(alpha, amp, out=t), out=r)  # s = r - alpha A M p
+            x += np.multiply(alpha, mp, out=t)  # x + alpha M p, the first term of the update
+            precond(r, out=mp)
+            A.matvec(mp, out=ams, scratch=t)
             ams_sq = float(ams @ ams)
             iters += 1
-            if ams_sq < tiny:  # s vanished: x + alpha M p is the next iterate
-                x += np.multiply(alpha, mp, out=t)
+            if ams_sq < _TINY:  # s vanished: x + alpha M p is the next iterate
                 break
-            omega = float(ams @ s) / ams_sq
-            x += np.multiply(alpha, mp, out=t)  # x + alpha M p + omega M s, in that order
-            x += np.multiply(omega, ms, out=t)
-            np.subtract(s, np.multiply(omega, ams, out=r), out=r)  # r = s - omega A M s
+            omega = float(ams @ r) / ams_sq
+            x += np.multiply(omega, mp, out=t)  # + omega M s
+            np.subtract(r, np.multiply(omega, ams, out=t), out=r)  # r = s - omega A M s
             normr = _norm(r)
             if normr <= target:
-                true_res = _norm(np.subtract(b_k, A.matvec(x, out=t, scratch=s), out=t))
+                true_res = _norm(np.subtract(b_k, A.matvec(x, out=t, scratch=mp), out=t))
                 if true_res <= target:
                     return np.ldexp(x, k), SolveStats(iters, true_res / norm_b, True)
-            if abs(omega) < tiny:  # breakdown: restart
+            if abs(omega) < _TINY:  # breakdown: restart
                 break
             rho_new = float(r_star @ r)
             beta = (rho_new / rho) * (alpha / omega)

@@ -42,15 +42,20 @@ def test_summary_skips_failed_runs_and_absent_metrics(bench_pairs):
     assert bench_pairs.quartiles([4.0]) == (4.0, 4.0, 4.0)
 
 
+def commit_spec(path, workloads):
+    """A git repository of one commit in path whose BENCHMARK.json declares workloads."""
+    with open(path / "BENCHMARK.json", "w") as fh:
+        json.dump({"run_seconds": 1, "workloads": [{"name": w} for w in workloads], "end_to_end": METRICS}, fh)
+    for cmd in (["init", "-q"], ["add", "BENCHMARK.json"],
+                ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "spec"]):
+        subprocess.run(["git", *cmd], cwd=path, check=True, capture_output=True)
+
+
 @pytest.fixture
 def one_commit_repo(tmp_path, bench_pairs, monkeypatch):
     """A git repository of one commit whose BENCHMARK.json declares the
     workload "oracle", as the tool's root; exporting from it fails the test."""
-    with open(tmp_path / "BENCHMARK.json", "w") as fh:
-        json.dump({"run_seconds": 1, "workloads": [{"name": "oracle"}], "end_to_end": METRICS}, fh)
-    for cmd in (["init", "-q"], ["add", "BENCHMARK.json"],
-                ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "spec"]):
-        subprocess.run(["git", *cmd], cwd=tmp_path, check=True, capture_output=True)
+    commit_spec(tmp_path, ["oracle"])
 
     def no_export(*args):
         raise AssertionError("exported before the inputs were checked")
@@ -69,3 +74,58 @@ def test_bad_revision_or_workload_exits_2_before_any_export(bench_pairs, one_com
     assert exit_info.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].endswith(message)
+
+
+MANIFEST = {"commit": "abc", "nproc": 2, "affinity": 2, "python": "3.11.14", "numpy": "2.4.6",
+            "blas": {"name": "scipy-openblas", "lib directory": "/a/b", "version": "0.3"},
+            "blas_threads": {"OPENBLAS_NUM_THREADS": "1"}}
+
+
+@pytest.mark.parametrize("workloads, run", [([], ["oracle", "original"]),
+                                            (["original"], ["original"]),
+                                            (["original", "oracle"], ["original", "oracle"])])
+def test_json_records_revisions_host_and_every_workload_in_order(bench_pairs, tmp_path, monkeypatch, capsys,
+                                                                 workloads, run):
+    # canned runs: the change halves the wall time of every run and the
+    # base's third run of "oracle" fails; by default every workload runs
+    commit_spec(tmp_path, ["oracle", "original"])
+    calls = []
+
+    def canned_bench(copy, workload, seconds):
+        calls.append((os.path.basename(copy), workload))
+        wall = (1.0 if copy.endswith("a") else 0.5) * (1 + 0.1 * len(calls))
+        if (os.path.basename(copy), workload) == ("a", "oracle") and calls.count(calls[-1]) == 3:
+            return None, MANIFEST
+        return {"correct": True, "failed": 0, "metrics": {"wall_s": {"value": wall},
+                                                          "throughput_per_s": {"value": 1 / wall}}}, MANIFEST
+
+    monkeypatch.setattr(bench_pairs, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, root, name: os.path.join(root, name))
+    monkeypatch.setattr(bench_pairs, "bench", canned_bench)
+    path = tmp_path / "bench.json"
+    argv = ["HEAD", "HEAD~0", "--pairs", "3", "--json", str(path)]
+    rc = bench_pairs.main(argv + [arg for w in workloads for arg in ("--workload", w)])
+    assert rc == (1 if "oracle" in run else 0)
+    assert [w for _, w in calls] == [w for w in run for _ in range(6)]
+    assert [c for c, _ in calls[:6]] == ["a", "b", "b", "a", "a", "b"]  # alternating order
+    with open(path) as fh:
+        doc = json.load(fh)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, capture_output=True, text=True).stdout.strip()
+    assert list(doc) == ["base", "change", "host", "pairs", "run_seconds", "workloads"]
+    assert doc["base"] == {"rev": "HEAD", "id": head} and doc["change"] == {"rev": "HEAD~0", "id": head}
+    assert doc["host"] == {"cores": 2, "affinity": 2, "python": "3.11.14", "numpy": "2.4.6",
+                           "blas": {"name": "scipy-openblas", "version": "0.3"},  # without the build's paths
+                           "blas_threads": {"OPENBLAS_NUM_THREADS": "1"}}
+    assert (doc["pairs"], doc["run_seconds"]) == (3, 1)
+    assert list(doc["workloads"]) == run
+    for workload, entry in doc["workloads"].items():
+        assert list(entry) == ["failed_runs", "metrics"]
+        assert entry["failed_runs"] == (workload == "oracle")
+        assert list(entry["metrics"]) == ["wall_s", "throughput_per_s"]
+        wall = entry["metrics"]["wall_s"]
+        assert list(wall) == ["unit", "better", "base", "change", "won", "counted", "gain"]
+        assert list(wall["base"]) == list(wall["change"]) == ["q1", "median", "q3"]
+        assert (wall["unit"], wall["better"]) == ("s", "lower")
+        assert wall["counted"] == (2 if workload == "oracle" else 3) == wall["won"]
+        assert wall["base"]["q1"] <= wall["base"]["median"] <= wall["base"]["q3"]
+    assert "wall_s [s]: " in capsys.readouterr().out

@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from kfplab import cli, solvers
+from kfplab import analysis, cli, solvers
 from kfplab.cli import main, parse_config, read_config_file
-from kfplab.mesh import RectDomain
+from kfplab.mesh import RectDomain, build_structured_mesh
 from kfplab.solvers import RunConfig, run
 
 
@@ -353,6 +353,17 @@ def test_poincare_check_command(tmp_path):
                "--t-grid", "0,1", "--out", str(out), "--seed", "7"])
     assert rc == 0
     assert "PASS" in (out / "report.txt").read_text()
+
+
+def test_poincare_check_mesh_is_checked_up_front_by_the_rule_of_the_check(tmp_path, capsys):
+    # one home for n >= 2: the command's up-front check prints the error
+    # that analysis.poincare_check itself raises, named by its flag
+    with pytest.raises(ValueError) as raised:
+        analysis.poincare_check(build_structured_mesh(RectDomain.square(1.0), 1), 0.0, 5)
+    rc = main(["poincare-check", "--n", "1", "--trials", "5", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --n: {raised.value}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_poincare_check_fails_when_the_form_overflows(tmp_path, capsys):

@@ -257,6 +257,27 @@ def test_located_interpolation_is_bit_identical_to_the_direct_formula():
     want = _interpolate_both_triangles(f, pts).tobytes()
     assert interpolate_many(f, pts).tobytes() == want
     assert interpolate_many(f, locate(m, pts)).tobytes() == want
+    scratch = np.full((3, len(pts)), np.nan)  # stale values in a reused gather change no bit
+    for _ in range(2):
+        assert interpolate_many(f, locate(m, pts), scratch).tobytes() == want
+
+
+def test_interpolation_into_a_scratch_gather_allocates_only_the_result():
+    # the run of the original form interpolates at fixed feet on every step;
+    # with the gather in its own (3, N) array, a call allocates the result
+    m = build_structured_mesh(RectDomain.square(10.0), 128)
+    f = Field(m, np.random.default_rng(5).standard_normal(m.node_count))
+    loc, scratch = locate(m, m.nodes + 0.3 * m.h), np.empty((3, m.node_count))
+    peaks = []
+    for gather in (None, scratch):
+        tracemalloc.start()
+        try:
+            got = interpolate_many(f, loc, gather)
+            peaks.append(tracemalloc.get_traced_memory()[1] / f.values.nbytes)
+        finally:
+            tracemalloc.stop()
+        assert not np.shares_memory(got, scratch)
+    assert peaks[0] >= 4.0 and peaks[1] <= 1.1, peaks
 
 
 def test_location_serves_only_its_own_mesh():

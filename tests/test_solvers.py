@@ -145,14 +145,15 @@ def _per_form_loop(cfg, warm=True):
     contraction over the five blocks, on node vectors. The original form
     interpolates at the feet of all nodes on every step and pins the
     boundary to 0; the self-similar form builds the next step's explicit
-    side at the end of each step. With warm, each solve starts from x plus
+    side at the end of each step. The L2 norm is the mass stencil's
+    quadratic form of x scaled by a power of two. With warm, each solve starts from x plus
     the backward-difference extrapolation of the last three solve increments
     y - x; without, from x. Returns (times, l2, linf, snapshots, iterations)
     with the iterations of each step's solve, 0 at step 0."""
     mesh = build_structured_mesh(cfg.domain, cfg.n)
     blocks = assemble_blocks(mesh)
     first = project_initial(mesh, analytic.gaussian_ic)
-    mass = blocks.mass
+    m, s = blocks.mass.data, blocks.mass.side
     times, l2, linf, snapshots, iterations, d = [], [], [], [], [0], []
 
     def record(step, time, x):
@@ -160,7 +161,9 @@ def _per_form_loop(cfg, warm=True):
         k = math.frexp(linf[-1])[1]
         y = np.ldexp(x, -k)
         times.append(time)
-        l2.append(math.ldexp(math.sqrt(max(y @ mass.matvec(y), 0.0)), k))
+        form = m[3] * (y @ y) + 2.0 * (m[4] * (y[1:] @ y[:-1]) + m[5] * (y[s:] @ y[:-s])
+                                       + m[6] * (y[s + 1:] @ y[:-s - 1]))
+        l2.append(math.ldexp(math.sqrt(max(form, 0.0)), k))
         if step in (0, cfg.steps) or (cfg.snapshot_stride and step % cfg.snapshot_stride == 0):
             snapshots.append(Field(mesh, x, time))
 
@@ -427,10 +430,13 @@ def test_a_run_gives_the_same_bits_after_other_runs():
 
 
 def test_a_step_allocates_neither_solver_vectors_nor_sides(monkeypatch):
-    # The run owns BiCGStab's work vectors and the data of both theta sides.
-    # From the end of one solve to the end of the next, a step then holds at
-    # most about 4.4 vectors more than before: its split update, norms,
-    # preconditioner, right-hand side, start and solution. A solve with
+    # The run owns BiCGStab's work vectors, the data of both theta sides, the
+    # start, the solve increments and the transport's gather, and records
+    # the norms in a work row. From the end of one solve to the end of the
+    # next, a step then holds a few vectors more than before: its split
+    # update, preconditioner, right-hand side and solution (measured at most
+    # 4.2 vectors, 3.1 in the original form and 2.13 in the sheared one;
+    # 5.04, 3.14 and 4.2 when each step allocated its own). A solve with
     # vectors of its own peaks near 13, and two new sides take 14. Freed at
     # the top of the heap on every step, those let malloc trim the pages
     # that the next step faults in again; page-fault counts depend on the

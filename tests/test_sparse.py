@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from kfplab import sparse
+from kfplab import analytic, sparse
 from kfplab.assembly import MASS, STENCIL, assemble_blocks
 from kfplab.mesh import RectDomain, build_structured_mesh
+from kfplab.solvers import project_initial
 from test_mesh import boundary_mask, interior_count, interior_mask
 
 DOMAINS = [RectDomain.square(10.0), RectDomain(-1.0, 2.0, 0.5, 3.0)]
@@ -287,6 +290,33 @@ def test_the_fold_is_taken_exactly_for_a_symmetric_stencil():
     out, scratch = np.full(A.rows, np.nan), np.full(A.rows, np.nan)
     assert A.matvec(x, out=out, scratch=scratch) is out and out.tobytes() == A.matvec(x).tobytes()
     assert B.matvec(x, scratch=scratch).tobytes() == B.matvec(x).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 128])
+def test_quadratic_form_is_the_dot_with_the_matvec(n):
+    # four shifted dot products give y . M y on zero-framed vectors, random
+    # and the Gaussian initial state, at any power-of-two scale once the
+    # scale is taken out as the norm recorder takes it
+    mesh = build_structured_mesh(DOMAINS[0], n)
+    mass, rng = assemble_blocks(mesh).mass, np.random.default_rng(n)
+    states = [framed(mass, rng.uniform(-1.0, 1.0, (n - 1) ** 2)) for _ in range(3)]
+    states.append(project_initial(mesh, analytic.gaussian_ic).values)
+    for x in states:
+        want = x @ mass.matvec(x)
+        assert abs(mass.quadratic_form(x) - want) <= 1e-12 * want
+        for scale in (2.0 ** -600, 2.0 ** 600):
+            e = math.frexp(np.abs(scale * x).max())[1]
+            y = np.ldexp(scale * x, -e)
+            form = mass.quadratic_form(y)
+            assert abs(form - y @ mass.matvec(y)) <= 1e-12 * form
+            norm = math.ldexp(math.sqrt(form), e)
+            assert abs(norm - scale * math.sqrt(want)) <= 1e-12 * norm
+
+
+def test_quadratic_form_needs_a_symmetric_stencil():
+    A = sides(4)[1]  # a row per node
+    with pytest.raises(ValueError, match="symmetric"):
+        A.quadratic_form(np.zeros(A.rows))
 
 
 def test_matvec_linearity():
@@ -656,6 +686,69 @@ def allocating_solve(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_MAX_I
             p = r + beta * (p - omega * amp)
 
 
+ELEVEN_ROWS = 11
+
+
+def solve_in_eleven_rows(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_MAX_ITER, x0=None, precond=None,
+                         work=None):
+    """The reference for solve's nine rows: the same BiCGStab in a work array
+    of ELEVEN_ROWS rows, with s and M s in rows of their own, as it stood
+    before s took r's row and M s took M p's."""
+    work = np.empty((ELEVEN_ROWS, A.rows)) if work is None else work
+    b_k, x, r, r_star, p, mp, amp, s, ms, ams, t = work
+    k = int(np.frexp(np.abs(b, out=t).max(initial=0.0))[1])
+    np.ldexp(b, -k, out=b_k)
+    norm_b = math.sqrt(b_k @ b_k)
+    if norm_b == 0.0:
+        return np.zeros(A.rows), sparse.SolveStats(0, 0.0, True)
+    precond = sparse.jacobi(A) if precond is None else precond
+    target = tol * norm_b
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    np.ldexp(0.0 if x0 is None else np.asarray(x0, dtype=float), -k, out=x)
+    iters = 0
+    while True:
+        np.subtract(b_k, A.matvec(x, out=t, scratch=s), out=r)
+        normr = math.sqrt(r @ r)
+        if normr <= target or iters >= max_iter:
+            return np.ldexp(x, k), sparse.SolveStats(iters, normr / norm_b, bool(normr <= target))
+        r_star[:] = r
+        p[:] = r
+        rho, norm_star = float(r_star @ r), normr
+        while iters < max_iter:
+            precond(p, out=mp)
+            A.matvec(mp, out=amp, scratch=t)
+            denom = float(r_star @ amp)
+            if abs(rho) <= eps * norm_star * normr or abs(denom) <= eps * norm_star * math.sqrt(amp @ amp):
+                iters += 1
+                break
+            alpha = rho / denom
+            np.subtract(r, np.multiply(alpha, amp, out=s), out=s)
+            precond(s, out=ms)
+            A.matvec(ms, out=ams, scratch=t)
+            ams_sq = float(ams @ ams)
+            iters += 1
+            if ams_sq < tiny:
+                x += np.multiply(alpha, mp, out=t)
+                break
+            omega = float(ams @ s) / ams_sq
+            x += np.multiply(alpha, mp, out=t)
+            x += np.multiply(omega, ms, out=t)
+            np.subtract(s, np.multiply(omega, ams, out=r), out=r)
+            normr = math.sqrt(r @ r)
+            if normr <= target:
+                true_res = math.sqrt(np.subtract(b_k, A.matvec(x, out=t, scratch=s), out=t) @ t)
+                if true_res <= target:
+                    return np.ldexp(x, k), sparse.SolveStats(iters, true_res / norm_b, True)
+            if abs(omega) < tiny:
+                break
+            rho_new = float(r_star @ r)
+            beta = (rho_new / rho) * (alpha / omega)
+            rho = rho_new
+            p -= np.multiply(omega, amp, out=t)
+            p *= beta
+            p += r
+
+
 def solve_cases():
     """(A, b, x0, precond) for every path of solve: Jacobi and the z-line
     sweep, from zero and from a start; a restart after r* . A M p vanishes
@@ -689,3 +782,20 @@ def test_solve_in_a_work_array_is_bit_identical_to_the_allocating_reference():
     for shape in ((sparse.WORK_VECTORS, 4), (sparse.WORK_VECTORS - 1, 3)):
         with pytest.raises(ValueError):
             sparse.solve(identity(3), np.ones(3), work=np.empty(shape))
+
+
+def test_solve_in_nine_rows_is_bit_identical_to_the_eleven_row_oracle():
+    # s takes r's row and M s takes M p's, and x takes alpha M p before M s
+    # is formed: the same operations in the same order, so x and the stats
+    # are the same bits on every path, breakdowns and restarts included,
+    # from fresh work arrays and from reused ones full of stale values
+    assert sparse.WORK_VECTORS == 9
+    for A, b, x0, precond in solve_cases():
+        want, want_stats = solve_in_eleven_rows(A, b, x0=x0, precond=precond, max_iter=50)
+        stale = solve_in_eleven_rows(A, b, x0=x0, precond=precond, max_iter=50,
+                                     work=np.full((ELEVEN_ROWS, A.rows), np.nan))
+        assert stale[0].tobytes() == want.tobytes() and stale[1] == want_stats
+        work = np.full((sparse.WORK_VECTORS, A.rows), np.nan)
+        for w in (None, work, work):
+            x, stats = sparse.solve(A, b, x0=x0, precond=precond, max_iter=50, work=w)
+            assert x.tobytes() == want.tobytes() and stats == want_stats

@@ -1,11 +1,13 @@
 """Benchmark two revisions of kfplab against each other in alternating pairs.
 
-    python tools/bench_pairs.py <base> <change> --workload NAME [--pairs 10]
+    python tools/bench_pairs.py <base> <change> [--workload NAME ...] [--pairs 10] [--json PATH]
 
 Each revision (anything `git archive` takes: a commit, a tag, or a tree id
 such as `git write-tree` prints for the staged files) is exported into a
 temporary directory of its own; the two paths have equal length, so that
-neither side's imports and file names cost more. Pair i runs
+neither side's imports and file names cost more. --workload may be given
+more than once; without it, every workload of the base's BENCHMARK.json is
+run, one after the other. Pair i of a workload runs
 `perfbench/run.py --workload NAME --seed 1 --seconds S --trace 0` in both
 copies, with S the run_seconds of the base's BENCHMARK.json, the base first
 in even pairs and the change first in odd ones, so that a drift in host
@@ -19,6 +21,11 @@ than the base's by more than the distance between the base's quartiles. A
 run that fails or reports a wrong result is named, and the command exits 1.
 An unknown revision, or a workload that the base's BENCHMARK.json does not
 declare, ends it with exit 2 before anything is exported or run.
+
+With --json PATH, it also writes all of that to one file (see `record`): both
+revisions, the host facts from the first run's manifest (cores, Python,
+numpy, BLAS and its thread settings), and for each workload and metric both
+sides' quartiles, the pairs won and the gain mark.
 Temporary directories go where Python's tempfile puts them (TMPDIR).
 """
 
@@ -33,6 +40,11 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 1  # every run's seed: the two sides of a pair differ only in their code
+# the host facts of --json, each with the key of perfbench's run manifest it is read from
+HOST_FACTS = (("cores", "nproc"), ("affinity", "affinity"), ("python", "python"), ("numpy", "numpy"),
+              ("blas", "blas"), ("blas_threads", "blas_threads"))
+BLAS_FACTS = ("name", "version", "openblas configuration")  # of numpy's build record, which also names its paths
+MANIFEST = "# manifest "  # the prefix of the manifest line that perfbench/run.py prints
 
 
 def quartiles(values):
@@ -62,6 +74,31 @@ def summarize(pairs, metrics):
     return rows
 
 
+def record(revisions, host, spec, pairs, results):
+    """The --json document. Its keys, in order: "base" and "change", each
+    {"rev", "id"} from revisions, a dict of side -> (the name given, the id
+    git resolved it to); "host", the HOST_FACTS of a run's manifest;
+    "pairs" per workload; the base's "run_seconds"; and "workloads", for
+    each workload of results, a dict of name -> (its (base, change) metric
+    dicts, the runs that failed), the failed runs and every end-to-end
+    metric of spec, the base's BENCHMARK.json, as summarize gives it."""
+    host, better = dict(host or {}), {m["name"]: m["better"] for m in spec["end_to_end"]}
+    if isinstance(host.get("blas"), dict):
+        host["blas"] = {key: host["blas"][key] for key in BLAS_FACTS if key in host["blas"]}
+    spread = lambda q: dict(zip(("q1", "median", "q3"), q))
+    return {
+        **{side: {"rev": rev, "id": rev_id} for side, (rev, rev_id) in revisions.items()},
+        "host": {key: host.get(source) for key, source in HOST_FACTS},
+        "pairs": pairs,
+        "run_seconds": spec["run_seconds"],
+        "workloads": {workload: {"failed_runs": bad, "metrics": {
+            name: {"unit": unit, "better": better[name], "base": spread(base), "change": spread(change),
+                   "won": won, "counted": count, "gain": gain}
+            for name, unit, base, change, won, count, gain in summarize(runs, spec["end_to_end"])}}
+            for workload, (runs, bad) in results.items()},
+    }
+
+
 def export(rev, root, name):
     """The files of rev in root/name, by git archive."""
     path = os.path.join(root, name)
@@ -72,62 +109,86 @@ def export(rev, root, name):
 
 
 def bench(copy, workload, seconds):
-    """The JSON result of one run of perfbench/run.py in copy, or None if it failed."""
+    """(the JSON result, the manifest) of one run of perfbench/run.py in copy;
+    the result is None if the run failed, the manifest if it printed none."""
     proc = subprocess.run([sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
                            "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
                           cwd=copy, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
+    manifest = next((json.loads(line[len(MANIFEST):]) for line in lines if line.startswith(MANIFEST)), None)
     if proc.returncode != 0 or not lines:
         print(f"# {copy}: exit {proc.returncode}: {proc.stderr[-1000:]}", file=sys.stderr)
-        return None
-    return json.loads(lines[-1])
+        return None, manifest
+    return json.loads(lines[-1]), manifest
+
+
+def run_pairs(copies, workload, pairs, seconds, manifests):
+    """(pairs of (base, change) metric dicts, runs failed or wrong) of one
+    workload; each run's manifest is appended to manifests."""
+    runs, bad = [], 0
+    for i in range(pairs):
+        result = {}
+        for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
+            r, manifest = bench(copies[side], workload, seconds)
+            manifests.append(manifest)
+            ok = r is not None and r["correct"] and r["failed"] == 0
+            bad += not ok
+            result[side] = {k: v["value"] for k, v in r["metrics"].items()} if ok else {}
+            print(f"# {workload} pair {i + 1} {side}: " + (" ".join(f"{k}={v:.6g}" for k, v in result[side].items())
+                                                          if ok else "failed or wrong"), flush=True)
+        runs.append((result["base"], result["change"]))
+    return runs, bad
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", help="repeatable; all of the base's by default")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--json", help="also write the summary to this file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
-    # both revisions and the workload are checked before anything is exported or run
-    for rev in (args.base, args.change):
-        if subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{tree}}"],
-                          cwd=ROOT, capture_output=True).returncode != 0:
+    # both revisions and the workloads are checked before anything is exported or run
+    revisions = {}
+    for side, rev in (("base", args.base), ("change", args.change)):
+        resolved = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{tree}}"],
+                                  cwd=ROOT, capture_output=True, text=True)
+        if resolved.returncode != 0:
             parser.error(f"unknown revision {rev!r}")
+        rev_id = subprocess.run(["git", "rev-parse", "--verify", "--quiet", rev], cwd=ROOT, capture_output=True, text=True)
+        revisions[side] = (rev, rev_id.stdout.strip())
     shown = subprocess.run(["git", "show", f"{args.base}:BENCHMARK.json"], cwd=ROOT, capture_output=True, text=True)
     if shown.returncode != 0:
         parser.error(f"the base {args.base!r} has no BENCHMARK.json")
     spec = json.loads(shown.stdout)
     names = [w["name"] for w in spec["workloads"]]
-    if args.workload not in names:
-        parser.error(f"workload {args.workload!r} is not in the base's BENCHMARK.json: {', '.join(names)}")
+    for workload in args.workload or ():
+        if workload not in names:
+            parser.error(f"workload {workload!r} is not in the base's BENCHMARK.json: {', '.join(names)}")
     root = tempfile.mkdtemp(prefix="bench-pairs-")
+    results, manifests = {}, []
     try:
         copies = {"base": export(args.base, root, "a"), "change": export(args.change, root, "b")}
-        pairs, bad = [], 0
-        for i in range(args.pairs):
-            result = {}
-            for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
-                r = bench(copies[side], args.workload, spec["run_seconds"])
-                ok = r is not None and r["correct"] and r["failed"] == 0
-                bad += not ok
-                result[side] = {k: v["value"] for k, v in r["metrics"].items()} if ok else {}
-                print(f"# pair {i + 1} {side}: " + (" ".join(f"{k}={v:.6g}" for k, v in result[side].items())
-                                                   if ok else "failed or wrong"), flush=True)
-            pairs.append((result["base"], result["change"]))
+        for workload in args.workload or names:
+            results[workload] = run_pairs(copies, workload, args.pairs, spec["run_seconds"], manifests)
     finally:
         shutil.rmtree(root, ignore_errors=True)
-    print(f"{args.workload}: {args.base} -> {args.change}, median (quartiles) over the pairs")
-    for name, unit, base, change, won, count, gain in summarize(pairs, spec["end_to_end"]):
-        print(f"{name} [{unit}]: {base[1]:.6g} ({base[0]:.6g}-{base[2]:.6g}) -> "
-              f"{change[1]:.6g} ({change[0]:.6g}-{change[2]:.6g}), better in {won}/{count}"
-              + (", gain" if gain else ""))
-    if bad:
-        print(f"{bad} runs failed or gave a wrong result")
-    return 1 if bad else 0
+    for workload, (runs, bad) in results.items():
+        print(f"{workload}: {args.base} -> {args.change}, median (quartiles) over the pairs")
+        for name, unit, base, change, won, count, gain in summarize(runs, spec["end_to_end"]):
+            print(f"{name} [{unit}]: {base[1]:.6g} ({base[0]:.6g}-{base[2]:.6g}) -> "
+                  f"{change[1]:.6g} ({change[0]:.6g}-{change[2]:.6g}), better in {won}/{count}"
+                  + (", gain" if gain else ""))
+        if bad:
+            print(f"{bad} runs failed or gave a wrong result")
+    if args.json:
+        host = next((m for m in manifests if m), None)
+        with open(args.json, "w") as fh:
+            json.dump(record(revisions, host, spec, args.pairs, results), fh, indent=1)
+            fh.write("\n")
+    return 1 if any(bad for _, bad in results.values()) else 0
 
 
 if __name__ == "__main__":

@@ -132,13 +132,19 @@ def kernel_G(t: float, v, z):
     return np.multiply(np.exp(g, out=g), pref, out=g)[()]
 
 
+def _kernel_exponent(q) -> float:
+    """q as a float, which must satisfy q >= 1 (inf included) for an L^q norm of the kernel."""
+    q = float(q)
+    if not q >= 1:  # NaN fails too
+        raise ValueError("q must satisfy q >= 1")
+    return q
+
+
 def kernel_Lq_norm(t: float, q) -> float:
     """||G_t||_{L^q}: q^{-1/q} (sqrt(3)/(2 pi t^2))^{(q-1)/q}, sup norm at q=inf."""
     _check_kernel_time(t)
     pref = _kernel_peak(t)
-    q = float(q)
-    if not q >= 1:  # NaN fails too
-        raise ValueError("q must satisfy q >= 1")
+    q = _kernel_exponent(q)
     if q == math.inf:
         return pref
     return q ** (-1.0 / q) * pref ** ((q - 1.0) / q)
@@ -177,9 +183,7 @@ def kernel_Lq_quadrature(t: float, q) -> float:
     corners, which overflows for q above about 3.2.
     """
     _check_kernel_time(t)
-    q = float(q)
-    if not q >= 1:  # NaN fails too
-        raise ValueError("q must satisfy q >= 1")
+    q = _kernel_exponent(q)
     if q == math.inf:
         sv = math.sqrt(2.0 * t)
         sz = math.sqrt(2.0 * t ** 3 / 3.0)

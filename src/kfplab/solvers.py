@@ -3,21 +3,23 @@
 * run_original: split stepping, a theta-scheme solve of the v-diffusion
   followed by an exact characteristic (semi-Lagrangian) transport update.
 * run_lagrangian: a theta scheme for the time-dependent sheared form, with
-  the bilinear form frozen at the midpoint of each step. Its solves use a
-  red-black sweep over z-lines; the other two forms use Jacobi.
+  the bilinear form frozen at the midpoint of each step. Its solves are
+  preconditioned by a red-black sweep over z-lines and run on the odd lines
+  (sparse.red_black_solver); the other two forms use Jacobi.
 * run_selfsimilar: the exact two-operator split of the rescaled equation, a
   theta-scheme solve for the coercive part followed by the closed-form
   exponential reaction update. The two split operators commute, so the
   splitting itself introduces no error.
 
 Each form supplies only the operators of its theta step, as coefficient
-vectors over the assembled blocks, its preconditioner and its split update to
-one time loop, _march. The loop builds the theta sides, takes the steps and
-records the run, starting each solve from the extrapolated solve increments
-of the last three steps. It owns the solver's work vectors, the theta
-sides' arrays, the start and the increments for the whole run. Every state is a node vector, 0.0 on the
-boundary, the frame of every solve. A single run is sequential; distinct runs
-are independent and each produced Field is an immutable snapshot.
+vectors over the assembled blocks, its solver factory and its split update
+to one time loop, _march. The loop builds the theta sides, takes the steps
+and records the run, starting each solve from the extrapolated solve
+increments of the last three steps. It owns the solver's work vectors, the
+theta sides' arrays, the right-hand side, the start and the increments for
+the whole run. Every state is a node vector, 0.0 on the boundary, the frame
+of every solve. A single run is sequential; distinct runs are independent
+and each produced Field is an immutable snapshot.
 """
 
 import functools
@@ -142,30 +144,34 @@ def _start(config: RunConfig, f0, form: str):
     return project_initial(mesh, analytic.gaussian_ic if f0 is None else f0), blocks
 
 
-def _theta_step(lhs, precond, rhs_mat, x, guess, work, config):
-    """Solve lhs x_new = rhs_mat x from guess, precond built from lhs, in work: (x_new, SolveStats)."""
-    rhs = rhs_mat.matvec(x, scratch=work[0])  # work[0] holds nothing until the solve fills it
-    x_new, stats = sparse.solve(lhs, rhs, tol=config.tol, x0=guess, precond=precond, work=work)
+def _theta_step(solve, rhs_mat, rhs, x, guess, work, config):
+    """Solve lhs x_new = rhs_mat x from guess in work, solve built from lhs, the
+    right-hand side written into rhs: (x_new, SolveStats)."""
+    rhs_mat.matvec(x, out=rhs, scratch=work[0])  # work[0] holds nothing until the solve fills it
+    x_new, stats = solve(rhs, tol=config.tol, x0=guess, work=work)
     if not stats.converged:
         raise SolverError(
             f"linear solve failed: {stats.iterations} iterations, relative residual {stats.residual:.3e}")
     return x_new, stats
 
 
-def _march(config: RunConfig, first: Field, blocks, operators, precond, update=lambda k, y: y) -> Trajectory:
+def _march(config: RunConfig, first: Field, blocks, operators, solver, update=lambda k, y: y) -> Trajectory:
     """The one time loop of every form. Step k = 1 .. config.steps solves the
     theta step (M + dt th A) y = (M - dt (1-th) A') x, with operators(k) =
     (A', A) the coefficient vectors over the blocks of its explicit and its
     implicit side, and then applies the form's split update(k, y). Each side
-    is built by one combine, and precond(lhs) from the implicit side lhs;
-    all three are reused while operators(k) returns equal vectors.
+    is built by one combine, and solver(lhs), the side's solve, from the
+    implicit side lhs; all three are reused while operators(k) returns
+    equal vectors.
 
     Each solve starts from x plus the EXTRAPOLATION of the increments
     d = y - x of the last three solves, taken before the split update. The
-    run owns BiCGStab's work vectors, the rows of both sides, the start and
-    the three increments, which rotate through their rows, so that no step
-    allocates them: a step that freed them at the top of the heap would let
-    malloc trim those pages, only for the next step to fault them in.
+    run owns BiCGStab's work vectors, the rows of both sides, the
+    right-hand side, the start and the three increments, which rotate
+    through their rows, so that no step allocates them: a step that freed
+    them at the top of the heap would let malloc trim those pages, only for
+    the next step to fault them in. The solution is a new array every step,
+    as snapshots keep it.
 
     x is a node vector, first.values at step 0, and no step writes into an x
     it made. Records its norms at every time k dt, and a Field of it at step
@@ -181,19 +187,20 @@ def _march(config: RunConfig, first: Field, blocks, operators, precond, update=l
     ops = sides = None
     x = first.values
     work, sides_data = np.empty((sparse.WORK_VECTORS, len(x))), np.empty((2,) + blocks.b_adv.data.shape)
-    guess, *increments = np.empty((4, len(x)))  # the start, then the rows the increments rotate through
+    # the start, the right-hand side, then the rows the increments rotate through
+    guess, rhs, *increments = np.empty((5, len(x)))
     for k in range(config.steps + 1):
         if k > 0:
             explicit, implicit = new = operators(k)
             if ops is None or not all(map(np.array_equal, new, ops)):
                 lhs = blocks.matrix(MASS + config.dt * config.theta * implicit, out=sides_data[0])
                 rhs_mat = blocks.matrix(MASS - config.dt * (1.0 - config.theta) * explicit, out=sides_data[1])
-                ops, sides = new, None  # free the last preconditioner's arrays before the next takes its own
-                sides = (lhs, precond(lhs), rhs_mat)
+                ops, sides = new, None  # free the last solver's arrays before the next takes its own
+                sides = (solver(lhs), rhs_mat)
             np.copyto(guess, x)
             for w, di in zip(EXTRAPOLATION[len(d)], d):
                 guess += np.multiply(w, di, out=work[0])  # work is free between solves
-            y, stats = _theta_step(*sides, x, guess, work, config)
+            y, stats = _theta_step(*sides, rhs, x, guess, work, config)
             d = [np.subtract(y, x, out=increments[len(d)] if len(d) < 3 else d[2])] + d[:2]
             iterations.append(stats.iterations)
             x = update(k, y)
@@ -218,7 +225,7 @@ def run_original(config: RunConfig, f0=None) -> Trajectory:
     # solver's rows, so that no step frees it at the top of the heap
     feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * config.dt])
     at_feet, gather = locate(mesh, feet), np.empty((3, mesh.node_count))
-    return _march(config, state, blocks, lambda k: (D_VV, D_VV), sparse.jacobi,
+    return _march(config, state, blocks, lambda k: (D_VV, D_VV), sparse.jacobi_solver,
                   lambda k, y: _pinned(mesh, interpolate_many(Field(mesh, y, k * config.dt), at_feet, gather)))
 
 
@@ -227,11 +234,12 @@ def run_lagrangian(config: RunConfig, f0=None) -> Trajectory:
 
     At large t the operator (d_v + t d_z)^2 couples each node mostly to its
     z-neighbours, at offsets +-(n + 1) on the node grid, so each step's solve
-    is preconditioned by exact solves along z-lines, swept red-black.
+    is preconditioned by exact solves along z-lines, swept red-black, and
+    runs on the odd lines (sparse.red_black_solver).
     """
     state, blocks = _start(config, f0, "lagrangian")
-    return _march(config, state, blocks,
-                  lambda k: (blocks.lagrangian((k - 1) * config.dt + 0.5 * config.dt),) * 2, sparse.line_gauss_seidel)
+    return _march(config, state, blocks, lambda k: (blocks.lagrangian((k - 1) * config.dt + 0.5 * config.dt),) * 2,
+                  sparse.red_black_solver)
 
 
 def run_selfsimilar(config: RunConfig, f0=None) -> Trajectory:
@@ -251,7 +259,7 @@ def run_selfsimilar(config: RunConfig, f0=None) -> Trajectory:
     # A(s_k) is the implicit operator of step k and the explicit one of step
     # k + 1; the cache of two computes each once
     a = functools.lru_cache(maxsize=2)(lambda k: blocks.selfsimilar(k * config.dt, config.sigma1))
-    return _march(config, state, blocks, lambda k: (a(k - 1), a(k)), sparse.jacobi, lambda k, y: growth * y)
+    return _march(config, state, blocks, lambda k: (a(k - 1), a(k)), sparse.jacobi_solver, lambda k, y: growth * y)
 
 
 def run(config: RunConfig, f0=None) -> Trajectory:

@@ -1,5 +1,5 @@
 """The 7-point operators of the P1 forms on the node grid, their linear
-combination, a preconditioned BiCGStab solver and its two preconditioners.
+combination, a preconditioned BiCGStab solver and the two solvers built on it.
 
 A vector holds the values at the nodes of the (n + 1) x (n + 1) grid, as
 Field.values does. Its boundary nodes are the frame, the homogeneous
@@ -8,16 +8,23 @@ rows, a preconditioner keeps a zero frame, and so does every linear
 combination.
 
 The advection terms make the assembled systems nonsymmetric, hence a
-stabilized bi-conjugate-gradient method. A preconditioner is a function
-(r, out=None) -> M^-1 r, written into out if given, built once per matrix:
+stabilized bi-conjugate-gradient method, solve. A preconditioner is a
+function (r, out=None) -> M^-1 r, written into out if given. A solver is
+solve bound to one matrix and its preconditioner, built once per matrix,
+(b, tol=, max_iter=, x0=, work=) -> (x, SolveStats):
 
-* jacobi: the inverse of the main diagonal. It serves matrices whose
-  couplings stay mass dominated, as in the original and self-similar forms.
-* line_gauss_seidel: a symmetric red-black sweep of exact solves along the
-  z-lines of the interior grid, the couplings at offsets 0 and +-s. The
-  sheared form's operator (d_v + t d_z)^2 puts nearly all of its coupling
-  there at large t, where diagonal preconditioning needs several times as
-  many iterations.
+* jacobi_solver: preconditioned by jacobi, the inverse of the main
+  diagonal. It serves matrices whose couplings stay mass dominated, as in
+  the original and self-similar forms.
+* red_black_solver: preconditioned by a symmetric red-black Gauss-Seidel
+  sweep of exact solves along the z-lines of the interior grid, the
+  couplings at offsets 0 and +-s. The sheared form's operator
+  (d_v + t d_z)^2 puts nearly all of its coupling there at large t, where
+  diagonal preconditioning needs several times as many iterations. The
+  sweep leaves the even lines of every residual-space vector a multiple of
+  one vector, so the iteration runs on packed (scalar, odd-line) vectors,
+  whose product takes two batches of line solves and no matvec
+  (RedBlackLines).
 
 A symmetric stencil's matvec adds x[i - o] + x[i + o] before one multiply,
 o = 1, s, s + 1. Matrices are immutable after construction. matvec and solve write
@@ -137,53 +144,6 @@ def _sine_basis(w: int) -> tuple[np.ndarray, np.ndarray]:
     return math.sqrt(2.0 / (w + 1)) * np.sin(np.outer(np.arange(1, w + 1), angles)), np.cos(angles)
 
 
-def line_gauss_seidel(A: SparseMatrix):
-    """Symmetric red-black Gauss-Seidel over the z-lines of the interior grid.
-
-    A holds one symmetric stencil, 7 numbers. Line c = 0 .. w - 1, w = s - 2,
-    is the grid column iv = c + 1 of the interior nodes. A's line part L, at
-    offsets 0 and +-s, is on every line the tridiagonal Toeplitz T, a on the
-    diagonal and b beside it, so T^-1 = (Q / lambda) Q in the sine basis,
-    lambda_k = a + 2 b cos(k pi / (w + 1)). The offsets +-1 and +-(s + 1)
-    couple even lines only to odd ones, by C_oe into odd rows and C_eo into
-    even rows, so the sweep is three line solves,
-    y_e' = T^-1 r_e, y_o = T^-1 (r_o - C_oe y_e') and y_e = T^-1 (r_e - C_eo y_o),
-    or (L + C_eo)^-1 L (L + C_oe)^-1 r: symmetric positive definite whenever
-    A is. A line solve subtracts its couplings as two pairs, each pair's sum
-    times one number, in arrays of its own; with w <= 1 this is jacobi(A).
-    """
-    if not isinstance(A, SparseMatrix) or not A.symmetric:
-        raise ValueError("the sweep needs A as one symmetric stencil of 7 numbers")
-    s, w = A.side, A.side - 2
-    if w <= 1:
-        return jacobi(A)
-    q, cos = _sine_basis(w)
-    t_inv = (q / (A.diagonal()[s + 1] + 2.0 * A.data[5] * cos)) @ q
-    n = (w + 1) // 2, w // 2  # lines of colour p = 0 (even) and 1 (odd)
-    row = n[0] + 2
-    # line 2j + p is column j of rhs and j + 1 of frames[p], framed by zeros
-    # for neighbours off the grid; with `row` entries a row, the neighbours of
-    # entry i of the flat rhs lie at i + shift in the flat frames[1 - p][p:]
-    frames, rhs, term = np.zeros((2, w + 2, row)), np.empty((w, row)), np.empty(w * row)
-    lines = [frames[p, 1:-1, 1:count + 1] for p, count in enumerate(n)]
-    shifts = ((A.data[4], row, row + 1), (A.data[6], 0, 2 * row + 1))  # offsets +-1 and +-(s + 1)
-    def apply(r, out=None):
-        interior = r.reshape(s, s)[1:-1, 1:-1]
-        for sweep, p in enumerate((0, 1, 0)):
-            rhs[:, :n[p]] = interior[:, p::2]
-            if sweep:  # subtract the coupling to the lines of the other colour
-                m = (w - 1) * row + n[p]
-                target, source = rhs.reshape(-1)[:m], frames[1 - p].reshape(-1)[p:]
-                for c, a, b in shifts:
-                    target -= np.multiply(c, np.add(source[a:a + m], source[b:b + m], out=term[:m]), out=term[:m])
-            np.matmul(t_inv, rhs[:, :n[p]], out=lines[p])
-        out = zero_frame(np.empty(A.rows) if out is None else out, s)
-        interior = out.reshape(s, s)[1:-1, 1:-1]
-        interior[:, 0::2], interior[:, 1::2] = lines
-        return out
-    return apply
-
-
 def _norm(v: np.ndarray) -> float:
     """The 2-norm of a vector, as np.linalg.norm takes it, without its dispatch."""
     return math.sqrt(v @ v)
@@ -197,11 +157,13 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER, x0: np.ndarray | None = None, precond=None, work=None):
     """Right-preconditioned BiCGStab for A x = b.
 
-    precond is a preconditioner built from A, such as jacobi(A) or
-    line_gauss_seidel(A); jacobi(A) is the default. x0, zero by default, only
-    sets where the iteration begins: every start meets the same stopping test.
-    With b and x0 zero on the frame, every vector of the iteration is, and x
-    too.
+    A is a SparseMatrix, or any operator with rows and matvec(x, out,
+    scratch) (RedBlackLines packs one). precond is a preconditioner built
+    from A, such as jacobi(A), the default, or np.positive, the identity.
+    x0, zero by default, only sets where the iteration begins: every start
+    meets the same stopping test; from zero, the first residual is b itself,
+    with no matvec. With b and x0 zero on the frame, every vector of the
+    iteration is, and x too.
 
     Returns (x, SolveStats); convergence means ||A x - b||_2 <= tol * ||b||_2.
     The recurrence breaks down when r* turns orthogonal to r or to A M p, to
@@ -244,7 +206,10 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     np.ldexp(0.0 if x0 is None else np.asarray(x0, dtype=float), -k, out=x)
     iters = 0
     while True:  # each pass starts the recurrence from the current iterate
-        np.subtract(b_k, A.matvec(x, out=t, scratch=p), out=r)
+        if iters or x0 is not None:
+            np.subtract(b_k, A.matvec(x, out=t, scratch=p), out=r)
+        else:  # from a zero start, r = b
+            np.copyto(r, b_k)
         normr = _norm(r)
         if normr <= target or iters >= max_iter:
             return np.ldexp(x, k), SolveStats(iters, normr / norm_b, bool(normr <= target))
@@ -284,3 +249,163 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
             p -= np.multiply(omega, amp, out=t)  # p = r + beta (p - omega A M p)
             p *= beta
             p += r
+
+
+def jacobi_solver(A: SparseMatrix):
+    """solve for A with jacobi(A), built once: (b, tol=, max_iter=, x0=, work=) -> (x, SolveStats)."""
+    return functools.partial(solve, A, precond=jacobi(A))
+
+
+def red_black_solver(A: SparseMatrix):
+    """solve for A, right-preconditioned by the symmetric red-black sweep over
+    the z-lines of the interior grid, built once: (b, tol=, max_iter=, x0=,
+    work=) -> (x, SolveStats), as jacobi_solver(A) gives. A holds one
+    symmetric stencil, 7 numbers; with at most one line, w <= 1, it is
+    jacobi_solver(A). See RedBlackLines for how it runs on the odd lines.
+    """
+    if not isinstance(A, SparseMatrix) or not A.symmetric:
+        raise ValueError("the sweep needs A as one symmetric stencil of 7 numbers")
+    return jacobi_solver(A) if A.side - 2 <= 1 else RedBlackLines(A).solve
+
+
+class RedBlackLines:
+    """BiCGStab for A x = b with the symmetric red-black z-line sweep as
+    right preconditioner M, run on packed vectors of the odd lines.
+
+    Line c = 0 .. w - 1, w = s - 2, is the grid column iv = c + 1 of the
+    interior nodes. A's line part, at offsets 0 and +-s, is on every line the
+    tridiagonal Toeplitz T, a on the diagonal and b beside it, so
+    T^-1 = (Q / lambda) Q in the sine basis, lambda_k = a + 2 b cos(k pi / (w + 1)).
+    The offsets +-1 and +-(s + 1) couple even lines only to odd ones, by C_oe
+    into odd rows and C_eo into even rows, so with the even lines first
+    A = [[T, C_eo], [C_oe, T]]. The sweep is three line solves,
+    y_e' = T^-1 r_e, y_o = T^-1 (r_o - C_oe y_e') and y_e = T^-1 (r_e - C_eo y_o),
+    or M^-1 = (L + C_eo)^-1 L (L + C_oe)^-1: symmetric positive definite
+    whenever A is. It gives A M^-1 = [[I, 0], [X, Y]] with
+    Y = I - C_oe T^-1 C_eo T^-1 and X = C_oe T^-1 C_eo T^-1 C_oe T^-1.
+
+    So the even part of every residual-space vector of BiCGStab (r, p, s,
+    A M p, A M s) is a multiple of r0_e, with r0 = b - A x0 the residual its
+    pass starts from. A pass packs each such vector as (c, q), for
+    c e + q, e = r0_e / ||r0_e|| and q the odd lines: packed dot products
+    are the full ones. The product (c, q) -> (c, c X e + Y q) takes two
+    batches of line solves and two couplings, where the sweep and a matvec
+    took three and one; X e is formed once a pass. solve runs on it from a
+    zero start with the identity as preconditioner, to the target
+    tol ||b||, and the pass ends with x = x0 + M^-1 (c e, q) in two more
+    batches. In exact arithmetic this is solve(A, b, precond=M): the same
+    start, operator, shadow residual, stopping test and restarts.
+
+    A coupling is two pairs, each pair's sum times one number.
+    """
+
+    def __init__(self, A: SparseMatrix):
+        s, w = A.side, A.side - 2
+        q, cos = _sine_basis(w)
+        self.A, self.t_inv = A, (q / (A.diagonal()[s + 1] + 2.0 * A.data[5] * cos)) @ q
+        self.n = n = (w + 1) // 2, w // 2  # lines of colour p = 0 (even) and 1 (odd)
+        self.rows = 1 + w * n[1]  # a packed vector: c, then the odd lines
+        row = n[0] + 2
+        # line 2j + p is column j of rhs and j + 1 of frames[p], framed by zeros
+        # for neighbours off the grid; with `row` entries a row, the neighbours of
+        # entry i of the flat rhs lie at i + shift in the flat frames[1 - p][p:]
+        self.frames, self.rhs, self.term = np.zeros((2, w + 2, row)), np.empty((w, row)), np.empty(w * row)
+        self.lines = [self.frames[p, 1:-1, 1:count + 1] for p, count in enumerate(n)]
+        self.shifts = ((A.data[4], row, row + 1), (A.data[6], 0, 2 * row + 1))  # offsets +-1 and +-(s + 1)
+        self.xe = None  # X e of the current pass
+
+    def _line_solve(self, p: int, r: np.ndarray) -> np.ndarray:
+        """T^-1 r on the lines of colour p, into their frame; r is (w, n[p])."""
+        return np.matmul(self.t_inv, r, out=self.lines[p])
+
+    def _couple(self, p: int) -> np.ndarray:
+        """The coupling of the lines of colour 1 - p in their frame into the
+        rows of colour p, C_oe z_e for p = 1 and C_eo z_o for p = 0, in rhs."""
+        m = (len(self.t_inv) - 1) * self.rhs.shape[1] + self.n[p]
+        target, source, term = self.rhs.reshape(-1)[:m], self.frames[1 - p].reshape(-1)[p:], self.term[:m]
+        (c1, a1, b1), (c2, a2, b2) = self.shifts
+        np.multiply(c1, np.add(source[a1:a1 + m], source[b1:b1 + m], out=target), out=target)
+        target += np.multiply(c2, np.add(source[a2:a2 + m], source[b2:b2 + m], out=term), out=term)
+        return self.rhs[:, :self.n[p]]
+
+    def matvec(self, u: np.ndarray, out: np.ndarray | None = None, scratch=None) -> np.ndarray:
+        """A M^-1 packed: (c, q) -> (c, c X e + Y q), into out if given; scratch is not needed."""
+        w, n_odd = len(self.t_inv), self.n[1]
+        out = np.empty(self.rows) if out is None else out
+        c, q = u[0], u[1:].reshape(w, n_odd)
+        self._line_solve(1, q)
+        self._line_solve(0, self._couple(0))
+        coupled = self._couple(1)  # C_oe T^-1 C_eo T^-1 q
+        out[0] = c
+        y = np.multiply(c, self.xe, out=out[1:].reshape(w, n_odd))
+        y += q
+        y -= coupled
+        return out
+
+    def solve(self, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+              x0: np.ndarray | None = None, work=None):
+        """x and SolveStats as solve(A, b, ..., precond=M) gives them, to rounding.
+
+        It scales b by 2^k as solve does and iterates in the rows of work, a
+        (WORK_VECTORS, A.rows) array that aliases neither b nor x0: b / 2^k,
+        x, T^-1 e and C_oe T^-1 e in the first three, the packed solve's rows,
+        its right-hand side and X e in the rest, where the full residual
+        b - A x also goes before and after each packed solve. A pass is
+        accepted only if that residual meets tol ||b||; else the next pass
+        starts from its x. A packed solve that stops at once counts as an
+        iteration, so every solve ends within max_iter.
+        """
+        A, s, w = self.A, self.A.side, len(self.t_inv)
+        if tol <= 0:
+            raise ValueError("tol must be positive")
+        b = np.asarray(b, dtype=float)
+        if b.shape != (A.rows,):
+            raise ValueError("right-hand side has wrong length")
+        work = np.empty((WORK_VECTORS, A.rows)) if work is None else work
+        if work.shape != (WORK_VECTORS, A.rows):
+            raise ValueError(f"work must have shape {(WORK_VECTORS, A.rows)}, got {work.shape}")
+        b_k, x, kept = work[:3]
+        packed = work[3:].reshape(-1, copy=False)
+        (n_even, n_odd), size = self.n, self.rows
+        packed_work = packed[:WORK_VECTORS * size].reshape(WORK_VECTORS, size)
+        b_p = packed[WORK_VECTORS * size:(WORK_VECTORS + 1) * size]
+        self.xe = packed[(WORK_VECTORS + 1) * size:][:w * n_odd].reshape(w, n_odd)
+        r = packed[:A.rows]  # the full residual, outside the packed solves
+        te, cte = kept[:w * n_even].reshape(w, n_even), kept[w * n_even:w * w].reshape(w, n_odd)
+        rhs_even, rhs_odd = self.rhs[:, :n_even], self.rhs[:, :n_odd]
+
+        k = math.frexp(max(b.max(), -b.min()))[1]
+        np.ldexp(b, -k, out=b_k)
+        norm_b = _norm(b_k)
+        if norm_b == 0.0:
+            return np.zeros(A.rows), SolveStats(0, 0.0, True)
+        target = tol * norm_b
+
+        np.ldexp(0.0 if x0 is None else np.asarray(x0, dtype=float), -k, out=x)
+        x_lines = x.reshape(s, s)[1:-1, 1:-1]
+        iters = 0
+        while True:  # each pass starts from the current iterate
+            np.subtract(b_k, A.matvec(x, out=r, scratch=kept), out=r)
+            normr = _norm(r)
+            if normr <= target or iters >= max_iter:
+                return np.ldexp(x, k), SolveStats(iters, normr / norm_b, bool(normr <= target))
+            # r0 packed as (||r0_e||, r0_o); then T^-1 e, C_oe T^-1 e and X e
+            r_lines = r.reshape(s, s)[1:-1, 1:-1]
+            b_p[1:].reshape(w, n_odd)[...] = r_lines[:, 1::2]
+            np.copyto(te, r_lines[:, 0::2])
+            b_p[0] = norm_e = _norm(te.reshape(-1))
+            np.copyto(te, self._line_solve(0, np.divide(te, norm_e or 1.0, out=rhs_even)))
+            np.copyto(cte, self._couple(1))
+            self._line_solve(1, cte)
+            self._line_solve(0, self._couple(0))
+            np.copyto(self.xe, self._couple(1))
+            u, stats = solve(self, b_p, tol=target / _norm(b_p), max_iter=max_iter - iters,
+                             precond=np.positive, work=packed_work)
+            iters += max(stats.iterations, 1)
+            # x + M^-1 (c e, q): y_o = T^-1 (q - c C_oe T^-1 e), y_e = c T^-1 e - T^-1 C_eo y_o
+            c, q = u[0], u[1:].reshape(w, n_odd)
+            x_lines[:, 1::2] += self._line_solve(1, np.subtract(q, np.multiply(c, cte, out=rhs_odd), out=rhs_odd))
+            t_coupled = self._line_solve(0, self._couple(0))
+            x_even = x_lines[:, 0::2]
+            x_even += np.multiply(c, te, out=rhs_even)
+            x_even -= t_coupled

@@ -8,6 +8,9 @@ import pytest
 BENCH_PAIRS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_pairs.py")
 METRICS = [{"name": "wall_s", "unit": "s", "better": "lower"},
            {"name": "throughput_per_s", "unit": "1/s", "better": "higher"}]
+LAYERS = [{"name": "sparse.matvec.calls", "unit": "count", "better": "lower"},
+          {"name": "sparse.solve.iters_total", "unit": "count", "better": "lower"},
+          {"name": "analytic.kernel_G.evals", "unit": "count", "better": "lower"}]
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +48,8 @@ def test_summary_skips_failed_runs_and_absent_metrics(bench_pairs):
 def commit_spec(path, workloads):
     """A git repository of one commit in path whose BENCHMARK.json declares workloads."""
     with open(path / "BENCHMARK.json", "w") as fh:
-        json.dump({"run_seconds": 1, "workloads": [{"name": w} for w in workloads], "end_to_end": METRICS}, fh)
+        json.dump({"run_seconds": 1, "workloads": [{"name": w} for w in workloads], "end_to_end": METRICS,
+                   "per_layer": LAYERS}, fh)
     for cmd in (["init", "-q"], ["add", "BENCHMARK.json"],
                 ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "spec"]):
         subprocess.run(["git", *cmd], cwd=path, check=True, capture_output=True)
@@ -87,11 +91,19 @@ MANIFEST = {"commit": "abc", "nproc": 2, "affinity": 2, "python": "3.11.14", "nu
 def test_json_records_revisions_host_and_every_workload_in_order(bench_pairs, tmp_path, monkeypatch, capsys,
                                                                  workloads, run):
     # canned runs: the change halves the wall time of every run and the
-    # base's third run of "oracle" fails; by default every workload runs
+    # base's third run of "oracle" fails; by default every workload runs;
+    # after each workload's pairs, one traced run of each side, whose
+    # per-layer metrics the file records
     commit_spec(tmp_path, ["oracle", "original"])
-    calls = []
+    calls, traced_calls = [], []
 
-    def canned_bench(copy, workload, seconds):
+    def canned_bench(copy, workload, seconds, trace=0):
+        if trace:
+            traced_calls.append((os.path.basename(copy), workload))
+            layers = ({"analytic.kernel_G.evals": 19000.0} if workload == "oracle" else
+                      {"sparse.matvec.calls": 1428.0 if copy.endswith("a") else 300.0,
+                       "sparse.solve.iters_total": 564.0})
+            return {"correct": True, "failed": 0, "metrics": {k: {"value": v} for k, v in layers.items()}}, MANIFEST
         calls.append((os.path.basename(copy), workload))
         wall = (1.0 if copy.endswith("a") else 0.5) * (1 + 0.1 * len(calls))
         if (os.path.basename(copy), workload) == ("a", "oracle") and calls.count(calls[-1]) == 3:
@@ -108,6 +120,7 @@ def test_json_records_revisions_host_and_every_workload_in_order(bench_pairs, tm
     assert rc == (1 if "oracle" in run else 0)
     assert [w for _, w in calls] == [w for w in run for _ in range(6)]
     assert [c for c, _ in calls[:6]] == ["a", "b", "b", "a", "a", "b"]  # alternating order
+    assert traced_calls == [(side, w) for w in run for side in ("a", "b")]
     with open(path) as fh:
         doc = json.load(fh)
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path, capture_output=True, text=True).stdout.strip()
@@ -119,7 +132,7 @@ def test_json_records_revisions_host_and_every_workload_in_order(bench_pairs, tm
     assert (doc["pairs"], doc["run_seconds"]) == (3, 1)
     assert list(doc["workloads"]) == run
     for workload, entry in doc["workloads"].items():
-        assert list(entry) == ["failed_runs", "metrics"]
+        assert list(entry) == ["failed_runs", "metrics", "layers"]
         assert entry["failed_runs"] == (workload == "oracle")
         assert list(entry["metrics"]) == ["wall_s", "throughput_per_s"]
         wall = entry["metrics"]["wall_s"]
@@ -128,4 +141,22 @@ def test_json_records_revisions_host_and_every_workload_in_order(bench_pairs, tm
         assert (wall["unit"], wall["better"]) == ("s", "lower")
         assert wall["counted"] == (2 if workload == "oracle" else 3) == wall["won"]
         assert wall["base"]["q1"] <= wall["base"]["median"] <= wall["base"]["q3"]
+        layers = entry["layers"]
+        if workload == "oracle":
+            assert layers == {"analytic.kernel_G.evals": {"unit": "count", "better": "lower",
+                                                          "base": 19000.0, "change": 19000.0}}
+        else:
+            assert list(layers) == ["sparse.matvec.calls", "sparse.solve.iters_total"]  # the spec's order
+            assert list(layers["sparse.matvec.calls"]) == ["unit", "better", "base", "change"]
+            assert (layers["sparse.matvec.calls"]["base"], layers["sparse.matvec.calls"]["change"]) == (1428.0, 300.0)
+            assert layers["sparse.solve.iters_total"]["base"] == layers["sparse.solve.iters_total"]["change"] == 564.0
     assert "wall_s [s]: " in capsys.readouterr().out
+
+
+def test_layer_rows_take_each_sides_median_and_mark_a_missing_side(bench_pairs):
+    # a side whose traced run failed has no runs and records None; a metric
+    # that no run reports is left out
+    traced = {"base": [{"sparse.matvec.calls": 3.0}, {"sparse.matvec.calls": 1.0}, {"sparse.matvec.calls": 2.0}],
+              "change": []}
+    assert bench_pairs.layer_rows(traced, LAYERS) == {
+        "sparse.matvec.calls": {"unit": "count", "better": "lower", "base": 2.0, "change": None}}

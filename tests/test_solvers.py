@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import math
 import os
@@ -22,7 +23,7 @@ from kfplab.solvers import (
     run_selfsimilar,
 )
 from test_mesh import boundary_mask, interior_mask
-from test_sparse import line_jacobi
+from test_sparse import line_gauss_seidel, line_jacobi
 
 BIG = RectDomain.square(10.0)
 YARDSTICK_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "yardstick.py")
@@ -146,10 +147,12 @@ def _per_form_loop(cfg, warm=True):
     interpolates at the feet of all nodes on every step and pins the
     boundary to 0; the self-similar form builds the next step's explicit
     side at the end of each step. The L2 norm is the mass stencil's
-    quadratic form of x scaled by a power of two. With warm, each solve starts from x plus
-    the backward-difference extrapolation of the last three solve increments
-    y - x; without, from x. Returns (times, l2, linf, snapshots, iterations)
-    with the iterations of each step's solve, 0 at step 0."""
+    quadratic form of x scaled by a power of two. The sheared form solves
+    with sparse.red_black_solver, the others with Jacobi. With warm, each
+    solve starts from x plus the backward-difference extrapolation of the
+    last three solve increments y - x; without, from x. Returns (times, l2,
+    linf, snapshots, iterations) with the iterations of each step's solve,
+    0 at step 0."""
     mesh = build_structured_mesh(cfg.domain, cfg.n)
     blocks = assemble_blocks(mesh)
     first = project_initial(mesh, analytic.gaussian_ic)
@@ -171,7 +174,7 @@ def _per_form_loop(cfg, warm=True):
         return (blocks.matrix(MASS + cfg.dt * cfg.theta * c),
                 blocks.matrix(MASS - cfg.dt * (1.0 - cfg.theta) * c))
 
-    def step_solve(lhs, precond, rhs_mat, x):
+    def step_solve(solve, rhs_mat, x):
         nonlocal d
         if not warm or not d:
             guess = x
@@ -181,7 +184,7 @@ def _per_form_loop(cfg, warm=True):
             guess = x + 2.0 * d[0] - d[1]
         else:
             guess = x + 3.0 * d[0] - 3.0 * d[1] + d[2]
-        x_new, stats = sparse.solve(lhs, rhs_mat.matvec(x), tol=cfg.tol, x0=guess, precond=precond)
+        x_new, stats = solve(rhs_mat.matvec(x), tol=cfg.tol, x0=guess)
         assert stats.converged
         d = [x_new - x] + d[:2]
         iterations.append(stats.iterations)
@@ -193,21 +196,21 @@ def _per_form_loop(cfg, warm=True):
         lhs, rhs_mat = sides(D_VV)
         feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * cfg.dt])
         for step in range(1, cfg.steps + 1):
-            x = step_solve(lhs, sparse.jacobi(lhs), rhs_mat, x)
+            x = step_solve(functools.partial(sparse.solve, lhs, precond=sparse.jacobi(lhs)), rhs_mat, x)
             x = interpolate_many(Field(mesh, x, step * cfg.dt), feet)
             x[boundary_mask(mesh)] = 0.0
             record(step, step * cfg.dt, x)
     elif cfg.form == "lagrangian":
         for step in range(1, cfg.steps + 1):
             lhs, rhs_mat = sides(blocks.lagrangian((step - 1) * cfg.dt + 0.5 * cfg.dt))
-            x = step_solve(lhs, sparse.line_gauss_seidel(lhs), rhs_mat, x)
+            x = step_solve(sparse.red_black_solver(lhs), rhs_mat, x)
             record(step, step * cfg.dt, x)
     else:
         growth = math.exp(cfg.sigma2 * cfg.dt)
         explicit = sides(blocks.selfsimilar(0.0, cfg.sigma1))[1]
         for step in range(1, cfg.steps + 1):
             lhs, next_explicit = sides(blocks.selfsimilar(step * cfg.dt, cfg.sigma1))
-            x = growth * step_solve(lhs, None, explicit, x)
+            x = growth * step_solve(functools.partial(sparse.solve, lhs), explicit, x)
             explicit = next_explicit
             record(step, step * cfg.dt, x)
     return times, l2, linf, snapshots, iterations
@@ -250,7 +253,8 @@ def test_extrapolated_start_halves_the_iterations(form, horizon):
 
 def test_lagrangian_one_step_matches_manual():
     # one step = theta solve with the midpoint operator, preconditioned by
-    # the red-black sweep over z-lines (offsets +-s on the node grid, s = n + 1)
+    # the red-black sweep over z-lines (offsets +-s on the node grid, s = n + 1),
+    # here the oracle's sweep applied by solve
     cfg = RunConfig(form="lagrangian", n=10, dt=0.05, horizon=0.05)
     traj = run_lagrangian(cfg)
     mesh = traj.final.mesh
@@ -259,7 +263,7 @@ def test_lagrangian_one_step_matches_manual():
     a_mid = blocks.lagrangian(0.5 * cfg.dt)
     lhs = blocks.matrix(MASS + cfg.dt * cfg.theta * a_mid)
     rhs = blocks.matrix(MASS - cfg.dt * (1 - cfg.theta) * a_mid).matvec(x)
-    y, _ = sparse.solve(lhs, rhs, tol=cfg.tol, x0=x, precond=sparse.line_gauss_seidel(lhs))
+    y, _ = sparse.solve(lhs, rhs, tol=cfg.tol, x0=x, precond=line_gauss_seidel(lhs))
     assert np.max(np.abs(traj.final.values - y)) < 1e-12
 
 
@@ -342,7 +346,7 @@ def test_red_black_sweep_takes_at_most_0_6_of_the_block_jacobi_iterations(monkey
     form, n, dt, t_end = _load_yardstick().CASES["lagrangian n=32"]
     cfg = RunConfig(form=form, n=n, dt=dt, horizon=t_end)
     sweep = run(cfg).iterations.sum()
-    monkeypatch.setattr(sparse, "line_gauss_seidel", line_jacobi)
+    monkeypatch.setattr(sparse, "red_black_solver", lambda A: functools.partial(sparse.solve, A, precond=line_jacobi(A)))
     assert sweep <= 0.6 * run(cfg).iterations.sum()
 
 
@@ -431,11 +435,12 @@ def test_a_run_gives_the_same_bits_after_other_runs():
 
 def test_a_step_allocates_neither_solver_vectors_nor_sides(monkeypatch):
     # The run owns BiCGStab's work vectors, the data of both theta sides, the
-    # start, the solve increments and the transport's gather, and records
-    # the norms in a work row. From the end of one solve to the end of the
-    # next, a step then holds a few vectors more than before: its split
-    # update, preconditioner, right-hand side and solution (measured at most
-    # 4.2 vectors, 3.1 in the original form and 2.13 in the sheared one;
+    # right-hand side, the start, the solve increments and the transport's
+    # gather, and records the norms in a work row; the sheared form's packed
+    # solve carves its vectors from the work rows too. From the end of one
+    # solve to the end of the next, a step then holds a few vectors more
+    # than before: its split update, solver and solution (measured at most
+    # 4.19 vectors, 2.10 in the original form and 2.07 in the sheared one;
     # 5.04, 3.14 and 4.2 when each step allocated its own). A solve with
     # vectors of its own peaks near 13, and two new sides take 14. Freed at
     # the top of the heap on every step, those let malloc trim the pages

@@ -7,6 +7,7 @@ from kfplab import analytic, sparse
 from kfplab.assembly import MASS, STENCIL, assemble_blocks
 from kfplab.mesh import RectDomain, build_structured_mesh
 from kfplab.solvers import project_initial
+from conftest import _to_dense
 from test_mesh import boundary_mask, interior_count, interior_mask
 
 DOMAINS = [RectDomain.square(10.0), RectDomain(-1.0, 2.0, 0.5, 3.0)]
@@ -518,6 +519,56 @@ def line_jacobi(A):
     return apply
 
 
+def line_gauss_seidel(A):
+    """The oracle of red_black_solver: the symmetric red-black Gauss-Seidel
+    sweep over the z-lines of the interior grid as a preconditioner for
+    solve, as kfplab applied it before its solves ran on the odd lines.
+
+    A holds one symmetric stencil, 7 numbers. Line c = 0 .. w - 1, w = s - 2,
+    is the grid column iv = c + 1 of the interior nodes. A's line part L, at
+    offsets 0 and +-s, is on every line the tridiagonal Toeplitz T, a on the
+    diagonal and b beside it, so T^-1 = (Q / lambda) Q in the sine basis,
+    lambda_k = a + 2 b cos(k pi / (w + 1)). The offsets +-1 and +-(s + 1)
+    couple even lines only to odd ones, by C_oe into odd rows and C_eo into
+    even rows, so the sweep is three line solves,
+    y_e' = T^-1 r_e, y_o = T^-1 (r_o - C_oe y_e') and y_e = T^-1 (r_e - C_eo y_o),
+    or (L + C_eo)^-1 L (L + C_oe)^-1 r: symmetric positive definite whenever
+    A is. A line solve subtracts its couplings as two pairs, each pair's sum
+    times one number, in arrays of its own; with w <= 1 this is jacobi(A).
+    """
+    if not isinstance(A, sparse.SparseMatrix) or not A.symmetric:
+        raise ValueError("the sweep needs A as one symmetric stencil of 7 numbers")
+    s, w = A.side, A.side - 2
+    if w <= 1:
+        return sparse.jacobi(A)
+    q, cos = sparse._sine_basis(w)
+    t_inv = (q / (A.diagonal()[s + 1] + 2.0 * A.data[5] * cos)) @ q
+    n = (w + 1) // 2, w // 2  # lines of colour p = 0 (even) and 1 (odd)
+    row = n[0] + 2
+    # line 2j + p is column j of rhs and j + 1 of frames[p], framed by zeros
+    # for neighbours off the grid; with `row` entries a row, the neighbours of
+    # entry i of the flat rhs lie at i + shift in the flat frames[1 - p][p:]
+    frames, rhs, term = np.zeros((2, w + 2, row)), np.empty((w, row)), np.empty(w * row)
+    lines = [frames[p, 1:-1, 1:count + 1] for p, count in enumerate(n)]
+    shifts = ((A.data[4], row, row + 1), (A.data[6], 0, 2 * row + 1))  # offsets +-1 and +-(s + 1)
+
+    def apply(r, out=None):
+        interior = r.reshape(s, s)[1:-1, 1:-1]
+        for sweep, p in enumerate((0, 1, 0)):
+            rhs[:, :n[p]] = interior[:, p::2]
+            if sweep:  # subtract the coupling to the lines of the other colour
+                m = (w - 1) * row + n[p]
+                target, source = rhs.reshape(-1)[:m], frames[1 - p].reshape(-1)[p:]
+                for c, a, b in shifts:
+                    target -= np.multiply(c, np.add(source[a:a + m], source[b:b + m], out=term[:m]), out=term[:m])
+            np.matmul(t_inv, rhs[:, :n[p]], out=lines[p])
+        out = sparse.zero_frame(np.empty(A.rows) if out is None else out, s)
+        interior = out.reshape(s, s)[1:-1, 1:-1]
+        interior[:, 0::2], interior[:, 1::2] = lines
+        return out
+    return apply
+
+
 def line_part(A):
     """The line part L of A, a grid operator of one stencil: its entries at offsets 0 and +-s."""
     return sparse.SparseMatrix(A.side, np.where(np.isin(A.offsets, (0, A.side, -A.side)), A.data, 0.0))
@@ -549,7 +600,7 @@ def test_line_gauss_seidel_of_the_line_part_is_its_inverse(n, t, to_dense):
     inner = interior_of(L)
     r = framed(L, np.random.default_rng(n).standard_normal(inner.sum()))
     want = np.linalg.solve(to_dense(L, inner), r[inner])
-    got = sparse.line_gauss_seidel(L)(r)
+    got = line_gauss_seidel(L)(r)
     assert np.max(np.abs(got[inner] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -568,7 +619,7 @@ def test_line_gauss_seidel_is_the_symmetric_red_black_sweep(n, t, domain, to_den
     c_oe, c_eo = np.where(odd_row, dense - lines, 0.0), np.where(odd_row, 0.0, dense - lines)
     r = framed(A, np.random.default_rng(n).standard_normal(inner.sum()))
     want = np.linalg.solve(lines + c_eo, lines @ np.linalg.solve(lines + c_oe, r[inner]))
-    apply = sparse.line_gauss_seidel(A)
+    apply = line_gauss_seidel(A)
     assert np.max(np.abs(apply(r)[inner] - want)) <= 1e-12 * np.max(np.abs(want))
     out = np.full(A.rows, np.nan)
     assert apply(r, out=out) is out and out.tobytes() == apply(r).tobytes()
@@ -581,7 +632,7 @@ def test_line_gauss_seidel_without_lines_is_jacobi(n):
     # w = 0 has no unknowns and w = 1 one, so no line coupling
     A = lagrangian_lhs(n, 1.0)
     r = np.ones(A.rows)
-    assert np.array_equal(sparse.line_gauss_seidel(A)(r), sparse.jacobi(A)(r))
+    assert np.array_equal(line_gauss_seidel(A)(r), sparse.jacobi(A)(r))
 
 
 def test_line_gauss_seidel_rejects_a_nonsymmetric_stencil():
@@ -591,23 +642,23 @@ def test_line_gauss_seidel_rejects_a_nonsymmetric_stencil():
         skewed = A.data.copy()
         skewed[k] = np.nextafter(skewed[k], np.inf)
         with pytest.raises(ValueError):
-            sparse.line_gauss_seidel(sparse.SparseMatrix(A.side, skewed))
+            line_gauss_seidel(sparse.SparseMatrix(A.side, skewed))
 
 
 def test_line_gauss_seidel_needs_a_square_grid():
     # a square grid of lines with one stencil: neither a DIA matrix nor a
     # side with a row per node
     with pytest.raises(ValueError):
-        sparse.line_gauss_seidel(identity(6))
+        line_gauss_seidel(identity(6))
     with pytest.raises(ValueError):
-        sparse.line_gauss_seidel(sides(5)[1])
+        line_gauss_seidel(sides(5)[1])
 
 
 def test_solve_with_line_gauss_seidel_vs_dense_elimination(to_dense):
     A = lagrangian_lhs(12, 10.0)
     inner = interior_of(A)
     b = framed(A, np.random.default_rng(5).standard_normal(inner.sum()))
-    x, stats = sparse.solve(A, b, tol=1e-12, precond=sparse.line_gauss_seidel(A))
+    x, stats = sparse.solve(A, b, tol=1e-12, precond=line_gauss_seidel(A))
     assert stats.converged
     _, jacobi_stats = sparse.solve(A, b, tol=1e-12)
     assert stats.iterations < jacobi_stats.iterations
@@ -623,7 +674,7 @@ def test_preconditioners_and_solve_keep_the_zero_frame(n):
         inner = interior_of(A)
         rng = np.random.default_rng(n)
         r = framed(A, rng.standard_normal(inner.sum()))
-        preconds = [sparse.jacobi(A)] + ([sparse.line_gauss_seidel(A)] if A.data.ndim == 1 else [])
+        preconds = [sparse.jacobi(A)] + ([line_gauss_seidel(A)] if A.data.ndim == 1 else [])
         for precond in preconds:
             for out in (None, np.full(A.rows, np.nan)):
                 assert np.all(precond(r, out=out)[~inner] == 0.0)
@@ -631,6 +682,143 @@ def test_preconditioners_and_solve_keep_the_zero_frame(n):
             x0 = framed(A, rng.standard_normal(inner.sum()))
             x, stats = sparse.solve(A, r, x0=x0, precond=precond, work=np.full((sparse.WORK_VECTORS, A.rows), np.nan))
             assert stats.converged and np.all(x[~inner] == 0.0)
+        if A.data.ndim == 1:  # and so does the red-black solver
+            x, stats = sparse.red_black_solver(A)(r, x0=x0, work=np.full((sparse.WORK_VECTORS, A.rows), np.nan))
+            assert stats.converged and np.all(x[~inner] == 0.0)
+
+
+def red_black_cases(n, t):
+    """(A, b, x0) on the sheared form's side at time t: b random on the
+    interior, from zero and from a start near the solution; b on the odd
+    lines only, whose even part is zero; and b = 0 from a start."""
+    A = lagrangian_lhs(n, t)
+    rng = np.random.default_rng(n)
+    inner = interior_of(A)
+    b = framed(A, rng.standard_normal(inner.sum()))
+    start = framed(A, np.linalg.solve(_to_dense(A, inner), b[inner]) + 1e-3 * rng.standard_normal(inner.sum())) \
+        if n <= 33 else b + framed(A, 0.1 * rng.standard_normal(inner.sum()))
+    odd = b.copy()
+    odd.reshape(A.side, A.side)[:, 1::2] = 0.0  # grid column iv = 2j + 1 is the even line 2j
+    yield A, b, None
+    yield A, b, start
+    yield A, odd, None
+    yield A, np.zeros(A.rows), start
+
+
+@pytest.mark.parametrize("t", [0.05, 3.3, 9.95])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 10, 33, 128])  # w = n - 1 of both parities; w <= 1 is jacobi
+def test_red_black_solver_is_the_solve_with_the_sweep(n, t):
+    # the packed iteration is solve(A, b, precond=line_gauss_seidel(A)) in
+    # exact arithmetic: the same iterations and verdict, and x within 1e-12
+    # relative (measured: at most 1.2e-13, n = 128); a stale work array
+    # changes no bit
+    for A, b, x0 in red_black_cases(n, t):
+        want, want_stats = sparse.solve(A, b, x0=x0, precond=line_gauss_seidel(A))
+        solve = sparse.red_black_solver(A)
+        x, stats = solve(b, x0=x0)
+        assert (stats.iterations, stats.converged) == (want_stats.iterations, want_stats.converged)
+        assert stats.residual <= sparse.DEFAULT_TOL or not np.any(b)
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
+        stale = solve(b, x0=x0, work=np.full((sparse.WORK_VECTORS, A.rows), np.nan))
+        assert stale[0].tobytes() == x.tobytes() and stale[1] == stats
+
+
+def test_red_black_solver_restarts_as_the_sweep_does():
+    # on the line part alone the sweep is L^-1: the packed s vanishes after
+    # half a step and the packed solve restarts, where the oracle ends in
+    # one step; and a system with one line of each colour, w = 2
+    for A in (line_part(lagrangian_lhs(12, 10.0)), lagrangian_lhs(3, 10.0)):
+        b = framed(A, np.random.default_rng(2).standard_normal(interior_of(A).sum()))
+        want, want_stats = sparse.solve(A, b, precond=line_gauss_seidel(A))
+        x, stats = sparse.red_black_solver(A)(b)
+        assert stats.converged and stats.iterations == want_stats.iterations
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_red_black_solver_starts_a_new_pass_when_the_full_residual_misses_tol(monkeypatch):
+    # a first packed solve that stops at 1e4 times its target hands back an
+    # x whose full residual misses tol ||b||; the next pass packs that
+    # residual afresh, from where the first ended, and meets tol
+    A = lagrangian_lhs(33, 3.3)
+    b = framed(A, np.random.default_rng(6).standard_normal(interior_of(A).sum()))
+    want, _ = sparse.solve(A, b, precond=line_gauss_seidel(A))
+    inner, passes = sparse.solve, []
+
+    def first_pass_stops_early(P, b_p, tol, **kwargs):
+        result = inner(P, b_p, tol=tol * (1e4 if not passes else 1.0), **kwargs)
+        passes.append(result[1])
+        return result
+    monkeypatch.setattr(sparse, "solve", first_pass_stops_early)
+    x, stats = sparse.red_black_solver(A)(b)
+    assert len(passes) == 2 and all(p.converged for p in passes)
+    assert stats.converged and stats.iterations == sum(p.iterations for p in passes)
+    assert math.sqrt(np.sum((b - A.matvec(x)) ** 2)) <= sparse.DEFAULT_TOL * math.sqrt(b @ b)
+    assert np.max(np.abs(x - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+def test_a_pass_whose_packed_solve_takes_no_iteration_counts_one(monkeypatch):
+    # ||b_p|| and the full residual's norm differ in rounding, so a packed
+    # solve may meet its own test at once while the full residual misses
+    # tol ||b||; such a pass leaves x as it was, and counting it as an
+    # iteration is what ends the solve
+    A = lagrangian_lhs(9, 3.3)
+    b = framed(A, np.random.default_rng(7).standard_normal(interior_of(A).sum()))
+    calls = []
+
+    def stops_at_once(P, b_p, **kwargs):
+        calls.append(1)
+        assert len(calls) <= 10, "the passes do not end"
+        return np.zeros(P.rows), sparse.SolveStats(0, 0.0, True)
+    monkeypatch.setattr(sparse, "solve", stops_at_once)
+    x, stats = sparse.red_black_solver(A)(b, max_iter=5)
+    assert len(calls) == stats.iterations == 5 and not stats.converged and not np.any(x)
+
+
+@pytest.mark.parametrize("tol, max_iter", [(1e-300, 30), (1e-14, 1), (1e-10, 2)])
+def test_red_black_solver_ends_within_max_iter_and_reports_the_true_residual(tol, max_iter):
+    # a packed solve that meets its own test starts a new pass unless the
+    # full residual meets tol ||b|| too; every pass takes at least one
+    # iteration, so the solve stops at max_iter and reports the residual
+    # of the x it returns
+    A = lagrangian_lhs(33, 9.95)
+    b = framed(A, np.random.default_rng(4).standard_normal(interior_of(A).sum()))
+    x, stats = sparse.red_black_solver(A)(b, tol=tol, max_iter=max_iter)
+    true = math.sqrt(np.sum((b - A.matvec(x)) ** 2)) / math.sqrt(b @ b)
+    assert not stats.converged and stats.iterations == max_iter
+    assert stats.residual == pytest.approx(true, rel=1e-6)
+
+
+@pytest.mark.parametrize("e", [-600, 600])
+def test_red_black_solver_is_scale_invariant(e):
+    # b and x0 are scaled by a power of two first, so x scales bit for bit
+    for A, b, x0 in red_black_cases(33, 3.3):
+        solve = sparse.red_black_solver(A)
+        ref, ref_stats = solve(b, x0=x0)
+        x, stats = solve(np.ldexp(b, e), x0=None if x0 is None else np.ldexp(x0, e))
+        assert stats == ref_stats and x.tobytes() == np.ldexp(ref, e).tobytes()
+
+
+def test_red_black_solver_checks_its_inputs():
+    # one symmetric stencil of 7 numbers, a side of the right length, a
+    # positive tol and a work array of the solve's shape; at most one line
+    # it leaves to jacobi, which calls A.diagonal() once, as the sweep does
+    A = lagrangian_lhs(5, 1.0)
+    skewed = A.data.copy()
+    skewed[0] = np.nextafter(skewed[0], np.inf)
+    for bad in (sparse.SparseMatrix(A.side, skewed), sides(5)[1], identity(6)):
+        with pytest.raises(ValueError):
+            sparse.red_black_solver(bad)
+    solve = sparse.red_black_solver(A)
+    for kwargs in (dict(b=np.ones(A.rows - 1)), dict(b=np.ones(A.rows), tol=0.0),
+                   dict(b=np.ones(A.rows), work=np.empty((sparse.WORK_VECTORS - 1, A.rows)))):
+        with pytest.raises(ValueError):
+            solve(**kwargs)
+    for n in (1, 2, 5):
+        calls = []
+        B = lagrangian_lhs(n, 1.0)
+        B.diagonal = lambda B=B: calls.append(1) or sparse.SparseMatrix.diagonal(B)
+        sparse.red_black_solver(B)
+        assert len(calls) == 1
 
 
 def allocating_solve(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_MAX_ITER, x0=None, precond=None):
@@ -759,7 +947,7 @@ def solve_cases():
     inner = interior_of(A)
     b = framed(A, rng.standard_normal(inner.sum()))
     start = b + framed(A, 0.1 * rng.standard_normal(inner.sum()))
-    for precond in (sparse.jacobi(A), sparse.line_gauss_seidel(A)):
+    for precond in (sparse.jacobi(A), line_gauss_seidel(A)):
         for x0 in (None, start):
             yield A, b, x0, precond
     for dense, rhs in (([[-1, -1, -1], [-1, -1, 0], [2, 0, -1]], [1, 1, 0]),

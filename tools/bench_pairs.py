@@ -25,7 +25,11 @@ declare, ends it with exit 2 before anything is exported or run.
 With --json PATH, it also writes all of that to one file (see `record`): both
 revisions, the host facts from the first run's manifest (cores, Python,
 numpy, BLAS and its thread settings), and for each workload and metric both
-sides' quartiles, the pairs won and the gain mark.
+sides' quartiles, the pairs won and the gain mark. After a workload's pairs
+it then runs `--trace 1` once in each copy, base first, and the file also
+holds, for every per-layer metric of the base's BENCHMARK.json, both
+sides' values per operation: the medians over those traced runs, one a
+side.
 Temporary directories go where Python's tempfile puts them (TMPDIR).
 """
 
@@ -74,14 +78,30 @@ def summarize(pairs, metrics):
     return rows
 
 
-def record(revisions, host, spec, pairs, results):
+def layer_rows(traced, metrics):
+    """Per-layer rows from traced, a dict of side -> the metric dicts of its
+    traced runs, and metrics, BENCHMARK.json's per-layer list: name -> unit,
+    direction and each side's median over its runs (None without one), for
+    every metric that some run reports."""
+    rows = {}
+    for m in metrics:
+        values = {side: [run[m["name"]] for run in runs if m["name"] in run] for side, runs in traced.items()}
+        if any(values.values()):
+            rows[m["name"]] = {"unit": m["unit"], "better": m["better"],
+                               **{side: statistics.median(v) if v else None for side, v in values.items()}}
+    return rows
+
+
+def record(revisions, host, spec, pairs, results, traced):
     """The --json document. Its keys, in order: "base" and "change", each
     {"rev", "id"} from revisions, a dict of side -> (the name given, the id
     git resolved it to); "host", the HOST_FACTS of a run's manifest;
     "pairs" per workload; the base's "run_seconds"; and "workloads", for
     each workload of results, a dict of name -> (its (base, change) metric
-    dicts, the runs that failed), the failed runs and every end-to-end
-    metric of spec, the base's BENCHMARK.json, as summarize gives it."""
+    dicts, the runs that failed), the failed runs, every end-to-end metric
+    of spec, the base's BENCHMARK.json, as summarize gives it, and its
+    "layers", the per-layer metrics of spec as layer_rows gives them from
+    traced, a dict of workload -> side -> its traced runs' metric dicts."""
     host, better = dict(host or {}), {m["name"]: m["better"] for m in spec["end_to_end"]}
     if isinstance(host.get("blas"), dict):
         host["blas"] = {key: host["blas"][key] for key in BLAS_FACTS if key in host["blas"]}
@@ -94,7 +114,8 @@ def record(revisions, host, spec, pairs, results):
         "workloads": {workload: {"failed_runs": bad, "metrics": {
             name: {"unit": unit, "better": better[name], "base": spread(base), "change": spread(change),
                    "won": won, "counted": count, "gain": gain}
-            for name, unit, base, change, won, count, gain in summarize(runs, spec["end_to_end"])}}
+            for name, unit, base, change, won, count, gain in summarize(runs, spec["end_to_end"])},
+            "layers": layer_rows(traced.get(workload, {}), spec.get("per_layer", []))}
             for workload, (runs, bad) in results.items()},
     }
 
@@ -108,11 +129,12 @@ def export(rev, root, name):
     return path
 
 
-def bench(copy, workload, seconds):
-    """(the JSON result, the manifest) of one run of perfbench/run.py in copy;
-    the result is None if the run failed, the manifest if it printed none."""
+def bench(copy, workload, seconds, trace=0):
+    """(the JSON result, the manifest) of one run of perfbench/run.py in copy,
+    traced if trace is 1; the result is None if the run failed, the manifest
+    if it printed none."""
     proc = subprocess.run([sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-                           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=copy, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     manifest = next((json.loads(line[len(MANIFEST):]) for line in lines if line.startswith(MANIFEST)), None)
@@ -120,6 +142,18 @@ def bench(copy, workload, seconds):
         print(f"# {copy}: exit {proc.returncode}: {proc.stderr[-1000:]}", file=sys.stderr)
         return None, manifest
     return json.loads(lines[-1]), manifest
+
+
+def run_traced(copies, workload, seconds):
+    """side -> the metric dicts of one traced run of workload in each copy,
+    base first; a run that fails or is wrong gives none."""
+    traced = {}
+    for side in ("base", "change"):
+        r, _ = bench(copies[side], workload, seconds, trace=1)
+        ok = r is not None and r["correct"]
+        traced[side] = [{k: v["value"] for k, v in r["metrics"].items()}] if ok else []
+        print(f"# {workload} traced {side}: " + ("ok" if ok else "failed or wrong"), flush=True)
+    return traced
 
 
 def run_pairs(copies, workload, pairs, seconds, manifests):
@@ -168,11 +202,13 @@ def main(argv=None) -> int:
         if workload not in names:
             parser.error(f"workload {workload!r} is not in the base's BENCHMARK.json: {', '.join(names)}")
     root = tempfile.mkdtemp(prefix="bench-pairs-")
-    results, manifests = {}, []
+    results, manifests, traced = {}, [], {}
     try:
         copies = {"base": export(args.base, root, "a"), "change": export(args.change, root, "b")}
         for workload in args.workload or names:
             results[workload] = run_pairs(copies, workload, args.pairs, spec["run_seconds"], manifests)
+            if args.json:
+                traced[workload] = run_traced(copies, workload, spec["run_seconds"])
     finally:
         shutil.rmtree(root, ignore_errors=True)
     for workload, (runs, bad) in results.items():
@@ -183,12 +219,16 @@ def main(argv=None) -> int:
                   + (", gain" if gain else ""))
         if bad:
             print(f"{bad} runs failed or gave a wrong result")
+        for side, runs in traced.get(workload, {}).items():
+            if not runs:
+                print(f"the traced run of the {side} failed or gave a wrong result")
     if args.json:
         host = next((m for m in manifests if m), None)
         with open(args.json, "w") as fh:
-            json.dump(record(revisions, host, spec, args.pairs, results), fh, indent=1)
+            json.dump(record(revisions, host, spec, args.pairs, results, traced), fh, indent=1)
             fh.write("\n")
-    return 1 if any(bad for _, bad in results.values()) else 0
+    failed_traces = any(not runs for sides in traced.values() for runs in sides.values())
+    return 1 if failed_traces or any(bad for _, bad in results.values()) else 0
 
 
 if __name__ == "__main__":

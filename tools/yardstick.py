@@ -6,9 +6,9 @@ problem.
 
 The reference run solves every step to tol = 1e-12; each path runs at the
 default tol = 1e-10. The sheared (Lagrangian) form has two paths, "z-lines",
-its symmetric red-black Gauss-Seidel sweep over z-lines
-(sparse.line_gauss_seidel), and Jacobi; the original and self-similar forms
-have one, Jacobi. For each path the table gives its distance from the
+its solve preconditioned by the symmetric red-black Gauss-Seidel sweep over
+z-lines and run on the odd lines (sparse.red_black_solver), and Jacobi; the
+original and self-similar forms have one, Jacobi. For each path the table gives its distance from the
 reference in the norm series (norms.csv), the final field and the final L2
 error against the closed form (errors.csv):
 
@@ -58,14 +58,14 @@ CASES = {
 
 @contextlib.contextmanager
 def jacobi_path():
-    """Within the block, run_lagrangian preconditions its solves with Jacobi
-    in place of the red-black sweep over z-lines."""
-    line_gauss_seidel = sparse.line_gauss_seidel
-    sparse.line_gauss_seidel = sparse.jacobi
+    """Within the block, run_lagrangian solves with Jacobi in place of the
+    red-black sweep over z-lines."""
+    red_black_solver = sparse.red_black_solver
+    sparse.red_black_solver = sparse.jacobi_solver
     try:
         yield
     finally:
-        sparse.line_gauss_seidel = line_gauss_seidel
+        sparse.red_black_solver = red_black_solver
 
 
 def paths(form: str) -> dict:

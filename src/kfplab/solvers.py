@@ -4,8 +4,9 @@
   followed by an exact characteristic (semi-Lagrangian) transport update.
 * run_lagrangian: a theta scheme for the time-dependent sheared form, with
   the bilinear form frozen at the midpoint of each step. Its solves are
-  preconditioned by a red-black sweep over z-lines and run on the odd lines
-  (sparse.red_black_solver); the other two forms use Jacobi.
+  preconditioned by a red-black sweep over z-lines, each pass run on the odd
+  lines (sparse.red_black_solver); the other two forms use Jacobi. Both are
+  sparse.solve, so a step's solve is one call of it.
 * run_selfsimilar: the exact two-operator split of the rescaled equation, a
   theta-scheme solve for the coercive part followed by the closed-form
   exponential reaction update. The two split operators commute, so the
@@ -19,7 +20,9 @@ increments of the last three steps. It owns the solver's work vectors, the
 theta sides' arrays, the right-hand side, the start and the increments for
 the whole run. Every state is a node vector, 0.0 on the boundary, the frame
 of every solve. A single run is sequential; distinct runs are independent
-and each produced Field is an immutable snapshot.
+and each produced Field is an immutable snapshot. A solve that does not
+converge, as one whose right-hand side has overflowed to inf, raises
+SolverError.
 """
 
 import functools
@@ -180,7 +183,8 @@ def _march(config: RunConfig, first: Field, blocks, operators, solver, update=la
     near linf, and y M y the mass stencil's quadratic form, four dot
     products without a matvec (SparseMatrix.quadratic_form). The scaling is
     exact and keeps y M y clear of overflow and underflow at any scale of x;
-    y is taken in a work row, free between solves.
+    y is taken in a work row, free between solves. An L2 norm past the
+    largest float is recorded as inf.
     """
     stride = config.snapshot_stride
     snapshots, times, l2, linf, iterations, d = [], [], [], [], [0], []
@@ -208,7 +212,11 @@ def _march(config: RunConfig, first: Field, blocks, operators, solver, update=la
         times.append(time)
         linf.append(float(max(x.max(), -x.min()) + 0.0))  # + 0.0 turns -0.0 into 0.0
         e = math.frexp(linf[-1])[1]
-        l2.append(math.ldexp(math.sqrt(max(blocks.mass.quadratic_form(np.ldexp(x, -e, out=work[0])), 0.0)), e))
+        root = math.sqrt(max(blocks.mass.quadratic_form(np.ldexp(x, -e, out=work[0])), 0.0))
+        try:
+            l2.append(math.ldexp(root, e))
+        except OverflowError:  # past the largest float, as L-inf records it
+            l2.append(math.inf)
         if k in (0, config.steps) or (stride > 0 and k % stride == 0):
             snapshots.append(Field(first.mesh, x, time))
     return Trajectory(config, snapshots, *map(np.array, (times, l2, linf, iterations)))

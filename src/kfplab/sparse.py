@@ -8,10 +8,10 @@ rows, a preconditioner keeps a zero frame, and so does every linear
 combination.
 
 The advection terms make the assembled systems nonsymmetric, hence a
-stabilized bi-conjugate-gradient method, solve. A preconditioner is a
-function (r, out=None) -> M^-1 r, written into out if given. A solver is
-solve bound to one matrix and its preconditioner, built once per matrix,
-(b, tol=, max_iter=, x0=, work=) -> (x, SolveStats):
+stabilized bi-conjugate-gradient method, solve, the one driver of every
+solve. A preconditioner is a function (r, out=None) -> M^-1 r, written into
+out if given. A solver is solve bound to one matrix and its preconditioner,
+built once per matrix, (b, tol=, max_iter=, x0=, work=) -> (x, SolveStats):
 
 * jacobi_solver: preconditioned by jacobi, the inverse of the main
   diagonal. It serves matrices whose couplings stay mass dominated, as in
@@ -22,9 +22,9 @@ solve bound to one matrix and its preconditioner, built once per matrix,
   (d_v + t d_z)^2 puts nearly all of its coupling there at large t, where
   diagonal preconditioning needs several times as many iterations. The
   sweep leaves the even lines of every residual-space vector a multiple of
-  one vector, so the iteration runs on packed (scalar, odd-line) vectors,
-  whose product takes two batches of line solves and no matvec
-  (RedBlackLines).
+  one vector, so each pass runs the recurrence on packed (scalar,
+  odd-line) vectors, whose product takes two batches of line solves and no
+  matvec (RedBlackLines).
 
 A symmetric stencil's matvec adds x[i - o] + x[i + o] before one multiply,
 o = 1, s, s + 1. Matrices are immutable after construction. matvec and solve write
@@ -155,22 +155,27 @@ _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER, x0: np.ndarray | None = None, precond=None, work=None):
-    """Right-preconditioned BiCGStab for A x = b.
+    """Right-preconditioned BiCGStab for A x = b, the one driver of every solve.
 
     A is a SparseMatrix, or any operator with rows and matvec(x, out,
-    scratch) (RedBlackLines packs one). precond is a preconditioner built
-    from A, such as jacobi(A), the default, or np.positive, the identity.
-    x0, zero by default, only sets where the iteration begins: every start
-    meets the same stopping test; from zero, the first residual is b itself,
-    with no matvec. With b and x0 zero on the frame, every vector of the
+    scratch). precond is a preconditioner built from A, such as jacobi(A),
+    the default, or np.positive, the identity; or RedBlackLines(A), which
+    runs each pass with its sweep on packed vectors. x0, zero by default,
+    only sets where the iteration begins: every start meets the same
+    stopping test. With b and x0 zero on the frame, every vector of the
     iteration is, and x too.
 
     Returns (x, SolveStats); convergence means ||A x - b||_2 <= tol * ||b||_2.
-    The recurrence breaks down when r* turns orthogonal to r or to A M p, to
+    Each pass runs the recurrence from the current iterate x and its true
+    residual r = b - A x. The solve stops at the start of a pass once ||r||
+    meets the target, is not finite (unconverged, as from an inf or a nan
+    in b or x0) or max_iter iterations are spent, and within a pass once
+    the pass's own check of the true residual meets the target. The
+    recurrence breaks down when r* turns orthogonal to r or to A M p, to
     within rounding: |r* . r| or |r* . A M p| at most eps times the product
-    of the two norms (van der Vorst 1992). Each breakdown restarts it from
-    the current iterate; a pass that breaks down before its first step
-    counts as an iteration, so every solve ends within max_iter.
+    of the two norms (van der Vorst 1992). Each breakdown ends the pass, and
+    every pass counts at least one iteration, so every solve ends within
+    max_iter.
 
     The iteration runs on b / 2^k and x0 / 2^k, with 2^k the power of two just
     above max|b|, and x is scaled back by 2^k. Scaling by a power of two is
@@ -181,9 +186,7 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     that aliases neither b nor x0, or in a new one when work is None, with
     the same results; a caller that solves many systems of one size passes
     one work array to all of them, so that no solve allocates its vectors.
-    Of its nine rows, s = r - alpha A M p overwrites r, and M s overwrites
-    M p once x has taken alpha M p; x still receives x + alpha M p + omega M s
-    in that order.
+    b / 2^k, x and r take the first three rows and the pass the other six.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -191,7 +194,9 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     if b.shape != (A.rows,):
         raise ValueError("right-hand side has wrong length")
     work = np.empty((WORK_VECTORS, A.rows)) if work is None else work
-    b_k, x, r, r_star, p, mp, amp, ams, t = work  # ValueError on another shape; r holds s, mp holds M s
+    if work.shape != (WORK_VECTORS, A.rows):
+        raise ValueError(f"work must have shape {(WORK_VECTORS, A.rows)}, got {work.shape}")
+    b_k, x, r, rows = work[0], work[1], work[2], work[3:]
 
     k = math.frexp(max(b.max(), -b.min()))[1]
     np.ldexp(b, -k, out=b_k)
@@ -201,54 +206,70 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
 
     if precond is None:
         precond = jacobi(A)
+    run_pass = precond.run_pass if isinstance(precond, RedBlackLines) else functools.partial(_iterate, A, precond)
     target = tol * norm_b
 
     np.ldexp(0.0 if x0 is None else np.asarray(x0, dtype=float), -k, out=x)
     iters = 0
-    while True:  # each pass starts the recurrence from the current iterate
-        if iters or x0 is not None:
-            np.subtract(b_k, A.matvec(x, out=t, scratch=p), out=r)
-        else:  # from a zero start, r = b
-            np.copyto(r, b_k)
+    while True:
+        np.subtract(b_k, A.matvec(x, out=rows[5], scratch=rows[1]), out=r)
         normr = _norm(r)
-        if normr <= target or iters >= max_iter:
-            return np.ldexp(x, k), SolveStats(iters, normr / norm_b, bool(normr <= target))
-        r_star[:] = r
-        p[:] = r
-        rho, norm_star = float(r_star @ r), normr
-        while iters < max_iter:
-            precond(p, out=mp)
-            A.matvec(mp, out=amp, scratch=t)
-            denom = float(r_star @ amp)
-            if (abs(rho) <= _EPS * norm_star * normr
-                    or abs(denom) <= _EPS * norm_star * _norm(amp)):
-                iters += 1  # breakdown: the restart counts as an iteration
-                break
-            alpha = rho / denom
-            np.subtract(r, np.multiply(alpha, amp, out=t), out=r)  # s = r - alpha A M p
-            x += np.multiply(alpha, mp, out=t)  # x + alpha M p, the first term of the update
-            precond(r, out=mp)
-            A.matvec(mp, out=ams, scratch=t)
-            ams_sq = float(ams @ ams)
-            iters += 1
-            if ams_sq < _TINY:  # s vanished: x + alpha M p is the next iterate
-                break
-            omega = float(ams @ r) / ams_sq
-            x += np.multiply(omega, mp, out=t)  # + omega M s
-            np.subtract(r, np.multiply(omega, ams, out=t), out=r)  # r = s - omega A M s
-            normr = _norm(r)
-            if normr <= target:
-                true_res = _norm(np.subtract(b_k, A.matvec(x, out=t, scratch=mp), out=t))
-                if true_res <= target:
-                    return np.ldexp(x, k), SolveStats(iters, true_res / norm_b, True)
-            if abs(omega) < _TINY:  # breakdown: restart
-                break
-            rho_new = float(r_star @ r)
-            beta = (rho_new / rho) * (alpha / omega)
-            rho = rho_new
-            p -= np.multiply(omega, amp, out=t)  # p = r + beta (p - omega A M p)
-            p *= beta
-            p += r
+        finite = math.isfinite(normr)
+        if not finite or normr <= target or iters >= max_iter:
+            return np.ldexp(x, k), SolveStats(iters, normr / norm_b, finite and normr <= target)
+        taken, true_res = run_pass(b_k, r, x, target, max_iter - iters, rows)
+        iters += max(taken, 1)
+        if true_res is not None:
+            return np.ldexp(x, k), SolveStats(iters, true_res / norm_b, True)
+
+
+def _iterate(A, precond, b: np.ndarray, r: np.ndarray, x: np.ndarray, target: float, max_iter: int, rows):
+    """One pass of right-preconditioned BiCGStab for A x = b from x, r = b - A x,
+    in place in x, r and the six rows of rows; A is a SparseMatrix or any
+    operator with rows and matvec(x, out, scratch). It takes at most max_iter
+    iterations and returns (iterations, ||b - A x||) once that true residual
+    meets target, else (iterations, None). s = r - alpha A M p overwrites r,
+    and M s overwrites M p once x has taken alpha M p, before omega M s.
+    """
+    r_star, p, mp, amp, ams, t = rows
+    r_star[:] = r
+    p[:] = r
+    normr = _norm(r)
+    rho, norm_star = float(r_star @ r), normr
+    iters = 0
+    while iters < max_iter:
+        precond(p, out=mp)
+        A.matvec(mp, out=amp, scratch=t)
+        denom = float(r_star @ amp)
+        if (abs(rho) <= _EPS * norm_star * normr
+                or abs(denom) <= _EPS * norm_star * _norm(amp)):
+            return iters + 1, None  # breakdown: the restart counts as an iteration
+        alpha = rho / denom
+        np.subtract(r, np.multiply(alpha, amp, out=t), out=r)  # s = r - alpha A M p
+        x += np.multiply(alpha, mp, out=t)  # x + alpha M p, the first term of the update
+        precond(r, out=mp)
+        A.matvec(mp, out=ams, scratch=t)
+        ams_sq = float(ams @ ams)
+        iters += 1
+        if ams_sq < _TINY:  # s vanished: x + alpha M p is the next iterate
+            break
+        omega = float(ams @ r) / ams_sq
+        x += np.multiply(omega, mp, out=t)  # + omega M s
+        np.subtract(r, np.multiply(omega, ams, out=t), out=r)  # r = s - omega A M s
+        normr = _norm(r)
+        if normr <= target:
+            true_res = _norm(np.subtract(b, A.matvec(x, out=t, scratch=mp), out=t))
+            if true_res <= target:
+                return iters, true_res
+        if abs(omega) < _TINY:  # breakdown: restart
+            break
+        rho_new = float(r_star @ r)
+        beta = (rho_new / rho) * (alpha / omega)
+        rho = rho_new
+        p -= np.multiply(omega, amp, out=t)  # p = r + beta (p - omega A M p)
+        p *= beta
+        p += r
+    return iters, None
 
 
 def jacobi_solver(A: SparseMatrix):
@@ -257,20 +278,20 @@ def jacobi_solver(A: SparseMatrix):
 
 
 def red_black_solver(A: SparseMatrix):
-    """solve for A, right-preconditioned by the symmetric red-black sweep over
+    """solve for A with RedBlackLines(A), the symmetric red-black sweep over
     the z-lines of the interior grid, built once: (b, tol=, max_iter=, x0=,
     work=) -> (x, SolveStats), as jacobi_solver(A) gives. A holds one
     symmetric stencil, 7 numbers; with at most one line, w <= 1, it is
-    jacobi_solver(A). See RedBlackLines for how it runs on the odd lines.
+    jacobi_solver(A).
     """
     if not isinstance(A, SparseMatrix) or not A.symmetric:
         raise ValueError("the sweep needs A as one symmetric stencil of 7 numbers")
-    return jacobi_solver(A) if A.side - 2 <= 1 else RedBlackLines(A).solve
+    return jacobi_solver(A) if A.side - 2 <= 1 else functools.partial(solve, A, precond=RedBlackLines(A))
 
 
 class RedBlackLines:
-    """BiCGStab for A x = b with the symmetric red-black z-line sweep as
-    right preconditioner M, run on packed vectors of the odd lines.
+    """The symmetric red-black z-line sweep M as solve's right preconditioner,
+    with each pass run on packed vectors of the odd lines.
 
     Line c = 0 .. w - 1, w = s - 2, is the grid column iv = c + 1 of the
     interior nodes. A's line part, at offsets 0 and +-s, is on every line the
@@ -288,13 +309,9 @@ class RedBlackLines:
     A M p, A M s) is a multiple of r0_e, with r0 = b - A x0 the residual its
     pass starts from. A pass packs each such vector as (c, q), for
     c e + q, e = r0_e / ||r0_e|| and q the odd lines: packed dot products
-    are the full ones. The product (c, q) -> (c, c X e + Y q) takes two
-    batches of line solves and two couplings, where the sweep and a matvec
-    took three and one; X e is formed once a pass. solve runs on it from a
-    zero start with the identity as preconditioner, to the target
-    tol ||b||, and the pass ends with x = x0 + M^-1 (c e, q) in two more
-    batches. In exact arithmetic this is solve(A, b, precond=M): the same
-    start, operator, shadow residual, stopping test and restarts.
+    are the full ones. The product (c, q) -> (c, c X e + Y q), matvec, takes
+    two batches of line solves and two couplings, where the sweep and a
+    matvec took three and one; X e is formed once a pass.
 
     A coupling is two pairs, each pair's sum times one number.
     """
@@ -342,70 +359,42 @@ class RedBlackLines:
         y -= coupled
         return out
 
-    def solve(self, b: np.ndarray, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-              x0: np.ndarray | None = None, work=None):
-        """x and SolveStats as solve(A, b, ..., precond=M) gives them, to rounding.
-
-        It scales b by 2^k as solve does and iterates in the rows of work, a
-        (WORK_VECTORS, A.rows) array that aliases neither b nor x0: b / 2^k,
-        x, T^-1 e and C_oe T^-1 e in the first three, the packed solve's rows,
-        its right-hand side and X e in the rest, where the full residual
-        b - A x also goes before and after each packed solve. A pass is
-        accepted only if that residual meets tol ||b||; else the next pass
-        starts from its x. A packed solve that stops at once counts as an
-        iteration, so every solve ends within max_iter.
-        """
-        A, s, w = self.A, self.A.side, len(self.t_inv)
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        b = np.asarray(b, dtype=float)
-        if b.shape != (A.rows,):
-            raise ValueError("right-hand side has wrong length")
-        work = np.empty((WORK_VECTORS, A.rows)) if work is None else work
-        if work.shape != (WORK_VECTORS, A.rows):
-            raise ValueError(f"work must have shape {(WORK_VECTORS, A.rows)}, got {work.shape}")
-        b_k, x, kept = work[:3]
-        packed = work[3:].reshape(-1, copy=False)
+    def run_pass(self, b: np.ndarray, r: np.ndarray, x: np.ndarray, target: float, max_iter: int, rows):
+        """solve's pass with M from x, r = b - A x, as _iterate(A, M, ...) runs it
+        in exact arithmetic: the same start, operator, shadow residual and
+        target. r is packed as b_p = (||r_e||, r_o), _iterate runs on matvec
+        from u = 0 with the identity as preconditioner, and x += M^-1 (c e, q)
+        for u = (c, q), in two more batches. rows, six of A.rows floats, hold
+        the nine packed vectors, X e, T^-1 e and C_oe T^-1 e: 6 (w + 2)^2 >=
+        6 w^2 + 9. Returns (iterations, None): solve judges x by its next
+        true residual."""
+        s, w = self.A.side, len(self.t_inv)
         (n_even, n_odd), size = self.n, self.rows
-        packed_work = packed[:WORK_VECTORS * size].reshape(WORK_VECTORS, size)
-        b_p = packed[WORK_VECTORS * size:(WORK_VECTORS + 1) * size]
-        self.xe = packed[(WORK_VECTORS + 1) * size:][:w * n_odd].reshape(w, n_odd)
-        r = packed[:A.rows]  # the full residual, outside the packed solves
-        te, cte = kept[:w * n_even].reshape(w, n_even), kept[w * n_even:w * w].reshape(w, n_odd)
+        packed = rows.reshape(-1, copy=False)
+        b_p, r_p, u, *packed_rows = packed[:WORK_VECTORS * size].reshape(WORK_VECTORS, size)
+        self.xe, te, cte = (packed[WORK_VECTORS * size + w * lo:][:w * count].reshape(w, count)
+                            for lo, count in ((0, n_odd), (n_odd, n_even), (n_odd + n_even, n_odd)))
         rhs_even, rhs_odd = self.rhs[:, :n_even], self.rhs[:, :n_odd]
 
-        k = math.frexp(max(b.max(), -b.min()))[1]
-        np.ldexp(b, -k, out=b_k)
-        norm_b = _norm(b_k)
-        if norm_b == 0.0:
-            return np.zeros(A.rows), SolveStats(0, 0.0, True)
-        target = tol * norm_b
-
-        np.ldexp(0.0 if x0 is None else np.asarray(x0, dtype=float), -k, out=x)
+        # r packed as (||r_e||, r_o); then T^-1 e, C_oe T^-1 e and X e
+        r_lines = r.reshape(s, s)[1:-1, 1:-1]
+        b_p[1:].reshape(w, n_odd)[...] = r_lines[:, 1::2]
+        np.copyto(te, r_lines[:, 0::2])
+        b_p[0] = norm_e = _norm(te.reshape(-1))
+        np.copyto(te, self._line_solve(0, np.divide(te, norm_e or 1.0, out=rhs_even)))
+        np.copyto(cte, self._couple(1))
+        self._line_solve(1, cte)
+        self._line_solve(0, self._couple(0))
+        np.copyto(self.xe, self._couple(1))
+        np.copyto(r_p, b_p)
+        u.fill(0.0)
+        iters, _ = _iterate(self, np.positive, b_p, r_p, u, target, max_iter, packed_rows)
+        # x + M^-1 (c e, q): y_o = T^-1 (q - c C_oe T^-1 e), y_e = c T^-1 e - T^-1 C_eo y_o
         x_lines = x.reshape(s, s)[1:-1, 1:-1]
-        iters = 0
-        while True:  # each pass starts from the current iterate
-            np.subtract(b_k, A.matvec(x, out=r, scratch=kept), out=r)
-            normr = _norm(r)
-            if normr <= target or iters >= max_iter:
-                return np.ldexp(x, k), SolveStats(iters, normr / norm_b, bool(normr <= target))
-            # r0 packed as (||r0_e||, r0_o); then T^-1 e, C_oe T^-1 e and X e
-            r_lines = r.reshape(s, s)[1:-1, 1:-1]
-            b_p[1:].reshape(w, n_odd)[...] = r_lines[:, 1::2]
-            np.copyto(te, r_lines[:, 0::2])
-            b_p[0] = norm_e = _norm(te.reshape(-1))
-            np.copyto(te, self._line_solve(0, np.divide(te, norm_e or 1.0, out=rhs_even)))
-            np.copyto(cte, self._couple(1))
-            self._line_solve(1, cte)
-            self._line_solve(0, self._couple(0))
-            np.copyto(self.xe, self._couple(1))
-            u, stats = solve(self, b_p, tol=target / _norm(b_p), max_iter=max_iter - iters,
-                             precond=np.positive, work=packed_work)
-            iters += max(stats.iterations, 1)
-            # x + M^-1 (c e, q): y_o = T^-1 (q - c C_oe T^-1 e), y_e = c T^-1 e - T^-1 C_eo y_o
-            c, q = u[0], u[1:].reshape(w, n_odd)
-            x_lines[:, 1::2] += self._line_solve(1, np.subtract(q, np.multiply(c, cte, out=rhs_odd), out=rhs_odd))
-            t_coupled = self._line_solve(0, self._couple(0))
-            x_even = x_lines[:, 0::2]
-            x_even += np.multiply(c, te, out=rhs_even)
-            x_even -= t_coupled
+        c, q = u[0], u[1:].reshape(w, n_odd)
+        x_lines[:, 1::2] += self._line_solve(1, np.subtract(q, np.multiply(c, cte, out=rhs_odd), out=rhs_odd))
+        t_coupled = self._line_solve(0, self._couple(0))
+        x_even = x_lines[:, 0::2]
+        x_even += np.multiply(c, te, out=rhs_even)
+        x_even -= t_coupled
+        return iters, None

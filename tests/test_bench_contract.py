@@ -99,6 +99,25 @@ def test_every_form_calls_the_traced_names_as_the_benchmark_expects(form, monkey
     assert {name: calls[name] for name in want} == want
 
 
+@pytest.mark.parametrize("form", solvers.FORMS)
+def test_the_traced_solve_is_each_steps_whole_solve(form, monkeypatch):
+    # the tracer's sparse.solve layer reads the solves of a run: one call a
+    # step, on the step's full right-hand side, returning the iterations the
+    # trajectory records for it
+    inner, calls = sparse.solve, []
+
+    def wrapper(A, b, *args, **kwargs):
+        x, stats = inner(A, b, *args, **kwargs)
+        calls.append((len(b), stats.iterations))
+        return x, stats
+    monkeypatch.setattr(sparse, "solve", wrapper)
+    config = solvers.RunConfig(form=form, n=6, dt=0.1, horizon=0.5)
+    traj = solvers.run(config)
+    node_count = build_structured_mesh(config.domain, config.n).node_count
+    assert calls == [(node_count, k) for k in traj.iterations[1:]]
+    assert len(calls) == config.steps and all(k > 0 for _, k in calls)
+
+
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_the_tracers_matvec_counts_read_the_operator(n):
     # the tracer records (nnz, rows) of every traced matvec and turns them

@@ -423,6 +423,23 @@ def test_a_non_finite_error_against_the_closed_form_exits_3(tmp_path, capsys, ar
     assert not (tmp_path / "errors.csv").exists()
 
 
+def test_an_unstable_run_past_the_largest_float_exits_3_or_writes_inf(tmp_path, capsys):
+    # the explicit scheme at dt = 1 grows without bound: at t = 424 the L2
+    # norm passes the largest float while L-inf does not, so norms writes
+    # inf and run's errors against the closed form are not finite; by
+    # t = 430 the state overflows and the next solve ends at once
+    flags = ["--form", "original", "--theta", "0", "--dt", "1", "--n", "16"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        codes = [main([command, *flags, "--t-end", t_end, "--out", str(tmp_path / f"{command}-{t_end}")])
+                 for command, t_end in (("norms", "424"), ("run", "424"), ("run", "430"))]
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert codes == [0, 3, 3]
+    assert (tmp_path / "norms-424" / "norms.csv").read_text().splitlines()[-1].split(",")[1] == "inf"
+    assert len(errors) == 2 and "not both finite" in errors[0]
+    assert errors[1].startswith("error: linear solve failed: 0 iterations")
+
+
 def test_convergence_command(tmp_path):
     out = tmp_path / "conv"
     rc = main(["convergence", "--levels", "2.5,1.25,0.625", "--dt", "0.05",

@@ -114,6 +114,18 @@ def test_solver_failure_aborts_run():
         run_lagrangian(cfg)
 
 
+def test_an_l2_norm_past_the_largest_float_is_recorded_as_inf():
+    # a wide Gaussian of peak 6e307: its L2 norm, about 4 times the peak,
+    # exceeds the largest float, while the peak and every solve stay finite
+    for form in solvers.FORMS:
+        traj = run(RunConfig(form=form, n=16, dt=0.1, horizon=0.2), analytic.GaussianSum([(6e307, 0, 0, 0.1, 0.1)]))
+        assert len(traj.l2) == 3 and np.all(traj.l2 == math.inf) and np.all(np.isfinite(traj.linf))
+    # a peak of 1.7e308: step 0 records inf, and the first solve, whose
+    # right-hand side overflows, fails
+    with np.errstate(all="ignore"), pytest.raises(SolverError, match="0 iterations"):
+        run(RunConfig(form="lagrangian", n=8, dt=0.1, horizon=0.1), analytic.GaussianSum([(1.7e308, 0, 0, 1, 1)]))
+
+
 def test_selfsimilar_solve_survives_lost_biorthogonality():
     # at dt = 0.1 this solve loses r* . r to rounding within 20 iterations;
     # an absolute breakdown test missed it and BiCGStab diverged to 1e27

@@ -736,40 +736,39 @@ def test_red_black_solver_restarts_as_the_sweep_does():
 
 
 def test_red_black_solver_starts_a_new_pass_when_the_full_residual_misses_tol(monkeypatch):
-    # a first packed solve that stops at 1e4 times its target hands back an
+    # a first packed pass that stops at 1e4 times its target hands back an
     # x whose full residual misses tol ||b||; the next pass packs that
     # residual afresh, from where the first ended, and meets tol
     A = lagrangian_lhs(33, 3.3)
     b = framed(A, np.random.default_rng(6).standard_normal(interior_of(A).sum()))
     want, _ = sparse.solve(A, b, precond=line_gauss_seidel(A))
-    inner, passes = sparse.solve, []
+    inner, passes = sparse._iterate, []
 
-    def first_pass_stops_early(P, b_p, tol, **kwargs):
-        result = inner(P, b_p, tol=tol * (1e4 if not passes else 1.0), **kwargs)
-        passes.append(result[1])
+    def first_pass_stops_early(P, precond, b_p, r, u, target, max_iter, rows):
+        result = inner(P, precond, b_p, r, u, target * (1e4 if not passes else 1.0), max_iter, rows)
+        passes.append(result)
         return result
-    monkeypatch.setattr(sparse, "solve", first_pass_stops_early)
+    monkeypatch.setattr(sparse, "_iterate", first_pass_stops_early)
     x, stats = sparse.red_black_solver(A)(b)
-    assert len(passes) == 2 and all(p.converged for p in passes)
-    assert stats.converged and stats.iterations == sum(p.iterations for p in passes)
+    assert len(passes) == 2 and all(true_res is not None for _, true_res in passes)
+    assert stats.converged and stats.iterations == sum(iters for iters, _ in passes)
     assert math.sqrt(np.sum((b - A.matvec(x)) ** 2)) <= sparse.DEFAULT_TOL * math.sqrt(b @ b)
     assert np.max(np.abs(x - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 def test_a_pass_whose_packed_solve_takes_no_iteration_counts_one(monkeypatch):
-    # ||b_p|| and the full residual's norm differ in rounding, so a packed
-    # solve may meet its own test at once while the full residual misses
-    # tol ||b||; such a pass leaves x as it was, and counting it as an
-    # iteration is what ends the solve
+    # a packed pass that takes no iteration leaves x as it was, so the full
+    # residual misses tol ||b|| again; counting such a pass as an iteration
+    # is what ends the solve
     A = lagrangian_lhs(9, 3.3)
     b = framed(A, np.random.default_rng(7).standard_normal(interior_of(A).sum()))
     calls = []
 
-    def stops_at_once(P, b_p, **kwargs):
+    def stops_at_once(P, precond, b_p, r, u, target, max_iter, rows):
         calls.append(1)
         assert len(calls) <= 10, "the passes do not end"
-        return np.zeros(P.rows), sparse.SolveStats(0, 0.0, True)
-    monkeypatch.setattr(sparse, "solve", stops_at_once)
+        return 0, None
+    monkeypatch.setattr(sparse, "_iterate", stops_at_once)
     x, stats = sparse.red_black_solver(A)(b, max_iter=5)
     assert len(calls) == stats.iterations == 5 and not stats.converged and not np.any(x)
 
@@ -786,6 +785,22 @@ def test_red_black_solver_ends_within_max_iter_and_reports_the_true_residual(tol
     true = math.sqrt(np.sum((b - A.matvec(x)) ** 2)) / math.sqrt(b @ b)
     assert not stats.converged and stats.iterations == max_iter
     assert stats.residual == pytest.approx(true, rel=1e-6)
+
+
+@pytest.mark.parametrize("factory", [sparse.jacobi_solver, sparse.red_black_solver])
+@pytest.mark.parametrize("bad, where", [(math.inf, "b"), (math.nan, "b"), (math.inf, "x0")])
+def test_a_solve_from_a_non_finite_residual_ends_at_once_unconverged(factory, bad, where):
+    # an inf in b must not read as converged (inf <= inf), nor a nan spin
+    # through max_iter: a pass whose starting residual is not finite ends
+    # the solve at once, unconverged, from zero or from a start
+    A = lagrangian_lhs(9, 3.3)
+    b = framed(A, np.random.default_rng(8).standard_normal(interior_of(A).sum()))
+    for x0 in (None, np.zeros(A.rows)) if where == "b" else (np.zeros(A.rows),):
+        vector = b.copy() if where == "b" else x0
+        vector[A.side + 2] = bad
+        with np.errstate(all="ignore"):
+            x, stats = factory(A)(vector if where == "b" else b, x0=x0)
+        assert stats.iterations == 0 and not stats.converged
 
 
 @pytest.mark.parametrize("e", [-600, 600])

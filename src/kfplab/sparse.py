@@ -9,7 +9,9 @@ combination.
 
 The advection terms make the assembled systems nonsymmetric, hence a
 stabilized bi-conjugate-gradient method, solve, the one driver of every
-solve. A preconditioner is a function (r, out=None) -> M^-1 r, written into
+solve. Its test of the true residual at the start of each pass is the only
+stopping test: a pass ends once its recurrence's own residual meets the
+target. A preconditioner is a function (r, out=None) -> M^-1 r, written into
 out if given. A solver is solve bound to one matrix and its preconditioner,
 built once per matrix, (b, tol=, max_iter=, x0=, work=) -> (x, SolveStats):
 
@@ -160,22 +162,24 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     A is a SparseMatrix, or any operator with rows and matvec(x, out,
     scratch). precond is a preconditioner built from A, such as jacobi(A),
     the default, or np.positive, the identity; or RedBlackLines(A), which
-    runs each pass with its sweep on packed vectors. x0, zero by default,
-    only sets where the iteration begins: every start meets the same
-    stopping test. With b and x0 zero on the frame, every vector of the
-    iteration is, and x too.
+    runs each pass with its sweep on packed vectors. b and x0 (zero by
+    default) are vectors of A.rows floats, and 0 < tol < inf. x0 only sets
+    where the iteration begins: every start meets the same stopping test.
+    With b and x0 zero on the frame, every vector of the iteration is, and
+    x too.
 
     Returns (x, SolveStats); convergence means ||A x - b||_2 <= tol * ||b||_2.
     Each pass runs the recurrence from the current iterate x and its true
-    residual r = b - A x. The solve stops at the start of a pass once ||r||
-    meets the target, is not finite (unconverged, as from an inf or a nan
-    in b or x0) or max_iter iterations are spent, and within a pass once
-    the pass's own check of the true residual meets the target. The
-    recurrence breaks down when r* turns orthogonal to r or to A M p, to
-    within rounding: |r* . r| or |r* . A M p| at most eps times the product
-    of the two norms (van der Vorst 1992). Each breakdown ends the pass, and
-    every pass counts at least one iteration, so every solve ends within
-    max_iter.
+    residual r = b - A x, and the test of that r is the only stopping test:
+    the solve stops once ||r|| meets the target, is not finite (unconverged,
+    as from an inf or a nan in b or x0) or max_iter iterations are spent. A
+    pass ends once its recurrence's own residual meets the target, so one
+    that has drifted from the true residual restarts from it (residual
+    replacement, Sleijpen & van der Vorst 1996). The recurrence breaks down
+    when r* turns orthogonal to r or to A M p, to within rounding: |r* . r|
+    or |r* . A M p| at most eps times the product of the two norms (van der
+    Vorst 1992). Each breakdown ends the pass, and every pass counts at
+    least one iteration, so every solve ends within max_iter.
 
     The iteration runs on b / 2^k and x0 / 2^k, with 2^k the power of two just
     above max|b|, and x is scaled back by 2^k. Scaling by a power of two is
@@ -188,11 +192,11 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     one work array to all of them, so that no solve allocates its vectors.
     b / 2^k, x and r take the first three rows and the pass the other six.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     b = np.asarray(b, dtype=float)
-    if b.shape != (A.rows,):
-        raise ValueError("right-hand side has wrong length")
+    if b.shape != (A.rows,) or (x0 is not None and np.shape(x0) != (A.rows,)):
+        raise ValueError(f"b and x0 must be vectors of {A.rows} floats")
     work = np.empty((WORK_VECTORS, A.rows)) if work is None else work
     if work.shape != (WORK_VECTORS, A.rows):
         raise ValueError(f"work must have shape {(WORK_VECTORS, A.rows)}, got {work.shape}")
@@ -217,18 +221,16 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
         finite = math.isfinite(normr)
         if not finite or normr <= target or iters >= max_iter:
             return np.ldexp(x, k), SolveStats(iters, normr / norm_b, finite and normr <= target)
-        taken, true_res = run_pass(b_k, r, x, target, max_iter - iters, rows)
-        iters += max(taken, 1)
-        if true_res is not None:
-            return np.ldexp(x, k), SolveStats(iters, true_res / norm_b, True)
+        iters += max(run_pass(r, x, target, max_iter - iters, rows), 1)
 
 
-def _iterate(A, precond, b: np.ndarray, r: np.ndarray, x: np.ndarray, target: float, max_iter: int, rows):
-    """One pass of right-preconditioned BiCGStab for A x = b from x, r = b - A x,
-    in place in x, r and the six rows of rows; A is a SparseMatrix or any
-    operator with rows and matvec(x, out, scratch). It takes at most max_iter
-    iterations and returns (iterations, ||b - A x||) once that true residual
-    meets target, else (iterations, None). s = r - alpha A M p overwrites r,
+def _iterate(A, precond, r: np.ndarray, x: np.ndarray, target: float, max_iter: int, rows) -> int:
+    """One pass of right-preconditioned BiCGStab from x and its residual r, in
+    place in x, r and the six rows of rows; A is a SparseMatrix or any
+    operator with rows and matvec(x, out, scratch). It makes the two products
+    of each iteration and no other, and returns the iterations it took: it
+    stops once the recurrence's residual r meets target, on a breakdown, when
+    s vanishes or after max_iter iterations. s = r - alpha A M p overwrites r,
     and M s overwrites M p once x has taken alpha M p, before omega M s.
     """
     r_star, p, mp, amp, ams, t = rows
@@ -243,7 +245,7 @@ def _iterate(A, precond, b: np.ndarray, r: np.ndarray, x: np.ndarray, target: fl
         denom = float(r_star @ amp)
         if (abs(rho) <= _EPS * norm_star * normr
                 or abs(denom) <= _EPS * norm_star * _norm(amp)):
-            return iters + 1, None  # breakdown: the restart counts as an iteration
+            return iters + 1  # breakdown: the restart counts as an iteration
         alpha = rho / denom
         np.subtract(r, np.multiply(alpha, amp, out=t), out=r)  # s = r - alpha A M p
         x += np.multiply(alpha, mp, out=t)  # x + alpha M p, the first term of the update
@@ -257,11 +259,7 @@ def _iterate(A, precond, b: np.ndarray, r: np.ndarray, x: np.ndarray, target: fl
         x += np.multiply(omega, mp, out=t)  # + omega M s
         np.subtract(r, np.multiply(omega, ams, out=t), out=r)  # r = s - omega A M s
         normr = _norm(r)
-        if normr <= target:
-            true_res = _norm(np.subtract(b, A.matvec(x, out=t, scratch=mp), out=t))
-            if true_res <= target:
-                return iters, true_res
-        if abs(omega) < _TINY:  # breakdown: restart
+        if normr <= target or abs(omega) < _TINY:  # solve judges x; or a breakdown: restart
             break
         rho_new = float(r_star @ r)
         beta = (rho_new / rho) * (alpha / omega)
@@ -269,7 +267,7 @@ def _iterate(A, precond, b: np.ndarray, r: np.ndarray, x: np.ndarray, target: fl
         p -= np.multiply(omega, amp, out=t)  # p = r + beta (p - omega A M p)
         p *= beta
         p += r
-    return iters, None
+    return iters
 
 
 def jacobi_solver(A: SparseMatrix):
@@ -359,36 +357,35 @@ class RedBlackLines:
         y -= coupled
         return out
 
-    def run_pass(self, b: np.ndarray, r: np.ndarray, x: np.ndarray, target: float, max_iter: int, rows):
-        """solve's pass with M from x, r = b - A x, as _iterate(A, M, ...) runs it
-        in exact arithmetic: the same start, operator, shadow residual and
-        target. r is packed as b_p = (||r_e||, r_o), _iterate runs on matvec
-        from u = 0 with the identity as preconditioner, and x += M^-1 (c e, q)
-        for u = (c, q), in two more batches. rows, six of A.rows floats, hold
-        the nine packed vectors, X e, T^-1 e and C_oe T^-1 e: 6 (w + 2)^2 >=
-        6 w^2 + 9. Returns (iterations, None): solve judges x by its next
-        true residual."""
+    def run_pass(self, r: np.ndarray, x: np.ndarray, target: float, max_iter: int, rows) -> int:
+        """solve's pass with M from x and its residual r, as _iterate(A, M, ...)
+        runs it in exact arithmetic: the same start, operator, shadow residual
+        and stopping rule. r is packed as r_p = (||r_e||, r_o), _iterate runs
+        on matvec from u = 0 with the identity as preconditioner, and
+        x += M^-1 (c e, q) for u = (c, q), in two more batches. rows, six of
+        A.rows floats, hold the eight packed vectors, X e, T^-1 e and
+        C_oe T^-1 e: 8 + w (10 n_odd + n_even) <= 6 w^2 + 8 floats. Returns
+        the iterations."""
         s, w = self.A.side, len(self.t_inv)
         (n_even, n_odd), size = self.n, self.rows
         packed = rows.reshape(-1, copy=False)
-        b_p, r_p, u, *packed_rows = packed[:WORK_VECTORS * size].reshape(WORK_VECTORS, size)
-        self.xe, te, cte = (packed[WORK_VECTORS * size + w * lo:][:w * count].reshape(w, count)
+        r_p, u, *packed_rows = packed[:8 * size].reshape(8, size)
+        self.xe, te, cte = (packed[8 * size + w * lo:][:w * count].reshape(w, count)
                             for lo, count in ((0, n_odd), (n_odd, n_even), (n_odd + n_even, n_odd)))
         rhs_even, rhs_odd = self.rhs[:, :n_even], self.rhs[:, :n_odd]
 
         # r packed as (||r_e||, r_o); then T^-1 e, C_oe T^-1 e and X e
         r_lines = r.reshape(s, s)[1:-1, 1:-1]
-        b_p[1:].reshape(w, n_odd)[...] = r_lines[:, 1::2]
+        r_p[1:].reshape(w, n_odd)[...] = r_lines[:, 1::2]
         np.copyto(te, r_lines[:, 0::2])
-        b_p[0] = norm_e = _norm(te.reshape(-1))
+        r_p[0] = norm_e = _norm(te.reshape(-1))
         np.copyto(te, self._line_solve(0, np.divide(te, norm_e or 1.0, out=rhs_even)))
         np.copyto(cte, self._couple(1))
         self._line_solve(1, cte)
         self._line_solve(0, self._couple(0))
         np.copyto(self.xe, self._couple(1))
-        np.copyto(r_p, b_p)
         u.fill(0.0)
-        iters, _ = _iterate(self, np.positive, b_p, r_p, u, target, max_iter, packed_rows)
+        iters = _iterate(self, np.positive, r_p, u, target, max_iter, packed_rows)
         # x + M^-1 (c e, q): y_o = T^-1 (q - c C_oe T^-1 e), y_e = c T^-1 e - T^-1 C_eo y_o
         x_lines = x.reshape(s, s)[1:-1, 1:-1]
         c, q = u[0], u[1:].reshape(w, n_odd)
@@ -397,4 +394,4 @@ class RedBlackLines:
         x_even = x_lines[:, 0::2]
         x_even += np.multiply(c, te, out=rhs_even)
         x_even -= t_coupled
-        return iters, None
+        return iters

@@ -744,13 +744,14 @@ def test_red_black_solver_starts_a_new_pass_when_the_full_residual_misses_tol(mo
     want, _ = sparse.solve(A, b, precond=line_gauss_seidel(A))
     inner, passes = sparse._iterate, []
 
-    def first_pass_stops_early(P, precond, b_p, r, u, target, max_iter, rows):
-        result = inner(P, precond, b_p, r, u, target * (1e4 if not passes else 1.0), max_iter, rows)
-        passes.append(result)
-        return result
+    def first_pass_stops_early(P, precond, r, u, target, max_iter, rows):
+        target *= 1e4 if not passes else 1.0
+        iters = inner(P, precond, r, u, target, max_iter, rows)
+        passes.append((iters, math.sqrt(r @ r) <= target))  # the packed recurrence met its target
+        return iters
     monkeypatch.setattr(sparse, "_iterate", first_pass_stops_early)
     x, stats = sparse.red_black_solver(A)(b)
-    assert len(passes) == 2 and all(true_res is not None for _, true_res in passes)
+    assert len(passes) == 2 and all(met for _, met in passes)
     assert stats.converged and stats.iterations == sum(iters for iters, _ in passes)
     assert math.sqrt(np.sum((b - A.matvec(x)) ** 2)) <= sparse.DEFAULT_TOL * math.sqrt(b @ b)
     assert np.max(np.abs(x - want)) <= 1e-8 * np.max(np.abs(want))
@@ -764,13 +765,62 @@ def test_a_pass_whose_packed_solve_takes_no_iteration_counts_one(monkeypatch):
     b = framed(A, np.random.default_rng(7).standard_normal(interior_of(A).sum()))
     calls = []
 
-    def stops_at_once(P, precond, b_p, r, u, target, max_iter, rows):
+    def stops_at_once(P, precond, r, u, target, max_iter, rows):
         calls.append(1)
         assert len(calls) <= 10, "the passes do not end"
-        return 0, None
+        return 0
     monkeypatch.setattr(sparse, "_iterate", stops_at_once)
     x, stats = sparse.red_black_solver(A)(b, max_iter=5)
     assert len(calls) == stats.iterations == 5 and not stats.converged and not np.any(x)
+
+
+def test_a_red_black_solve_makes_no_packed_product_outside_the_recurrence(monkeypatch):
+    # solve alone judges convergence, from the full residual: the packed pass
+    # makes the two products of each iteration and no third one of its own
+    A = lagrangian_lhs(33, 9.95)
+    b = framed(A, np.random.default_rng(9).standard_normal(interior_of(A).sum()))
+    product, calls = sparse.RedBlackLines.matvec, []
+    monkeypatch.setattr(sparse.RedBlackLines, "matvec",
+                        lambda self, *args, **kwargs: calls.append(1) or product(self, *args, **kwargs))
+    x, stats = sparse.red_black_solver(A)(b)
+    assert stats.converged and stats.iterations > 0 and len(calls) == 2 * stats.iterations
+
+
+def test_a_drifted_pass_restarts_from_the_true_residual(monkeypatch):
+    # on the two 3 x 3 systems of solve_cases the recurrence's residual meets
+    # the target before the true residual does; that pass ends, and the next
+    # one starts from r = b_k - A x, bit for bit, until the solve converges
+    inner, passes = sparse._iterate, []
+
+    def recorded(A, precond, r, x, target, max_iter, rows):
+        start = (r.copy(), x.copy())
+        iters = inner(A, precond, r, x, target, max_iter, rows)
+        passes.append((start, math.sqrt(r @ r) <= target))
+        return iters
+    monkeypatch.setattr(sparse, "_iterate", recorded)
+    for A, b, x0, precond in [case for case in solve_cases() if case[0].rows == 3]:
+        passes.clear()
+        x, stats = sparse.solve(A, b, x0=x0, precond=precond, max_iter=50)
+        b_k = np.ldexp(b, -math.frexp(np.abs(b).max())[1])
+        assert all(np.subtract(b_k, A.matvec(start)).tobytes() == r.tobytes() for (r, start), _ in passes)
+        assert len(passes) >= 2 and any(met for _, met in passes[:-1])  # a drifted pass restarted
+        assert stats.converged and stats.residual <= sparse.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("factory", [sparse.jacobi_solver, sparse.red_black_solver])
+def test_a_solve_refuses_an_x0_of_another_shape_and_a_tol_not_in_0_inf(factory):
+    # a scalar or length-1 x0 would spread over every row, frame included,
+    # and read as converged; tol = inf would take the zero start as
+    # converged, tol = nan run to max_iter
+    A = lagrangian_lhs(8, 3.3)
+    b = framed(A, np.random.default_rng(10).standard_normal(interior_of(A).sum()))
+    solve = factory(A)
+    for kwargs in (dict(x0=np.array([5.0])), dict(x0=5.0), dict(x0=np.zeros(A.rows - 1)),
+                   dict(x0=np.zeros((A.rows, 1))), dict(tol=math.inf), dict(tol=math.nan), dict(tol=-1e-10)):
+        with pytest.raises(ValueError):
+            solve(b, **kwargs)
+    x, stats = solve(b, x0=list(np.zeros(A.rows)))
+    assert stats.converged
 
 
 @pytest.mark.parametrize("tol, max_iter", [(1e-300, 30), (1e-14, 1), (1e-10, 2)])
@@ -876,12 +926,7 @@ def allocating_solve(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_MAX_I
             x = x + alpha * mp + omega * ms
             r = s - omega * ams
             normr = np.sqrt(r @ r)
-            if normr <= target:
-                res = b - A.matvec(x)
-                true_res = np.sqrt(res @ res)
-                if true_res <= target:
-                    return np.ldexp(x, k), sparse.SolveStats(iters, true_res / norm_b, True)
-            if abs(omega) < tiny:
+            if normr <= target or abs(omega) < tiny:
                 break
             rho_new = float(r_star @ r)
             beta = (rho_new / rho) * (alpha / omega)
@@ -938,11 +983,7 @@ def solve_in_eleven_rows(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_M
             x += np.multiply(omega, ms, out=t)
             np.subtract(s, np.multiply(omega, ams, out=r), out=r)
             normr = math.sqrt(r @ r)
-            if normr <= target:
-                true_res = math.sqrt(np.subtract(b_k, A.matvec(x, out=t, scratch=s), out=t) @ t)
-                if true_res <= target:
-                    return np.ldexp(x, k), sparse.SolveStats(iters, true_res / norm_b, True)
-            if abs(omega) < tiny:
+            if normr <= target or abs(omega) < tiny:
                 break
             rho_new = float(r_star @ r)
             beta = (rho_new / rho) * (alpha / omega)

@@ -46,10 +46,10 @@ class OperatorBlocks:
     """Mesh-level matrices assembled once and recombined per time step.
 
     mass, d_vv, d_zz and d_vz_sym are one stencil each, the rows of the
-    (4, 7) table; b_adv has a stencil per node. An operator is a vector c of
-    coefficients over the five blocks, in that order, and matrix(c) builds
-    it: 7 numbers, c[:4] @ table, plus c[4] times b_adv's rows when c[4] is
-    not 0. The time-dependent forms are
+    (4, 7) table, and mass is a matrix too; b_adv has a stencil per node. An
+    operator is a vector c of coefficients over the five blocks, in that
+    order, and matrix(c) builds it: 7 numbers, c[:4] @ table, plus c[4]
+    times b_adv's rows when c[4] is not 0. The time-dependent forms are
 
         lagrangian(t)     = d_vv + t^2 d_zz + t d_vz_sym
         selfsimilar(s,o1) = d_vv + A d_vz_sym + A^2 d_zz - b_adv - o1 * mass,
@@ -58,7 +58,7 @@ class OperatorBlocks:
 
     def __init__(self, table, b_adv: sparse.SparseMatrix):
         self.table, self.b_adv = table, b_adv
-        self.mass, self.d_vv, self.d_zz, self.d_vz_sym = (sparse.SparseMatrix(b_adv.side, t) for t in table)
+        self.mass = sparse.SparseMatrix(b_adv.side, table[0])
 
     def matrix(self, coeffs, out=None) -> sparse.SparseMatrix:
         """The operator sum_b coeffs[b] * block b, its rows written into out if given."""

@@ -4,9 +4,9 @@
   followed by an exact characteristic (semi-Lagrangian) transport update.
 * run_lagrangian: a theta scheme for the time-dependent sheared form, with
   the bilinear form frozen at the midpoint of each step. Its solves are
-  preconditioned by a red-black sweep over z-lines, each pass run on the odd
-  lines (sparse.red_black_solver); the other two forms use Jacobi. Both are
-  sparse.solve, so a step's solve is one call of it.
+  preconditioned by a red-black sweep over z-lines at every n, each pass run
+  on the odd lines (sparse.red_black_solver); the other two forms use Jacobi,
+  the stored centre's reciprocal. Both are sparse.solve: a step solves once.
 * run_selfsimilar: the exact two-operator split of the rescaled equation, a
   theta-scheme solve for the coercive part followed by the closed-form
   exponential reaction update. The two split operators commute, so the

@@ -16,8 +16,8 @@ out if given. A solver is solve bound to one matrix and its preconditioner,
 built once per matrix, (b, tol=, max_iter=, x0=, work=) -> (x, SolveStats):
 
 * jacobi_solver: preconditioned by jacobi, the inverse of the main
-  diagonal. It serves matrices whose couplings stay mass dominated, as in
-  the original and self-similar forms.
+  diagonal, one number (a row for a side with b_adv). It serves matrices
+  whose couplings stay mass dominated: the original and self-similar forms.
 * red_black_solver: preconditioned by a symmetric red-black Gauss-Seidel
   sweep of exact solves along the z-lines of the interior grid, the
   couplings at offsets 0 and +-s. The sheared form's operator
@@ -113,9 +113,9 @@ class SparseMatrix:
         return float(d[3] * (y @ y) + 2.0 * (d[4] * (y[1:] @ y[:-1]) + d[5] * (y[s:] @ y[:-s])
                                              + d[6] * (y[s + 1:] @ y[:-s - 1])))
 
-    def diagonal(self) -> np.ndarray:
-        """The main diagonal, 0 in the frame rows."""
-        return zero_frame(np.full(self.rows, self.data[3]), self.side)
+    def diagonal(self) -> float | np.ndarray:
+        """The main diagonal as stored, data[3]: one number, or for rows a row per node."""
+        return self.data[3]
 
 
 def combine(coeffs, table: np.ndarray, rows: SparseMatrix, out=None) -> SparseMatrix:
@@ -132,9 +132,9 @@ def combine(coeffs, table: np.ndarray, rows: SparseMatrix, out=None) -> SparseMa
 
 
 def jacobi(A: SparseMatrix):
-    """Diagonal preconditioner r -> r / diag(A), the identity on zero diagonal entries."""
+    """Diagonal preconditioner r -> r / diag(A), the identity where diag(A) is 0: one number or row."""
     diag = A.diagonal()
-    inv_diag = np.divide(1.0, diag, out=np.ones(A.rows), where=diag != 0.0)
+    inv_diag = np.divide(1.0, diag, out=np.ones(np.shape(diag)), where=diag != 0.0)
     return lambda r, out=None: np.multiply(inv_diag, r, out=out)
 
 
@@ -279,12 +279,11 @@ def red_black_solver(A: SparseMatrix):
     """solve for A with RedBlackLines(A), the symmetric red-black sweep over
     the z-lines of the interior grid, built once: (b, tol=, max_iter=, x0=,
     work=) -> (x, SolveStats), as jacobi_solver(A) gives. A holds one
-    symmetric stencil, 7 numbers; with at most one line, w <= 1, it is
-    jacobi_solver(A).
+    symmetric stencil, 7 numbers.
     """
     if not isinstance(A, SparseMatrix) or not A.symmetric:
         raise ValueError("the sweep needs A as one symmetric stencil of 7 numbers")
-    return jacobi_solver(A) if A.side - 2 <= 1 else functools.partial(solve, A, precond=RedBlackLines(A))
+    return functools.partial(solve, A, precond=RedBlackLines(A))
 
 
 class RedBlackLines:
@@ -315,9 +314,9 @@ class RedBlackLines:
     """
 
     def __init__(self, A: SparseMatrix):
-        s, w = A.side, A.side - 2
+        w = A.side - 2
         q, cos = _sine_basis(w)
-        self.A, self.t_inv = A, (q / (A.diagonal()[s + 1] + 2.0 * A.data[5] * cos)) @ q
+        self.A, self.t_inv = A, (q / (A.diagonal() + 2.0 * A.data[5] * cos)) @ q
         self.n = n = (w + 1) // 2, w // 2  # lines of colour p = 0 (even) and 1 (odd)
         self.rows = 1 + w * n[1]  # a packed vector: c, then the odd lines
         row = n[0] + 2

@@ -15,7 +15,7 @@ from test_mesh import (
     midpoint_quadrature,
     per_element,
 )
-from test_sparse import DiaMatrix, stencils
+from test_sparse import DiaMatrix, stencils, the_blocks
 
 UNIT = RectDomain(0.0, 1.0, 0.0, 1.0)
 
@@ -124,8 +124,7 @@ def test_assembly_matches_the_element_oracle():
             offsets, stack = scatter(mesh, list(element_blocks(mesh).values()))
             r = (max(abs(domain.v_min), abs(domain.v_max)) / mesh.hv
                  + max(abs(domain.z_min), abs(domain.z_max)) / mesh.hz)
-            for name, want in zip(("mass", "d_vv", "d_zz", "d_vz_sym", "b_adv"), stack):
-                block = getattr(blocks, name)
+            for name, block, want in zip(("mass", "d_vv", "d_zz", "d_vz_sym", "b_adv"), the_blocks(blocks), stack):
                 assert block.offsets == offsets
                 got, want = stencils(block)[:, interior_mask(mesh)], want[:, interior_mask(mesh)]
                 bound = 4 * np.finfo(float).eps * (r + 4) * np.abs(want).max(initial=0.0)
@@ -182,7 +181,7 @@ def test_heat_v_equals_lagrangian_at_zero():
     mesh = build_structured_mesh(RectDomain.square(2.0), 7)
     blocks = assemble_blocks(mesh)
     A0 = blocks.matrix(blocks.lagrangian(0.0))
-    Ah = blocks.d_vv
+    Ah = the_blocks(blocks)[1]  # d_vv
     assert Ah.offsets == A0.offsets
     assert np.array_equal(Ah.data, A0.data)
 
@@ -313,7 +312,7 @@ def test_bandwidth_of_assembled_matrices():
     mesh = build_structured_mesh(UNIT, 12)
     blocks = assemble_blocks(mesh)
     span = 2 * (mesh.n + 1) + 2
-    for mat in (blocks.mass, blocks.d_vv, blocks.b_adv):
+    for mat in (blocks.mass, the_blocks(blocks)[1], blocks.b_adv):  # [1] is d_vv
         assert max(abs(off) for off in mat.offsets) <= span
 
 

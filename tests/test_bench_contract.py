@@ -99,6 +99,15 @@ def test_every_form_calls_the_traced_names_as_the_benchmark_expects(form, monkey
     assert {name: calls[name] for name in want} == want
 
 
+def test_the_benchmarks_self_test_passes():
+    # a tiny traced instance of every workload calls each layer the
+    # benchmark expects of it, sparse.diagonal on the three solver workloads
+    # among them, and no other; it writes only under .bench_out/
+    done = subprocess.run([sys.executable, os.path.join("perfbench", "run.py"), "--selftest"],
+                          cwd=os.path.join(PERFBENCH, os.pardir), capture_output=True, text=True, timeout=170)
+    assert done.returncode == 0 and "# selftest passed" in done.stdout.splitlines(), done.stdout + done.stderr
+
+
 @pytest.mark.parametrize("form", solvers.FORMS)
 def test_the_traced_solve_is_each_steps_whole_solve(form, monkeypatch):
     # the tracer's sparse.solve layer reads the solves of a run: one call a

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,13 @@ def identity(m):
     return DiaMatrix((0,), np.ones((1, m)))
 
 
+def the_blocks(blocks):
+    """mass, d_vv, d_zz, d_vz_sym and b_adv, the five blocks in the order of
+    the coefficients; the three that OperatorBlocks does not keep are built
+    as the combination of one block, which gives their stored bits."""
+    return (blocks.mass, *(blocks.matrix(c) for c in np.eye(5)[1:4]), blocks.b_adv)
+
+
 def sides(n, domain=DOMAINS[0], dt=0.05):
     """A Lagrangian side, 7 numbers, and a self-similar one, with a row per node."""
     blocks = assemble_blocks(build_structured_mesh(domain, n))
@@ -171,7 +179,7 @@ def test_csr_invariants():
         mesh = build_structured_mesh(RectDomain.square(1.0), n)
         blocks = assemble_blocks(mesh)
         s = n + 1
-        for A in (blocks.mass, blocks.d_vv, blocks.d_zz, blocks.d_vz_sym, blocks.b_adv):
+        for A in the_blocks(blocks):
             assert A.offsets == (-s - 1, -s, -1, 0, 1, s, s + 1) and np.all(np.diff(A.offsets) > 0)
             assert A.data.shape == ((7, mesh.node_count) if A is blocks.b_adv else (7,))
             rows = np.flatnonzero(interior_mask(mesh))
@@ -223,7 +231,7 @@ def test_matvec_is_bit_identical_to_a_row_loop(n):
     mesh = build_structured_mesh(RectDomain(-1.0, 2.0, 0.5, 3.0), n)
     blocks = assemble_blocks(mesh)
     rng = np.random.default_rng(n)
-    for A in (blocks.mass, blocks.d_vv, blocks.d_zz, blocks.d_vz_sym, blocks.b_adv):
+    for A in the_blocks(blocks):
         x = framed(A, rng.standard_normal(interior_count(mesh)))
         x[rng.random(A.rows) < 0.3] = -0.0
         assert A.symmetric == (A is not blocks.b_adv)
@@ -462,10 +470,10 @@ def test_contraction_is_the_term_by_term_sum_of_the_blocks(n):
     # without b_adv is 7 numbers
     blocks = assemble_blocks(build_structured_mesh(RectDomain(-1.0, 2.0, 0.5, 3.0), n))
     names = ("mass", "d_vv", "d_zz", "d_vz_sym", "b_adv")  # the order of the coefficients
-    parts = [getattr(blocks, name) for name in names]
+    parts = the_blocks(blocks)
+    assert np.shares_memory(blocks.mass.data, blocks.table) and blocks.mass.data.base is not None
     for name, part, row in zip(names, parts, blocks.table):
-        assert np.shares_memory(part.data, blocks.table), name
-        assert part.data.base is not None and np.array_equal(part.data, row)
+        assert np.array_equal(part.data, row), name
     rng = np.random.default_rng(n)
     out = np.full(blocks.b_adv.data.shape, np.nan)
     for trial in range(20):
@@ -507,7 +515,7 @@ def line_jacobi(A):
     s, w = A.side, A.side - 2
     if w <= 1:
         return sparse.jacobi(A)
-    tri = np.diag(np.full(w, A.diagonal()[s + 1]))
+    tri = np.diag(np.full(w, A.diagonal()))
     tri += np.diag(np.full(w - 1, A.data[A.offsets.index(s)]), 1)  # T[a, a + 1]
     tri += np.diag(np.full(w - 1, A.data[A.offsets.index(-s)]), -1)  # T[a, a - 1]
     t_inv = np.linalg.inv(tri)
@@ -542,7 +550,7 @@ def line_gauss_seidel(A):
     if w <= 1:
         return sparse.jacobi(A)
     q, cos = sparse._sine_basis(w)
-    t_inv = (q / (A.diagonal()[s + 1] + 2.0 * A.data[5] * cos)) @ q
+    t_inv = (q / (A.diagonal() + 2.0 * A.data[5] * cos)) @ q
     n = (w + 1) // 2, w // 2  # lines of colour p = 0 (even) and 1 (odd)
     row = n[0] + 2
     # line 2j + p is column j of rhs and j + 1 of frames[p], framed by zeros
@@ -635,6 +643,50 @@ def test_line_gauss_seidel_without_lines_is_jacobi(n):
     assert np.array_equal(line_gauss_seidel(A)(r), sparse.jacobi(A)(r))
 
 
+def full_jacobi(A):
+    """The oracle of jacobi: r -> r / diag(A) with the diagonal spread over a
+    node vector, 0 in the frame rows, and the identity on its zero entries,
+    as jacobi built it before it took the stored centre."""
+    diag = sparse.zero_frame(np.full(A.rows, A.data[3]), A.side)
+    inv_diag = np.divide(1.0, diag, out=np.ones(A.rows), where=diag != 0.0)
+    return lambda r, out=None: np.multiply(inv_diag, r, out=out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12, 128])
+def test_jacobi_of_the_stored_centre_is_the_full_diagonal_bit_for_bit(n):
+    # a 7-number side's diagonal is one number, a self-similar side's one
+    # row; the centre is positive, so on a vector with a zero frame, -0.0
+    # entries included, the reciprocal of the stored centre gives the
+    # oracle's bits in every row, frame included
+    for A in sides(n):
+        assert np.shape(A.diagonal()) == (() if A.data.ndim == 1 else (A.rows,))
+        assert np.all(A.diagonal() > 0.0)
+        rng = np.random.default_rng(n)
+        r = framed(A, rng.standard_normal(interior_of(A).sum()))
+        r[rng.random(A.rows) < 0.3] = -0.0
+        want = full_jacobi(A)(r).tobytes()
+        for out in (None, np.full(A.rows, np.nan)):
+            got = sparse.jacobi(A)(r, out=out)
+            assert got.tobytes() == want and (out is None or got is out)
+    # a zero centre leaves r as it is
+    r = np.random.default_rng(0).standard_normal(16)
+    assert sparse.jacobi(sparse.SparseMatrix(4, [1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0]))(r).tobytes() == r.tobytes()
+
+
+def test_the_diagonal_and_a_jacobi_build_allocate_no_vector():
+    # a 7-number side's diagonal is its stored centre: neither A.diagonal()
+    # nor building jacobi(A) makes an array of A.rows floats
+    A = sides(128)[0]
+    for build in (A.diagonal, lambda: sparse.jacobi(A)):
+        tracemalloc.start()
+        try:
+            kept = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept is not None and peak < np.empty(A.rows).nbytes, peak
+
+
 def test_line_gauss_seidel_rejects_a_nonsymmetric_stencil():
     # the sweep sums each pair of equal coupling terms before its multiply
     A = lagrangian_lhs(5, 1.0)
@@ -666,7 +718,7 @@ def test_solve_with_line_gauss_seidel_vs_dense_elimination(to_dense):
     assert np.max(np.abs(x[inner] - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("n", [2, 3, 12])
+@pytest.mark.parametrize("n", [1, 2, 3, 12])  # at n = 1 no node is interior, at n = 2 one
 def test_preconditioners_and_solve_keep_the_zero_frame(n):
     # given vectors with a zero frame, jacobi, the sweep and solve return
     # exactly 0.0 on the frame, whatever their out and work arrays held
@@ -685,6 +737,25 @@ def test_preconditioners_and_solve_keep_the_zero_frame(n):
         if A.data.ndim == 1:  # and so does the red-black solver
             x, stats = sparse.red_black_solver(A)(r, x0=x0, work=np.full((sparse.WORK_VECTORS, A.rows), np.nan))
             assert stats.converged and np.all(x[~inner] == 0.0)
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=["square", "rectangle"])
+@pytest.mark.parametrize("t", [0.0, 3.3, 9.95])
+def test_red_black_solver_on_at_most_one_line_is_dense_elimination(t, domain, to_dense):
+    # w = 0 has no unknown, so b = 0 and the solve takes no iteration; w = 1
+    # has one, on the even line, whose packed vector is c alone: s vanishes
+    # in the first iteration, and x = b / a to within one rounding, as
+    # lambda_1 = a + 2 b cos(pi / 2) (measured: at most 1.0 eps relative)
+    for n, iterations in ((1, 0), (2, 1)):
+        A = lagrangian_lhs(n, t, domain=domain)
+        inner = interior_of(A)
+        for seed in range(5):
+            b = framed(A, np.random.default_rng(seed).standard_normal(inner.sum()) * 10.0 ** (4 * seed - 8))
+            x, stats = sparse.red_black_solver(A)(b)
+            want = np.linalg.solve(to_dense(A, inner), b[inner])
+            assert (stats.iterations, stats.converged) == (iterations, True)
+            assert np.all(np.abs(x[inner] - want) <= np.finfo(float).eps * np.abs(want))
+            assert np.all(x[~inner] == 0.0)
 
 
 def red_black_cases(n, t):
@@ -706,7 +777,7 @@ def red_black_cases(n, t):
 
 
 @pytest.mark.parametrize("t", [0.05, 3.3, 9.95])
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 9, 10, 33, 128])  # w = n - 1 of both parities; w <= 1 is jacobi
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 9, 10, 33, 128])  # w = n - 1 of both parities, w = 0 and 1 too
 def test_red_black_solver_is_the_solve_with_the_sweep(n, t):
     # the packed iteration is solve(A, b, precond=line_gauss_seidel(A)) in
     # exact arithmetic: the same iterations and verdict, and x within 1e-12
@@ -865,8 +936,8 @@ def test_red_black_solver_is_scale_invariant(e):
 
 def test_red_black_solver_checks_its_inputs():
     # one symmetric stencil of 7 numbers, a side of the right length, a
-    # positive tol and a work array of the solve's shape; at most one line
-    # it leaves to jacobi, which calls A.diagonal() once, as the sweep does
+    # positive tol and a work array of the solve's shape; the sweep calls
+    # A.diagonal() once at every size, with no line or one line too
     A = lagrangian_lhs(5, 1.0)
     skewed = A.data.copy()
     skewed[0] = np.nextafter(skewed[0], np.inf)

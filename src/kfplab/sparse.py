@@ -7,13 +7,14 @@ Dirichlet data, 0.0 in every vector of a solve: a matvec writes zero frame
 rows, a preconditioner keeps a zero frame, and so does every linear
 combination.
 
-The advection terms make the assembled systems nonsymmetric, hence a
-stabilized bi-conjugate-gradient method, solve, the one driver of every
-solve. Its test of the true residual at the start of each pass is the only
-stopping test: a pass ends once its recurrence's own residual meets the
-target. A preconditioner is a function (r, out=None) -> M^-1 r, written into
-out if given. A solver is solve bound to one matrix and its preconditioner,
-built once per matrix, (b, tol=, max_iter=, x0=, work=) -> (x, SolveStats):
+The advection terms make the assembled systems nonsymmetric, hence a stabilized
+bi-conjugate-gradient method, solve, the one driver of every solve. Its test of
+the true residual at the start of each pass is the only stopping test: a pass
+ends once its recurrence's own residual meets the target, and the solve,
+unconverged, after a pass that did not lower the true residual. A
+preconditioner is a function (r, out=None) -> M^-1 r, written into out if
+given. A solver is solve bound to one matrix and its preconditioner, built once
+per matrix, (b, tol=, max_iter=, x0=, work=) -> (x, SolveStats):
 
 * jacobi_solver: preconditioned by jacobi, the inverse of the main
   diagonal, one number (a row for a side with b_adv). It serves matrices
@@ -170,16 +171,15 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
 
     Returns (x, SolveStats); convergence means ||A x - b||_2 <= tol * ||b||_2.
     Each pass runs the recurrence from the current iterate x and its true
-    residual r = b - A x, and the test of that r is the only stopping test:
-    the solve stops once ||r|| meets the target, is not finite (unconverged,
-    as from an inf or a nan in b or x0) or max_iter iterations are spent. A
-    pass ends once its recurrence's own residual meets the target, so one
-    that has drifted from the true residual restarts from it (residual
-    replacement, Sleijpen & van der Vorst 1996). The recurrence breaks down
-    when r* turns orthogonal to r or to A M p, to within rounding: |r* . r|
-    or |r* . A M p| at most eps times the product of the two norms (van der
-    Vorst 1992). Each breakdown ends the pass, and every pass counts at
-    least one iteration, so every solve ends within max_iter.
+    residual r = b - A x, and the test of that r is the only stopping test: the
+    solve stops once ||r|| meets the target, and unconverged once ||r|| is not
+    below the last pass's (inf for the first, so a nan or inf in b or x0 ends
+    it at once) or max_iter iterations are spent. A pass ends once its
+    recurrence's own residual meets the target, so one that has drifted from
+    the true residual restarts from it (residual replacement, Sleijpen & van
+    der Vorst 1996). The recurrence breaks down when r* turns orthogonal to r
+    or to A M p: |r* . r| or |r* . A M p| at most eps times the product of the
+    two norms (van der Vorst 1992).
 
     The iteration runs on b / 2^k and x0 / 2^k, with 2^k the power of two just
     above max|b|, and x is scaled back by 2^k. Scaling by a power of two is
@@ -214,25 +214,24 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     target = tol * norm_b
 
     np.ldexp(0.0 if x0 is None else np.asarray(x0, dtype=float), -k, out=x)
-    iters = 0
+    iters, last = 0, math.inf
     while True:
         np.subtract(b_k, A.matvec(x, out=rows[5], scratch=rows[1]), out=r)
         normr = _norm(r)
-        finite = math.isfinite(normr)
-        if not finite or normr <= target or iters >= max_iter:
-            return np.ldexp(x, k), SolveStats(iters, normr / norm_b, finite and normr <= target)
-        iters += max(run_pass(r, x, target, max_iter - iters, rows), 1)
+        if normr <= target < math.inf or not normr < last or iters >= max_iter:
+            return np.ldexp(x, k), SolveStats(iters, normr / norm_b, normr <= target < math.inf)
+        iters, last = iters + run_pass(r, x, target, max_iter - iters, rows), normr
 
 
 def _iterate(A, precond, r: np.ndarray, x: np.ndarray, target: float, max_iter: int, rows) -> int:
     """One pass of right-preconditioned BiCGStab from x and its residual r, in
-    place in x, r and the six rows of rows; A is a SparseMatrix or any
-    operator with rows and matvec(x, out, scratch). It makes the two products
-    of each iteration and no other, and returns the iterations it took: it
-    stops once the recurrence's residual r meets target, on a breakdown, when
-    s vanishes or after max_iter iterations. s = r - alpha A M p overwrites r,
-    and M s overwrites M p once x has taken alpha M p, before omega M s.
-    """
+    place in x, r and the six rows of rows; A is a SparseMatrix or any operator
+    with rows and matvec(x, out, scratch). It makes the two products of each
+    iteration and no other, and returns the iterations it completed: it stops
+    once the recurrence's residual r meets target, on a breakdown (0 with x as
+    it was, at the first), when s vanishes or after max_iter iterations. s = r
+    - alpha A M p overwrites r, and M s overwrites M p once x has taken alpha M
+    p, before omega M s."""
     r_star, p, mp, amp, ams, t = rows
     r_star[:] = r
     p[:] = r
@@ -245,7 +244,7 @@ def _iterate(A, precond, r: np.ndarray, x: np.ndarray, target: float, max_iter: 
         denom = float(r_star @ amp)
         if (abs(rho) <= _EPS * norm_star * normr
                 or abs(denom) <= _EPS * norm_star * _norm(amp)):
-            return iters + 1  # breakdown: the restart counts as an iteration
+            return iters  # breakdown
         alpha = rho / denom
         np.subtract(r, np.multiply(alpha, amp, out=t), out=r)  # s = r - alpha A M p
         x += np.multiply(alpha, mp, out=t)  # x + alpha M p, the first term of the update

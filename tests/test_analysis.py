@@ -241,6 +241,8 @@ def test_decay_fit_rejects_nonpositive_norms():
         decay_fit(np.array([1.0, 2.0, 3.0]), np.array([1.0, 1.0, 1.0]), kind="bogus")
     with pytest.raises(ValueError, match="positive"):  # every Trajectory starts at t = 0
         decay_fit(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.25]), kind="power")
+    with pytest.raises(ValueError, match="at least 3 points"):  # a window that keeps two
+        decay_fit(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.5, 0.25]), window=(1.5, 3.0))
 
 
 def test_decay_fit_window_selection():

@@ -220,6 +220,9 @@ def test_envelope_branch_crossing():
 def test_envelope_rejects_nonpositive_s():
     with pytest.raises(ValueError):
         linf_envelope(0.0, 1.0, 1.0)
+    for l1_norm, linf_norm in ((-1.0, 1.0), (1.0, -1e-300)):  # and negative norms
+        with pytest.raises(ValueError, match="nonnegative"):
+            linf_envelope(1.0, l1_norm, linf_norm)
 
 
 def test_envelope_dominates_exact_solution():
@@ -308,6 +311,8 @@ def test_poincare_constant_cases():
     t_switch = 2.0 / 4.0
     assert poincare_constant(tall, t_switch) == 1.0
     assert poincare_constant(tall, t_switch + 1e-12) == pytest.approx(1.0, rel=1e-10)
+    with pytest.raises(ValueError, match="nonnegative"):
+        poincare_constant(square, -1e-12)
 
 
 def test_domain_condition_cases():
@@ -390,7 +395,8 @@ def test_oracle_takes_one_point_or_none():
 
 @pytest.mark.parametrize("term", [
     (1.0, 0.0, 0.0, math.nan, 1.0), (1.0, 0.0, 0.0, 1.0, math.inf),
-    (math.nan, 0.0, 0.0, 1.0, 1.0), (1.0, math.inf, 0.0, 1.0, 1.0)])
+    (math.nan, 0.0, 0.0, 1.0, 1.0), (1.0, math.inf, 0.0, 1.0, 1.0),
+    (1.0, 0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 1.0, -2.0)])  # and a decay rate <= 0
 def test_gaussian_sum_rejects_nonfinite_terms(term):
     with pytest.raises(ValueError):
         GaussianSum([(1.0, 0.0, 0.0, 1.0, 1.0), term])

@@ -266,6 +266,10 @@ def test_selfsimilar_rejects_sigma1_above_one():
     mesh = build_structured_mesh(UNIT, 4)
     with pytest.raises(ValueError):
         assemble_blocks(mesh).selfsimilar(1.0, 1.0 + 1e-9)
+    # and either form's coefficients at a negative time
+    for coefficients in (lambda blocks: blocks.selfsimilar(-1e-12, 0.5), lambda blocks: blocks.lagrangian(-1.0)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            coefficients(assemble_blocks(mesh))
 
 
 def test_coercivity_threshold():

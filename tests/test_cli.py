@@ -80,6 +80,10 @@ def test_nonfinite_input_is_config_error(tmp_path, capsys, flag, value):
     "nested-domains --n 8 --scales 4",  # one scale gives no pair to compare
     "nested-domains --n 16 --scales 4,4 --dt 0.1 --t-end 1",  # a scale compared with itself
     "run --n 4 --config {tmp}/missing.cfg",
+    "run --n 4 --config {tmp}/no_equals.cfg",  # a line without =
+    "run --n 4 --domain 0,1,0",  # three numbers for four
+    "run --n 4 --t-end 0",
+    "run --n 4 --t-end=-1",
     "run --form lagrangian --n 4 --dt 1e-320 --t-end 10",
     "run --form selfsimilar --n 4 --sigma1=-1e6",
     "run --form selfsimilar --n 4 --dt 1e300 --t-end 1",
@@ -101,6 +105,7 @@ def test_nonfinite_input_is_config_error(tmp_path, capsys, flag, value):
     "run --n 4 --seed 3",
 ])
 def test_invalid_command_flag_exits_2_before_running(tmp_path, capsys, argv):
+    (tmp_path / "no_equals.cfg").write_text("n 4\n")
     rc = main(argv.format(tmp=tmp_path).split() + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 2
@@ -421,6 +426,18 @@ def test_a_non_finite_error_against_the_closed_form_exits_3(tmp_path, capsys, ar
     assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
     assert "RectDomain(v_min=0.0, v_max=1.6e+308" in err
     assert not (tmp_path / "errors.csv").exists()
+
+
+def test_a_run_whose_solve_stalls_near_rounding_exits_3_before_max_iter(tmp_path, capsys):
+    # at tol 3e-15 the first step's true residual stops falling above its
+    # target: that solve ends at the first pass that does not lower it, not
+    # after the 1000 iterations of max_iter, and the run exits 3
+    rc = main("run --form lagrangian --n 128 --dt 0.1 --t-end 10 --tol 3e-15".split() + ["--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert rc == 3 and "Traceback" not in err and len(errors) == 1
+    assert errors[0].startswith("error: linear solve failed: ")
+    assert int(errors[0].split()[4]) < 1000  # its iterations
 
 
 def test_an_unstable_run_past_the_largest_float_exits_3_or_writes_inf(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kfplab import analytic, sparse
-from kfplab.assembly import MASS, STENCIL, assemble_blocks
+from kfplab.assembly import D_VV, MASS, STENCIL, assemble_blocks
 from kfplab.mesh import RectDomain, build_structured_mesh
 from kfplab.solvers import project_initial
 from conftest import _to_dense
@@ -491,13 +491,13 @@ def test_contraction_is_the_term_by_term_sum_of_the_blocks(n):
 
 def test_solve_breakdown_restart_reports_failure():
     # skew-symmetric system: the BiCGStab recurrence breaks down at once
-    # (r* . A p = 0) after every restart; each restart counts as an iteration,
-    # so the solver stops at max_iter and reports honestly
+    # (r* . A p = 0), so its first pass leaves x as it was and the true
+    # residual is not lowered: the solve ends there and reports honestly
     A = DiaMatrix((-1, 1), [[0.0, -1.0], [1.0, 0.0]])  # [[0, 1], [-1, 0]]
     x, stats = sparse.solve(A, np.array([1.0, 0.0]), tol=1e-12, max_iter=50)
     assert not stats.converged
-    assert stats.iterations == 50
-    assert np.all(np.isfinite(x))
+    assert stats.iterations == 0 and stats.residual == 1.0
+    assert np.all(np.isfinite(x)) and not np.any(x)
 
 
 def lagrangian_lhs(n, t, dt=0.1, domain=DOMAINS[0]):
@@ -828,10 +828,9 @@ def test_red_black_solver_starts_a_new_pass_when_the_full_residual_misses_tol(mo
     assert np.max(np.abs(x - want)) <= 1e-8 * np.max(np.abs(want))
 
 
-def test_a_pass_whose_packed_solve_takes_no_iteration_counts_one(monkeypatch):
+def test_a_pass_whose_packed_solve_takes_no_iteration_ends_the_solve(monkeypatch):
     # a packed pass that takes no iteration leaves x as it was, so the full
-    # residual misses tol ||b|| again; counting such a pass as an iteration
-    # is what ends the solve
+    # residual is not lowered, and that alone ends the solve, unconverged
     A = lagrangian_lhs(9, 3.3)
     b = framed(A, np.random.default_rng(7).standard_normal(interior_of(A).sum()))
     calls = []
@@ -842,7 +841,7 @@ def test_a_pass_whose_packed_solve_takes_no_iteration_counts_one(monkeypatch):
         return 0
     monkeypatch.setattr(sparse, "_iterate", stops_at_once)
     x, stats = sparse.red_black_solver(A)(b, max_iter=5)
-    assert len(calls) == stats.iterations == 5 and not stats.converged and not np.any(x)
+    assert len(calls) == 1 and stats.iterations == 0 and not stats.converged and not np.any(x)
 
 
 def test_a_red_black_solve_makes_no_packed_product_outside_the_recurrence(monkeypatch):
@@ -897,9 +896,9 @@ def test_a_solve_refuses_an_x0_of_another_shape_and_a_tol_not_in_0_inf(factory):
 @pytest.mark.parametrize("tol, max_iter", [(1e-300, 30), (1e-14, 1), (1e-10, 2)])
 def test_red_black_solver_ends_within_max_iter_and_reports_the_true_residual(tol, max_iter):
     # a packed solve that meets its own test starts a new pass unless the
-    # full residual meets tol ||b|| too; every pass takes at least one
-    # iteration, so the solve stops at max_iter and reports the residual
-    # of the x it returns
+    # full residual meets tol ||b|| too; here every pass lowers that
+    # residual, so the solve stops at max_iter and reports the residual of
+    # the x it returns
     A = lagrangian_lhs(33, 9.95)
     b = framed(A, np.random.default_rng(4).standard_normal(interior_of(A).sum()))
     x, stats = sparse.red_black_solver(A)(b, tol=tol, max_iter=max_iter)
@@ -922,6 +921,39 @@ def test_a_solve_from_a_non_finite_residual_ends_at_once_unconverged(factory, ba
         with np.errstate(all="ignore"):
             x, stats = factory(A)(vector if where == "b" else b, x0=x0)
         assert stats.iterations == 0 and not stats.converged
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_solve_near_rounding_ends_once_a_pass_does_not_lower_the_true_residual(seed, monkeypatch):
+    # at n = 128, t = 9.95 and tol = 3e-15 the true residual stalls above its
+    # target while each packed pass meets its own within an iteration; the
+    # solve ends, unconverged, at the first pass that does not lower it,
+    # within a few passes instead of one-iteration passes up to max_iter
+    A = lagrangian_lhs(128, 9.95)
+    b = sparse.zero_frame(np.random.default_rng(seed).standard_normal(A.rows), A.side)
+    inner, passes = sparse._iterate, []
+    monkeypatch.setattr(sparse, "_iterate", lambda *args: passes.append(1) or inner(*args))
+    x, stats = sparse.red_black_solver(A)(b, tol=3e-15, max_iter=200)
+    true = math.sqrt(np.sum((b - A.matvec(x)) ** 2)) / math.sqrt(b @ b)
+    assert not stats.converged and len(passes) <= 5 and stats.iterations < 200
+    assert stats.residual == pytest.approx(true, rel=1e-6)
+
+
+@pytest.mark.parametrize("side", [lambda blocks: MASS + 0.005 * D_VV,
+                                  lambda blocks: MASS + 0.005 * blocks.selfsimilar(0.7, 0.5)])
+def test_jacobi_on_a_one_centre_side_is_the_unpreconditioned_solve(side):
+    # the original and self-similar theta sides have one centre value at
+    # every node (b_adv's centre is -h_v h_z / 2 throughout), so jacobi(A)
+    # only scales A M^-1 by that value: solve takes the same iterations
+    # with np.positive, the identity, and x agrees to rounding
+    blocks = assemble_blocks(build_structured_mesh(DOMAINS[0], 128))
+    A = blocks.matrix(side(blocks))
+    assert np.ptp(A.diagonal()) == 0.0
+    b = sparse.zero_frame(np.random.default_rng(12).standard_normal(A.rows), A.side)
+    x, stats = sparse.solve(A, b, precond=sparse.jacobi(A))
+    y, plain = sparse.solve(A, b, precond=np.positive)
+    assert stats.converged and plain.converged and stats.iterations == plain.iterations
+    assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
 
 @pytest.mark.parametrize("e", [-600, 600])
@@ -969,12 +1001,13 @@ def allocating_solve(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_MAX_I
     target = tol * norm_b
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     x = np.zeros(A.rows) if x0 is None else np.ldexp(x0, -k)
-    iters = 0
+    iters, last = 0, np.inf
     while True:
         r = b - A.matvec(x)
         normr = np.sqrt(r @ r)
-        if normr <= target or iters >= max_iter:
+        if normr <= target or not normr < last or iters >= max_iter:
             return np.ldexp(x, k), sparse.SolveStats(iters, normr / norm_b, bool(normr <= target))
+        last = normr
         r_star, p = r.copy(), r.copy()
         rho, norm_star = float(r_star @ r), normr
         while iters < max_iter:
@@ -982,7 +1015,6 @@ def allocating_solve(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_MAX_I
             amp = A.matvec(mp)
             denom = float(r_star @ amp)
             if abs(rho) <= eps * norm_star * normr or abs(denom) <= eps * norm_star * np.sqrt(amp @ amp):
-                iters += 1
                 break
             alpha = rho / denom
             s = r - alpha * amp
@@ -1024,12 +1056,13 @@ def solve_in_eleven_rows(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_M
     target = tol * norm_b
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     np.ldexp(0.0 if x0 is None else np.asarray(x0, dtype=float), -k, out=x)
-    iters = 0
+    iters, last = 0, math.inf
     while True:
         np.subtract(b_k, A.matvec(x, out=t, scratch=s), out=r)
         normr = math.sqrt(r @ r)
-        if normr <= target or iters >= max_iter:
+        if normr <= target or not normr < last or iters >= max_iter:
             return np.ldexp(x, k), sparse.SolveStats(iters, normr / norm_b, bool(normr <= target))
+        last = normr
         r_star[:] = r
         p[:] = r
         rho, norm_star = float(r_star @ r), normr
@@ -1038,7 +1071,6 @@ def solve_in_eleven_rows(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_M
             A.matvec(mp, out=amp, scratch=t)
             denom = float(r_star @ amp)
             if abs(rho) <= eps * norm_star * normr or abs(denom) <= eps * norm_star * math.sqrt(amp @ amp):
-                iters += 1
                 break
             alpha = rho / denom
             np.subtract(r, np.multiply(alpha, amp, out=s), out=s)
@@ -1068,7 +1100,7 @@ def solve_cases():
     """(A, b, x0, precond) for every path of solve: Jacobi and the z-line
     sweep, from zero and from a start; a restart after r* . A M p vanishes
     and another after omega does, each ending where s vanishes; and a system
-    that breaks down after every restart."""
+    that breaks down at once, which ends the solve."""
     A = lagrangian_lhs(12, 10.0)
     rng = np.random.default_rng(11)
     inner = interior_of(A)

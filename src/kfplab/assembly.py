@@ -80,12 +80,11 @@ class OperatorBlocks:
         which is singular at s = 0, but the directional gradient multiplies
         it back by A, so assembling the product is valid for all s >= 0 and
         algebraically identical for s > 0. The theta scheme uses this
-        operator directly as the implicit-side operator.
+        operator directly as the implicit-side operator. It is coercive for
+        sigma1 <= 1, the bound RunConfig checks.
         """
         if s < 0:
             raise ValueError("s must be nonnegative")
-        if sigma1 > 1.0:
-            raise ValueError("sigma1 must satisfy sigma1 <= 1 (coercivity of the implicit part)")
         a = 1.0 - math.exp(-s)
         return np.array([-sigma1, 1.0, a * a, a, -1.0])
 

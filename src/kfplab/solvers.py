@@ -5,24 +5,25 @@
 * run_lagrangian: a theta scheme for the time-dependent sheared form, with
   the bilinear form frozen at the midpoint of each step. Its solves are
   preconditioned by a red-black sweep over z-lines at every n, each pass run
-  on the odd lines (sparse.red_black_solver); the other two forms use Jacobi,
-  the stored centre's reciprocal. Both are sparse.solve: a step solves once.
+  on the odd lines (sparse.RedBlackLines); the other two forms use Jacobi,
+  the stored centre's reciprocal (sparse.jacobi). A step calls sparse.solve
+  once, with its side's preconditioner.
 * run_selfsimilar: the exact two-operator split of the rescaled equation, a
   theta-scheme solve for the coercive part followed by the closed-form
   exponential reaction update. The two split operators commute, so the
   splitting itself introduces no error.
 
 Each form supplies only the operators of its theta step, as coefficient
-vectors over the assembled blocks, its solver factory and its split update
-to one time loop, _march. The loop builds the theta sides, takes the steps
-and records the run, starting each solve from the extrapolated solve
-increments of the last three steps. It owns the solver's work vectors, the
-theta sides' arrays, the right-hand side, the start and the increments for
-the whole run. Every state is a node vector, 0.0 on the boundary, the frame
-of every solve. A single run is sequential; distinct runs are independent
-and each produced Field is an immutable snapshot. A solve that does not
-converge, as one whose right-hand side has overflowed to inf, raises
-SolverError.
+vectors over the assembled blocks, its preconditioner's constructor and its
+split update to one time loop, _march. The loop builds the theta sides and
+the preconditioner, takes the steps and records the run, starting each
+solve from the extrapolated solve increments of the last three steps. It
+owns the solve's work vectors, the theta sides' arrays, the right-hand
+side, the start and the increments for the whole run. Every state is a node
+vector, 0.0 on the boundary, the frame of every solve. A single run is
+sequential; distinct runs are independent and each produced Field is an
+immutable snapshot. A solve that does not converge, as one whose right-hand
+side has overflowed to inf, raises SolverError.
 """
 
 import functools
@@ -147,25 +148,26 @@ def _start(config: RunConfig, f0, form: str):
     return project_initial(mesh, analytic.gaussian_ic if f0 is None else f0), blocks
 
 
-def _theta_step(solve, rhs_mat, rhs, x, guess, work, config):
-    """Solve lhs x_new = rhs_mat x from guess in work, solve built from lhs, the
-    right-hand side written into rhs: (x_new, SolveStats)."""
+def _theta_step(lhs, precond, rhs_mat, rhs, x, guess, work, config):
+    """Solve lhs x_new = rhs_mat x from guess in work by sparse.solve, with
+    precond built from lhs, the right-hand side written into rhs:
+    (x_new, SolveStats)."""
     rhs_mat.matvec(x, out=rhs, scratch=work[0])  # work[0] holds nothing until the solve fills it
-    x_new, stats = solve(rhs, tol=config.tol, x0=guess, work=work)
+    x_new, stats = sparse.solve(lhs, rhs, precond, tol=config.tol, x0=guess, work=work)
     if not stats.converged:
         raise SolverError(
             f"linear solve failed: {stats.iterations} iterations, relative residual {stats.residual:.3e}")
     return x_new, stats
 
 
-def _march(config: RunConfig, first: Field, blocks, operators, solver, update=lambda k, y: y) -> Trajectory:
+def _march(config: RunConfig, first: Field, blocks, operators, precond, update=lambda k, y: y) -> Trajectory:
     """The one time loop of every form. Step k = 1 .. config.steps solves the
     theta step (M + dt th A) y = (M - dt (1-th) A') x, with operators(k) =
     (A', A) the coefficient vectors over the blocks of its explicit and its
     implicit side, and then applies the form's split update(k, y). Each side
-    is built by one combine, and solver(lhs), the side's solve, from the
-    implicit side lhs; all three are reused while operators(k) returns
-    equal vectors.
+    is built by one combine, and precond(lhs) from the implicit side lhs, so
+    that each step solves by sparse.solve(lhs, rhs, precond(lhs), ...); all
+    three are reused while operators(k) returns equal vectors.
 
     Each solve starts from x plus the EXTRAPOLATION of the increments
     d = y - x of the last three solves, taken before the split update. The
@@ -199,8 +201,8 @@ def _march(config: RunConfig, first: Field, blocks, operators, solver, update=la
             if ops is None or not all(map(np.array_equal, new, ops)):
                 lhs = blocks.matrix(MASS + config.dt * config.theta * implicit, out=sides_data[0])
                 rhs_mat = blocks.matrix(MASS - config.dt * (1.0 - config.theta) * explicit, out=sides_data[1])
-                ops, sides = new, None  # free the last solver's arrays before the next takes its own
-                sides = (solver(lhs), rhs_mat)
+                ops, sides = new, None  # free the last preconditioner's arrays before the next takes its own
+                sides = (lhs, precond(lhs), rhs_mat)
             np.copyto(guess, x)
             for w, di in zip(EXTRAPOLATION[len(d)], d):
                 guess += np.multiply(w, di, out=work[0])  # work is free between solves
@@ -230,10 +232,10 @@ def run_original(config: RunConfig, f0=None) -> Trajectory:
     # are constant, so they are located once; boundary feet may land inside
     # the domain, so the transported state is pinned as the initial one is;
     # the run owns the gather of the vertex values, as _march owns the
-    # solver's rows, so that no step frees it at the top of the heap
+    # solve's rows, so that no step frees it at the top of the heap
     feet = np.column_stack([mesh.nodes[:, 0], mesh.nodes[:, 1] + mesh.nodes[:, 0] * config.dt])
     at_feet, gather = locate(mesh, feet), np.empty((3, mesh.node_count))
-    return _march(config, state, blocks, lambda k: (D_VV, D_VV), sparse.jacobi_solver,
+    return _march(config, state, blocks, lambda k: (D_VV, D_VV), sparse.jacobi,
                   lambda k, y: _pinned(mesh, interpolate_many(Field(mesh, y, k * config.dt), at_feet, gather)))
 
 
@@ -243,11 +245,11 @@ def run_lagrangian(config: RunConfig, f0=None) -> Trajectory:
     At large t the operator (d_v + t d_z)^2 couples each node mostly to its
     z-neighbours, at offsets +-(n + 1) on the node grid, so each step's solve
     is preconditioned by exact solves along z-lines, swept red-black, and
-    runs on the odd lines (sparse.red_black_solver).
+    runs on the odd lines (sparse.RedBlackLines).
     """
     state, blocks = _start(config, f0, "lagrangian")
     return _march(config, state, blocks, lambda k: (blocks.lagrangian((k - 1) * config.dt + 0.5 * config.dt),) * 2,
-                  sparse.red_black_solver)
+                  sparse.RedBlackLines)
 
 
 def run_selfsimilar(config: RunConfig, f0=None) -> Trajectory:
@@ -267,7 +269,7 @@ def run_selfsimilar(config: RunConfig, f0=None) -> Trajectory:
     # A(s_k) is the implicit operator of step k and the explicit one of step
     # k + 1; the cache of two computes each once
     a = functools.lru_cache(maxsize=2)(lambda k: blocks.selfsimilar(k * config.dt, config.sigma1))
-    return _march(config, state, blocks, lambda k: (a(k - 1), a(k)), sparse.jacobi_solver, lambda k, y: growth * y)
+    return _march(config, state, blocks, lambda k: (a(k - 1), a(k)), sparse.jacobi, lambda k, y: growth * y)
 
 
 def run(config: RunConfig, f0=None) -> Trajectory:

@@ -1,5 +1,5 @@
 """The 7-point operators of the P1 forms on the node grid, their linear
-combination, a preconditioned BiCGStab solver and the two solvers built on it.
+combination and a preconditioned BiCGStab solver with its two preconditioners.
 
 A vector holds the values at the nodes of the (n + 1) x (n + 1) grid, as
 Field.values does. Its boundary nodes are the frame, the homogeneous
@@ -13,21 +13,20 @@ the true residual at the start of each pass is the only stopping test: a pass
 ends once its recurrence's own residual meets the target, and the solve,
 unconverged, after a pass that did not lower the true residual. A
 preconditioner is a function (r, out=None) -> M^-1 r, written into out if
-given. A solver is solve bound to one matrix and its preconditioner, built once
-per matrix, (b, tol=, max_iter=, x0=, work=) -> (x, SolveStats):
+given, built from the matrix it serves; every solve names its own,
+solve(A, b, precond, tol=, max_iter=, x0=, work=) -> (x, SolveStats):
 
-* jacobi_solver: preconditioned by jacobi, the inverse of the main
-  diagonal, one number (a row for a side with b_adv). It serves matrices
-  whose couplings stay mass dominated: the original and self-similar forms.
-* red_black_solver: preconditioned by a symmetric red-black Gauss-Seidel
-  sweep of exact solves along the z-lines of the interior grid, the
-  couplings at offsets 0 and +-s. The sheared form's operator
-  (d_v + t d_z)^2 puts nearly all of its coupling there at large t, where
-  diagonal preconditioning needs several times as many iterations. The
-  sweep leaves the even lines of every residual-space vector a multiple of
-  one vector, so each pass runs the recurrence on packed (scalar,
-  odd-line) vectors, whose product takes two batches of line solves and no
-  matvec (RedBlackLines).
+* jacobi(A): the inverse of the main diagonal, one number (a row for a side
+  with b_adv). It serves matrices whose couplings stay mass dominated: the
+  original and self-similar forms.
+* RedBlackLines(A): a symmetric red-black Gauss-Seidel sweep of exact
+  solves along the z-lines of the interior grid, the couplings at offsets
+  0 and +-s. The sheared form's operator (d_v + t d_z)^2 puts nearly all
+  of its coupling there at large t, where diagonal preconditioning needs
+  several times as many iterations. The sweep leaves the even lines of
+  every residual-space vector a multiple of one vector, so each pass runs
+  the recurrence on packed (scalar, odd-line) vectors, whose product takes
+  two batches of line solves and no matvec (its run_pass).
 
 A symmetric stencil's matvec adds x[i - o] + x[i + o] before one multiply,
 o = 1, s, s + 1. Matrices are immutable after construction. matvec and solve write
@@ -156,18 +155,18 @@ WORK_VECTORS = 9  # rows of the work array solve iterates in
 _EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 
-def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER, x0: np.ndarray | None = None, precond=None, work=None):
+def solve(A: SparseMatrix, b: np.ndarray, precond, tol: float = DEFAULT_TOL,
+          max_iter: int = DEFAULT_MAX_ITER, x0: np.ndarray | None = None, work=None):
     """Right-preconditioned BiCGStab for A x = b, the one driver of every solve.
 
     A is a SparseMatrix, or any operator with rows and matvec(x, out,
-    scratch). precond is a preconditioner built from A, such as jacobi(A),
-    the default, or np.positive, the identity; or RedBlackLines(A), which
-    runs each pass with its sweep on packed vectors. b and x0 (zero by
-    default) are vectors of A.rows floats, and 0 < tol < inf. x0 only sets
-    where the iteration begins: every start meets the same stopping test.
-    With b and x0 zero on the frame, every vector of the iteration is, and
-    x too.
+    scratch). precond is a preconditioner built from A, such as jacobi(A)
+    or np.positive, the identity; one with a run_pass, as RedBlackLines(A),
+    runs each pass itself, with its sweep on packed vectors. b and x0 (zero
+    by default) are vectors of A.rows floats, and 0 < tol < inf. x0 only
+    sets where the iteration begins: every start meets the same stopping
+    test. With b and x0 zero on the frame, every vector of the iteration is,
+    and x too.
 
     Returns (x, SolveStats); convergence means ||A x - b||_2 <= tol * ||b||_2.
     Each pass runs the recurrence from the current iterate x and its true
@@ -208,9 +207,7 @@ def solve(A: SparseMatrix, b: np.ndarray, tol: float = DEFAULT_TOL,
     if norm_b == 0.0:
         return np.zeros(A.rows), SolveStats(0, 0.0, True)
 
-    if precond is None:
-        precond = jacobi(A)
-    run_pass = precond.run_pass if isinstance(precond, RedBlackLines) else functools.partial(_iterate, A, precond)
+    run_pass = getattr(precond, "run_pass", None) or functools.partial(_iterate, A, precond)
     target = tol * norm_b
 
     np.ldexp(0.0 if x0 is None else np.asarray(x0, dtype=float), -k, out=x)
@@ -269,22 +266,6 @@ def _iterate(A, precond, r: np.ndarray, x: np.ndarray, target: float, max_iter: 
     return iters
 
 
-def jacobi_solver(A: SparseMatrix):
-    """solve for A with jacobi(A), built once: (b, tol=, max_iter=, x0=, work=) -> (x, SolveStats)."""
-    return functools.partial(solve, A, precond=jacobi(A))
-
-
-def red_black_solver(A: SparseMatrix):
-    """solve for A with RedBlackLines(A), the symmetric red-black sweep over
-    the z-lines of the interior grid, built once: (b, tol=, max_iter=, x0=,
-    work=) -> (x, SolveStats), as jacobi_solver(A) gives. A holds one
-    symmetric stencil, 7 numbers.
-    """
-    if not isinstance(A, SparseMatrix) or not A.symmetric:
-        raise ValueError("the sweep needs A as one symmetric stencil of 7 numbers")
-    return functools.partial(solve, A, precond=RedBlackLines(A))
-
-
 class RedBlackLines:
     """The symmetric red-black z-line sweep M as solve's right preconditioner,
     with each pass run on packed vectors of the odd lines.
@@ -309,10 +290,13 @@ class RedBlackLines:
     two batches of line solves and two couplings, where the sweep and a
     matvec took three and one; X e is formed once a pass.
 
-    A coupling is two pairs, each pair's sum times one number.
+    A coupling is two pairs, each pair's sum times one number. A holds one
+    symmetric stencil, 7 numbers.
     """
 
     def __init__(self, A: SparseMatrix):
+        if not isinstance(A, SparseMatrix) or not A.symmetric:
+            raise ValueError("the sweep needs A as one symmetric stencil of 7 numbers")
         w = A.side - 2
         q, cos = _sine_basis(w)
         self.A, self.t_inv = A, (q / (A.diagonal() + 2.0 * A.data[5] * cos)) @ q

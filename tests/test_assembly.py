@@ -263,9 +263,10 @@ def test_selfsimilar_sigma1_one_is_pure_square():
 
 
 def test_selfsimilar_rejects_sigma1_above_one():
+    # RunConfig is where sigma1 enters a run, and the one check of it
     mesh = build_structured_mesh(UNIT, 4)
-    with pytest.raises(ValueError):
-        assemble_blocks(mesh).selfsimilar(1.0, 1.0 + 1e-9)
+    with pytest.raises(ValueError, match="sigma1"):
+        RunConfig(form="selfsimilar", sigma1=1.0 + 1e-9)
     # and either form's coefficients at a negative time
     for coefficients in (lambda blocks: blocks.selfsimilar(-1e-12, 0.5), lambda blocks: blocks.lagrangian(-1.0)):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -321,13 +322,15 @@ def test_bandwidth_of_assembled_matrices():
 
 
 def test_split_params():
-    # the reaction split sigma1 + sigma2 = 2 and theta belong to RunConfig;
-    # the assembled implicit operator guards sigma1 <= 1 on its own
+    # the reaction split sigma1 + sigma2 = 2, its bound sigma1 <= 1 and theta
+    # belong to RunConfig
     p = RunConfig(sigma1=0.5)
     assert p.sigma2 == 1.5
     with pytest.raises(ValueError):
         RunConfig(sigma1=1.5)
     with pytest.raises(ValueError):
         RunConfig(theta=1.5)
-    with pytest.raises(ValueError):
-        assemble_blocks(build_structured_mesh(UNIT, 3)).selfsimilar(0.5, 1.5)
+    # OperatorBlocks.selfsimilar(s, 1.5) is not coercive; the self-similar
+    # run that would assemble it is refused before it starts
+    with pytest.raises(ValueError, match="sigma1 must satisfy sigma1 <= 1"):
+        RunConfig(form="selfsimilar", theta=0.5, sigma1=1.5)

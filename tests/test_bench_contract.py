@@ -112,19 +112,29 @@ def test_the_benchmarks_self_test_passes():
 def test_the_traced_solve_is_each_steps_whole_solve(form, monkeypatch):
     # the tracer's sparse.solve layer reads the solves of a run: one call a
     # step, on the step's full right-hand side, returning the iterations the
-    # trajectory records for it
-    inner, calls = sparse.solve, []
+    # trajectory records for it; the step's preconditioner, the form's own,
+    # was built from the matrix that solve receives
+    inner, calls, solved, built = sparse.solve, [], [], {}
 
-    def wrapper(A, b, *args, **kwargs):
-        x, stats = inner(A, b, *args, **kwargs)
+    def wrapper(A, b, precond, **kwargs):
+        x, stats = inner(A, b, precond, **kwargs)
         calls.append((len(b), stats.iterations))
+        solved.append((A, precond))
         return x, stats
     monkeypatch.setattr(sparse, "solve", wrapper)
+    for name in ("jacobi", "RedBlackLines"):
+        def build(A, name=name, constructor=getattr(sparse, name)):
+            precond = constructor(A)
+            built[id(precond)] = (precond, A, name)  # keeps precond, so its id stays its own
+            return precond
+        monkeypatch.setattr(sparse, name, build)
     config = solvers.RunConfig(form=form, n=6, dt=0.1, horizon=0.5)
     traj = solvers.run(config)
     node_count = build_structured_mesh(config.domain, config.n).node_count
     assert calls == [(node_count, k) for k in traj.iterations[1:]]
     assert len(calls) == config.steps and all(k > 0 for _, k in calls)
+    own = "RedBlackLines" if form == "lagrangian" else "jacobi"
+    assert all(built[id(P)][1] is A and built[id(P)][2] == own for A, P in solved)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])

@@ -342,7 +342,7 @@ def test_matvec_linearity():
 def test_solve_identity():
     A = identity(6)
     b = np.arange(6.0)
-    x, stats = sparse.solve(A, b)
+    x, stats = sparse.solve(A, b, sparse.jacobi(A))
     assert stats.converged
     assert stats.iterations <= 1
     assert np.allclose(x, b, atol=1e-12)
@@ -350,14 +350,14 @@ def test_solve_identity():
 
 def test_solve_2x2_by_hand():
     A = DiaMatrix((-1, 0, 1), [[0.0, 1.0], [2.0, 3.0], [1.0, 0.0]])  # [[2, 1], [1, 3]]
-    x, stats = sparse.solve(A, np.array([3.0, 4.0]))
+    x, stats = sparse.solve(A, np.array([3.0, 4.0]), sparse.jacobi(A))
     assert stats.converged
     assert np.allclose(x, [1.0, 1.0], atol=1e-9)
 
 
 def test_solve_zero_rhs_immediate():
     A = identity(4)
-    x, stats = sparse.solve(A, np.zeros(4))
+    x, stats = sparse.solve(A, np.zeros(4), sparse.jacobi(A))
     assert stats.converged and stats.iterations == 0
     assert np.all(x == 0.0)
 
@@ -373,7 +373,8 @@ def dominant_system():
 
 def test_solve_diagonally_dominant_vs_dense_elimination():
     D, b = dominant_system()
-    x, stats = sparse.solve(dia_of(D), b, tol=1e-12)
+    A = dia_of(D)
+    x, stats = sparse.solve(A, b, sparse.jacobi(A), tol=1e-12)
     assert stats.converged
     oracle = np.linalg.solve(D, b)  # dense elimination reference
     assert np.max(np.abs(x - oracle)) < 1e-8
@@ -384,8 +385,8 @@ def test_solve_is_scale_invariant(e):
     # scaling b by 2^e scales every iterate exactly, so x scales bit for bit
     D, b = dominant_system()
     A = dia_of(D)
-    ref, ref_stats = sparse.solve(A, b, tol=1e-12)
-    x, stats = sparse.solve(A, np.ldexp(b, e), tol=1e-12)
+    ref, ref_stats = sparse.solve(A, b, sparse.jacobi(A), tol=1e-12)
+    x, stats = sparse.solve(A, np.ldexp(b, e), sparse.jacobi(A), tol=1e-12)
     assert stats.converged and stats.iterations == ref_stats.iterations
     assert np.array_equal(x, np.ldexp(ref, e))
 
@@ -397,7 +398,7 @@ def test_solve_left_inverse_of_matvec():
     D += np.diag(np.abs(D).sum(axis=1) + 1.0)
     A = dia_of(D)
     x_true = rng.standard_normal(n)
-    x, stats = sparse.solve(A, A.matvec(x_true), tol=1e-12)
+    x, stats = sparse.solve(A, A.matvec(x_true), sparse.jacobi(A), tol=1e-12)
     assert stats.converged
     assert np.max(np.abs(x - x_true)) < 1e-8
 
@@ -408,16 +409,16 @@ def test_solve_reports_nonconvergence():
     D = rng.standard_normal((n, n)) * 0.5
     D += np.diag(np.abs(D).sum(axis=1) + 1.0)
     A = dia_of(D)
-    x, stats = sparse.solve(A, rng.standard_normal(n), tol=1e-14, max_iter=1)
+    x, stats = sparse.solve(A, rng.standard_normal(n), sparse.jacobi(A), tol=1e-14, max_iter=1)
     assert not stats.converged
     assert stats.residual > 1e-14
 
 
 def test_solve_validates_inputs():
     with pytest.raises(ValueError):
-        sparse.solve(identity(2), np.zeros(3))
+        sparse.solve(identity(2), np.zeros(3), np.positive)
     with pytest.raises(ValueError):
-        sparse.solve(identity(2), np.zeros(2), tol=0.0)
+        sparse.solve(identity(2), np.zeros(2), np.positive, tol=0.0)
 
 
 def test_combine_requires_one_coefficient_per_block():
@@ -494,7 +495,7 @@ def test_solve_breakdown_restart_reports_failure():
     # (r* . A p = 0), so its first pass leaves x as it was and the true
     # residual is not lowered: the solve ends there and reports honestly
     A = DiaMatrix((-1, 1), [[0.0, -1.0], [1.0, 0.0]])  # [[0, 1], [-1, 0]]
-    x, stats = sparse.solve(A, np.array([1.0, 0.0]), tol=1e-12, max_iter=50)
+    x, stats = sparse.solve(A, np.array([1.0, 0.0]), sparse.jacobi(A), tol=1e-12, max_iter=50)
     assert not stats.converged
     assert stats.iterations == 0 and stats.residual == 1.0
     assert np.all(np.isfinite(x)) and not np.any(x)
@@ -528,7 +529,7 @@ def line_jacobi(A):
 
 
 def line_gauss_seidel(A):
-    """The oracle of red_black_solver: the symmetric red-black Gauss-Seidel
+    """The oracle of RedBlackLines: the symmetric red-black Gauss-Seidel
     sweep over the z-lines of the interior grid as a preconditioner for
     solve, as kfplab applied it before its solves ran on the odd lines.
 
@@ -712,7 +713,7 @@ def test_solve_with_line_gauss_seidel_vs_dense_elimination(to_dense):
     b = framed(A, np.random.default_rng(5).standard_normal(inner.sum()))
     x, stats = sparse.solve(A, b, tol=1e-12, precond=line_gauss_seidel(A))
     assert stats.converged
-    _, jacobi_stats = sparse.solve(A, b, tol=1e-12)
+    _, jacobi_stats = sparse.solve(A, b, sparse.jacobi(A), tol=1e-12)
     assert stats.iterations < jacobi_stats.iterations
     want = np.linalg.solve(to_dense(A, inner), b[inner])
     assert np.max(np.abs(x[inner] - want)) <= 1e-10 * np.max(np.abs(want))
@@ -734,8 +735,9 @@ def test_preconditioners_and_solve_keep_the_zero_frame(n):
             x0 = framed(A, rng.standard_normal(inner.sum()))
             x, stats = sparse.solve(A, r, x0=x0, precond=precond, work=np.full((sparse.WORK_VECTORS, A.rows), np.nan))
             assert stats.converged and np.all(x[~inner] == 0.0)
-        if A.data.ndim == 1:  # and so does the red-black solver
-            x, stats = sparse.red_black_solver(A)(r, x0=x0, work=np.full((sparse.WORK_VECTORS, A.rows), np.nan))
+        if A.data.ndim == 1:  # and so does the solve on packed odd lines
+            x, stats = sparse.solve(A, r, sparse.RedBlackLines(A), x0=x0,
+                                    work=np.full((sparse.WORK_VECTORS, A.rows), np.nan))
             assert stats.converged and np.all(x[~inner] == 0.0)
 
 
@@ -751,7 +753,7 @@ def test_red_black_solver_on_at_most_one_line_is_dense_elimination(t, domain, to
         inner = interior_of(A)
         for seed in range(5):
             b = framed(A, np.random.default_rng(seed).standard_normal(inner.sum()) * 10.0 ** (4 * seed - 8))
-            x, stats = sparse.red_black_solver(A)(b)
+            x, stats = sparse.solve(A, b, sparse.RedBlackLines(A))
             want = np.linalg.solve(to_dense(A, inner), b[inner])
             assert (stats.iterations, stats.converged) == (iterations, True)
             assert np.all(np.abs(x[inner] - want) <= np.finfo(float).eps * np.abs(want))
@@ -785,12 +787,12 @@ def test_red_black_solver_is_the_solve_with_the_sweep(n, t):
     # changes no bit
     for A, b, x0 in red_black_cases(n, t):
         want, want_stats = sparse.solve(A, b, x0=x0, precond=line_gauss_seidel(A))
-        solve = sparse.red_black_solver(A)
-        x, stats = solve(b, x0=x0)
+        precond = sparse.RedBlackLines(A)
+        x, stats = sparse.solve(A, b, precond, x0=x0)
         assert (stats.iterations, stats.converged) == (want_stats.iterations, want_stats.converged)
         assert stats.residual <= sparse.DEFAULT_TOL or not np.any(b)
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want), initial=0.0)
-        stale = solve(b, x0=x0, work=np.full((sparse.WORK_VECTORS, A.rows), np.nan))
+        stale = sparse.solve(A, b, precond, x0=x0, work=np.full((sparse.WORK_VECTORS, A.rows), np.nan))
         assert stale[0].tobytes() == x.tobytes() and stale[1] == stats
 
 
@@ -801,7 +803,7 @@ def test_red_black_solver_restarts_as_the_sweep_does():
     for A in (line_part(lagrangian_lhs(12, 10.0)), lagrangian_lhs(3, 10.0)):
         b = framed(A, np.random.default_rng(2).standard_normal(interior_of(A).sum()))
         want, want_stats = sparse.solve(A, b, precond=line_gauss_seidel(A))
-        x, stats = sparse.red_black_solver(A)(b)
+        x, stats = sparse.solve(A, b, sparse.RedBlackLines(A))
         assert stats.converged and stats.iterations == want_stats.iterations
         assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -821,7 +823,7 @@ def test_red_black_solver_starts_a_new_pass_when_the_full_residual_misses_tol(mo
         passes.append((iters, math.sqrt(r @ r) <= target))  # the packed recurrence met its target
         return iters
     monkeypatch.setattr(sparse, "_iterate", first_pass_stops_early)
-    x, stats = sparse.red_black_solver(A)(b)
+    x, stats = sparse.solve(A, b, sparse.RedBlackLines(A))
     assert len(passes) == 2 and all(met for _, met in passes)
     assert stats.converged and stats.iterations == sum(iters for iters, _ in passes)
     assert math.sqrt(np.sum((b - A.matvec(x)) ** 2)) <= sparse.DEFAULT_TOL * math.sqrt(b @ b)
@@ -840,7 +842,7 @@ def test_a_pass_whose_packed_solve_takes_no_iteration_ends_the_solve(monkeypatch
         assert len(calls) <= 10, "the passes do not end"
         return 0
     monkeypatch.setattr(sparse, "_iterate", stops_at_once)
-    x, stats = sparse.red_black_solver(A)(b, max_iter=5)
+    x, stats = sparse.solve(A, b, sparse.RedBlackLines(A), max_iter=5)
     assert len(calls) == 1 and stats.iterations == 0 and not stats.converged and not np.any(x)
 
 
@@ -852,7 +854,7 @@ def test_a_red_black_solve_makes_no_packed_product_outside_the_recurrence(monkey
     product, calls = sparse.RedBlackLines.matvec, []
     monkeypatch.setattr(sparse.RedBlackLines, "matvec",
                         lambda self, *args, **kwargs: calls.append(1) or product(self, *args, **kwargs))
-    x, stats = sparse.red_black_solver(A)(b)
+    x, stats = sparse.solve(A, b, sparse.RedBlackLines(A))
     assert stats.converged and stats.iterations > 0 and len(calls) == 2 * stats.iterations
 
 
@@ -877,19 +879,19 @@ def test_a_drifted_pass_restarts_from_the_true_residual(monkeypatch):
         assert stats.converged and stats.residual <= sparse.DEFAULT_TOL
 
 
-@pytest.mark.parametrize("factory", [sparse.jacobi_solver, sparse.red_black_solver])
-def test_a_solve_refuses_an_x0_of_another_shape_and_a_tol_not_in_0_inf(factory):
+@pytest.mark.parametrize("build", [sparse.jacobi, sparse.RedBlackLines], ids=["jacobi_solver", "red_black_solver"])
+def test_a_solve_refuses_an_x0_of_another_shape_and_a_tol_not_in_0_inf(build):
     # a scalar or length-1 x0 would spread over every row, frame included,
     # and read as converged; tol = inf would take the zero start as
     # converged, tol = nan run to max_iter
     A = lagrangian_lhs(8, 3.3)
     b = framed(A, np.random.default_rng(10).standard_normal(interior_of(A).sum()))
-    solve = factory(A)
+    precond = build(A)
     for kwargs in (dict(x0=np.array([5.0])), dict(x0=5.0), dict(x0=np.zeros(A.rows - 1)),
                    dict(x0=np.zeros((A.rows, 1))), dict(tol=math.inf), dict(tol=math.nan), dict(tol=-1e-10)):
         with pytest.raises(ValueError):
-            solve(b, **kwargs)
-    x, stats = solve(b, x0=list(np.zeros(A.rows)))
+            sparse.solve(A, b, precond, **kwargs)
+    x, stats = sparse.solve(A, b, precond, x0=list(np.zeros(A.rows)))
     assert stats.converged
 
 
@@ -901,15 +903,15 @@ def test_red_black_solver_ends_within_max_iter_and_reports_the_true_residual(tol
     # the x it returns
     A = lagrangian_lhs(33, 9.95)
     b = framed(A, np.random.default_rng(4).standard_normal(interior_of(A).sum()))
-    x, stats = sparse.red_black_solver(A)(b, tol=tol, max_iter=max_iter)
+    x, stats = sparse.solve(A, b, sparse.RedBlackLines(A), tol=tol, max_iter=max_iter)
     true = math.sqrt(np.sum((b - A.matvec(x)) ** 2)) / math.sqrt(b @ b)
     assert not stats.converged and stats.iterations == max_iter
     assert stats.residual == pytest.approx(true, rel=1e-6)
 
 
-@pytest.mark.parametrize("factory", [sparse.jacobi_solver, sparse.red_black_solver])
+@pytest.mark.parametrize("build", [sparse.jacobi, sparse.RedBlackLines], ids=["jacobi_solver", "red_black_solver"])
 @pytest.mark.parametrize("bad, where", [(math.inf, "b"), (math.nan, "b"), (math.inf, "x0")])
-def test_a_solve_from_a_non_finite_residual_ends_at_once_unconverged(factory, bad, where):
+def test_a_solve_from_a_non_finite_residual_ends_at_once_unconverged(build, bad, where):
     # an inf in b must not read as converged (inf <= inf), nor a nan spin
     # through max_iter: a pass whose starting residual is not finite ends
     # the solve at once, unconverged, from zero or from a start
@@ -919,7 +921,7 @@ def test_a_solve_from_a_non_finite_residual_ends_at_once_unconverged(factory, ba
         vector = b.copy() if where == "b" else x0
         vector[A.side + 2] = bad
         with np.errstate(all="ignore"):
-            x, stats = factory(A)(vector if where == "b" else b, x0=x0)
+            x, stats = sparse.solve(A, vector if where == "b" else b, build(A), x0=x0)
         assert stats.iterations == 0 and not stats.converged
 
 
@@ -933,7 +935,7 @@ def test_a_solve_near_rounding_ends_once_a_pass_does_not_lower_the_true_residual
     b = sparse.zero_frame(np.random.default_rng(seed).standard_normal(A.rows), A.side)
     inner, passes = sparse._iterate, []
     monkeypatch.setattr(sparse, "_iterate", lambda *args: passes.append(1) or inner(*args))
-    x, stats = sparse.red_black_solver(A)(b, tol=3e-15, max_iter=200)
+    x, stats = sparse.solve(A, b, sparse.RedBlackLines(A), tol=3e-15, max_iter=200)
     true = math.sqrt(np.sum((b - A.matvec(x)) ** 2)) / math.sqrt(b @ b)
     assert not stats.converged and len(passes) <= 5 and stats.iterations < 200
     assert stats.residual == pytest.approx(true, rel=1e-6)
@@ -960,9 +962,9 @@ def test_jacobi_on_a_one_centre_side_is_the_unpreconditioned_solve(side):
 def test_red_black_solver_is_scale_invariant(e):
     # b and x0 are scaled by a power of two first, so x scales bit for bit
     for A, b, x0 in red_black_cases(33, 3.3):
-        solve = sparse.red_black_solver(A)
-        ref, ref_stats = solve(b, x0=x0)
-        x, stats = solve(np.ldexp(b, e), x0=None if x0 is None else np.ldexp(x0, e))
+        precond = sparse.RedBlackLines(A)
+        ref, ref_stats = sparse.solve(A, b, precond, x0=x0)
+        x, stats = sparse.solve(A, np.ldexp(b, e), precond, x0=None if x0 is None else np.ldexp(x0, e))
         assert stats == ref_stats and x.tobytes() == np.ldexp(ref, e).tobytes()
 
 
@@ -975,21 +977,21 @@ def test_red_black_solver_checks_its_inputs():
     skewed[0] = np.nextafter(skewed[0], np.inf)
     for bad in (sparse.SparseMatrix(A.side, skewed), sides(5)[1], identity(6)):
         with pytest.raises(ValueError):
-            sparse.red_black_solver(bad)
-    solve = sparse.red_black_solver(A)
+            sparse.RedBlackLines(bad)
+    precond = sparse.RedBlackLines(A)
     for kwargs in (dict(b=np.ones(A.rows - 1)), dict(b=np.ones(A.rows), tol=0.0),
                    dict(b=np.ones(A.rows), work=np.empty((sparse.WORK_VECTORS - 1, A.rows)))):
         with pytest.raises(ValueError):
-            solve(**kwargs)
+            sparse.solve(A, precond=precond, **kwargs)
     for n in (1, 2, 5):
         calls = []
         B = lagrangian_lhs(n, 1.0)
         B.diagonal = lambda B=B: calls.append(1) or sparse.SparseMatrix.diagonal(B)
-        sparse.red_black_solver(B)
+        sparse.RedBlackLines(B)
         assert len(calls) == 1
 
 
-def allocating_solve(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_MAX_ITER, x0=None, precond=None):
+def allocating_solve(A, b, precond, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_MAX_ITER, x0=None):
     """The reference for solve: the same BiCGStab with every vector a new
     array, as it stood before the iteration ran in a work array."""
     k = int(np.frexp(np.abs(b).max(initial=0.0))[1])
@@ -997,7 +999,6 @@ def allocating_solve(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_MAX_I
     norm_b = np.sqrt(b @ b)
     if norm_b == 0.0:
         return np.zeros(A.rows), sparse.SolveStats(0, 0.0, True)
-    precond = sparse.jacobi(A) if precond is None else precond
     target = tol * norm_b
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     x = np.zeros(A.rows) if x0 is None else np.ldexp(x0, -k)
@@ -1040,7 +1041,7 @@ def allocating_solve(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_MAX_I
 ELEVEN_ROWS = 11
 
 
-def solve_in_eleven_rows(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_MAX_ITER, x0=None, precond=None,
+def solve_in_eleven_rows(A, b, precond, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_MAX_ITER, x0=None,
                          work=None):
     """The reference for solve's nine rows: the same BiCGStab in a work array
     of ELEVEN_ROWS rows, with s and M s in rows of their own, as it stood
@@ -1052,7 +1053,6 @@ def solve_in_eleven_rows(A, b, tol=sparse.DEFAULT_TOL, max_iter=sparse.DEFAULT_M
     norm_b = math.sqrt(b_k @ b_k)
     if norm_b == 0.0:
         return np.zeros(A.rows), sparse.SolveStats(0, 0.0, True)
-    precond = sparse.jacobi(A) if precond is None else precond
     target = tol * norm_b
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
     np.ldexp(0.0 if x0 is None else np.asarray(x0, dtype=float), -k, out=x)
@@ -1128,7 +1128,7 @@ def test_solve_in_a_work_array_is_bit_identical_to_the_allocating_reference():
             assert x.tobytes() == want.tobytes() and stats == want_stats
     for shape in ((sparse.WORK_VECTORS, 4), (sparse.WORK_VECTORS - 1, 3)):
         with pytest.raises(ValueError):
-            sparse.solve(identity(3), np.ones(3), work=np.empty(shape))
+            sparse.solve(identity(3), np.ones(3), np.positive, work=np.empty(shape))
 
 
 def test_solve_in_nine_rows_is_bit_identical_to_the_eleven_row_oracle():

@@ -6,11 +6,12 @@ problem.
 
 The reference run solves every step to tol = 1e-12; each path runs at the
 default tol = 1e-10. The sheared (Lagrangian) form has two paths, "z-lines",
-its solve preconditioned by the symmetric red-black Gauss-Seidel sweep over
-z-lines and run on the odd lines (sparse.red_black_solver), and Jacobi; the
-original and self-similar forms have one, Jacobi. For each path the table gives its distance from the
-reference in the norm series (norms.csv), the final field and the final L2
-error against the closed form (errors.csv):
+each step's sparse.solve preconditioned by sparse.RedBlackLines, the
+symmetric red-black Gauss-Seidel sweep over z-lines, run on the odd lines,
+and "Jacobi", the same run with sparse.jacobi in its place; the original and
+self-similar forms have one, Jacobi. For each path the table gives its
+distance from the reference in the norm series (norms.csv), the final field
+and the final L2 error against the closed form (errors.csv):
 
 * per entry: max |a - b| / |b| over the entries;
 * scale: max |a - b| / max |b|, relative to the largest value of the column.
@@ -58,14 +59,14 @@ CASES = {
 
 @contextlib.contextmanager
 def jacobi_path():
-    """Within the block, run_lagrangian solves with Jacobi in place of the
-    red-black sweep over z-lines."""
-    red_black_solver = sparse.red_black_solver
-    sparse.red_black_solver = sparse.jacobi_solver
+    """Within the block, run_lagrangian preconditions its solves with Jacobi
+    in place of the red-black sweep over z-lines."""
+    red_black_lines = sparse.RedBlackLines
+    sparse.RedBlackLines = sparse.jacobi
     try:
         yield
     finally:
-        sparse.red_black_solver = red_black_solver
+        sparse.RedBlackLines = red_black_lines
 
 
 def paths(form: str) -> dict:
@@ -110,9 +111,10 @@ def runs(n: int, dt: float, t_end: float, form: str = "lagrangian") -> tuple:
 
 
 def yardstick(n: int, dt: float, t_end: float, form: str = "lagrangian") -> dict:
-    """Path name -> distances from the reference run."""
+    """Path name -> distances from the reference run, and under "iterations"
+    the path's total BiCGStab iterations."""
     ref, got = runs(n, dt, t_end, form)
-    return {name: distances(out, ref) for name, out in got.items()}
+    return {name: {**distances(out, ref), "iterations": out["iterations"]} for name, out in got.items()}
 
 
 def _print_table(title: str, ref: dict, got: dict) -> None:
